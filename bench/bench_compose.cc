@@ -43,6 +43,7 @@
 #include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "minic/compile.hh"
+#include "support/strutil.hh"
 #include "workloads/compose.hh"
 #include "workloads/registry.hh"
 
@@ -91,18 +92,6 @@ parseTrailer(const std::string &text, uint64_t &steps,
     steps = s;
     tokens = t;
     return steps > 0;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
 }
 
 double

@@ -45,7 +45,7 @@ main(int argc, char **argv)
 
     std::vector<BenchSpec> specs;
     for (BenchSpec &spec : withModes(macroSuite(), modes)) {
-        Lang base = baselineOf(spec.lang);
+        Lang base = modeInfo(spec.lang).baseline;
         if (base == Lang::Java || base == Lang::Perl ||
             base == Lang::Tcl)
             specs.push_back(std::move(spec));

@@ -24,21 +24,21 @@
  *
  * `--json [file]` (default BENCH_remedies.json) merges one
  * machine-readable row per program into the remedies document: jit
- * rows are single-line objects carrying `"tier": 3`, appended to
- * `pairs`, and any previous tier-3 rows are replaced, so re-running
- * is idempotent. `--jobs N` / `--record` / `--replay` behave as in
+ * rows are single-line objects carrying `"tier": 3` that replace any
+ * previous tier-3 rows, so re-running is idempotent (see
+ * harness/remedies_json.hh). `--jobs N` / `--record` / `--replay` behave as in
  * the other drivers. `--programs=<glob[,glob...]>` restricts the
  * suite to matching workload names.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "harness/parallel.hh"
+#include "harness/remedies_json.hh"
 #include "harness/runner.hh"
 #include "support/strutil.hh"
 #include "trace/code_registry.hh"
@@ -78,99 +78,6 @@ class JitRegionSink : public trace::Sink
     std::unordered_set<uint32_t> lines_;
 };
 
-/** Per-command equality of retired and native-lib counts: the parts
- *  of the tier-3 golden contract that per-command stats can check
- *  (fetch/decode and memModel are allowed to shrink). */
-bool
-retiredAndNativeIdentical(const trace::Profile &base,
-                          const trace::Profile &jit)
-{
-    const auto &a = base.perCommand();
-    const auto &b = jit.perCommand();
-    size_t n = a.size() > b.size() ? a.size() : b.size();
-    for (size_t i = 0; i < n; ++i) {
-        trace::CommandStats sa =
-            i < a.size() ? a[i] : trace::CommandStats{};
-        trace::CommandStats sb =
-            i < b.size() ? b[i] : trace::CommandStats{};
-        if (sa.retired != sb.retired || sa.nativeLib != sb.nativeLib)
-            return false;
-    }
-    return true;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        return "";
-    std::string out;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
-    return out;
-}
-
-/**
- * Merge @p rows (single-line `"tier": 3` objects) into the remedies
- * document at @p path, replacing any previous tier-3 rows; the
- * bench_tierup merge with the tier tag one higher. Falls back to a
- * standalone document when the file is missing or not the expected
- * shape.
- */
-std::string
-mergeIntoRemedies(const std::string &path,
-                  const std::vector<std::string> &rows)
-{
-    std::string joined;
-    for (size_t i = 0; i < rows.size(); ++i) {
-        joined += rows[i];
-        if (i + 1 < rows.size())
-            joined += ",\n";
-    }
-
-    std::string existing = slurp(path);
-    size_t tail = existing.rfind("\n  ]\n}");
-    if (existing.find("\"pairs\"") == std::string::npos ||
-        tail == std::string::npos)
-        return "{\n  \"schema\": \"interp-remedies-v1\",\n"
-               "  \"pairs\": [\n" +
-               joined + "\n  ]\n}\n";
-
-    std::string head;
-    size_t pos = 0;
-    while (pos < tail) {
-        size_t eol = existing.find('\n', pos);
-        if (eol == std::string::npos || eol > tail)
-            eol = tail;
-        std::string line = existing.substr(pos, eol - pos);
-        if (line.find("\"tier\": 3") == std::string::npos)
-            head += line + "\n";
-        pos = eol + 1;
-    }
-    while (!head.empty() &&
-           (head.back() == '\n' || head.back() == ' '))
-        head.pop_back();
-    if (!head.empty() && head.back() == ',')
-        head.pop_back();
-    return head + ",\n" + joined + "\n  ]\n}\n";
-}
-
 } // namespace
 
 int
@@ -178,19 +85,6 @@ main(int argc, char **argv)
 {
     int jobs = parseJobs(argc, argv);
     TraceIo tio = parseTraceDirs(argc, argv);
-
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) {
-            json_path = i + 1 < argc ? argv[i + 1]
-                                     : "BENCH_remedies.json";
-            break;
-        }
-        if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json_path = argv[i] + 7;
-            break;
-        }
-    }
 
     std::printf("Tier-3: template-compiled stencil regions "
                 "(mipsi-jit, tcl-jit)\n");
@@ -210,12 +104,12 @@ main(int argc, char **argv)
     std::vector<BenchSpec> specs;
     for (BenchSpec &spec : workloads::filterPrograms(
              macroSuite(), workloads::parseProgramsArg(argc, argv))) {
-        if (!isJit(tierJitOf(spec.lang)))
+        BenchSpec jit = spec;
+        jit.lang = modeAtTier(spec.lang, 3);
+        if (jit.lang == spec.lang)
             continue;
         BenchSpec prev = spec;
-        prev.lang = tierTier2Of(spec.lang);
-        BenchSpec jit = spec;
-        jit.lang = tierJitOf(spec.lang);
+        prev.lang = rungOf(spec.lang, 2);
         specs.push_back(std::move(spec));
         specs.push_back(std::move(prev));
         specs.push_back(std::move(jit));
@@ -261,9 +155,16 @@ main(int argc, char **argv)
         uint64_t mm_prev = prev.profile.memModelInsts();
         uint64_t mm_jit = jit.profile.memModelInsts();
 
+        // Per command, retired and native-lib are identical;
+        // fetch/decode and memModel may only shrink.
         bool ok = jit.commands == base.commands &&
                   jit.stdoutText == base.stdoutText &&
-                  retiredAndNativeIdentical(base.profile, jit.profile) &&
+                  base.profile.everyCommand(
+                      jit.profile,
+                      [](const auto &a, const auto &b) {
+                          return a.retired == b.retired &&
+                                 a.nativeLib == b.nativeLib;
+                      }) &&
                   fd_jit <= fd_base && mm_jit <= mm_base;
         if (!ok)
             ++bad;
@@ -292,7 +193,7 @@ main(int argc, char **argv)
         char buf[1200];
         std::snprintf(
             buf, sizeof buf,
-            "    {\"baseline_lang\": \"%s\", \"remedy_lang\": \"%s\", "
+            "{\"baseline_lang\": \"%s\", \"remedy_lang\": \"%s\", "
             "\"bench\": \"%s\", \"tier\": 3, \"commands\": %llu, "
             "\"baseline\": {\"fd_insts\": %llu, \"memmodel_insts\": "
             "%llu, \"insts\": %llu, \"cycles\": %llu}, "
@@ -335,17 +236,7 @@ main(int argc, char **argv)
                 "the previous tier.\n",
                 improved_beyond_prev, results.size() / 3);
 
-    if (!json_path.empty()) {
-        std::string doc = mergeIntoRemedies(json_path, rows);
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-            return 1;
-        }
-        std::fwrite(doc.data(), 1, doc.size(), f);
-        std::fclose(f);
-        std::fprintf(stderr, "merged %zu tier-3 rows into %s\n",
-                     rows.size(), json_path.c_str());
-    }
+    if (!writeRemediesTier(parseJsonPath(argc, argv), 3, rows))
+        return 1;
     return bad == 0 ? 0 : 1;
 }

@@ -17,20 +17,19 @@
  *
  * `--json [file]` (default BENCH_remedies.json) merges one
  * machine-readable row per pair into the remedies document: tier rows
- * are single-line objects carrying `"tier": 2`, appended to `pairs`,
- * and any previous tier rows are replaced, so re-running is
- * idempotent. Without an existing file a standalone document with the
- * same schema is written. `--jobs N` / `--record` / `--replay` behave
+ * are single-line objects carrying `"tier": 2` that replace any
+ * previous tier-2 rows, so re-running is idempotent (see
+ * harness/remedies_json.hh). `--jobs N` / `--record` / `--replay` behave
  * as in the other drivers. `--programs=<glob[,glob...]>` restricts
  * the suite to matching workload names.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "harness/parallel.hh"
+#include "harness/remedies_json.hh"
 #include "harness/runner.hh"
 #include "support/strutil.hh"
 #include "workloads/registry.hh"
@@ -38,125 +37,11 @@
 using namespace interp;
 using namespace interp::harness;
 
-namespace {
-
-/** Per-command equality of retired and (execute - memModel): the
- *  tier-2 golden contract (fetch/decode and memModel excluded). */
-bool
-executeMinusMemModelIdentical(const trace::Profile &base,
-                              const trace::Profile &tier)
-{
-    const auto &a = base.perCommand();
-    const auto &b = tier.perCommand();
-    size_t n = a.size() > b.size() ? a.size() : b.size();
-    for (size_t i = 0; i < n; ++i) {
-        trace::CommandStats sa =
-            i < a.size() ? a[i] : trace::CommandStats{};
-        trace::CommandStats sb =
-            i < b.size() ? b[i] : trace::CommandStats{};
-        if (sa.retired != sb.retired ||
-            sa.execute - sa.memModel != sb.execute - sb.memModel)
-            return false;
-    }
-    return true;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-/** Read a whole file ("" if it does not exist). */
-std::string
-slurp(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        return "";
-    std::string out;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
-    return out;
-}
-
-/**
- * Merge @p rows (single-line `"tier": 2` objects) into the remedies
- * document at @p path: previous tier rows are dropped, the new ones
- * are appended inside `pairs`. Falls back to a standalone document
- * when the file is missing or not the expected shape.
- */
-std::string
-mergeIntoRemedies(const std::string &path,
-                  const std::vector<std::string> &rows)
-{
-    std::string joined;
-    for (size_t i = 0; i < rows.size(); ++i) {
-        joined += rows[i];
-        if (i + 1 < rows.size())
-            joined += ",\n";
-    }
-
-    std::string existing = slurp(path);
-    size_t tail = existing.rfind("\n  ]\n}");
-    if (existing.find("\"pairs\"") == std::string::npos ||
-        tail == std::string::npos)
-        return "{\n  \"schema\": \"interp-remedies-v1\",\n"
-               "  \"pairs\": [\n" +
-               joined + "\n  ]\n}\n";
-
-    // Drop any tier rows a previous run appended (they are the
-    // single-line objects tagged "tier": 2).
-    std::string head;
-    size_t pos = 0;
-    while (pos < tail) {
-        size_t eol = existing.find('\n', pos);
-        if (eol == std::string::npos || eol > tail)
-            eol = tail;
-        std::string line = existing.substr(pos, eol - pos);
-        if (line.find("\"tier\": 2") == std::string::npos)
-            head += line + "\n";
-        pos = eol + 1;
-    }
-    // Strip trailing blank lines and a dangling comma before
-    // splicing the new rows in.
-    while (!head.empty() &&
-           (head.back() == '\n' || head.back() == ' '))
-        head.pop_back();
-    if (!head.empty() && head.back() == ',')
-        head.pop_back();
-    return head + ",\n" + joined + "\n  ]\n}\n";
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     int jobs = parseJobs(argc, argv);
     TraceIo tio = parseTraceDirs(argc, argv);
-
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) {
-            json_path = i + 1 < argc ? argv[i + 1]
-                                     : "BENCH_remedies.json";
-            break;
-        }
-        if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json_path = argv[i] + 7;
-            break;
-        }
-    }
 
     std::printf("Tier-2: superinstructions and inline caches on the "
                 "real interpreters\n");
@@ -173,11 +58,10 @@ main(int argc, char **argv)
     std::vector<BenchSpec> specs;
     for (BenchSpec &spec : workloads::filterPrograms(
              macroSuite(), workloads::parseProgramsArg(argc, argv))) {
-        if (spec.lang != Lang::Java && spec.lang != Lang::Tcl &&
-            spec.lang != Lang::Perl)
-            continue;
         BenchSpec tier = spec;
-        tier.lang = tierTier2Of(spec.lang);
+        tier.lang = modeAtTier(spec.lang, 2);
+        if (tier.lang == spec.lang)
+            continue;
         specs.push_back(std::move(spec));
         specs.push_back(std::move(tier));
     }
@@ -209,8 +93,15 @@ main(int argc, char **argv)
 
         uint64_t mm_base = base.profile.memModelInsts();
         uint64_t mm_tier = tier.profile.memModelInsts();
+        // Per command, retired and execute - memModel are identical.
         bool exec_ok =
-            executeMinusMemModelIdentical(base.profile, tier.profile) &&
+            base.profile.everyCommand(
+                tier.profile,
+                [](const auto &a, const auto &b) {
+                    return a.retired == b.retired &&
+                           a.execute - a.memModel ==
+                               b.execute - b.memModel;
+                }) &&
             base.commands == tier.commands &&
             base.stdoutText == tier.stdoutText &&
             mm_tier <= mm_base;
@@ -247,7 +138,7 @@ main(int argc, char **argv)
         char buf[1024];
         std::snprintf(
             buf, sizeof buf,
-            "    {\"baseline_lang\": \"%s\", \"remedy_lang\": \"%s\", "
+            "{\"baseline_lang\": \"%s\", \"remedy_lang\": \"%s\", "
             "\"bench\": \"%s\", \"tier\": 2, \"commands\": %llu, "
             "\"baseline\": {\"fd_per_cmd\": %.3f, \"memmodel_insts\": "
             "%llu, \"insts\": %llu, \"cycles\": %llu}, "
@@ -280,17 +171,7 @@ main(int argc, char **argv)
                 "These are the tiers interpd promotes hot programs to "
                 "at runtime.\n");
 
-    if (!json_path.empty()) {
-        std::string doc = mergeIntoRemedies(json_path, rows);
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-            return 1;
-        }
-        std::fwrite(doc.data(), 1, doc.size(), f);
-        std::fclose(f);
-        std::fprintf(stderr, "merged %zu tier rows into %s\n",
-                     rows.size(), json_path.c_str());
-    }
+    if (!writeRemediesTier(parseJsonPath(argc, argv), 2, rows))
+        return 1;
     return bad_pairs == 0 ? 0 : 1;
 }

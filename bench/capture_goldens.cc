@@ -39,19 +39,6 @@ cEscape(const std::string &text)
     return out;
 }
 
-const char *
-langToken(Lang lang)
-{
-    switch (lang) {
-      case Lang::C: return "Lang::C";
-      case Lang::Mipsi: return "Lang::Mipsi";
-      case Lang::Java: return "Lang::Java";
-      case Lang::Perl: return "Lang::Perl";
-      case Lang::Tcl: return "Lang::Tcl";
-      default: return "Lang::C";
-    }
-}
-
 } // namespace
 
 int
@@ -80,8 +67,9 @@ main()
                 m.stdoutText.size() <= kLiteralLimit
                     ? m.stdoutText
                     : workloads::fnv64Hex(m.stdoutText);
-            printf("{\"%s\", %s, \"%s\"},\n", w.name.c_str(),
-                   langToken(src.lang), cEscape(expect).c_str());
+            printf("{\"%s\", Lang::%s, \"%s\"},\n", w.name.c_str(),
+                   harness::modeInfo(src.lang).ident,
+                   cEscape(expect).c_str());
             fprintf(stderr, "%-14s %-6s %6zu bytes  cmds=%llu\n",
                     w.name.c_str(), harness::langName(src.lang),
                     m.stdoutText.size(),

@@ -150,10 +150,10 @@ main(int argc, char **argv)
     ModeCounters totals = server.stats().totals();
     inform("interpd: exiting (accepted %llu, served %llu, shed %llu, "
            "deadline %llu, failed %llu)",
-           (unsigned long long)totals.accepted,
-           (unsigned long long)totals.served,
-           (unsigned long long)totals.shed,
-           (unsigned long long)totals.deadline,
-           (unsigned long long)totals.failed);
+           (unsigned long long)totals[Counter::Accepted],
+           (unsigned long long)totals[Counter::Served],
+           (unsigned long long)totals[Counter::Shed],
+           (unsigned long long)totals[Counter::Deadline],
+           (unsigned long long)totals[Counter::Failed]);
     return 0;
 }

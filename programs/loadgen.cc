@@ -23,7 +23,10 @@
  *   --clients N       concurrent connections (default 1)
  *   --requests N      requests per client (default 8)
  *   --rate R          open loop at R requests/second total
- *   --mode M[,M...]   execution modes, cycled (default mipsi)
+ *   --mode M[,M...]   execution modes, cycled (default mipsi); any
+ *                     harness mode name, case-insensitive (mipsi,
+ *                     tcl-jit, java-tier2, ...), or jvm, jvm-quick,
+ *                     threaded
  *   --program NAME    catalog program (default micro:a=b+c)
  *   --mix I:B         heterogeneous mix: per mode, I interactive and
  *                     B batch registry workloads per cycle (drawn
@@ -53,6 +56,16 @@ using namespace interp::server;
 
 namespace {
 
+/** Every mode name --mode accepts (aliases aside). */
+std::string
+modeNames()
+{
+    std::string names;
+    for (const harness::ModeInfo &m : harness::kModes)
+        names += names.empty() ? m.name : std::string(" ") + m.name;
+    return names;
+}
+
 [[noreturn]] void
 usage()
 {
@@ -65,7 +78,9 @@ usage()
         "               [--program NAME | --mix I:B]\n"
         "               [--iterations N]\n"
         "               [--deadline MS] [--max-commands N]\n"
-        "               [--machine] [--stats]\n");
+        "               [--machine] [--stats]\n"
+        "modes (any case): %s\n",
+        modeNames().c_str());
     std::exit(2);
 }
 
@@ -98,18 +113,12 @@ std::vector<harness::Lang>
 parseModes(const std::string &list)
 {
     std::vector<harness::Lang> modes;
-    size_t start = 0;
-    while (start <= list.size()) {
-        size_t comma = list.find(',', start);
-        size_t end = comma == std::string::npos ? list.size() : comma;
-        std::string name = list.substr(start, end - start);
+    for (const std::string &name : splitCommas(list)) {
         harness::Lang lang;
         if (!langFromName(name, lang))
-            fatal("loadgen: unknown mode \"%s\"", name.c_str());
+            fatal("loadgen: unknown mode \"%s\" (modes: %s)",
+                  name.c_str(), modeNames().c_str());
         modes.push_back(lang);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
     }
     if (modes.empty())
         usage();
@@ -242,23 +251,11 @@ main(int argc, char **argv)
     if (wantStats) {
         // In cluster mode, ask the first endpoint (the proxy when
         // pointed at one; otherwise the first shard).
-        std::string spec = !opt.endpoints.empty()
-                               ? opt.endpoints.front()
-                               : std::string();
-        Client conn = [&] {
-            if (spec.empty())
-                return opt.unixPath.empty()
-                           ? Client::connectTcp(opt.tcpPort)
-                           : Client::connectUnix(opt.unixPath);
-            if (spec.rfind("unix:", 0) == 0)
-                return Client::connectUnix(spec.substr(5));
-            if (spec.rfind("tcp:", 0) == 0)
-                return Client::connectTcp(
-                    std::atoi(spec.c_str() + 4));
-            if (spec.find('/') != std::string::npos)
-                return Client::connectUnix(spec);
-            return Client::connectTcp(std::atoi(spec.c_str()));
-        }();
+        Client conn = !opt.endpoints.empty()
+                          ? Client::connect(opt.endpoints.front())
+                      : opt.unixPath.empty()
+                          ? Client::connectTcp(opt.tcpPort)
+                          : Client::connectUnix(opt.unixPath);
         std::printf("%s\n", conn.stats().c_str());
     }
     return 0;

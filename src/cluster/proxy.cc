@@ -1,15 +1,9 @@
 #include "cluster/proxy.hh"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstring>
 
@@ -38,8 +32,12 @@ elapsedMicros(std::chrono::steady_clock::time_point from,
 // --- lifecycle -------------------------------------------------------------
 
 Proxy::Proxy(const ProxyConfig &config)
-    : cfg(config), ring((int)config.shards.size(),
-                        config.vnodes ? config.vnodes : 1)
+    : cfg(config),
+      ring((int)config.shards.size(), config.vnodes ? config.vnodes : 1),
+      front("interproxy",
+            [this](uint64_t conn, const std::string &payload) {
+                handleFrontFrame(conn, payload);
+            })
 {
     if (cfg.poolSize == 0)
         cfg.poolSize = 1;
@@ -54,87 +52,18 @@ Proxy::Proxy(const ProxyConfig &config)
 
 Proxy::~Proxy()
 {
-    for (auto &entry : fronts)
-        ::close(entry.second.fd);
     for (Shard &s : shards)
         for (BackConn &bc : s.pool)
             if (bc.fd >= 0)
                 ::close(bc.fd);
-    if (unixFd >= 0)
-        ::close(unixFd);
-    if (tcpFd >= 0)
-        ::close(tcpFd);
-    if (wakeRead >= 0)
-        ::close(wakeRead);
-    if (wakeWrite >= 0)
-        ::close(wakeWrite);
-    if (!cfg.unixPath.empty())
-        ::unlink(cfg.unixPath.c_str());
 }
 
 void
 Proxy::start()
 {
-    if (cfg.unixPath.empty() && cfg.tcpPort < 0)
-        fatal("interproxy: no listener configured "
-              "(need a unix path or a tcp port)");
     if (cfg.shards.empty())
         fatal("interproxy: no shards configured");
-
-    int pipefd[2];
-    if (::pipe2(pipefd, O_NONBLOCK | O_CLOEXEC) != 0)
-        fatal("interproxy: pipe2: %s", std::strerror(errno));
-    wakeRead = pipefd[0];
-    wakeWrite = pipefd[1];
-
-    if (!cfg.unixPath.empty()) {
-        sockaddr_un sun{};
-        if (cfg.unixPath.size() >= sizeof(sun.sun_path))
-            fatal("interproxy: socket path too long: %s",
-                  cfg.unixPath.c_str());
-        unixFd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK |
-                                       SOCK_CLOEXEC,
-                          0);
-        if (unixFd < 0)
-            fatal("interproxy: socket(AF_UNIX): %s",
-                  std::strerror(errno));
-        sun.sun_family = AF_UNIX;
-        std::memcpy(sun.sun_path, cfg.unixPath.c_str(),
-                    cfg.unixPath.size() + 1);
-        ::unlink(cfg.unixPath.c_str());
-        if (::bind(unixFd, (const sockaddr *)&sun, sizeof(sun)) != 0)
-            fatal("interproxy: bind %s: %s", cfg.unixPath.c_str(),
-                  std::strerror(errno));
-        if (::listen(unixFd, 128) != 0)
-            fatal("interproxy: listen %s: %s", cfg.unixPath.c_str(),
-                  std::strerror(errno));
-    }
-
-    if (cfg.tcpPort >= 0) {
-        tcpFd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK |
-                                      SOCK_CLOEXEC,
-                         0);
-        if (tcpFd < 0)
-            fatal("interproxy: socket(AF_INET): %s",
-                  std::strerror(errno));
-        int one = 1;
-        ::setsockopt(tcpFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-        sockaddr_in sin{};
-        sin.sin_family = AF_INET;
-        sin.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        sin.sin_port = htons((uint16_t)cfg.tcpPort);
-        if (::bind(tcpFd, (const sockaddr *)&sin, sizeof(sin)) != 0)
-            fatal("interproxy: bind 127.0.0.1:%d: %s", cfg.tcpPort,
-                  std::strerror(errno));
-        if (::listen(tcpFd, 128) != 0)
-            fatal("interproxy: listen tcp: %s", std::strerror(errno));
-        socklen_t len = sizeof(sin);
-        if (::getsockname(tcpFd, (sockaddr *)&sin, &len) != 0)
-            fatal("interproxy: getsockname: %s", std::strerror(errno));
-        boundTcpPort_ = ntohs(sin.sin_port);
-    }
-
+    front.listen(cfg.unixPath, cfg.tcpPort);
     for (size_t i = 0; i < shards.size(); ++i)
         beginConnect((int)i);
 }
@@ -142,15 +71,7 @@ Proxy::start()
 void
 Proxy::stop()
 {
-    stopping.store(true, std::memory_order_release);
-    wake();
-}
-
-void
-Proxy::wake()
-{
-    char byte = 1;
-    (void)!::write(wakeWrite, &byte, 1);
+    front.stop();
 }
 
 // --- event loop ------------------------------------------------------------
@@ -188,37 +109,13 @@ Proxy::pollTimeoutMs(Clock::time_point now) const
 void
 Proxy::run()
 {
-    // Poll-set bookkeeping: what each pollfd entry refers to.
-    struct Ref
-    {
-        enum : uint8_t { Wake, Listener, Front, Back } kind;
-        uint64_t front = 0;
-        int shard = 0;
-        int pool = 0;
-    };
+    // The shard connections ride in the Frontend's poll() set; backs[i]
+    // is the (shard, pool) slot of fds[i].
     std::vector<pollfd> fds;
-    std::vector<Ref> refs;
-
-    while (!stopping.load(std::memory_order_acquire)) {
+    std::vector<std::pair<int, int>> backs;
+    for (;;) {
         fds.clear();
-        refs.clear();
-        fds.push_back({wakeRead, POLLIN, 0});
-        refs.push_back({Ref::Wake, 0, 0, 0});
-        if (unixFd >= 0) {
-            fds.push_back({unixFd, POLLIN, 0});
-            refs.push_back({Ref::Listener, 0, 0, 0});
-        }
-        if (tcpFd >= 0) {
-            fds.push_back({tcpFd, POLLIN, 0});
-            refs.push_back({Ref::Listener, 0, 0, 0});
-        }
-        for (auto &entry : fronts) {
-            short events = POLLIN;
-            if (!entry.second.out.empty())
-                events |= POLLOUT;
-            fds.push_back({entry.second.fd, events, 0});
-            refs.push_back({Ref::Front, entry.first, 0, 0});
-        }
+        backs.clear();
         for (size_t si = 0; si < shards.size(); ++si) {
             for (size_t pi = 0; pi < shards[si].pool.size(); ++pi) {
                 const BackConn &bc = shards[si].pool[pi];
@@ -228,62 +125,29 @@ Proxy::run()
                 if (!bc.connecting && !bc.out.empty())
                     events |= POLLOUT;
                 fds.push_back({bc.fd, events, 0});
-                refs.push_back({Ref::Back, 0, (int)si, (int)pi});
+                backs.push_back({(int)si, (int)pi});
             }
         }
-
-        int timeout = pollTimeoutMs(Clock::now());
-        int n = ::poll(fds.data(), (nfds_t)fds.size(), timeout);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            fatal("interproxy: poll: %s", std::strerror(errno));
-        }
-        if (stopping.load(std::memory_order_acquire))
+        if (!front.poll(fds, pollTimeoutMs(Clock::now())))
             break;
 
-        if (fds[0].revents & POLLIN) {
-            char drain[256];
-            while (::read(wakeRead, drain, sizeof(drain)) > 0) {
-            }
-        }
-
-        for (size_t i = 1; i < fds.size(); ++i) {
-            const Ref &ref = refs[i];
+        for (size_t i = 0; i < fds.size(); ++i) {
             short rev = fds[i].revents;
-            if (!rev)
+            auto [shard, pool] = backs[i];
+            // The shard may have been failed (fds closed) by an earlier
+            // event in this same batch; skip stale entries.
+            BackConn &bc = shards[(size_t)shard].pool[(size_t)pool];
+            if (!rev || bc.fd != fds[i].fd)
                 continue;
-            switch (ref.kind) {
-              case Ref::Wake:
-                break;
-              case Ref::Listener:
-                if (rev & POLLIN)
-                    acceptAll(fds[i].fd);
-                break;
-              case Ref::Front:
-                if (rev & (POLLIN | POLLHUP | POLLERR | POLLNVAL))
-                    readFront(ref.front);
-                if (fronts.count(ref.front) && (rev & POLLOUT))
-                    writeFront(ref.front);
-                break;
-              case Ref::Back: {
-                // The shard may have been failed (fds closed) by an
-                // earlier event in this same batch; skip stale refs.
-                BackConn &bc = shards[ref.shard].pool[ref.pool];
-                if (bc.fd != fds[i].fd)
-                    break;
-                if (bc.connecting) {
-                    if (rev & (POLLOUT | POLLHUP | POLLERR))
-                        finishConnect(ref.shard, ref.pool);
-                    break;
-                }
-                if (rev & (POLLIN | POLLHUP | POLLERR | POLLNVAL))
-                    readBack(ref.shard, ref.pool);
-                if (bc.fd == fds[i].fd && (rev & POLLOUT))
-                    writeBack(ref.shard, ref.pool);
-                break;
-              }
+            if (bc.connecting) {
+                if (rev & (POLLOUT | POLLHUP | POLLERR))
+                    finishConnect(shard, pool);
+                continue;
             }
+            if (rev & (POLLIN | POLLHUP | POLLERR | POLLNVAL))
+                readBack(shard, pool);
+            if (bc.fd == fds[i].fd && (rev & POLLOUT))
+                writeBack(shard, pool);
         }
 
         runTimers(Clock::now());
@@ -313,33 +177,15 @@ Proxy::runTimers(Clock::time_point now)
                 continue;
             Outstanding o = std::move(it->second);
             s.inflight.erase(it);
-            switch (o.kind) {
-              case Outstanding::Kind::Probe:
-                ++s.probeFailures;
-                ++s.probeMisses;
-                s.probeOutstanding = false;
-                if (s.probeMisses >= cfg.probeMissLimit)
-                    failShard((int)i, "health probes missed");
-                break;
-              case Outstanding::Kind::Stats:
-                if (!o.agg->done && --o.agg->waiting == 0)
-                    finishAgg(o.agg);
-                break;
-              case Outstanding::Kind::Eval:
-                ++s.error;
-                if (o.retriesLeft > 0) {
-                    --o.retriesLeft;
-                    stats_.noteRetry();
-                    dispatchEval(std::move(o));
-                } else {
-                    EvalResponse resp;
-                    resp.status = Status::Error;
-                    resp.result = "shard " + s.ep.name +
-                                  " timed out";
-                    deliver(o, std::move(resp));
-                }
-                break;
+            if (o.kind != Outstanding::Kind::Probe) {
+                abandon(s, std::move(o), " timed out");
+                continue;
             }
+            ++s.gauge.probeFailures;
+            ++s.probeMisses;
+            s.probeOutstanding = false;
+            if (s.probeMisses >= cfg.probeMissLimit)
+                failShard((int)i, "health probes missed");
         }
     }
 
@@ -357,138 +203,16 @@ Proxy::runTimers(Clock::time_point now)
 // --- front side ------------------------------------------------------------
 
 void
-Proxy::acceptAll(int listen_fd)
-{
-    for (;;) {
-        int fd = ::accept4(listen_fd, nullptr, nullptr,
-                           SOCK_NONBLOCK | SOCK_CLOEXEC);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        FrontConn conn;
-        conn.fd = fd;
-        fronts.emplace(nextFrontId++, std::move(conn));
-    }
-}
-
-void
-Proxy::closeFront(uint64_t conn_id)
-{
-    auto it = fronts.find(conn_id);
-    if (it == fronts.end())
-        return;
-    ::close(it->second.fd);
-    fronts.erase(it);
-}
-
-void
-Proxy::readFront(uint64_t conn_id)
-{
-    auto it = fronts.find(conn_id);
-    if (it == fronts.end())
-        return;
-    char buf[64 * 1024];
-    for (;;) {
-        ssize_t n = ::recv(it->second.fd, buf, sizeof(buf), 0);
-        if (n > 0) {
-            it->second.in.append(buf, (size_t)n);
-            continue;
-        }
-        if (n == 0) {
-            closeFront(conn_id);
-            return;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        if (errno == EINTR)
-            continue;
-        closeFront(conn_id);
-        return;
-    }
-
-    std::string payload;
-    for (;;) {
-        auto conn = fronts.find(conn_id);
-        if (conn == fronts.end())
-            return;
-        if (!conn->second.greeted) {
-            switch (server::takeHello(conn->second.in)) {
-              case server::HelloResult::Incomplete:
-                return;
-              case server::HelloResult::Mismatch: {
-                EvalResponse resp;
-                resp.id = 0;
-                resp.status = Status::Error;
-                resp.result =
-                    "protocol mismatch: expected IPD hello version " +
-                    std::to_string(server::kProtocolVersion);
-                replyFront(conn_id, resp);
-                writeFront(conn_id);
-                closeFront(conn_id);
-                return;
-              }
-              case server::HelloResult::Ok:
-                conn->second.greeted = true;
-                break;
-            }
-        }
-        server::FrameResult r = server::takeFrame(
-            conn->second.in, payload, server::kMaxRequestBytes);
-        if (r == server::FrameResult::Incomplete)
-            return;
-        if (r == server::FrameResult::Malformed) {
-            closeFront(conn_id);
-            return;
-        }
-        handleFrontFrame(conn_id, payload);
-    }
-}
-
-void
-Proxy::writeFront(uint64_t conn_id)
-{
-    auto it = fronts.find(conn_id);
-    if (it == fronts.end())
-        return;
-    FrontConn &c = it->second;
-    while (!c.out.empty()) {
-        ssize_t n =
-            ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
-        if (n > 0) {
-            c.out.erase(0, (size_t)n);
-            continue;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return;
-        if (errno == EINTR)
-            continue;
-        closeFront(conn_id);
-        return;
-    }
-}
-
-void
-Proxy::replyFront(uint64_t conn_id, const EvalResponse &resp)
-{
-    auto it = fronts.find(conn_id);
-    if (it == fronts.end())
-        return; // client went away; drop the response
-    encodeResponse(it->second.out, resp);
-}
-
-void
 Proxy::handleFrontFrame(uint64_t conn_id, const std::string &payload)
 {
     switch (server::requestVerb(payload)) {
       case (uint8_t)server::Verb::Eval: {
         EvalRequest req;
         if (!decodeEvalRequest(payload, req)) {
-            closeFront(conn_id);
+            front.close(conn_id);
             return;
         }
-        stats_.noteAccepted((uint8_t)req.mode);
+        stats_.note(server::Counter::Accepted, req.mode);
         Outstanding o;
         o.kind = Outstanding::Kind::Eval;
         o.frontId = conn_id;
@@ -502,14 +226,14 @@ Proxy::handleFrontFrame(uint64_t conn_id, const std::string &payload)
       case (uint8_t)server::Verb::Stats: {
         server::StatsRequest req;
         if (!decodeStatsRequest(payload, req)) {
-            closeFront(conn_id);
+            front.close(conn_id);
             return;
         }
         startStatsFanout(conn_id, req.id);
         return;
       }
       default:
-        closeFront(conn_id);
+        front.close(conn_id);
     }
 }
 
@@ -577,7 +301,7 @@ Proxy::forwardTo(int shard_index, Outstanding o)
     BackConn &bc = s.pool[(size_t)pool_index];
     encodeEvalRequest(bc.out, wire);
 
-    ++s.forwarded;
+    ++s.gauge.forwarded;
     stats_.noteForwarded();
     s.inflight.emplace(id, std::move(o));
     if (!bc.connecting)
@@ -587,26 +311,12 @@ Proxy::forwardTo(int shard_index, Outstanding o)
 void
 Proxy::deliver(Outstanding &o, EvalResponse resp)
 {
-    uint8_t mode = (uint8_t)o.req.mode;
-    switch (resp.status) {
-      case Status::Ok:
-        stats_.noteServed(mode);
-        stats_.noteLatency(mode,
+    stats_.note(server::outcomeCounter(resp.status), o.req.mode);
+    if (resp.status == Status::Ok)
+        stats_.noteLatency(o.req.mode,
                            elapsedMicros(o.sentAt, Clock::now()));
-        break;
-      case Status::Shed:
-        stats_.noteShed(mode);
-        break;
-      case Status::Deadline:
-        stats_.noteDeadline(mode);
-        break;
-      case Status::Error:
-        stats_.noteFailed(mode);
-        break;
-    }
     resp.id = o.clientReqId;
-    replyFront(o.frontId, resp);
-    writeFront(o.frontId);
+    front.reply(o.frontId, resp);
 }
 
 // --- back side -------------------------------------------------------------
@@ -621,42 +331,12 @@ Proxy::beginConnect(int shard_index)
         BackConn &bc = s.pool[p];
         if (bc.fd >= 0)
             continue;
-        int fd = -1;
-        int rc = -1;
-        if (!s.ep.unixPath.empty()) {
-            sockaddr_un sun{};
-            if (s.ep.unixPath.size() >= sizeof(sun.sun_path)) {
-                warn("interproxy: shard %s: socket path too long",
-                     s.ep.name.c_str());
-                break;
-            }
-            fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK |
-                                       SOCK_CLOEXEC,
-                          0);
-            if (fd < 0)
-                break;
-            sun.sun_family = AF_UNIX;
-            std::memcpy(sun.sun_path, s.ep.unixPath.c_str(),
-                        s.ep.unixPath.size() + 1);
-            rc = ::connect(fd, (const sockaddr *)&sun, sizeof(sun));
-        } else {
-            fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK |
-                                       SOCK_CLOEXEC,
-                          0);
-            if (fd < 0)
-                break;
-            sockaddr_in sin{};
-            sin.sin_family = AF_INET;
-            sin.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-            sin.sin_port = htons((uint16_t)s.ep.tcpPort);
-            rc = ::connect(fd, (const sockaddr *)&sin, sizeof(sin));
-        }
-        if (rc != 0 && errno != EINPROGRESS) {
-            ::close(fd);
+        bool pending = false;
+        int fd = s.ep.connect(&pending);
+        if (fd < 0)
             continue;
-        }
         bc.fd = fd;
-        bc.connecting = (rc != 0);
+        bc.connecting = pending;
         bc.in.clear();
         bc.out.clear();
         server::encodeHello(bc.out); // first bytes on the wire
@@ -695,8 +375,8 @@ Proxy::finishConnect(int shard_index, int pool_index)
     }
     if (s.state != Shard::State::Up) {
         s.state = Shard::State::Up;
-        if (s.downEvents > 0)
-            ++s.reconnects;
+        if (s.gauge.downEvents > 0)
+            ++s.gauge.reconnects;
         s.backoffMs = 0;
         s.probeMisses = 0;
         s.probeOutstanding = false;
@@ -709,24 +389,10 @@ Proxy::finishConnect(int shard_index, int pool_index)
 void
 Proxy::readBack(int shard_index, int pool_index)
 {
-    Shard &s = shards[(size_t)shard_index];
-    BackConn &bc = s.pool[(size_t)pool_index];
-    char buf[64 * 1024];
-    for (;;) {
-        ssize_t n = ::recv(bc.fd, buf, sizeof(buf), 0);
-        if (n > 0) {
-            bc.in.append(buf, (size_t)n);
-            continue;
-        }
-        if (n == 0) {
-            failShard(shard_index, "connection closed");
-            return;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        if (errno == EINTR)
-            continue;
-        failShard(shard_index, std::strerror(errno));
+    BackConn &bc = shards[(size_t)shard_index].pool[(size_t)pool_index];
+    if (!bc.fill()) {
+        failShard(shard_index,
+                  errno ? std::strerror(errno) : "connection closed");
         return;
     }
 
@@ -755,24 +421,9 @@ Proxy::readBack(int shard_index, int pool_index)
 void
 Proxy::writeBack(int shard_index, int pool_index)
 {
-    Shard &s = shards[(size_t)shard_index];
-    BackConn &bc = s.pool[(size_t)pool_index];
-    if (bc.fd < 0 || bc.connecting)
-        return;
-    while (!bc.out.empty()) {
-        ssize_t n =
-            ::send(bc.fd, bc.out.data(), bc.out.size(), MSG_NOSIGNAL);
-        if (n > 0) {
-            bc.out.erase(0, (size_t)n);
-            continue;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return;
-        if (errno == EINTR)
-            continue;
+    BackConn &bc = shards[(size_t)shard_index].pool[(size_t)pool_index];
+    if (bc.fd >= 0 && !bc.connecting && !bc.flush())
         failShard(shard_index, std::strerror(errno));
-        return;
-    }
 }
 
 void
@@ -788,7 +439,7 @@ Proxy::handleBackResponse(int shard_index, const EvalResponse &resp)
         // in-flight gauge (the map size) was already decremented
         // exactly once when the id was erased. Count and drop.
         stats_.noteLateReply();
-        ++s.lateReplies;
+        ++s.gauge.lateReplies;
         return;
     }
     Outstanding o = std::move(it->second);
@@ -812,16 +463,16 @@ Proxy::handleBackResponse(int shard_index, const EvalResponse &resp)
 
     switch (resp.status) {
       case Status::Ok:
-        ++s.ok;
+        ++s.gauge.ok;
         break;
       case Status::Shed:
-        ++s.shed;
+        ++s.gauge.shed;
         break;
       case Status::Deadline:
-        ++s.deadlineCount;
+        ++s.gauge.deadline;
         break;
       case Status::Error:
-        ++s.error;
+        ++s.gauge.error;
         break;
     }
 
@@ -848,7 +499,7 @@ Proxy::failShard(int shard_index, const char *reason)
         bc = BackConn{};
     }
     s.state = Shard::State::Down;
-    ++s.downEvents;
+    ++s.gauge.downEvents;
     stats_.noteShardFailure();
     s.probeOutstanding = false;
     s.probeMisses = 0;
@@ -860,53 +511,60 @@ Proxy::failShard(int shard_index, const char *reason)
 
     auto inflight = std::move(s.inflight);
     s.inflight.clear();
-    if (!inflight.empty() || s.downEvents == 1)
+    if (!inflight.empty() || s.gauge.downEvents == 1)
         warn("interproxy: shard %s down (%s), %zu in flight",
              s.ep.name.c_str(), reason, inflight.size());
 
-    for (auto &entry : inflight) {
-        Outstanding &o = entry.second;
-        switch (o.kind) {
-          case Outstanding::Kind::Probe:
-            break;
-          case Outstanding::Kind::Stats:
-            if (!o.agg->done && --o.agg->waiting == 0)
-                finishAgg(o.agg);
-            break;
-          case Outstanding::Kind::Eval:
-            ++s.error;
-            if (o.retriesLeft > 0) {
-                --o.retriesLeft;
-                stats_.noteRetry();
-                dispatchEval(std::move(o));
-            } else {
-                EvalResponse resp;
-                resp.status = Status::Error;
-                resp.result = "shard " + s.ep.name +
-                              " failed: " + reason;
-                deliver(o, std::move(resp));
-            }
-            break;
-        }
+    for (auto &entry : inflight)
+        if (entry.second.kind != Outstanding::Kind::Probe)
+            abandon(s, std::move(entry.second),
+                    std::string(" failed: ") + reason);
+}
+
+void
+Proxy::abandon(Shard &s, Outstanding o, const std::string &why)
+{
+    if (o.kind == Outstanding::Kind::Stats) {
+        if (!o.agg->done && --o.agg->waiting == 0)
+            finishAgg(o.agg);
+        return;
     }
+    ++s.gauge.error;
+    if (o.retriesLeft > 0) {
+        --o.retriesLeft;
+        stats_.noteRetry();
+        dispatchEval(std::move(o));
+        return;
+    }
+    EvalResponse resp;
+    resp.status = Status::Error;
+    resp.result = "shard " + s.ep.name + why;
+    deliver(o, std::move(resp));
 }
 
 void
 Proxy::sendProbe(int shard_index)
 {
     Shard &s = shards[(size_t)shard_index];
-    uint32_t id = nextBackendId++;
     Outstanding o;
     o.kind = Outstanding::Kind::Probe;
-    o.poolIndex = (int)(s.rr++ % s.pool.size());
     o.deadline = Clock::now() + milliseconds(cfg.statsTimeoutMs);
-    server::StatsRequest req;
-    req.id = id;
-    encodeStatsRequest(s.pool[(size_t)o.poolIndex].out, req);
-    int pool_index = o.poolIndex;
-    s.inflight.emplace(id, std::move(o));
     s.probeOutstanding = true;
     s.nextProbe = Clock::now() + milliseconds(cfg.probeIntervalMs);
+    sendStats(shard_index, std::move(o));
+}
+
+void
+Proxy::sendStats(int shard_index, Outstanding o)
+{
+    Shard &s = shards[(size_t)shard_index];
+    uint32_t id = nextBackendId++;
+    int pool_index = (int)(s.rr++ % s.pool.size());
+    o.poolIndex = pool_index;
+    server::StatsRequest req;
+    req.id = id;
+    encodeStatsRequest(s.pool[(size_t)pool_index].out, req);
+    s.inflight.emplace(id, std::move(o));
     writeBack(shard_index, pool_index);
 }
 
@@ -921,22 +579,14 @@ Proxy::startStatsFanout(uint64_t conn_id, uint32_t client_req_id)
     agg->deadline = Clock::now() + milliseconds(cfg.statsTimeoutMs);
 
     for (size_t i = 0; i < shards.size(); ++i) {
-        Shard &s = shards[i];
-        if (s.state == Shard::State::Down)
+        if (shards[i].state == Shard::State::Down)
             continue;
-        uint32_t id = nextBackendId++;
         Outstanding o;
         o.kind = Outstanding::Kind::Stats;
-        o.poolIndex = (int)(s.rr++ % s.pool.size());
         o.deadline = agg->deadline;
         o.agg = agg;
-        server::StatsRequest req;
-        req.id = id;
-        encodeStatsRequest(s.pool[(size_t)o.poolIndex].out, req);
-        int pool_index = o.poolIndex;
-        s.inflight.emplace(id, std::move(o));
         ++agg->waiting;
-        writeBack((int)i, pool_index);
+        sendStats((int)i, std::move(o));
     }
 
     if (agg->waiting == 0)
@@ -956,39 +606,21 @@ Proxy::finishAgg(const std::shared_ptr<StatsAgg> &agg)
     resp.status = Status::Ok;
     resp.result =
         stats_.renderJson(gauges(), mergeShardStats(agg->collected));
-    replyFront(agg->frontId, resp);
-    writeFront(agg->frontId);
+    front.reply(agg->frontId, resp);
 }
 
 std::vector<ShardGauges>
 Proxy::gauges() const
 {
+    // Indexed by Shard::State.
+    static const char *const kStateNames[] = {"connecting", "up", "down"};
     std::vector<ShardGauges> out;
     out.reserve(shards.size());
     for (const Shard &s : shards) {
-        ShardGauges g;
+        ShardGauges g = s.gauge;
         g.name = s.ep.name;
-        switch (s.state) {
-          case Shard::State::Up:
-            g.state = "up";
-            break;
-          case Shard::State::Connecting:
-            g.state = "connecting";
-            break;
-          case Shard::State::Down:
-            g.state = "down";
-            break;
-        }
+        g.state = kStateNames[(int)s.state];
         g.inflight = s.inflight.size();
-        g.forwarded = s.forwarded;
-        g.ok = s.ok;
-        g.shed = s.shed;
-        g.deadline = s.deadlineCount;
-        g.error = s.error;
-        g.downEvents = s.downEvents;
-        g.reconnects = s.reconnects;
-        g.probeFailures = s.probeFailures;
-        g.lateReplies = s.lateReplies;
         out.push_back(std::move(g));
     }
     return out;
@@ -1000,31 +632,13 @@ ShardEndpoint
 parseEndpoint(const std::string &spec, const std::string &name)
 {
     ShardEndpoint ep;
-    ep.name = name;
-    auto all_digits = [](const std::string &s) {
-        if (s.empty())
-            return false;
-        for (char c : s)
-            if (!std::isdigit((unsigned char)c))
-                return false;
-        return true;
-    };
-    if (spec.rfind("unix:", 0) == 0)
-        ep.unixPath = spec.substr(5);
-    else if (spec.rfind("tcp:", 0) == 0 &&
-             all_digits(spec.substr(4)))
-        ep.tcpPort = std::atoi(spec.c_str() + 4);
-    else if (spec.find('/') != std::string::npos)
-        ep.unixPath = spec;
-    else if (all_digits(spec))
-        ep.tcpPort = std::atoi(spec.c_str());
-    else
+    if (!server::Endpoint::parse(spec, ep))
         fatal("interproxy: bad shard endpoint \"%s\" "
               "(want unix:PATH, tcp:PORT, a path, or a port)",
               spec.c_str());
-    if (!ep.unixPath.empty() ? false
-                             : (ep.tcpPort <= 0 || ep.tcpPort > 65535))
+    if (ep.unixPath.empty() && (ep.tcpPort <= 0 || ep.tcpPort > 65535))
         fatal("interproxy: bad shard port in \"%s\"", spec.c_str());
+    ep.name = name;
     return ep;
 }
 

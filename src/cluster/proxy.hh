@@ -3,8 +3,9 @@
  * interproxy: the sharded-cluster front-end router.
  *
  * One thread (the caller of run()) owns a poll() event loop that is a
- * client-facing interpd on one side and a pipelined interpd client on
- * the other:
+ * client-facing interpd on one side (the connection core in
+ * server/conn.hh, shared with interpd) and a pipelined interpd client
+ * on the other:
  *
  *   routing    every EVAL is consistent-hashed by (mode, program)
  *              onto one of N interpd shards (HashRing with virtual
@@ -38,7 +39,6 @@
 #ifndef INTERP_CLUSTER_PROXY_HH
 #define INTERP_CLUSTER_PROXY_HH
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -48,16 +48,15 @@
 
 #include "cluster/ring.hh"
 #include "cluster/stats.hh"
+#include "server/conn.hh"
 #include "server/protocol.hh"
 
 namespace interp::cluster {
 
 /** Where one interpd shard listens. Unix path wins if both set. */
-struct ShardEndpoint
+struct ShardEndpoint : server::Endpoint
 {
-    std::string name;     ///< identity in STATS ("s0", "s1", ... )
-    std::string unixPath; ///< unix-domain socket path
-    int tcpPort = -1;     ///< 127.0.0.1 TCP port
+    std::string name; ///< identity in STATS ("s0", "s1", ... )
 };
 
 struct ProxyConfig
@@ -114,27 +113,16 @@ class Proxy
     void stop();
 
     /** Actual front TCP port after start(). */
-    int tcpPort() const { return boundTcpPort_; }
+    int tcpPort() const { return front.tcpPort(); }
 
     const ProxyConfig &config() const { return cfg; }
 
   private:
     using Clock = std::chrono::steady_clock;
 
-    struct FrontConn
+    struct BackConn : server::Conn
     {
-        int fd = -1;
-        server::RecvBuffer in;
-        std::string out;
-        bool greeted = false;
-    };
-
-    struct BackConn
-    {
-        int fd = -1;
         bool connecting = false; ///< non-blocking connect pending
-        server::RecvBuffer in;
-        std::string out;
     };
 
     /** One STATS fan-out awaiting shard replies. */
@@ -179,19 +167,10 @@ class Proxy
         Clock::time_point nextProbe;   ///< health-probe timer (Up)
         bool probeOutstanding = false;
         uint32_t probeMisses = 0;
-        // gauges
-        uint64_t forwarded = 0, ok = 0, shed = 0, deadlineCount = 0,
-                 error = 0, downEvents = 0, reconnects = 0,
-                 probeFailures = 0, lateReplies = 0;
+        ShardGauges gauge; ///< traffic and health counts (STATS)
     };
 
-    // --- front side -------------------------------------------------------
-    void acceptAll(int listen_fd);
-    void readFront(uint64_t conn_id);
-    void writeFront(uint64_t conn_id);
-    void closeFront(uint64_t conn_id);
     void handleFrontFrame(uint64_t conn_id, const std::string &payload);
-    void replyFront(uint64_t conn_id, const server::EvalResponse &resp);
 
     // --- routing ----------------------------------------------------------
     /** Forward @p o to the best candidate, or synthesize SHED/ERROR
@@ -210,7 +189,13 @@ class Proxy
     /** Mark the shard down, fail over its in-flight work, schedule a
      *  reconnect. */
     void failShard(int shard_index, const char *reason);
+    /** Give up on @p o (not a probe) at shard @p s: retry an EVAL
+     *  elsewhere or answer ERROR "shard <name><why>"; a STATS
+     *  fan-out stops waiting for this shard. */
+    void abandon(Shard &s, Outstanding o, const std::string &why);
     void sendProbe(int shard_index);
+    /** Send a STATS request for @p o (a probe or a fan-out leg). */
+    void sendStats(int shard_index, Outstanding o);
 
     // --- stats ------------------------------------------------------------
     void startStatsFanout(uint64_t conn_id, uint32_t client_req_id);
@@ -220,21 +205,11 @@ class Proxy
     // --- timers -----------------------------------------------------------
     int pollTimeoutMs(Clock::time_point now) const;
     void runTimers(Clock::time_point now);
-    void wake();
 
     ProxyConfig cfg;
     HashRing ring;
     ClusterStats stats_;
-
-    int unixFd = -1;
-    int tcpFd = -1;
-    int boundTcpPort_ = -1;
-    int wakeRead = -1;
-    int wakeWrite = -1;
-    std::atomic<bool> stopping{false};
-
-    uint64_t nextFrontId = 1;
-    std::unordered_map<uint64_t, FrontConn> fronts;
+    server::Frontend front;
 
     std::vector<Shard> shards;
     uint32_t nextBackendId = 1;

@@ -2,9 +2,7 @@
 
 #include <dirent.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -62,16 +60,11 @@ LocalCluster::waitConnectable(const std::string &path)
     // A bound-and-listening unix socket accepts immediately; poll
     // for it so subprocess shards get time to reach listen().
     for (int attempt = 0; attempt < 500; ++attempt) {
-        int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        if (fd < 0)
-            fatal("cluster: socket: %s", std::strerror(errno));
-        sockaddr_un sun{};
-        sun.sun_family = AF_UNIX;
-        std::memcpy(sun.sun_path, path.c_str(), path.size() + 1);
-        int rc = ::connect(fd, (const sockaddr *)&sun, sizeof(sun));
-        ::close(fd);
-        if (rc == 0)
+        int fd = server::Endpoint{path, -1}.connect();
+        if (fd >= 0) {
+            ::close(fd);
             return;
+        }
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     fatal("cluster: shard socket %s never became connectable",

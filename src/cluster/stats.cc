@@ -3,52 +3,18 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "harness/runner.hh"
-
 namespace interp::cluster {
 
 using server::LatencyHistogram;
 using server::ModeCounters;
 
-ModeCounters
-ClusterStats::totals() const
-{
-    ModeCounters sum;
-    for (const ModeCounters &m : modes_) {
-        sum.accepted += m.accepted;
-        sum.served += m.served;
-        sum.shed += m.shed;
-        sum.deadline += m.deadline;
-        sum.failed += m.failed;
-        sum.tierUpRemedy += m.tierUpRemedy;
-        sum.tierUpTier2 += m.tierUpTier2;
-        sum.tierUpJit += m.tierUpJit;
-        sum.tieredRuns += m.tieredRuns;
-    }
-    return sum;
-}
-
-namespace {
-
-void
-appendCounters(std::string &out, const ModeCounters &c)
-{
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "\"accepted\":%" PRIu64 ",\"served\":%" PRIu64
-                  ",\"shed\":%" PRIu64 ",\"deadline\":%" PRIu64
-                  ",\"failed\":%" PRIu64,
-                  c.accepted, c.served, c.shed, c.deadline, c.failed);
-    out += buf;
-}
-
-} // namespace
-
 std::string
 ClusterStats::renderJson(const std::vector<ShardGauges> &shards,
                          const std::string &merged_object) const
 {
-    ModeCounters sum = totals();
+    ModeCounters sum;
+    for (const ModeCounters &m : modes_)
+        sum += m;
     uint64_t up = 0, degraded = 0;
     for (const ShardGauges &g : shards) {
         if (std::string("up") == g.state)
@@ -58,7 +24,7 @@ ClusterStats::renderJson(const std::vector<ShardGauges> &shards,
     }
 
     std::string out = "{\"proxy\":{";
-    appendCounters(out, sum);
+    server::appendCounters(out, sum, server::kOutcomeCounters);
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   ",\"forwarded\":%" PRIu64 ",\"retries\":%" PRIu64
@@ -69,33 +35,18 @@ ClusterStats::renderJson(const std::vector<ShardGauges> &shards,
                   forwarded_, retries_, rerouted_, shardFailures_,
                   lateReplies_, up, degraded);
     out += buf;
-    out += '}';
-
-    out += ",\"modes\":{";
-    bool first = true;
-    for (int i = 0; i < kModes; ++i) {
-        if (!modes_[i].accepted)
-            continue;
-        if (!first)
-            out += ',';
-        out += '"';
-        out += harness::langName((harness::Lang)i);
-        out += "\":{";
-        appendCounters(out, modes_[i]);
-        out += '}';
-        first = false;
-    }
-    out += '}';
+    out += "},";
+    server::appendModes(out, modes_, server::kOutcomeCounters);
 
     out += ",\"mode_latency_us\":{";
-    first = true;
-    for (int i = 0; i < kModes; ++i) {
+    bool first = true;
+    for (int i = 0; i < harness::kNumModes; ++i) {
         if (!latency_[i].count())
             continue;
         if (!first)
             out += ',';
-        server::appendHistogramJson(
-            out, harness::langName((harness::Lang)i), latency_[i]);
+        server::appendHistogramJson(out, harness::kModes[i].name,
+                                    latency_[i]);
         first = false;
     }
     out += '}';
@@ -135,81 +86,40 @@ ClusterStats::renderJson(const std::vector<ShardGauges> &shards,
 std::string
 mergeShardStats(const std::vector<std::string> &shard_jsons)
 {
-    uint64_t accepted = 0, served = 0, shed = 0, deadline = 0,
-             failed = 0;
-    uint64_t tierRemedy = 0, tierTier2 = 0, tierJit = 0,
-             tieredRuns = 0;
-    uint64_t hits = 0, misses = 0, loads = 0;
-    LatencyHistogram queue, service, total;
+    using server::statsJsonUint;
+    ModeCounters sum;
+    server::CatalogCounters catalog;
+    LatencyHistogram histos[server::kHistograms];
     uint64_t reporting = 0;
 
     for (const std::string &json : shard_jsons) {
         uint64_t v = 0;
         // A shard document missing its top-level counters is not a
         // ServerStats rendering at all; skip it entirely.
-        if (!server::statsJsonUint(json, "accepted", v))
+        if (!statsJsonUint(json, server::kCounterNames[0], v))
             continue;
         ++reporting;
-        accepted += v;
-        if (server::statsJsonUint(json, "served", v))
-            served += v;
-        if (server::statsJsonUint(json, "shed", v))
-            shed += v;
-        if (server::statsJsonUint(json, "deadline", v))
-            deadline += v;
-        if (server::statsJsonUint(json, "failed", v))
-            failed += v;
-        // Tier-up sums (the top-level counters precede "modes", so a
-        // whole-document search finds the daemon totals first).
-        if (server::statsJsonUint(json, "tier_up_remedy", v))
-            tierRemedy += v;
-        if (server::statsJsonUint(json, "tier_up_tier2", v))
-            tierTier2 += v;
-        // Absent in documents from pre-jit daemons; merge tolerantly.
-        if (server::statsJsonUint(json, "tier_up_jit", v))
-            tierJit += v;
-        if (server::statsJsonUint(json, "tiered_runs", v))
-            tieredRuns += v;
-        if (server::statsJsonUint(json, "catalog.hits", v))
-            hits += v;
-        if (server::statsJsonUint(json, "catalog.misses", v))
-            misses += v;
-        if (server::statsJsonUint(json, "catalog.loads", v))
-            loads += v;
-        server::statsJsonHistogram(json, "histograms.queue_us", queue);
-        server::statsJsonHistogram(json, "histograms.service_us",
-                                   service);
-        server::statsJsonHistogram(json, "histograms.total_us", total);
+        for (int i = 0; i < server::kCounters; ++i)
+            if (statsJsonUint(json, server::kCounterNames[i], v))
+                sum.n[i] += v;
+        for (const server::CatalogField &f : server::kCatalogFields)
+            if (statsJsonUint(json, std::string("catalog.") + f.name, v))
+                catalog.*f.field += v;
+        for (int i = 0; i < server::kHistograms; ++i)
+            server::statsJsonHistogram(
+                json,
+                std::string("histograms.") + server::kHistogramNames[i],
+                histos[i]);
     }
 
-    std::string out = "{";
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "\"shards_reporting\":%" PRIu64
-                  ",\"accepted\":%" PRIu64 ",\"served\":%" PRIu64
-                  ",\"shed\":%" PRIu64 ",\"deadline\":%" PRIu64
-                  ",\"failed\":%" PRIu64,
-                  reporting, accepted, served, shed, deadline, failed);
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  ",\"tier_up_remedy\":%" PRIu64
-                  ",\"tier_up_tier2\":%" PRIu64
-                  ",\"tier_up_jit\":%" PRIu64
-                  ",\"tiered_runs\":%" PRIu64,
-                  tierRemedy, tierTier2, tierJit, tieredRuns);
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  ",\"catalog\":{\"hits\":%" PRIu64
-                  ",\"misses\":%" PRIu64 ",\"loads\":%" PRIu64 "}",
-                  hits, misses, loads);
-    out += buf;
-    out += ",\"histograms\":{";
-    server::appendHistogramJson(out, "queue_us", queue);
+    std::string out =
+        "{\"shards_reporting\":" + std::to_string(reporting) + ",";
+    server::appendCounters(out, sum);
     out += ',';
-    server::appendHistogramJson(out, "service_us", service);
+    server::appendCatalog(out, catalog);
     out += ',';
-    server::appendHistogramJson(out, "total_us", total);
-    out += "}}";
+    server::appendHistograms(out, histos);
+    out += '}';
     return out;
 }
 

@@ -59,13 +59,13 @@ struct ShardGauges
 class ClusterStats
 {
   public:
-    static constexpr int kModes = server::ServerStats::kModes;
-
-    void noteAccepted(uint8_t mode) { ++modes_[clamp(mode)].accepted; }
-    void noteServed(uint8_t mode) { ++modes_[clamp(mode)].served; }
-    void noteShed(uint8_t mode) { ++modes_[clamp(mode)].shed; }
-    void noteDeadline(uint8_t mode) { ++modes_[clamp(mode)].deadline; }
-    void noteFailed(uint8_t mode) { ++modes_[clamp(mode)].failed; }
+    /** Count one request outcome (the first kOutcomeCounters
+     *  counters) of @p mode. */
+    void
+    note(server::Counter c, harness::Lang mode)
+    {
+        ++modes_[(int)mode][c];
+    }
 
     void noteForwarded() { ++forwarded_; }
     void noteRetry() { ++retries_; }
@@ -75,12 +75,10 @@ class ClusterStats
 
     /** Forward -> response time of one answered request. */
     void
-    noteLatency(uint8_t mode, uint64_t micros)
+    noteLatency(harness::Lang mode, uint64_t micros)
     {
-        latency_[clamp(mode)].add(micros);
+        latency_[(int)mode].add(micros);
     }
-
-    server::ModeCounters totals() const;
 
     /**
      * The cluster STATS document: proxy counters + per-mode latency
@@ -92,14 +90,8 @@ class ClusterStats
                            const std::string &merged_object) const;
 
   private:
-    static int
-    clamp(uint8_t mode)
-    {
-        return mode < kModes ? mode : 0;
-    }
-
-    server::ModeCounters modes_[kModes];
-    server::LatencyHistogram latency_[kModes];
+    server::ModeCounters modes_[harness::kNumModes];
+    server::LatencyHistogram latency_[harness::kNumModes];
     uint64_t forwarded_ = 0;
     uint64_t retries_ = 0;
     uint64_t rerouted_ = 0;
@@ -111,9 +103,12 @@ class ClusterStats
  * Fold the ServerStats JSON documents of several shards into one
  * object: counter and catalog sums, and queue/service/total
  * histograms merged bucket-by-bucket (parse with
- * statsJsonHistogram(), fold with mergeFrom()). "shards_reporting"
- * records how many documents went in — a dead shard's counters are
- * simply absent, which the caller surfaces via the gauges instead.
+ * statsJsonHistogram(), fold with mergeFrom()), each looked up by its
+ * name in the server/stats.hh tables. A key a shard does not render
+ * (tier_up_jit from a pre-jit build) counts as zero.
+ * "shards_reporting" records how many documents went in — a dead
+ * shard's counters are simply absent, which the caller surfaces via
+ * the gauges instead.
  */
 std::string mergeShardStats(const std::vector<std::string> &shard_jsons);
 

@@ -84,7 +84,7 @@ microIterations(Lang lang)
     // of host time; slowdowns are per-iteration ratios, so the counts
     // need not match across languages. Remedy modes use their
     // baseline's counts so the pairs stay directly comparable.
-    switch (baselineOf(lang)) {
+    switch (modeInfo(lang).baseline) {
       case Lang::C: return 20000;
       case Lang::Mipsi: return 3000;
       case Lang::Java: return 5000;
@@ -431,7 +431,7 @@ microBench(Lang lang, const std::string &op, int iterations)
     spec.lang = lang;
     spec.name = op;
     spec.needsInputs = op == "read";
-    switch (baselineOf(lang)) {
+    switch (modeInfo(lang).baseline) {
       case Lang::C:
       case Lang::Mipsi:
         spec.image = microAsmKernel(op, iterations);

@@ -11,6 +11,7 @@
 #define INTERP_HARNESS_RUNNER_HH
 
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -61,113 +62,95 @@ enum class Lang : uint8_t
     TclJit,        ///< tier-2 + per-command stencil region (tier 3)
 };
 
-// The Lang helpers are inline so header-only consumers (the workload
-// registry is below interp_harness in the link order) can use them
-// without pulling in the runner's symbols.
+/**
+ * One execution mode: everything the system classifies a mode by.
+ * Adding a mode means one enumerator, one row in kModes and one
+ * makeEngine() case.
+ */
+struct ModeInfo
+{
+    Lang lang;
+    const char *name;  ///< display and command-line name ("Tcl-jit")
+    const char *ident; ///< the enumerator's spelling (generated code)
+    Lang baseline;     ///< the faithful mode it is measured against
+    int tier;          ///< 0 baseline, 1 §5 remedy, 2 tier-2, 3 jit
+    /** Baseline rows: the runtime tier ladder, i.e. the mode a warm
+     *  program is promoted to at the first (remedy), second (tier-2)
+     *  and third (jit) hotness thresholds. A language without a rung
+     *  repeats the one below. Unused on the other rows. */
+    Lang ladder[3];
+};
+
+// Inline so header-only consumers (the workload registry is below
+// interp_harness in the link order) can read it without pulling in
+// the runner's symbols.
+inline constexpr ModeInfo kModes[] = {
+    {Lang::C, "C", "C", Lang::C, 0, {Lang::C, Lang::C, Lang::C}},
+    {Lang::Mipsi, "MIPSI", "Mipsi", Lang::Mipsi, 0,
+     {Lang::MipsiThreaded, Lang::MipsiThreaded, Lang::MipsiJit}},
+    {Lang::Java, "Java", "Java", Lang::Java, 0,
+     {Lang::JavaQuick, Lang::JavaTier2, Lang::JavaTier2}},
+    {Lang::Perl, "Perl", "Perl", Lang::Perl, 0,
+     {Lang::PerlIC, Lang::PerlIC, Lang::PerlIC}},
+    {Lang::Tcl, "Tcl", "Tcl", Lang::Tcl, 0,
+     {Lang::TclBytecode, Lang::TclTier2, Lang::TclJit}},
+    {Lang::MipsiThreaded, "MIPSI-threaded", "MipsiThreaded", Lang::Mipsi,
+     1, {}},
+    {Lang::JavaQuick, "Java-quick", "JavaQuick", Lang::Java, 1, {}},
+    {Lang::TclBytecode, "Tcl-bytecode", "TclBytecode", Lang::Tcl, 1, {}},
+    {Lang::JavaTier2, "Java-tier2", "JavaTier2", Lang::Java, 2, {}},
+    {Lang::TclTier2, "Tcl-tier2", "TclTier2", Lang::Tcl, 2, {}},
+    {Lang::PerlIC, "Perl-ic", "PerlIC", Lang::Perl, 2, {}},
+    {Lang::MipsiJit, "MIPSI-jit", "MipsiJit", Lang::Mipsi, 3, {}},
+    {Lang::TclJit, "Tcl-jit", "TclJit", Lang::Tcl, 3, {}},
+};
+
+/** Number of modes; also one past the largest wire encoding. */
+inline constexpr int kNumModes = (int)std::size(kModes);
+
+constexpr bool
+modesIndexedByLang()
+{
+    for (int i = 0; i < kNumModes; ++i)
+        if ((int)kModes[i].lang != i)
+            return false;
+    return true;
+}
+static_assert(modesIndexedByLang(), "kModes rows must follow Lang order");
+
+constexpr const ModeInfo &
+modeInfo(Lang lang)
+{
+    return kModes[(size_t)lang];
+}
 
 inline const char *
 langName(Lang lang)
 {
-    switch (lang) {
-      case Lang::C: return "C";
-      case Lang::Mipsi: return "MIPSI";
-      case Lang::Java: return "Java";
-      case Lang::Perl: return "Perl";
-      case Lang::Tcl: return "Tcl";
-      case Lang::MipsiThreaded: return "MIPSI-threaded";
-      case Lang::JavaQuick: return "Java-quick";
-      case Lang::TclBytecode: return "Tcl-bytecode";
-      case Lang::JavaTier2: return "Java-tier2";
-      case Lang::TclTier2: return "Tcl-tier2";
-      case Lang::PerlIC: return "Perl-ic";
-      case Lang::MipsiJit: return "MIPSI-jit";
-      case Lang::TclJit: return "Tcl-jit";
-      default: return "?";
-    }
+    return (int)lang < kNumModes ? modeInfo(lang).name : "?";
 }
 
-/** The baseline a remedy mode is measured against (identity for the
- *  five baseline modes). */
-inline Lang
-baselineOf(Lang lang)
+/** True for every non-baseline mode (§5 remedies, tier-2 and jit). */
+inline bool isRemedy(Lang lang) { return modeInfo(lang).tier > 0; }
+inline bool isTier2(Lang lang) { return modeInfo(lang).tier == 2; }
+inline bool isJit(Lang lang) { return modeInfo(lang).tier == 3; }
+
+/** The ladder rung @p base is promoted to at @p level (1-3); identity
+ *  for modes that are not baselines. */
+constexpr Lang
+rungOf(Lang base, int level)
 {
-    switch (lang) {
-      case Lang::MipsiThreaded: return Lang::Mipsi;
-      case Lang::JavaQuick: return Lang::Java;
-      case Lang::TclBytecode: return Lang::Tcl;
-      case Lang::JavaTier2: return Lang::Java;
-      case Lang::TclTier2: return Lang::Tcl;
-      case Lang::PerlIC: return Lang::Perl;
-      case Lang::MipsiJit: return Lang::Mipsi;
-      case Lang::TclJit: return Lang::Tcl;
-      default: return lang;
-    }
+    const ModeInfo &m = modeInfo(base);
+    return m.tier == 0 ? m.ladder[level - 1] : base;
 }
 
-/** True for every non-baseline mode (§5 remedies and tier-2). */
-inline bool
-isRemedy(Lang lang)
+/** @p base's mode of exactly tier @p tier (its §5 remedy at 1, its
+ *  jit mode at 3), or @p base when its ladder has none. */
+constexpr Lang
+modeAtTier(Lang base, int tier)
 {
-    return baselineOf(lang) != lang;
-}
-
-/** True for the tier-2 modes (superinstructions / inline caches). */
-inline bool
-isTier2(Lang lang)
-{
-    return lang == Lang::JavaTier2 || lang == Lang::TclTier2 ||
-           lang == Lang::PerlIC;
-}
-
-/** True for the jit (tier-3 stencil) modes. */
-inline bool
-isJit(Lang lang)
-{
-    return lang == Lang::MipsiJit || lang == Lang::TclJit;
-}
-
-/**
- * The runtime tier ladder for a baseline mode: the mode a warm
- * program is promoted to at the first (remedy), second (tier-2) and
- * third (jit) hotness thresholds. Identity for modes with no higher
- * tier.
- */
-inline Lang
-tierRemedyOf(Lang base)
-{
-    switch (base) {
-      case Lang::Mipsi: return Lang::MipsiThreaded;
-      case Lang::Java: return Lang::JavaQuick;
-      case Lang::Tcl: return Lang::TclBytecode;
-      case Lang::Perl: return Lang::PerlIC;
-      default: return base;
-    }
-}
-
-inline Lang
-tierTier2Of(Lang base)
-{
-    switch (base) {
-      case Lang::Mipsi: return Lang::MipsiThreaded; // no higher tier
-      case Lang::Java: return Lang::JavaTier2;
-      case Lang::Tcl: return Lang::TclTier2;
-      case Lang::Perl: return Lang::PerlIC; // IC is Perl's top tier
-      default: return base;
-    }
-}
-
-inline Lang
-tierJitOf(Lang base)
-{
-    switch (base) {
-      // Java and Perl have no template backend: their ladders top out
-      // at tier 2 and the tier manager folds a tier-3 target down.
-      case Lang::Mipsi: return Lang::MipsiJit;
-      case Lang::Java: return Lang::JavaTier2;
-      case Lang::Tcl: return Lang::TclJit;
-      case Lang::Perl: return Lang::PerlIC;
-      default: return base;
-    }
+    Lang rung = rungOf(base, tier);
+    return modeInfo(rung).tier == tier ? rung : base;
 }
 
 /** One benchmark to run. */

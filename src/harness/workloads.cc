@@ -39,22 +39,6 @@ loadProgram(const std::string &relative_path)
 
 // --- execution-mode selection ------------------------------------------
 
-namespace {
-
-/** The remedy variant of @p lang, or @p lang if it has none. */
-Lang
-remedyOf(Lang lang)
-{
-    switch (lang) {
-      case Lang::Mipsi: return Lang::MipsiThreaded;
-      case Lang::Java: return Lang::JavaQuick;
-      case Lang::Tcl: return Lang::TclBytecode;
-      default: return lang;
-    }
-}
-
-} // namespace
-
 ModeSet
 parseModes(int argc, char **argv)
 {
@@ -87,12 +71,10 @@ withModes(std::vector<BenchSpec> suite, ModeSet mode)
     size_t base_rows = suite.size();
     std::vector<BenchSpec> out = std::move(suite);
     for (size_t i = 0; i < base_rows; ++i) {
-        Lang target = mode == ModeSet::Jit ? tierJitOf(out[i].lang)
-                                           : remedyOf(out[i].lang);
+        Lang target =
+            modeAtTier(out[i].lang, mode == ModeSet::Jit ? 3 : 1);
         if (target == out[i].lang)
-            continue;
-        if (mode == ModeSet::Jit && !isJit(target))
-            continue; // no template backend for this language
+            continue; // no such mode for this language
         BenchSpec copy = out[i];
         copy.lang = target;
         out.push_back(std::move(copy));

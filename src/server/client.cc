@@ -1,13 +1,10 @@
 #include "server/client.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
+#include <strings.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -18,6 +15,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "server/conn.hh"
 #include "support/logging.hh"
 
 namespace interp::server {
@@ -29,54 +27,42 @@ using std::chrono::steady_clock;
 // --- Client ----------------------------------------------------------------
 
 Client
+Client::connectTo(const Endpoint &ep)
+{
+    int fd = ep.connect();
+    if (fd < 0)
+        fatal("loadgen: connect %s: %s", ep.str().c_str(),
+              std::strerror(errno));
+    Client client(fd);
+    std::string hello;
+    encodeHello(hello);
+    client.sendAll(hello);
+    return client;
+}
+
+Client
 Client::connectUnix(const std::string &path)
 {
-    sockaddr_un sun{};
-    if (path.empty() || path.size() >= sizeof(sun.sun_path))
-        fatal("loadgen: bad socket path \"%s\"", path.c_str());
-    int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0)
-        fatal("loadgen: socket(AF_UNIX): %s", std::strerror(errno));
-    sun.sun_family = AF_UNIX;
-    std::memcpy(sun.sun_path, path.c_str(), path.size() + 1);
-    if (::connect(fd, (const sockaddr *)&sun, sizeof(sun)) != 0) {
-        int err = errno;
-        ::close(fd);
-        fatal("loadgen: connect %s: %s", path.c_str(),
-              std::strerror(err));
-    }
-    Client client(fd);
-    client.sendHello();
-    return client;
+    if (path.empty())
+        fatal("loadgen: bad socket path \"\"");
+    return connectTo({path, -1});
 }
 
 Client
 Client::connectTcp(int port)
 {
-    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0)
-        fatal("loadgen: socket(AF_INET): %s", std::strerror(errno));
-    sockaddr_in sin{};
-    sin.sin_family = AF_INET;
-    sin.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    sin.sin_port = htons((uint16_t)port);
-    if (::connect(fd, (const sockaddr *)&sin, sizeof(sin)) != 0) {
-        int err = errno;
-        ::close(fd);
-        fatal("loadgen: connect 127.0.0.1:%d: %s", port,
-              std::strerror(err));
-    }
-    Client client(fd);
-    client.sendHello();
-    return client;
+    return connectTo({"", port});
 }
 
-void
-Client::sendHello()
+Client
+Client::connect(const std::string &spec)
 {
-    std::string hello;
-    encodeHello(hello);
-    sendAll(hello);
+    Endpoint ep;
+    if (!Endpoint::parse(spec, ep))
+        fatal("loadgen: bad endpoint \"%s\" "
+              "(want unix:PATH, tcp:PORT, a path, or a port)",
+              spec.c_str());
+    return connectTo(ep);
 }
 
 Client::Client(Client &&other) noexcept
@@ -157,46 +143,38 @@ Client::parseOne(EvalResponse &resp)
     return true;
 }
 
-EvalResponse
-Client::recv()
+bool
+Client::receive(EvalResponse &resp, bool wait)
 {
-    EvalResponse resp;
     while (!parseOne(resp)) {
         char buf[64 * 1024];
-        ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+        ssize_t n = ::recv(fd_, buf, sizeof(buf), wait ? 0 : MSG_DONTWAIT);
         if (n > 0) {
             in_.append(buf, (size_t)n);
             continue;
         }
         if (n == 0)
             fatal("loadgen: server closed the connection");
-        if (errno == EINTR)
-            continue;
-        fatal("loadgen: recv: %s", std::strerror(errno));
+        if (!wait && (errno == EAGAIN || errno == EWOULDBLOCK))
+            return false;
+        if (errno != EINTR)
+            fatal("loadgen: recv: %s", std::strerror(errno));
     }
+    return true;
+}
+
+EvalResponse
+Client::recv()
+{
+    EvalResponse resp;
+    receive(resp, true);
     return resp;
 }
 
 bool
 Client::tryRecv(EvalResponse &resp)
 {
-    for (;;) {
-        if (parseOne(resp))
-            return true;
-        char buf[64 * 1024];
-        ssize_t n = ::recv(fd_, buf, sizeof(buf), MSG_DONTWAIT);
-        if (n > 0) {
-            in_.append(buf, (size_t)n);
-            continue;
-        }
-        if (n == 0)
-            fatal("loadgen: server closed the connection");
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return false;
-        if (errno == EINTR)
-            continue;
-        fatal("loadgen: recv: %s", std::strerror(errno));
-    }
+    return receive(resp, false);
 }
 
 EvalResponse
@@ -296,31 +274,6 @@ connectTarget(const LoadgenOptions &opt)
     fatal("loadgen: no target (need a unix path or a tcp port)");
 }
 
-/** Connect to one "unix:PATH" / "tcp:PORT" / path / port spec. */
-Client
-connectSpec(const std::string &spec)
-{
-    auto all_digits = [](const std::string &s) {
-        if (s.empty())
-            return false;
-        for (char c : s)
-            if (!std::isdigit((unsigned char)c))
-                return false;
-        return true;
-    };
-    if (spec.rfind("unix:", 0) == 0)
-        return Client::connectUnix(spec.substr(5));
-    if (spec.rfind("tcp:", 0) == 0 && all_digits(spec.substr(4)))
-        return Client::connectTcp(std::atoi(spec.c_str() + 4));
-    if (spec.find('/') != std::string::npos)
-        return Client::connectUnix(spec);
-    if (all_digits(spec))
-        return Client::connectTcp(std::atoi(spec.c_str()));
-    fatal("loadgen: bad endpoint \"%s\" "
-          "(want unix:PATH, tcp:PORT, a path, or a port)",
-          spec.c_str());
-}
-
 struct Tally
 {
     explicit Tally(const LoadgenOptions &opt_) : opt(opt_) {}
@@ -383,7 +336,7 @@ connectWithRetry(const LoadgenOptions &opt, const std::string &spec,
          ++attempt) {
         try {
             ScopedFatalThrow contain;
-            Client conn = connectSpec(spec);
+            Client conn = Client::connect(spec);
             tally.endpoint(spec,
                            [](EndpointTotals &e) { ++e.connects; });
             return conn;
@@ -582,27 +535,22 @@ runLoadgen(const LoadgenOptions &opt)
 bool
 langFromName(const std::string &name, harness::Lang &out)
 {
-    auto lower = [](std::string s) {
-        for (char &c : s)
-            c = (char)std::tolower((unsigned char)c);
-        return s;
+    static const std::pair<const char *, harness::Lang> kAliases[] = {
+        {"jvm", harness::Lang::Java},
+        {"jvm-quick", harness::Lang::JavaQuick},
+        {"threaded", harness::Lang::MipsiThreaded},
     };
-    std::string want = lower(name);
-    for (int i = 0; i <= (int)harness::Lang::TclBytecode; ++i) {
-        if (want == lower(harness::langName((harness::Lang)i))) {
-            out = (harness::Lang)i;
+    for (const harness::ModeInfo &m : harness::kModes)
+        if (strcasecmp(name.c_str(), m.name) == 0) {
+            out = m.lang;
             return true;
         }
-    }
-    if (want == "jvm")
-        out = harness::Lang::Java;
-    else if (want == "jvm-quick")
-        out = harness::Lang::JavaQuick;
-    else if (want == "threaded")
-        out = harness::Lang::MipsiThreaded;
-    else
-        return false;
-    return true;
+    for (const auto &alias : kAliases)
+        if (strcasecmp(name.c_str(), alias.first) == 0) {
+            out = alias.second;
+            return true;
+        }
+    return false;
 }
 
 } // namespace interp::server

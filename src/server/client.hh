@@ -29,6 +29,8 @@
 
 namespace interp::server {
 
+struct Endpoint;
+
 /** One blocking connection to an interpd daemon. */
 class Client
 {
@@ -37,6 +39,9 @@ class Client
     static Client connectUnix(const std::string &path);
     /** Connect to 127.0.0.1:port; fatal() on failure. */
     static Client connectTcp(int port);
+    /** Connect to a "unix:PATH" / "tcp:PORT" / path / port spec
+     *  (Endpoint::parse); fatal() on a bad spec or failure. */
+    static Client connect(const std::string &spec);
 
     Client(Client &&other) noexcept;
     Client &operator=(Client &&other) noexcept;
@@ -66,9 +71,12 @@ class Client
   private:
     explicit Client(int fd) : fd_(fd) {}
 
-    void sendHello();
+    static Client connectTo(const Endpoint &ep);
     void sendAll(const std::string &bytes);
     bool parseOne(EvalResponse &resp);
+    /** Take one response, reading until it is complete (@p wait) or
+     *  until the socket has no more bytes (false). */
+    bool receive(EvalResponse &resp, bool wait);
 
     int fd_ = -1;
     RecvBuffer in_;

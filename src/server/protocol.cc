@@ -11,7 +11,6 @@ using tracefile::putU64;
 
 namespace {
 
-constexpr uint8_t kMaxLang = (uint8_t)harness::Lang::TclJit;
 constexpr uint8_t kKnownFlags =
     kFlagRecordTrace | kFlagWithMachine | kFlagNeedsInputs;
 
@@ -190,7 +189,7 @@ decodeEvalRequest(const std::string &payload, EvalRequest &req)
     if (p == end)
         return false;
     uint8_t mode = *p++;
-    if (mode > kMaxLang)
+    if (mode >= harness::kNumModes)
         return false;
     req.mode = (harness::Lang)mode;
     if (p == end)

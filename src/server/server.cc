@@ -1,16 +1,6 @@
 #include "server/server.hh"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 
 #include "harness/record_replay.hh"
@@ -100,7 +90,7 @@ ProgramCatalog::resolve(harness::Lang mode, const std::string &name,
                         uint32_t iterations)
 {
     using harness::Lang;
-    Lang base = harness::baselineOf(mode);
+    Lang base = harness::modeInfo(mode).baseline;
     std::lock_guard<std::mutex> lock(mu);
 
     if (name.rfind("micro:", 0) == 0) {
@@ -143,7 +133,7 @@ ProgramCatalog::resolve(harness::Lang mode, const std::string &name,
               harness::langName(base), name.c_str());
 
     harness::BenchSpec &cached = it->second;
-    Lang cached_base = harness::baselineOf(cached.lang);
+    Lang cached_base = harness::modeInfo(cached.lang).baseline;
     if ((cached_base == Lang::C || cached_base == Lang::Mipsi) &&
         !cached.image) {
         ++counters_.misses;
@@ -180,7 +170,10 @@ ProgramCatalog::counters() const
 // --- Server lifecycle ------------------------------------------------------
 
 Server::Server(const ServerConfig &config)
-    : cfg(config), tierMgr(config.tier)
+    : cfg(config), tierMgr(config.tier),
+      front("interpd", [this](uint64_t conn, const std::string &payload) {
+          handleFrame(conn, payload);
+      })
 {
 }
 
@@ -193,99 +186,19 @@ Server::~Server()
         pending.clear();
     }
     pool.reset();
-    for (auto &entry : conns)
-        ::close(entry.second.fd);
-    if (unixFd >= 0)
-        ::close(unixFd);
-    if (tcpFd >= 0)
-        ::close(tcpFd);
-    if (wakeRead >= 0)
-        ::close(wakeRead);
-    if (wakeWrite >= 0)
-        ::close(wakeWrite);
-    if (!cfg.unixPath.empty())
-        ::unlink(cfg.unixPath.c_str());
 }
 
 void
 Server::start()
 {
-    if (cfg.unixPath.empty() && cfg.tcpPort < 0)
-        fatal("interpd: no listener configured "
-              "(need a unix path or a tcp port)");
-
-    int pipefd[2];
-    if (::pipe2(pipefd, O_NONBLOCK | O_CLOEXEC) != 0)
-        fatal("interpd: pipe2: %s", std::strerror(errno));
-    wakeRead = pipefd[0];
-    wakeWrite = pipefd[1];
-
-    if (!cfg.unixPath.empty()) {
-        sockaddr_un sun{};
-        if (cfg.unixPath.size() >= sizeof(sun.sun_path))
-            fatal("interpd: socket path too long: %s",
-                  cfg.unixPath.c_str());
-        unixFd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK |
-                                       SOCK_CLOEXEC,
-                          0);
-        if (unixFd < 0)
-            fatal("interpd: socket(AF_UNIX): %s", std::strerror(errno));
-        sun.sun_family = AF_UNIX;
-        std::memcpy(sun.sun_path, cfg.unixPath.c_str(),
-                    cfg.unixPath.size() + 1);
-        ::unlink(cfg.unixPath.c_str());
-        if (::bind(unixFd, (const sockaddr *)&sun, sizeof(sun)) != 0)
-            fatal("interpd: bind %s: %s", cfg.unixPath.c_str(),
-                  std::strerror(errno));
-        if (::listen(unixFd, 128) != 0)
-            fatal("interpd: listen %s: %s", cfg.unixPath.c_str(),
-                  std::strerror(errno));
-    }
-
-    if (cfg.tcpPort >= 0) {
-        tcpFd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK |
-                                      SOCK_CLOEXEC,
-                         0);
-        if (tcpFd < 0)
-            fatal("interpd: socket(AF_INET): %s", std::strerror(errno));
-        int one = 1;
-        ::setsockopt(tcpFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-        if (cfg.reusePort &&
-            ::setsockopt(tcpFd, SOL_SOCKET, SO_REUSEPORT, &one,
-                         sizeof(one)) != 0)
-            fatal("interpd: SO_REUSEPORT: %s", std::strerror(errno));
-        sockaddr_in sin{};
-        sin.sin_family = AF_INET;
-        sin.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        sin.sin_port = htons((uint16_t)cfg.tcpPort);
-        if (::bind(tcpFd, (const sockaddr *)&sin, sizeof(sin)) != 0)
-            fatal("interpd: bind 127.0.0.1:%d: %s", cfg.tcpPort,
-                  std::strerror(errno));
-        if (::listen(tcpFd, 128) != 0)
-            fatal("interpd: listen tcp: %s", std::strerror(errno));
-        socklen_t len = sizeof(sin);
-        if (::getsockname(tcpFd, (sockaddr *)&sin, &len) != 0)
-            fatal("interpd: getsockname: %s", std::strerror(errno));
-        boundTcpPort_ = ntohs(sin.sin_port);
-    }
-
+    front.listen(cfg.unixPath, cfg.tcpPort, cfg.reusePort);
     pool = std::make_unique<harness::ThreadPool>(cfg.workers);
 }
 
 void
 Server::stop()
 {
-    stopping.store(true, std::memory_order_release);
-    wake();
-}
-
-void
-Server::wake()
-{
-    char byte = 1;
-    // EAGAIN means a wake byte is already pending — good enough.
-    (void)!::write(wakeWrite, &byte, 1);
+    front.stop();
 }
 
 // --- event loop ------------------------------------------------------------
@@ -293,190 +206,9 @@ Server::wake()
 void
 Server::run()
 {
-    std::vector<pollfd> fds;
-    std::vector<uint64_t> ids;
-    while (!stopping.load(std::memory_order_acquire)) {
-        fds.clear();
-        ids.clear();
-        fds.push_back({wakeRead, POLLIN, 0});
-        ids.push_back(0);
-        if (unixFd >= 0) {
-            fds.push_back({unixFd, POLLIN, 0});
-            ids.push_back(0);
-        }
-        if (tcpFd >= 0) {
-            fds.push_back({tcpFd, POLLIN, 0});
-            ids.push_back(0);
-        }
-        for (auto &entry : conns) {
-            short events = POLLIN;
-            if (!entry.second.out.empty())
-                events |= POLLOUT;
-            fds.push_back({entry.second.fd, events, 0});
-            ids.push_back(entry.first);
-        }
-
-        int n = ::poll(fds.data(), (nfds_t)fds.size(), -1);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            fatal("interpd: poll: %s", std::strerror(errno));
-        }
-        if (stopping.load(std::memory_order_acquire))
-            break;
-
-        if (fds[0].revents & POLLIN) {
-            char drain[256];
-            while (::read(wakeRead, drain, sizeof(drain)) > 0) {
-            }
-        }
+    std::vector<pollfd> none;
+    while (front.poll(none, -1))
         drainCompletions();
-
-        size_t i = 1;
-        if (unixFd >= 0) {
-            if (fds[i].revents & POLLIN)
-                acceptAll(unixFd);
-            ++i;
-        }
-        if (tcpFd >= 0) {
-            if (fds[i].revents & POLLIN)
-                acceptAll(tcpFd);
-            ++i;
-        }
-        for (; i < fds.size(); ++i) {
-            uint64_t id = ids[i];
-            if (fds[i].revents &
-                (POLLIN | POLLHUP | POLLERR | POLLNVAL))
-                readConn(id);
-            if (conns.count(id) && (fds[i].revents & POLLOUT))
-                writeConn(id);
-        }
-    }
-}
-
-void
-Server::acceptAll(int listen_fd)
-{
-    for (;;) {
-        int fd = ::accept4(listen_fd, nullptr, nullptr,
-                           SOCK_NONBLOCK | SOCK_CLOEXEC);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // EAGAIN, or a transient per-connection error
-        }
-        Conn conn;
-        conn.fd = fd;
-        conns.emplace(nextConnId++, std::move(conn));
-    }
-}
-
-void
-Server::closeConn(uint64_t conn_id)
-{
-    auto it = conns.find(conn_id);
-    if (it == conns.end())
-        return;
-    ::close(it->second.fd);
-    conns.erase(it);
-}
-
-void
-Server::readConn(uint64_t conn_id)
-{
-    auto it = conns.find(conn_id);
-    if (it == conns.end())
-        return;
-    char buf[64 * 1024];
-    for (;;) {
-        ssize_t n = ::recv(it->second.fd, buf, sizeof(buf), 0);
-        if (n > 0) {
-            it->second.in.append(buf, (size_t)n);
-            continue;
-        }
-        if (n == 0) {
-            closeConn(conn_id);
-            return;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        if (errno == EINTR)
-            continue;
-        closeConn(conn_id);
-        return;
-    }
-
-    std::string payload;
-    for (;;) {
-        auto conn = conns.find(conn_id);
-        if (conn == conns.end())
-            return; // a handled frame closed the connection
-        if (!conn->second.greeted) {
-            switch (takeHello(conn->second.in)) {
-              case HelloResult::Incomplete:
-                return;
-              case HelloResult::Mismatch: {
-                // Contained protocol failure: one diagnosable ERROR
-                // reply (id 0 — no request was parsed), best-effort
-                // flush, close. The daemon itself is unharmed.
-                EvalResponse resp;
-                resp.id = 0;
-                resp.status = Status::Error;
-                resp.result = "protocol mismatch: expected IPD hello "
-                              "version " +
-                              std::to_string(kProtocolVersion);
-                queueResponse(conn_id, resp);
-                writeConn(conn_id);
-                closeConn(conn_id);
-                return;
-              }
-              case HelloResult::Ok:
-                conn->second.greeted = true;
-                break;
-            }
-        }
-        FrameResult r =
-            takeFrame(conn->second.in, payload, kMaxRequestBytes);
-        if (r == FrameResult::Incomplete)
-            return;
-        if (r == FrameResult::Malformed) {
-            closeConn(conn_id);
-            return;
-        }
-        handleFrame(conn_id, payload);
-    }
-}
-
-void
-Server::writeConn(uint64_t conn_id)
-{
-    auto it = conns.find(conn_id);
-    if (it == conns.end())
-        return;
-    Conn &c = it->second;
-    while (!c.out.empty()) {
-        ssize_t n =
-            ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
-        if (n > 0) {
-            c.out.erase(0, (size_t)n);
-            continue;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return;
-        if (errno == EINTR)
-            continue;
-        closeConn(conn_id);
-        return;
-    }
-}
-
-void
-Server::queueResponse(uint64_t conn_id, const EvalResponse &resp)
-{
-    auto it = conns.find(conn_id);
-    if (it == conns.end())
-        return; // client went away; drop the response
-    encodeResponse(it->second.out, resp);
 }
 
 void
@@ -488,7 +220,7 @@ Server::drainCompletions()
         done.swap(completions);
     }
     for (Completion &c : done)
-        queueResponse(c.connId, c.resp);
+        front.reply(c.connId, c.resp);
 }
 
 void
@@ -498,10 +230,10 @@ Server::handleFrame(uint64_t conn_id, const std::string &payload)
       case (uint8_t)Verb::Eval: {
         EvalRequest req;
         if (!decodeEvalRequest(payload, req)) {
-            closeConn(conn_id);
+            front.close(conn_id);
             return;
         }
-        stats_.noteAccepted(req.mode);
+        stats_.note(Counter::Accepted, req.mode);
         uint32_t req_id = req.id;
         harness::Lang mode = req.mode;
         bool admitted = false;
@@ -519,19 +251,19 @@ Server::handleFrame(uint64_t conn_id, const std::string &payload)
         if (admitted) {
             pool->submit([this] { drainPending(); });
         } else {
-            stats_.noteShed(mode);
+            stats_.note(Counter::Shed, mode);
             EvalResponse resp;
             resp.id = req_id;
             resp.status = Status::Shed;
             resp.result = "admission queue full";
-            queueResponse(conn_id, resp);
+            front.reply(conn_id, resp);
         }
         return;
       }
       case (uint8_t)Verb::Stats: {
         StatsRequest req;
         if (!decodeStatsRequest(payload, req)) {
-            closeConn(conn_id);
+            front.close(conn_id);
             return;
         }
         EvalResponse resp;
@@ -540,11 +272,11 @@ Server::handleFrame(uint64_t conn_id, const std::string &payload)
         resp.result =
             stats_.renderJson(pool->queuedCount(), pool->idleWorkers(),
                               catalog.counters(), cfg.shardId);
-        queueResponse(conn_id, resp);
+        front.reply(conn_id, resp);
         return;
       }
       default:
-        closeConn(conn_id);
+        front.close(conn_id);
     }
 }
 
@@ -557,7 +289,7 @@ Server::postCompletion(uint64_t conn_id, EvalResponse resp)
         std::lock_guard<std::mutex> lock(completionMu);
         completions.push_back({conn_id, std::move(resp)});
     }
-    wake();
+    front.wake();
 }
 
 void
@@ -597,25 +329,12 @@ Server::drainPending()
             resp.status = Status::Deadline;
             resp.queueMicros = queue_us;
             resp.result = "deadline expired before execution";
-            stats_.noteDeadline(p.req.mode);
         } else {
             resp = executeOne(p, queue_us);
-            switch (resp.status) {
-              case Status::Ok:
-                stats_.noteServed(p.req.mode);
-                stats_.noteLatency(resp.queueMicros,
-                                   resp.serviceMicros);
-                break;
-              case Status::Deadline:
-                stats_.noteDeadline(p.req.mode);
-                break;
-              default:
-                stats_.noteFailed(p.req.mode);
-                stats_.noteLatency(resp.queueMicros,
-                                   resp.serviceMicros);
-                break;
-            }
         }
+        stats_.note(outcomeCounter(resp.status), p.req.mode);
+        if (resp.status != Status::Deadline)
+            stats_.noteLatency(resp.queueMicros, resp.serviceMicros);
         postCompletion(p.connId, std::move(resp));
     }
 }
@@ -658,14 +377,14 @@ Server::executeOne(const Pending &p, uint64_t queue_us)
             plan = tierMgr.plan(req.mode, req.program);
             if (plan.level > 0) {
                 spec.lang = plan.lang;
-                stats_.noteTieredRun(req.mode);
+                stats_.note(Counter::TieredRuns, req.mode);
             }
             if (plan.promotedRemedy)
-                stats_.noteTierRemedy(req.mode);
+                stats_.note(Counter::TierUpRemedy, req.mode);
             if (plan.promotedTier2)
-                stats_.noteTierTier2(req.mode);
+                stats_.note(Counter::TierUpTier2, req.mode);
             if (plan.promotedJit)
-                stats_.noteTierJit(req.mode);
+                stats_.note(Counter::TierUpJit, req.mode);
             if (plan.artifact)
                 spec.jvmArtifact = std::move(plan.artifact);
             if (plan.pairs)

@@ -4,7 +4,8 @@
  *
  * One thread (the caller of run()) owns a poll() event loop that
  * accepts connections on a Unix-domain socket and/or loopback TCP,
- * frames requests (see protocol.hh) and writes responses; execution
+ * frames requests (see protocol.hh) and writes responses — the
+ * connection core in conn.hh, shared with interproxy; execution
  * happens on a harness::ThreadPool. The structure is the classic
  * single-threaded-accept / pooled-execute serving shape:
  *
@@ -31,14 +32,13 @@
  *
  * Responses are appended to connection buffers only by the event-loop
  * thread; workers hand finished responses over through a completion
- * queue plus a wake pipe. Clients may pipeline; responses can
+ * queue plus the Frontend's wake pipe. Clients may pipeline; responses can
  * overtake (a SHED answer arrives before earlier requests finish).
  */
 
 #ifndef INTERP_SERVER_SERVER_HH
 #define INTERP_SERVER_SERVER_HH
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -49,6 +49,7 @@
 
 #include "harness/pool.hh"
 #include "harness/runner.hh"
+#include "server/conn.hh"
 #include "server/protocol.hh"
 #include "server/stats.hh"
 #include "tier/tier.hh"
@@ -147,20 +148,12 @@ class Server
     void stop();
 
     /** Actual TCP port after start() (ephemeral port resolution). */
-    int tcpPort() const { return boundTcpPort_; }
+    int tcpPort() const { return front.tcpPort(); }
 
     const ServerStats &stats() const { return stats_; }
     const ServerConfig &config() const { return cfg; }
 
   private:
-    struct Conn
-    {
-        int fd = -1;
-        RecvBuffer in;   ///< unparsed request bytes
-        std::string out; ///< encoded, unsent response bytes
-        bool greeted = false; ///< hello verified (protocol.hh)
-    };
-
     /** One admitted EVAL waiting for a worker. */
     struct Pending
     {
@@ -176,34 +169,19 @@ class Server
     };
 
     // --- event-loop thread only ------------------------------------------
-    void acceptAll(int listen_fd);
-    void readConn(uint64_t conn_id);
-    void writeConn(uint64_t conn_id);
-    void closeConn(uint64_t conn_id);
     void handleFrame(uint64_t conn_id, const std::string &payload);
-    void queueResponse(uint64_t conn_id, const EvalResponse &resp);
     void drainCompletions();
 
     // --- worker threads ---------------------------------------------------
     void drainPending();
     EvalResponse executeOne(const Pending &p, uint64_t queue_us);
     void postCompletion(uint64_t conn_id, EvalResponse resp);
-    void wake();
 
     ServerConfig cfg;
     ProgramCatalog catalog;
     ServerStats stats_;
     tier::TierManager tierMgr;
-
-    int unixFd = -1;
-    int tcpFd = -1;
-    int boundTcpPort_ = -1;
-    int wakeRead = -1;
-    int wakeWrite = -1;
-    std::atomic<bool> stopping{false};
-
-    uint64_t nextConnId = 1;
-    std::unordered_map<uint64_t, Conn> conns;
+    Frontend front;
 
     std::unique_ptr<harness::ThreadPool> pool;
 

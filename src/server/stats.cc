@@ -79,82 +79,19 @@ LatencyHistogram::quantile(double q) const
 // --- ServerStats -----------------------------------------------------------
 
 void
-ServerStats::noteAccepted(harness::Lang mode)
+ServerStats::note(Counter c, harness::Lang mode)
 {
     std::lock_guard<std::mutex> lock(mu);
-    ++modes_[(int)mode].accepted;
-}
-
-void
-ServerStats::noteServed(harness::Lang mode)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    ++modes_[(int)mode].served;
-}
-
-void
-ServerStats::noteShed(harness::Lang mode)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    ++modes_[(int)mode].shed;
-}
-
-void
-ServerStats::noteDeadline(harness::Lang mode)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    ++modes_[(int)mode].deadline;
-}
-
-void
-ServerStats::noteFailed(harness::Lang mode)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    ++modes_[(int)mode].failed;
-}
-
-void
-ServerStats::noteTierRemedy(harness::Lang mode)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    ++modes_[(int)mode].tierUpRemedy;
-}
-
-void
-ServerStats::noteTierTier2(harness::Lang mode)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    ++modes_[(int)mode].tierUpTier2;
-}
-
-void
-ServerStats::noteTierJit(harness::Lang mode)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    ++modes_[(int)mode].tierUpJit;
-}
-
-void
-ServerStats::noteTieredRun(harness::Lang mode)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    ++modes_[(int)mode].tieredRuns;
+    ++modes_[(int)mode][c];
 }
 
 void
 ServerStats::noteLatency(uint64_t queue_us, uint64_t service_us)
 {
     std::lock_guard<std::mutex> lock(mu);
-    queueHisto_.add(queue_us);
-    serviceHisto_.add(service_us);
-    totalHisto_.add(queue_us + service_us);
-}
-
-ModeCounters
-ServerStats::mode(harness::Lang lang) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return modes_[(int)lang];
+    histos_[0].add(queue_us);
+    histos_[1].add(service_us);
+    histos_[2].add(queue_us + service_us);
 }
 
 ModeCounters
@@ -162,40 +99,92 @@ ServerStats::totals() const
 {
     std::lock_guard<std::mutex> lock(mu);
     ModeCounters sum;
-    for (const ModeCounters &m : modes_) {
-        sum.accepted += m.accepted;
-        sum.served += m.served;
-        sum.shed += m.shed;
-        sum.deadline += m.deadline;
-        sum.failed += m.failed;
-        sum.tierUpRemedy += m.tierUpRemedy;
-        sum.tierUpTier2 += m.tierUpTier2;
-        sum.tierUpJit += m.tierUpJit;
-        sum.tieredRuns += m.tieredRuns;
-    }
+    for (const ModeCounters &m : modes_)
+        sum += m;
     return sum;
 }
+
+std::string
+ServerStats::renderJson(size_t queued_jobs, unsigned idle_workers,
+                        const CatalogCounters &catalog,
+                        const std::string &shard_id) const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    ModeCounters sum;
+    for (const ModeCounters &m : modes_)
+        sum += m;
+    std::string out = "{";
+    if (!shard_id.empty())
+        out += "\"shard_id\":\"" + shard_id + "\",";
+    appendCounters(out, sum);
+    out += ",\"queued_jobs\":" + std::to_string(queued_jobs) +
+           ",\"idle_workers\":" + std::to_string(idle_workers) + ',';
+    appendCatalog(out, catalog);
+    out += ',';
+    appendModes(out, modes_, kCounters);
+    out += ',';
+    appendHistograms(out, histos_);
+    out += '}';
+    return out;
+}
+
+// --- rendering -------------------------------------------------------------
 
 namespace {
 
 void
-appendCounters(std::string &out, const ModeCounters &c)
+appendUint(std::string &out, const char *key, uint64_t value)
 {
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "\"accepted\":%" PRIu64 ",\"served\":%" PRIu64
-                  ",\"shed\":%" PRIu64 ",\"deadline\":%" PRIu64
-                  ",\"failed\":%" PRIu64 ",\"tier_up_remedy\":%" PRIu64
-                  ",\"tier_up_tier2\":%" PRIu64
-                  ",\"tier_up_jit\":%" PRIu64
-                  ",\"tiered_runs\":%" PRIu64,
-                  c.accepted, c.served, c.shed, c.deadline, c.failed,
-                  c.tierUpRemedy, c.tierUpTier2, c.tierUpJit,
-                  c.tieredRuns);
-    out += buf;
+    out += '"';
+    out += key;
+    out += "\":";
+    out += std::to_string(value);
 }
 
 } // namespace
+
+void
+appendCounters(std::string &out, const ModeCounters &c, int count)
+{
+    for (int i = 0; i < count; ++i) {
+        if (i)
+            out += ',';
+        appendUint(out, kCounterNames[i], c.n[i]);
+    }
+}
+
+void
+appendModes(std::string &out,
+            const ModeCounters (&modes)[harness::kNumModes], int count)
+{
+    out += "\"modes\":{";
+    bool first = true;
+    for (int i = 0; i < harness::kNumModes; ++i) {
+        if (!modes[i][Counter::Accepted])
+            continue;
+        if (!first)
+            out += ',';
+        out += '"';
+        out += harness::kModes[i].name;
+        out += "\":{";
+        appendCounters(out, modes[i], count);
+        out += '}';
+        first = false;
+    }
+    out += '}';
+}
+
+void
+appendCatalog(std::string &out, const CatalogCounters &c)
+{
+    out += "\"catalog\":{";
+    for (const CatalogField &f : kCatalogFields) {
+        if (&f != kCatalogFields)
+            out += ',';
+        appendUint(out, f.name, c.*f.field);
+    }
+    out += '}';
+}
 
 void
 appendHistogramJson(std::string &out, const char *name,
@@ -222,103 +211,120 @@ appendHistogramJson(std::string &out, const char *name,
     out += "]}";
 }
 
-std::string
-ServerStats::renderJson(size_t queued_jobs, unsigned idle_workers,
-                        const CatalogCounters &catalog,
-                        const std::string &shard_id) const
+void
+appendHistograms(std::string &out,
+                 const LatencyHistogram (&h)[kHistograms])
 {
-    std::lock_guard<std::mutex> lock(mu);
-    ModeCounters sum;
-    for (const ModeCounters &m : modes_) {
-        sum.accepted += m.accepted;
-        sum.served += m.served;
-        sum.shed += m.shed;
-        sum.deadline += m.deadline;
-        sum.failed += m.failed;
-        sum.tierUpRemedy += m.tierUpRemedy;
-        sum.tierUpTier2 += m.tierUpTier2;
-        sum.tierUpJit += m.tierUpJit;
-        sum.tieredRuns += m.tieredRuns;
-    }
-
-    std::string out = "{";
-    if (!shard_id.empty()) {
-        out += "\"shard_id\":\"";
-        out += shard_id;
-        out += "\",";
-    }
-    appendCounters(out, sum);
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  ",\"queued_jobs\":%zu,\"idle_workers\":%u",
-                  queued_jobs, idle_workers);
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  ",\"catalog\":{\"hits\":%" PRIu64
-                  ",\"misses\":%" PRIu64 ",\"loads\":%" PRIu64 "}",
-                  catalog.hits, catalog.misses, catalog.loads);
-    out += buf;
-
-    out += ",\"modes\":{";
-    bool first = true;
-    for (int i = 0; i < kModes; ++i) {
-        const ModeCounters &m = modes_[i];
-        if (!m.accepted)
-            continue;
-        if (!first)
+    out += "\"histograms\":{";
+    for (int i = 0; i < kHistograms; ++i) {
+        if (i)
             out += ',';
-        out += '"';
-        out += harness::langName((harness::Lang)i);
-        out += "\":{";
-        appendCounters(out, m);
-        out += '}';
-        first = false;
+        appendHistogramJson(out, kHistogramNames[i], h[i]);
     }
     out += '}';
-
-    out += ",\"histograms\":{";
-    appendHistogramJson(out, "queue_us", queueHisto_);
-    out += ',';
-    appendHistogramJson(out, "service_us", serviceHisto_);
-    out += ',';
-    appendHistogramJson(out, "total_us", totalHisto_);
-    out += "}}";
-    return out;
 }
 
-// --- statsJsonUint ---------------------------------------------------------
+// --- parsing ---------------------------------------------------------------
 
 namespace {
 
-/** [begin,end) window of @p json holding the value of @p key, or
- *  false. The window for an object value spans its braces. */
-bool
-valueWindow(const std::string &json, size_t begin, size_t end,
-            const std::string &key, size_t &vbegin, size_t &vend)
+/** One past the JSON value that starts at @p i (an object, array,
+ *  string or scalar), or npos when it runs past @p end. */
+size_t
+skipValue(const std::string &json, size_t i, size_t end)
 {
-    std::string needle = "\"" + key + "\":";
-    size_t at = json.find(needle, begin);
-    if (at == std::string::npos || at >= end)
-        return false;
-    size_t v = at + needle.size();
-    if (v >= end)
-        return false;
-    if (json[v] != '{') {
-        vbegin = v;
-        vend = end;
-        return true;
-    }
     int depth = 0;
-    for (size_t i = v; i < end; ++i) {
-        if (json[i] == '{')
+    bool in_string = false;
+    for (; i < end; ++i) {
+        char c = json[i];
+        if (in_string) {
+            if (c == '\\') {
+                ++i;
+            } else if (c == '"') {
+                in_string = false;
+                if (depth == 0)
+                    return i + 1;
+            }
+        } else if (c == '"') {
+            in_string = true;
+        } else if (c == '{' || c == '[') {
             ++depth;
-        else if (json[i] == '}' && --depth == 0) {
-            vbegin = v;
-            vend = i + 1;
-            return true;
+        } else if (c == '}' || c == ']') {
+            if (depth == 0)
+                return i; // end of an enclosing object: scalar done
+            if (--depth == 0)
+                return i + 1;
+        } else if (c == ',' && depth == 0) {
+            return i;
         }
     }
+    return depth == 0 && !in_string ? end : std::string::npos;
+}
+
+/**
+ * Narrow [begin,end) — an object — to the value of its member @p key.
+ * Only the object's own keys match: a nested object's members are
+ * skipped whole, so "x" never finds "a.x".
+ */
+bool
+member(const std::string &json, size_t &begin, size_t &end,
+       const std::string &key)
+{
+    if (begin >= end || json[begin] != '{')
+        return false;
+    size_t i = begin + 1;
+    while (i < end && json[i] == '"') {
+        size_t close = json.find('"', i + 1);
+        if (close == std::string::npos || close + 1 >= end ||
+            json[close + 1] != ':')
+            return false;
+        size_t value = close + 2;
+        size_t value_end = skipValue(json, value, end);
+        if (value_end == std::string::npos)
+            return false;
+        if (json.compare(i + 1, close - i - 1, key) == 0) {
+            begin = value;
+            end = value_end;
+            return true;
+        }
+        i = value_end < end && json[value_end] == ',' ? value_end + 1
+                                                       : end;
+    }
     return false;
+}
+
+/** The [begin,end) window of the value at dotted @p path. */
+bool
+resolve(const std::string &json, const std::string &path,
+        size_t &begin, size_t &end)
+{
+    begin = 0;
+    end = json.size();
+    size_t seg = 0;
+    for (;;) {
+        size_t dot = path.find('.', seg);
+        if (!member(json, begin, end,
+                    path.substr(seg, dot == std::string::npos
+                                         ? std::string::npos
+                                         : dot - seg)))
+            return false;
+        if (dot == std::string::npos)
+            return true;
+        seg = dot + 1;
+    }
+}
+
+/** Parse the unsigned integer at json[i] (advancing @p i). */
+bool
+parseUint(const std::string &json, size_t &i, size_t end,
+          uint64_t &value)
+{
+    if (i >= end || json[i] < '0' || json[i] > '9')
+        return false;
+    value = 0;
+    while (i < end && json[i] >= '0' && json[i] <= '9')
+        value = value * 10 + (uint64_t)(json[i++] - '0');
+    return true;
 }
 
 } // namespace
@@ -327,68 +333,19 @@ bool
 statsJsonUint(const std::string &json, const std::string &path,
               uint64_t &out)
 {
-    size_t begin = 0, end = json.size();
-    size_t seg_start = 0;
-    for (;;) {
-        size_t dot = path.find('.', seg_start);
-        std::string key = path.substr(seg_start, dot == std::string::npos
-                                                     ? std::string::npos
-                                                     : dot - seg_start);
-        size_t vbegin = 0, vend = 0;
-        if (!valueWindow(json, begin, end, key, vbegin, vend))
-            return false;
-        if (dot == std::string::npos) {
-            uint64_t value = 0;
-            size_t i = vbegin;
-            if (i >= vend || json[i] < '0' || json[i] > '9')
-                return false;
-            while (i < vend && json[i] >= '0' && json[i] <= '9')
-                value = value * 10 + (uint64_t)(json[i++] - '0');
-            out = value;
-            return true;
-        }
-        begin = vbegin;
-        end = vend;
-        seg_start = dot + 1;
-    }
+    size_t begin = 0, end = 0;
+    return resolve(json, path, begin, end) &&
+           parseUint(json, begin, end, out);
 }
 
 bool
 statsJsonHistogram(const std::string &json, const std::string &path,
                    LatencyHistogram &out)
 {
-    // Resolve the dotted path to the histogram object's window.
-    size_t begin = 0, end = json.size();
-    size_t seg_start = 0;
-    for (;;) {
-        size_t dot = path.find('.', seg_start);
-        std::string key =
-            path.substr(seg_start, dot == std::string::npos
-                                       ? std::string::npos
-                                       : dot - seg_start);
-        size_t vbegin = 0, vend = 0;
-        if (!valueWindow(json, begin, end, key, vbegin, vend))
-            return false;
-        begin = vbegin;
-        end = vend;
-        if (dot == std::string::npos)
-            break;
-        seg_start = dot + 1;
-    }
-
-    const std::string needle = "\"buckets\":[";
-    size_t at = json.find(needle, begin);
-    if (at == std::string::npos || at >= end)
+    size_t i = 0, end = 0;
+    if (!resolve(json, path + ".buckets", i, end) || json[i] != '[')
         return false;
-    size_t i = at + needle.size();
-    auto parseUint = [&](uint64_t &value) {
-        if (i >= end || json[i] < '0' || json[i] > '9')
-            return false;
-        value = 0;
-        while (i < end && json[i] >= '0' && json[i] <= '9')
-            value = value * 10 + (uint64_t)(json[i++] - '0');
-        return true;
-    };
+    ++i;
     while (i < end && json[i] != ']') {
         if (json[i] == ',') {
             ++i;
@@ -398,10 +355,10 @@ statsJsonHistogram(const std::string &json, const std::string &path,
             return false;
         ++i;
         uint64_t floor = 0, count = 0;
-        if (!parseUint(floor) || i >= end || json[i] != ',')
+        if (!parseUint(json, i, end, floor) || i >= end || json[i] != ',')
             return false;
         ++i;
-        if (!parseUint(count) || i >= end || json[i] != ']')
+        if (!parseUint(json, i, end, count) || i >= end || json[i] != ']')
             return false;
         ++i;
         out.accumulate(LatencyHistogram::bucketOf(floor), count);

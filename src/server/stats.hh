@@ -3,10 +3,11 @@
  * interpd observability: monotonic counters and latency histograms.
  *
  * The STATS verb renders one ServerStats snapshot as JSON. Counters
- * are per mode (accepted / served / shed / deadline-missed / failed)
- * and reconcile exactly: accepted == served + shed + deadline +
- * failed once the queue has drained, which the end-to-end test pins
- * against client-observed totals. Latencies go into log2-bucketed
+ * are per mode (accepted / served / shed / deadline-missed / failed,
+ * plus the tier-up counts), indexed by one enum whose key names live
+ * in one table, and reconcile exactly: accepted == served + shed +
+ * deadline + failed once the queue has drained, which the end-to-end
+ * test pins against client-observed totals. Latencies go into log2-bucketed
  * histograms (queue wait, service, total), the classic shape for
  * tail-latency reporting: bucket i counts values in [2^i, 2^(i+1))
  * microseconds, with bucket 0 covering [0, 2).
@@ -16,10 +17,12 @@
 #define INTERP_SERVER_STATS_HH
 
 #include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <string>
 
 #include "harness/runner.hh"
+#include "server/protocol.hh"
 
 namespace interp::server {
 
@@ -73,47 +76,86 @@ struct CatalogCounters
     uint64_t loads = 0;  ///< expensive builds done (compile/assemble)
 };
 
-/** Counters for one execution mode. */
+/** CatalogCounters' STATS keys, in field (and rendering) order. */
+struct CatalogField
+{
+    const char *name;
+    uint64_t CatalogCounters::*field;
+};
+inline constexpr CatalogField kCatalogFields[] = {
+    {"hits", &CatalogCounters::hits},
+    {"misses", &CatalogCounters::misses},
+    {"loads", &CatalogCounters::loads},
+};
+
+/** The per-mode counters, in STATS key order (kCounterNames). */
+enum class Counter : uint8_t
+{
+    Accepted, ///< EVAL frames admitted (incl. shed)
+    Served,   ///< answered OK
+    Shed,     ///< refused at admission (queue full)
+    Deadline, ///< expired before/while executing
+    Failed,   ///< contained error (bad program, ...)
+    // Dynamic tier-up, attributed to the *requested* baseline mode
+    // (zero everywhere when tiering is off).
+    TierUpRemedy, ///< baseline -> remedy promotions
+    TierUpTier2,  ///< remedy -> tier-2 promotions
+    TierUpJit,    ///< tier-2 -> jit promotions
+    TieredRuns,   ///< requests served at an elevated tier
+};
+
+inline constexpr const char *kCounterNames[] = {
+    "accepted", "served", "shed", "deadline", "failed",
+    "tier_up_remedy", "tier_up_tier2", "tier_up_jit", "tiered_runs",
+};
+inline constexpr int kCounters = (int)std::size(kCounterNames);
+static_assert(kCounters == (int)Counter::TieredRuns + 1);
+/** The request outcomes (accepted..failed): all the proxy counts. */
+inline constexpr int kOutcomeCounters = (int)Counter::Failed + 1;
+
+/** The counter of a request answered with @p status: served, shed,
+ *  deadline or failed, which follow Status's order. */
+constexpr Counter
+outcomeCounter(Status status)
+{
+    return (Counter)((int)Counter::Served + (int)status);
+}
+static_assert(outcomeCounter(Status::Error) == Counter::Failed);
+
+/** Counters for one execution mode (or a sum over modes). */
 struct ModeCounters
 {
-    uint64_t accepted = 0; ///< EVAL frames admitted (incl. shed)
-    uint64_t served = 0;   ///< answered OK
-    uint64_t shed = 0;     ///< refused at admission (queue full)
-    uint64_t deadline = 0; ///< expired before/while executing
-    uint64_t failed = 0;   ///< contained error (bad program, ...)
-    // Dynamic tier-up (attributed to the *requested* baseline mode;
-    // zero everywhere when tiering is off).
-    uint64_t tierUpRemedy = 0; ///< baseline -> remedy promotions
-    uint64_t tierUpTier2 = 0;  ///< remedy -> tier-2 promotions
-    uint64_t tierUpJit = 0;    ///< tier-2 -> jit promotions
-    uint64_t tieredRuns = 0;   ///< requests served at an elevated tier
+    uint64_t n[kCounters] = {};
+
+    uint64_t &operator[](Counter c) { return n[(int)c]; }
+    uint64_t operator[](Counter c) const { return n[(int)c]; }
+
+    ModeCounters &
+    operator+=(const ModeCounters &other)
+    {
+        for (int i = 0; i < kCounters; ++i)
+            n[i] += other.n[i];
+        return *this;
+    }
 };
+
+/** The daemon's latency histograms, in STATS rendering order. */
+inline constexpr const char *kHistogramNames[] = {"queue_us", "service_us",
+                                                  "total_us"};
+inline constexpr int kHistograms = (int)std::size(kHistogramNames);
 
 /** All counters of one daemon, behind one mutex (STATS is rare and
  *  per-request updates are a handful of increments). */
 class ServerStats
 {
   public:
-    static constexpr int kModes = (int)harness::Lang::TclJit + 1;
-
-    void noteAccepted(harness::Lang mode);
-    void noteServed(harness::Lang mode);
-    void noteShed(harness::Lang mode);
-    void noteDeadline(harness::Lang mode);
-    void noteFailed(harness::Lang mode);
-
-    /** Tier-up accounting, attributed to the requested baseline
-     *  @p mode: a promotion crossing into the remedy / tier-2 tier,
-     *  and each request that executed above its baseline. */
-    void noteTierRemedy(harness::Lang mode);
-    void noteTierTier2(harness::Lang mode);
-    void noteTierJit(harness::Lang mode);
-    void noteTieredRun(harness::Lang mode);
+    /** Count one @p c event of @p mode (tier-up counters go to the
+     *  requested baseline mode). */
+    void note(Counter c, harness::Lang mode);
 
     /** Record one completed (OK/ERROR) request's latencies. */
     void noteLatency(uint64_t queue_us, uint64_t service_us);
 
-    ModeCounters mode(harness::Lang lang) const;
     ModeCounters totals() const;
 
     /**
@@ -132,11 +174,33 @@ class ServerStats
 
   private:
     mutable std::mutex mu;
-    ModeCounters modes_[kModes];
-    LatencyHistogram queueHisto_;
-    LatencyHistogram serviceHisto_;
-    LatencyHistogram totalHisto_;
+    ModeCounters modes_[harness::kNumModes];
+    LatencyHistogram histos_[kHistograms]; ///< queue, service, total
 };
+
+// --- rendering and parsing -------------------------------------------------
+//
+// Every STATS document (daemon, proxy, merged) is assembled from these
+// pieces; names come from the tables above, so a counter is one enum
+// entry plus one name.
+
+/** Append `"name":value` for the first @p count counters of @p c. */
+void appendCounters(std::string &out, const ModeCounters &c,
+                    int count = kCounters);
+
+/** Append `"modes":{"<langName>":{counters},...}` over the modes with
+ *  accepted traffic, each with its first @p count counters. */
+void appendModes(std::string &out,
+                 const ModeCounters (&modes)[harness::kNumModes],
+                 int count);
+
+/** Append `"catalog":{"hits":..,"misses":..,"loads":..}`. */
+void appendCatalog(std::string &out, const CatalogCounters &c);
+
+/** Append `"histograms":{"queue_us":{..},"service_us":{..},
+ *  "total_us":{..}}`. */
+void appendHistograms(std::string &out,
+                      const LatencyHistogram (&h)[kHistograms]);
 
 /**
  * Append `"name":{"count":..,"p50":..,"p95":..,"p99":..,
@@ -149,11 +213,13 @@ void appendHistogramJson(std::string &out, const char *name,
                          const LatencyHistogram &h);
 
 /**
- * Pull one unsigned counter out of a renderJson() document:
- * @p path is dot-separated ("shed", "modes.Tcl.served",
- * "histograms.total_us.p99"). Returns false if absent. A
- * string-scanning parser for exactly the JSON this module emits —
- * loadgen and the tests use it to reconcile counters.
+ * Pull one unsigned counter out of a STATS document: @p path is
+ * dot-separated ("shed", "modes.Tcl.served",
+ * "histograms.total_us.p99") and each segment matches a key of the
+ * object the previous one selected, never a deeper one of the same
+ * name. Returns false if absent. A string-scanning parser for exactly
+ * the JSON this module emits — loadgen and the tests use it to
+ * reconcile counters.
  */
 bool statsJsonUint(const std::string &json, const std::string &path,
                    uint64_t &out);

@@ -124,4 +124,16 @@ sigThousands(double value)
     return format("%.1f", thousands);
 }
 
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    for (char c : s) {
+        if (c == '"' || c == '\\')
+            out.push_back('\\');
+        out.push_back(c);
+    }
+    return out;
+}
+
 } // namespace interp

@@ -45,6 +45,9 @@ std::string withCommas(unsigned long long value);
  */
 std::string sigThousands(double value);
 
+/** @p s with '"' and '\\' escaped for a JSON string body. */
+std::string jsonEscape(const std::string &s);
+
 } // namespace interp
 
 #endif // INTERP_SUPPORT_STRUTIL_HH

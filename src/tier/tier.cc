@@ -30,11 +30,11 @@ TierManager::plan(Lang mode, const std::string &program)
     out.lang = mode;
     if (!cfg.enabled || harness::isRemedy(mode))
         return out;
-    Lang remedy = harness::tierRemedyOf(mode);
+    Lang remedy = harness::rungOf(mode, 1);
     if (remedy == mode)
         return out; // no ladder for this mode (C)
-    Lang tier2 = harness::tierTier2Of(mode);
-    Lang jitL = harness::tierJitOf(mode);
+    Lang tier2 = harness::rungOf(mode, 2);
+    Lang jitL = harness::rungOf(mode, 3);
 
     std::lock_guard<std::mutex> lock(mu);
     Entry &e = entryFor(mode, program);

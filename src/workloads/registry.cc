@@ -191,7 +191,7 @@ find(const std::string &name)
 bool
 Workload::supports(harness::Lang mode) const
 {
-    Lang base = harness::baselineOf(mode);
+    Lang base = harness::modeInfo(mode).baseline;
     for (const ModeSource &s : sources)
         if (s.lang == base)
             return true;
@@ -201,7 +201,7 @@ Workload::supports(harness::Lang mode) const
 const std::string *
 goldenFor(const Workload &w, harness::Lang mode)
 {
-    Lang base = harness::baselineOf(mode);
+    Lang base = harness::modeInfo(mode).baseline;
     for (const Golden &g : w.goldens)
         if (g.lang == base)
             return &g.expect;
@@ -251,7 +251,7 @@ specFor(const Workload &w, harness::Lang mode)
         spec.source = composeSource(w.script);
         return spec;
     }
-    Lang base = harness::baselineOf(mode);
+    Lang base = harness::modeInfo(mode).baseline;
     for (const ModeSource &s : w.sources) {
         if (s.lang == base) {
             spec.source = loadProgramFile(s.path);

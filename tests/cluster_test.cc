@@ -32,7 +32,6 @@
 
 #include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -49,6 +48,7 @@
 #include "cluster/stats.hh"
 #include "harness/runner.hh"
 #include "server/client.hh"
+#include "server/conn.hh"
 #include "server/server.hh"
 #include "server/stats.hh"
 #include "support/logging.hh"
@@ -66,7 +66,8 @@ harness::Measurement
 batchMeasure(Lang mode, const std::string &op, int iterations)
 {
     harness::BenchSpec spec =
-        harness::microBench(harness::baselineOf(mode), op, iterations);
+        harness::microBench(harness::modeInfo(mode).baseline, op,
+                            iterations);
     spec.lang = mode;
     return harness::run(spec, {}, nullptr, /*with_machine=*/false);
 }
@@ -85,13 +86,8 @@ microRequest(Lang mode, uint32_t iterations)
 int
 rawConnect(const std::string &path)
 {
-    int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_un sun{};
-    sun.sun_family = AF_UNIX;
-    std::memcpy(sun.sun_path, path.c_str(), path.size() + 1);
-    EXPECT_EQ(::connect(fd, (const sockaddr *)&sun, sizeof(sun)), 0)
-        << path << ": " << std::strerror(errno);
+    int fd = Endpoint{path, -1}.connect();
+    EXPECT_GE(fd, 0) << path << ": " << std::strerror(errno);
     return fd;
 }
 
@@ -251,13 +247,13 @@ TEST(HistogramMerge, JsonRoundTripIsLosslessAndAccumulates)
 TEST(ClusterStatsMerge, SumsCountersAndFoldsHistograms)
 {
     ServerStats s1, s2;
-    s1.noteAccepted(Lang::Tcl);
-    s1.noteServed(Lang::Tcl);
+    s1.note(Counter::Accepted, Lang::Tcl);
+    s1.note(Counter::Served, Lang::Tcl);
     s1.noteLatency(100, 1000);
-    s2.noteAccepted(Lang::Mipsi);
-    s2.noteAccepted(Lang::Mipsi);
-    s2.noteShed(Lang::Mipsi);
-    s2.noteServed(Lang::Mipsi);
+    s2.note(Counter::Accepted, Lang::Mipsi);
+    s2.note(Counter::Accepted, Lang::Mipsi);
+    s2.note(Counter::Shed, Lang::Mipsi);
+    s2.note(Counter::Served, Lang::Mipsi);
     s2.noteLatency(200, 3000);
 
     CatalogCounters c1{5, 1, 1}, c2{7, 2, 2};
@@ -288,6 +284,33 @@ TEST(ClusterStatsMerge, SumsCountersAndFoldsHistograms)
     EXPECT_EQ(v, 2u);
 }
 
+TEST(ClusterStatsMerge, ProxyDocumentKeysResolveOnlyUnderTheirSection)
+{
+    // The cluster document has no top-level counters: "shed" lives
+    // under proxy, modes.<mode> and merged, and a lookup must name the
+    // section instead of finding whichever comes first.
+    ClusterStats stats;
+    stats.note(Counter::Accepted, Lang::Tcl);
+    stats.note(Counter::Shed, Lang::Tcl);
+    ServerStats shard;
+    for (int i = 0; i < 3; ++i) {
+        shard.note(Counter::Accepted, Lang::Tcl);
+        shard.note(Counter::Shed, Lang::Tcl);
+    }
+    std::string json = stats.renderJson(
+        {}, mergeShardStats({shard.renderJson(0, 1)}));
+
+    uint64_t v = 0;
+    EXPECT_FALSE(statsJsonUint(json, "shed", v));
+    EXPECT_FALSE(statsJsonUint(json, "accepted", v));
+    ASSERT_TRUE(statsJsonUint(json, "proxy.shed", v));
+    EXPECT_EQ(v, 1u);
+    ASSERT_TRUE(statsJsonUint(json, "merged.shed", v));
+    EXPECT_EQ(v, 3u);
+    ASSERT_TRUE(statsJsonUint(json, "modes.Tcl.shed", v));
+    EXPECT_EQ(v, 1u);
+}
+
 namespace {
 
 /** Erase every `,"key":<digits>` occurrence from a stats document. */
@@ -310,11 +333,11 @@ stripUintKey(std::string json, const std::string &key)
 TEST(ClusterStatsMerge, JitCounterSumsAndToleratesPreJitShards)
 {
     ServerStats s1, s2;
-    s1.noteAccepted(Lang::Mipsi);
-    s1.noteTierJit(Lang::Mipsi);
-    s1.noteTierJit(Lang::Tcl);
-    s2.noteAccepted(Lang::Tcl);
-    s2.noteTierJit(Lang::Tcl);
+    s1.note(Counter::Accepted, Lang::Mipsi);
+    s1.note(Counter::TierUpJit, Lang::Mipsi);
+    s1.note(Counter::TierUpJit, Lang::Tcl);
+    s2.note(Counter::Accepted, Lang::Tcl);
+    s2.note(Counter::TierUpJit, Lang::Tcl);
 
     CatalogCounters c{0, 0, 0};
     // The third document mimics a shard running a pre-jit build: no

@@ -182,7 +182,7 @@ expectJitGolden(const BenchSpec &base_spec, uint64_t *base_fdmm = nullptr,
                 uint64_t *jit_fdmm = nullptr)
 {
     BenchSpec jit_spec = base_spec;
-    jit_spec.lang = tierJitOf(base_spec.lang);
+    jit_spec.lang = rungOf(base_spec.lang, 3);
     ASSERT_TRUE(isJit(jit_spec.lang)) << "spec has no jit tier";
 
     Measurement base = runCounting(base_spec);
@@ -252,7 +252,7 @@ TEST(JitGolden, MacroSuiteSweep)
     uint64_t base_fdmm[2] = {0, 0};
     uint64_t jit_fdmm[2] = {0, 0};
     for (const BenchSpec &spec : macroSuite()) {
-        if (!isJit(tierJitOf(spec.lang)))
+        if (!isJit(rungOf(spec.lang, 3)))
             continue;
         SCOPED_TRACE(std::string(langName(spec.lang)) + "/" +
                      spec.name);
@@ -270,9 +270,9 @@ TEST(JitGolden, ImprovesOnThePreviousTier)
     for (const char *name : {"des", "tcllex"}) {
         Lang base = name == std::string("des") ? Lang::Mipsi : Lang::Tcl;
         BenchSpec prev_spec = macroSpec(base, name);
-        prev_spec.lang = tierTier2Of(base);
+        prev_spec.lang = rungOf(base, 2);
         BenchSpec jit_spec = macroSpec(base, name);
-        jit_spec.lang = tierJitOf(base);
+        jit_spec.lang = rungOf(base, 3);
         Measurement prev = runCounting(prev_spec);
         Measurement jit = runCounting(jit_spec);
         EXPECT_LT(jit.profile.fetchDecodeInsts() +
@@ -293,7 +293,7 @@ TEST(JitGolden, ParallelJobsAreBitIdentical)
     for (auto lang : {Lang::Mipsi, Lang::Tcl}) {
         specs.push_back(macroSpec(lang, "des"));
         BenchSpec jit = macroSpec(lang, "des");
-        jit.lang = tierJitOf(lang);
+        jit.lang = rungOf(lang, 3);
         specs.push_back(std::move(jit));
     }
     SuiteOptions serial;

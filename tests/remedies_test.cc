@@ -12,10 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness/record_replay.hh"
+#include "harness/remedies_json.hh"
 #include "harness/runner.hh"
 #include "harness/workloads.hh"
 #include "jvm/vm.hh"
@@ -32,17 +35,6 @@ namespace {
 
 using namespace interp;
 using namespace interp::harness;
-
-Lang
-remedyOf(Lang lang)
-{
-    switch (lang) {
-      case Lang::Mipsi: return Lang::MipsiThreaded;
-      case Lang::Java: return Lang::JavaQuick;
-      case Lang::Tcl: return Lang::TclBytecode;
-      default: return lang;
-    }
-}
 
 BenchSpec
 macroSpec(Lang lang, const std::string &name)
@@ -65,7 +57,7 @@ void
 expectGoldenPair(const BenchSpec &base_spec)
 {
     BenchSpec rem_spec = base_spec;
-    rem_spec.lang = remedyOf(base_spec.lang);
+    rem_spec.lang = modeAtTier(base_spec.lang, 1);
     ASSERT_NE(rem_spec.lang, base_spec.lang) << "spec has no remedy";
 
     Measurement base = run(base_spec);
@@ -192,11 +184,11 @@ TEST(Remedies, TclBytecodeRecordReplay)
 
 TEST(Remedies, BaselineOfAndIsRemedy)
 {
-    EXPECT_EQ(baselineOf(Lang::MipsiThreaded), Lang::Mipsi);
-    EXPECT_EQ(baselineOf(Lang::JavaQuick), Lang::Java);
-    EXPECT_EQ(baselineOf(Lang::TclBytecode), Lang::Tcl);
-    EXPECT_EQ(baselineOf(Lang::Perl), Lang::Perl);
-    EXPECT_EQ(baselineOf(Lang::C), Lang::C);
+    EXPECT_EQ(modeInfo(Lang::MipsiThreaded).baseline, Lang::Mipsi);
+    EXPECT_EQ(modeInfo(Lang::JavaQuick).baseline, Lang::Java);
+    EXPECT_EQ(modeInfo(Lang::TclBytecode).baseline, Lang::Tcl);
+    EXPECT_EQ(modeInfo(Lang::Perl).baseline, Lang::Perl);
+    EXPECT_EQ(modeInfo(Lang::C).baseline, Lang::C);
     EXPECT_TRUE(isRemedy(Lang::MipsiThreaded));
     EXPECT_TRUE(isRemedy(Lang::JavaQuick));
     EXPECT_TRUE(isRemedy(Lang::TclBytecode));
@@ -218,6 +210,98 @@ TEST(Remedies, WithModesExpandsSuites)
         EXPECT_TRUE(isRemedy(spec.lang)) << spec.name;
     std::vector<BenchSpec> all = withModes(suite, ModeSet::All);
     EXPECT_EQ(all.size(), suite.size() + rems.size());
+}
+
+// --- interp-remedies-v1 document ----------------------------------------
+
+namespace {
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+}
+
+std::string
+row(const std::string &bench, int tier)
+{
+    std::string tag =
+        tier == 1 ? "" : ", \"tier\": " + std::to_string(tier);
+    return "{\"bench\": \"" + bench + "\"" + tag + "}";
+}
+
+} // namespace
+
+TEST(RemediesJson, EachTierReplacesOnlyItsRowsInTierOrder)
+{
+    std::string path = testing::TempDir() + "remedies_tiers.json";
+    std::remove(path.c_str());
+
+    // The drivers in the order that used to scramble the document:
+    // jit first, then tier 2, then the §5 remedies (which used to
+    // truncate the file), then tier 2 again with fewer rows.
+    ASSERT_TRUE(writeRemediesTier(path, 3, {row("j1", 3), row("j2", 3)}));
+    ASSERT_TRUE(writeRemediesTier(path, 2, {row("t1", 2), row("t2", 2)}));
+    ASSERT_TRUE(writeRemediesTier(path, 1, {row("r1", 1), row("r2", 1)}));
+    EXPECT_EQ(readFile(path),
+              "{\n  \"schema\": \"interp-remedies-v1\",\n"
+              "  \"pairs\": [\n"
+              "    " + row("r1", 1) + ",\n    " + row("r2", 1) +
+              ",\n    " + row("t1", 2) + ",\n    " + row("t2", 2) +
+              ",\n    " + row("j1", 3) + ",\n    " + row("j2", 3) +
+              "\n  ]\n}\n");
+
+    ASSERT_TRUE(writeRemediesTier(path, 2, {row("t3", 2)}));
+    std::string doc = readFile(path);
+    EXPECT_EQ(doc.find("\"t1\""), std::string::npos);
+    EXPECT_LT(doc.find("\"r2\""), doc.find("\"t3\""));
+    EXPECT_LT(doc.find("\"t3\""), doc.find("\"j1\""));
+
+    ASSERT_TRUE(writeRemediesTier(path, 3, {}));
+    EXPECT_EQ(readFile(path).find("\"j1\""), std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(RemediesJson, RewritingATierWithItsRowsKeepsTheCheckedInBytes)
+{
+    // The checked-in document, tier-2 rows (one line each) rewritten
+    // in place: the writer must reproduce every byte, multi-line
+    // tier-1 rows included.
+    std::string original =
+        readFile(std::string(INTERP_PROGRAMS_DIR) + "/../BENCH_remedies.json");
+    ASSERT_NE(original.find("interp-remedies-v1"), std::string::npos);
+    std::vector<std::string> tier2;
+    std::istringstream lines(original);
+    for (std::string line; std::getline(lines, line);) {
+        if (line.find("\"tier\": 2") == std::string::npos)
+            continue;
+        line = line.substr(line.find('{'));
+        if (line.back() == ',')
+            line.pop_back();
+        tier2.push_back(line);
+    }
+    ASSERT_FALSE(tier2.empty());
+
+    std::string path = testing::TempDir() + "remedies_checked_in.json";
+    std::ofstream(path, std::ios::binary) << original;
+    ASSERT_TRUE(writeRemediesTier(path, 2, tier2));
+    EXPECT_EQ(readFile(path), original);
+    std::remove(path.c_str());
+}
+
+TEST(RemediesJson, JsonPathArgument)
+{
+    const char *bare[] = {"bench", "--jobs", "2", "--json"};
+    const char *named[] = {"bench", "--json", "out.json"};
+    const char *eq[] = {"bench", "--json=x.json", "--jobs=2"};
+    const char *none[] = {"bench", "--jobs=2"};
+    EXPECT_EQ(parseJsonPath(4, (char **)bare), "BENCH_remedies.json");
+    EXPECT_EQ(parseJsonPath(3, (char **)named), "out.json");
+    EXPECT_EQ(parseJsonPath(3, (char **)eq), "x.json");
+    EXPECT_EQ(parseJsonPath(2, (char **)none), "");
 }
 
 // --- code-mutation guards ----------------------------------------------

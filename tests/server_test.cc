@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -77,7 +78,8 @@ harness::Measurement
 batchMeasure(Lang mode, const std::string &op, int iterations)
 {
     harness::BenchSpec spec =
-        harness::microBench(harness::baselineOf(mode), op, iterations);
+        harness::microBench(harness::modeInfo(mode).baseline, op,
+                            iterations);
     spec.lang = mode;
     return harness::run(spec, {}, nullptr, /*with_machine=*/false);
 }
@@ -365,10 +367,10 @@ TEST(LatencyHistogram, QuantileNeverBelowExactQuantile)
 TEST(ServerStatsJson, RenderAndParse)
 {
     ServerStats stats;
-    stats.noteAccepted(Lang::Tcl);
-    stats.noteServed(Lang::Tcl);
-    stats.noteAccepted(Lang::Mipsi);
-    stats.noteShed(Lang::Mipsi);
+    stats.note(Counter::Accepted, Lang::Tcl);
+    stats.note(Counter::Served, Lang::Tcl);
+    stats.note(Counter::Accepted, Lang::Mipsi);
+    stats.note(Counter::Shed, Lang::Mipsi);
     stats.noteLatency(10, 1000);
 
     std::string json = stats.renderJson(3, 2);
@@ -387,6 +389,51 @@ TEST(ServerStatsJson, RenderAndParse)
     EXPECT_EQ(v, 1u);
     EXPECT_FALSE(statsJsonUint(json, "modes.Perl.served", v));
     EXPECT_FALSE(statsJsonUint(json, "no.such.path", v));
+}
+
+TEST(ServerStatsJson, LookupsMatchKeysAtTheirOwnDepth)
+{
+    // A key is matched only among the members of the object the path
+    // has reached: a nested "x" never answers for a top-level one.
+    uint64_t v = 0;
+    ASSERT_TRUE(statsJsonUint("{\"a\":{\"x\":1},\"x\":2}", "x", v));
+    EXPECT_EQ(v, 2u);
+    ASSERT_TRUE(statsJsonUint("{\"a\":{\"x\":1},\"x\":2}", "a.x", v));
+    EXPECT_EQ(v, 1u);
+    EXPECT_FALSE(statsJsonUint("{\"a\":{\"x\":1}}", "x", v));
+    // Strings, arrays and nested objects are stepped over whole.
+    std::string doc = "{\"id\":\"{\\\"x\\\":9,[\",\"b\":[[1,2],[3,4]],"
+                      "\"c\":{\"d\":{\"x\":5}},\"x\":7}";
+    ASSERT_TRUE(statsJsonUint(doc, "x", v));
+    EXPECT_EQ(v, 7u);
+    ASSERT_TRUE(statsJsonUint(doc, "c.d.x", v));
+    EXPECT_EQ(v, 5u);
+    EXPECT_FALSE(statsJsonUint(doc, "c.x", v));
+    EXPECT_FALSE(statsJsonUint("{\"x\":", "x", v));
+    EXPECT_FALSE(statsJsonUint("", "x", v));
+}
+
+TEST(ModeNames, EveryModeRoundTripsThroughItsName)
+{
+    for (const harness::ModeInfo &m : harness::kModes) {
+        Lang back = Lang::C;
+        ASSERT_TRUE(langFromName(m.name, back)) << m.name;
+        EXPECT_EQ(back, m.lang) << m.name;
+        std::string lower = m.name;
+        for (char &c : lower)
+            c = (char)std::tolower((unsigned char)c);
+        ASSERT_TRUE(langFromName(lower, back)) << lower;
+        EXPECT_EQ(back, m.lang) << lower;
+    }
+    Lang alias = Lang::C;
+    ASSERT_TRUE(langFromName("jvm", alias));
+    EXPECT_EQ(alias, Lang::Java);
+    ASSERT_TRUE(langFromName("jvm-quick", alias));
+    EXPECT_EQ(alias, Lang::JavaQuick);
+    ASSERT_TRUE(langFromName("threaded", alias));
+    EXPECT_EQ(alias, Lang::MipsiThreaded);
+    EXPECT_FALSE(langFromName("cobol", alias));
+    EXPECT_FALSE(langFromName("", alias));
 }
 
 // --- end-to-end: identity under concurrency --------------------------------

@@ -87,6 +87,12 @@ TEST(StrUtil, SigThousands)
     EXPECT_EQ(sigThousands(3'400), "3.4");
 }
 
+TEST(StrUtil, JsonEscape)
+{
+    EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+    EXPECT_EQ(jsonEscape("plain"), "plain");
+}
+
 TEST(Rng, DeterministicForSameSeed)
 {
     Rng a(123), b(123);
