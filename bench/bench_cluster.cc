@@ -93,7 +93,7 @@ void
 measureOnce(const Options &opt, const std::string &unixPath, Point &p)
 {
     LoadgenOptions lg;
-    lg.unixPath = unixPath;
+    lg.endpoints = {unixPath};
     lg.clients = opt.clients;
     lg.requestsPerClient = opt.requestsPerClient;
     lg.mix = requestMix(opt.iterations);

@@ -17,7 +17,6 @@
  *   --socket PATH     front unix socket (default /tmp/interproxy.sock)
  *   --tcp PORT        also listen on 127.0.0.1:PORT (0 = ephemeral)
  *   --vnodes N        virtual nodes per shard on the ring (default 64)
- *   --pool N          connections per shard (default 1)
  *   --retries N       re-dispatch budget per request (default 2)
  *   --probe-ms N      health-probe period per up shard (default 250)
  *   --probe-misses N  missed probes before a shard is down (default 2)
@@ -56,7 +55,7 @@ usage()
         stderr,
         "usage: interproxy --shard SPEC [--shard SPEC ...]\n"
         "                  [--socket PATH] [--tcp PORT] [--vnodes N]\n"
-        "                  [--pool N] [--retries N] [--probe-ms N]\n"
+        "                  [--retries N] [--probe-ms N]\n"
         "                  [--probe-misses N] [--forward-ms N]\n"
         "                  [--backoff-ms N] [--max-inflight N]\n"
         "                  [--timestamps]\n");
@@ -91,9 +90,6 @@ main(int argc, char **argv)
             cfg.tcpPort = std::atoi(argValue(argc, argv, i));
         else if (!std::strcmp(argv[i], "--vnodes"))
             cfg.vnodes = (unsigned)std::atoi(argValue(argc, argv, i));
-        else if (!std::strcmp(argv[i], "--pool"))
-            cfg.poolSize =
-                (unsigned)std::atoi(argValue(argc, argv, i));
         else if (!std::strcmp(argv[i], "--retries"))
             cfg.maxRetries =
                 (uint32_t)std::atoi(argValue(argc, argv, i));
@@ -133,9 +129,8 @@ main(int argc, char **argv)
     if (proxy.tcpPort() >= 0)
         inform("interproxy: listening on 127.0.0.1:%d",
                proxy.tcpPort());
-    inform("interproxy: %zu shards, %u vnodes, pool %u, retries %u",
-           cfg.shards.size(), cfg.vnodes, cfg.poolSize,
-           cfg.maxRetries);
+    inform("interproxy: %zu shards, %u vnodes, retries %u",
+           cfg.shards.size(), cfg.vnodes, cfg.maxRetries);
 
     proxy.run();
     inform("interproxy: exiting");

@@ -11,14 +11,13 @@
  * SHED behavior become visible.
  *
  * Usage: loadgen [options]
- *   --socket PATH     connect to a unix socket (default
- *                     /tmp/interpd.sock unless --tcp is given)
- *   --tcp PORT        connect to 127.0.0.1:PORT instead
- *   --endpoints A,B   cluster mode: comma-separated endpoints
- *                     (unix:PATH, tcp:PORT, a path, or a port),
- *                     clients assigned round-robin; connect failures
- *                     and reconnects are tallied per endpoint,
- *                     distinct from SHED
+ *   --endpoints A,B   comma-separated endpoints (unix:PATH, tcp:PORT,
+ *                     a path, or a port), clients assigned
+ *                     round-robin; connect failures and reconnects
+ *                     are tallied per endpoint, distinct from SHED
+ *                     (default /tmp/interpd.sock)
+ *   --socket PATH     shorthand for --endpoints unix:PATH
+ *   --tcp PORT        shorthand for --endpoints tcp:PORT
  *   --connect-attempts N  connect retries per endpoint (default 3)
  *   --clients N       concurrent connections (default 1)
  *   --requests N      requests per client (default 8)
@@ -142,9 +141,11 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--socket"))
-            opt.unixPath = argValue(argc, argv, i);
+            opt.endpoints = {std::string("unix:") +
+                             argValue(argc, argv, i)};
         else if (!std::strcmp(argv[i], "--tcp"))
-            opt.tcpPort = std::atoi(argValue(argc, argv, i));
+            opt.endpoints = {std::string("tcp:") +
+                             argValue(argc, argv, i)};
         else if (!std::strcmp(argv[i], "--endpoints"))
             opt.endpoints = splitCommas(argValue(argc, argv, i));
         else if (!std::strcmp(argv[i], "--connect-attempts"))
@@ -180,9 +181,8 @@ main(int argc, char **argv)
         else
             usage();
     }
-    if (opt.unixPath.empty() && opt.tcpPort < 0 &&
-        opt.endpoints.empty())
-        opt.unixPath = "/tmp/interpd.sock";
+    if (opt.endpoints.empty())
+        opt.endpoints = {"unix:/tmp/interpd.sock"};
 
     auto makeRequest = [&](harness::Lang mode,
                            const std::string &name) {
@@ -249,13 +249,9 @@ main(int argc, char **argv)
     std::fputs(report.table().c_str(), stdout);
 
     if (wantStats) {
-        // In cluster mode, ask the first endpoint (the proxy when
-        // pointed at one; otherwise the first shard).
-        Client conn = !opt.endpoints.empty()
-                          ? Client::connect(opt.endpoints.front())
-                      : opt.unixPath.empty()
-                          ? Client::connectTcp(opt.tcpPort)
-                          : Client::connectUnix(opt.unixPath);
+        // Ask the first endpoint (the proxy when pointed at one;
+        // otherwise the first shard).
+        Client conn = Client::connect(opt.endpoints.front());
         std::printf("%s\n", conn.stats().c_str());
     }
     return 0;

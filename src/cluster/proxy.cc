@@ -39,23 +39,19 @@ Proxy::Proxy(const ProxyConfig &config)
                 handleFrontFrame(conn, payload);
             })
 {
-    if (cfg.poolSize == 0)
-        cfg.poolSize = 1;
     shards.resize(cfg.shards.size());
     for (size_t i = 0; i < cfg.shards.size(); ++i) {
         shards[i].ep = cfg.shards[i];
         if (shards[i].ep.name.empty())
             shards[i].ep.name = "s" + std::to_string(i);
-        shards[i].pool.resize(cfg.poolSize);
     }
 }
 
 Proxy::~Proxy()
 {
     for (Shard &s : shards)
-        for (BackConn &bc : s.pool)
-            if (bc.fd >= 0)
-                ::close(bc.fd);
+        if (s.conn.fd >= 0)
+            ::close(s.conn.fd);
 }
 
 void
@@ -110,44 +106,42 @@ void
 Proxy::run()
 {
     // The shard connections ride in the Frontend's poll() set; backs[i]
-    // is the (shard, pool) slot of fds[i].
+    // is the shard of fds[i].
     std::vector<pollfd> fds;
-    std::vector<std::pair<int, int>> backs;
+    std::vector<int> backs;
     for (;;) {
         fds.clear();
         backs.clear();
         for (size_t si = 0; si < shards.size(); ++si) {
-            for (size_t pi = 0; pi < shards[si].pool.size(); ++pi) {
-                const BackConn &bc = shards[si].pool[pi];
-                if (bc.fd < 0)
-                    continue;
-                short events = bc.connecting ? POLLOUT : POLLIN;
-                if (!bc.connecting && !bc.out.empty())
-                    events |= POLLOUT;
-                fds.push_back({bc.fd, events, 0});
-                backs.push_back({(int)si, (int)pi});
-            }
+            const BackConn &bc = shards[si].conn;
+            if (bc.fd < 0)
+                continue;
+            short events = bc.connecting ? POLLOUT : POLLIN;
+            if (!bc.connecting && !bc.out.empty())
+                events |= POLLOUT;
+            fds.push_back({bc.fd, events, 0});
+            backs.push_back((int)si);
         }
         if (!front.poll(fds, pollTimeoutMs(Clock::now())))
             break;
 
         for (size_t i = 0; i < fds.size(); ++i) {
             short rev = fds[i].revents;
-            auto [shard, pool] = backs[i];
+            int shard = backs[i];
             // The shard may have been failed (fds closed) by an earlier
             // event in this same batch; skip stale entries.
-            BackConn &bc = shards[(size_t)shard].pool[(size_t)pool];
+            BackConn &bc = shards[(size_t)shard].conn;
             if (!rev || bc.fd != fds[i].fd)
                 continue;
             if (bc.connecting) {
                 if (rev & (POLLOUT | POLLHUP | POLLERR))
-                    finishConnect(shard, pool);
+                    finishConnect(shard);
                 continue;
             }
             if (rev & (POLLIN | POLLHUP | POLLERR | POLLNVAL))
-                readBack(shard, pool);
+                readBack(shard);
             if (bc.fd == fds[i].fd && (rev & POLLOUT))
-                writeBack(shard, pool);
+                writeBack(shard);
         }
 
         runTimers(Clock::now());
@@ -292,20 +286,17 @@ Proxy::forwardTo(int shard_index, Outstanding o)
 {
     Shard &s = shards[(size_t)shard_index];
     uint32_t id = nextBackendId++;
-    int pool_index = (int)(s.rr++ % s.pool.size());
-    o.poolIndex = pool_index;
     o.deadline = Clock::now() + milliseconds(cfg.forwardTimeoutMs);
 
     EvalRequest wire = o.req;
     wire.id = id;
-    BackConn &bc = s.pool[(size_t)pool_index];
-    encodeEvalRequest(bc.out, wire);
+    encodeEvalRequest(s.conn.out, wire);
 
     ++s.gauge.forwarded;
     stats_.noteForwarded();
     s.inflight.emplace(id, std::move(o));
-    if (!bc.connecting)
-        writeBack(shard_index, pool_index);
+    if (!s.conn.connecting)
+        writeBack(shard_index);
 }
 
 void
@@ -325,29 +316,20 @@ void
 Proxy::beginConnect(int shard_index)
 {
     Shard &s = shards[(size_t)shard_index];
-    s.state = Shard::State::Connecting;
-    bool any = false;
-    for (size_t p = 0; p < s.pool.size(); ++p) {
-        BackConn &bc = s.pool[p];
-        if (bc.fd >= 0)
-            continue;
-        bool pending = false;
-        int fd = s.ep.connect(&pending);
-        if (fd < 0)
-            continue;
-        bc.fd = fd;
-        bc.connecting = pending;
-        bc.in.clear();
-        bc.out.clear();
-        server::encodeHello(bc.out); // first bytes on the wire
-        any = true;
-        if (!bc.connecting)
-            finishConnect(shard_index, (int)p);
-    }
-    if (!any) {
-        // Immediate refusal on every pool connection: back off
-        // quietly (down events are counted by failShard(), not by
-        // each failed retry).
+    bool pending = false;
+    int fd = s.ep.connect(&pending);
+    if (fd >= 0) {
+        s.state = Shard::State::Connecting;
+        s.conn.fd = fd;
+        s.conn.connecting = pending;
+        s.conn.in.clear();
+        s.conn.out.clear();
+        server::encodeHello(s.conn.out); // first bytes on the wire
+        if (!pending)
+            finishConnect(shard_index);
+    } else {
+        // Immediate refusal: back off quietly (down events are
+        // counted by failShard(), not by each failed retry).
         s.state = Shard::State::Down;
         s.backoffMs = s.backoffMs
                           ? std::min(s.backoffMs * 2,
@@ -358,10 +340,10 @@ Proxy::beginConnect(int shard_index)
 }
 
 void
-Proxy::finishConnect(int shard_index, int pool_index)
+Proxy::finishConnect(int shard_index)
 {
     Shard &s = shards[(size_t)shard_index];
-    BackConn &bc = s.pool[(size_t)pool_index];
+    BackConn &bc = s.conn;
     if (bc.connecting) {
         int err = 0;
         socklen_t len = sizeof(err);
@@ -383,13 +365,13 @@ Proxy::finishConnect(int shard_index, int pool_index)
         s.nextProbe =
             Clock::now() + milliseconds(cfg.probeIntervalMs);
     }
-    writeBack(shard_index, pool_index);
+    writeBack(shard_index);
 }
 
 void
-Proxy::readBack(int shard_index, int pool_index)
+Proxy::readBack(int shard_index)
 {
-    BackConn &bc = shards[(size_t)shard_index].pool[(size_t)pool_index];
+    BackConn &bc = shards[(size_t)shard_index].conn;
     if (!bc.fill()) {
         failShard(shard_index,
                   errno ? std::strerror(errno) : "connection closed");
@@ -419,9 +401,9 @@ Proxy::readBack(int shard_index, int pool_index)
 }
 
 void
-Proxy::writeBack(int shard_index, int pool_index)
+Proxy::writeBack(int shard_index)
 {
-    BackConn &bc = shards[(size_t)shard_index].pool[(size_t)pool_index];
+    BackConn &bc = shards[(size_t)shard_index].conn;
     if (bc.fd >= 0 && !bc.connecting && !bc.flush())
         failShard(shard_index, std::strerror(errno));
 }
@@ -493,11 +475,9 @@ Proxy::failShard(int shard_index, const char *reason)
     Shard &s = shards[(size_t)shard_index];
     if (s.state == Shard::State::Down)
         return;
-    for (BackConn &bc : s.pool) {
-        if (bc.fd >= 0)
-            ::close(bc.fd);
-        bc = BackConn{};
-    }
+    if (s.conn.fd >= 0)
+        ::close(s.conn.fd);
+    s.conn = BackConn{};
     s.state = Shard::State::Down;
     ++s.gauge.downEvents;
     stats_.noteShardFailure();
@@ -559,13 +539,11 @@ Proxy::sendStats(int shard_index, Outstanding o)
 {
     Shard &s = shards[(size_t)shard_index];
     uint32_t id = nextBackendId++;
-    int pool_index = (int)(s.rr++ % s.pool.size());
-    o.poolIndex = pool_index;
     server::StatsRequest req;
     req.id = id;
-    encodeStatsRequest(s.pool[(size_t)pool_index].out, req);
+    encodeStatsRequest(s.conn.out, req);
     s.inflight.emplace(id, std::move(o));
-    writeBack(shard_index, pool_index);
+    writeBack(shard_index);
 }
 
 // --- stats -----------------------------------------------------------------

@@ -11,9 +11,9 @@
  *              onto one of N interpd shards (HashRing with virtual
  *              nodes), so each program warms exactly one shard's
  *              catalog and repeat traffic stays hot. Requests are
- *              forwarded over per-shard non-blocking connection
- *              pools with proxy-assigned ids and demultiplexed back
- *              to the right client connection and client-chosen id,
+ *              forwarded over one non-blocking connection per shard
+ *              with proxy-assigned ids and demultiplexed back to the
+ *              right client connection and client-chosen id,
  *              preserving full pipelining with out-of-order replies
  *              end to end.
  *   failover   a shard that refuses connections, closes mid-request,
@@ -69,8 +69,6 @@ struct ProxyConfig
 
     /** Virtual nodes per shard on the hash ring. */
     unsigned vnodes = 64;
-    /** Connections per shard (requests round-robin across them). */
-    unsigned poolSize = 1;
     /** Re-dispatch budget per request (shard SHED / death / timeout). */
     uint32_t maxRetries = 2;
     /** Reconnect backoff after a shard goes down (doubles per
@@ -141,7 +139,6 @@ class Proxy
     {
         enum class Kind : uint8_t { Eval, Probe, Stats };
         Kind kind = Kind::Eval;
-        int poolIndex = 0;
         Clock::time_point deadline;
         // Eval
         uint64_t frontId = 0;
@@ -159,8 +156,7 @@ class Proxy
         ShardEndpoint ep;
         enum class State : uint8_t { Connecting, Up, Down };
         State state = State::Down;
-        std::vector<BackConn> pool;
-        unsigned rr = 0; ///< round-robin pool cursor
+        BackConn conn;
         std::unordered_map<uint32_t, Outstanding> inflight;
         uint32_t backoffMs = 0;
         Clock::time_point nextAttempt; ///< reconnect timer (Down)
@@ -181,9 +177,9 @@ class Proxy
 
     // --- back side --------------------------------------------------------
     void beginConnect(int shard_index);
-    void finishConnect(int shard_index, int pool_index);
-    void readBack(int shard_index, int pool_index);
-    void writeBack(int shard_index, int pool_index);
+    void finishConnect(int shard_index);
+    void readBack(int shard_index);
+    void writeBack(int shard_index);
     void handleBackResponse(int shard_index,
                             const server::EvalResponse &resp);
     /** Mark the shard down, fail over its in-flight work, schedule a

@@ -1,9 +1,6 @@
 #include "cluster/spawn.hh"
 
 #include <dirent.h>
-#include <signal.h>
-#include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -33,11 +30,10 @@ LocalCluster::removeTempDir()
     if (dir_.empty())
         return;
     // Unlinking only the paths this object handed out is not enough:
-    // a SIGKILL'd subprocess shard never removes its bound socket, a
-    // respawn re-binds the same name, and a start() that fatal()ed
-    // midway may have created sockets this object never recorded. Any
-    // survivor makes the old blind rmdir() fail silently and leaks
-    // the whole /tmp/interproxy-* directory. Sweep everything.
+    // a start() that fatal()ed midway may have created sockets this
+    // object never recorded, and any survivor makes a blind rmdir()
+    // fail silently and leak the whole /tmp/interproxy-* directory.
+    // Sweep everything.
     if (DIR *d = ::opendir(dir_.c_str())) {
         while (struct dirent *ent = ::readdir(d)) {
             if (!std::strcmp(ent->d_name, ".") ||
@@ -58,7 +54,8 @@ void
 LocalCluster::waitConnectable(const std::string &path)
 {
     // A bound-and-listening unix socket accepts immediately; poll
-    // for it so subprocess shards get time to reach listen().
+    // for it so a listener still coming up gets time to reach
+    // listen().
     for (int attempt = 0; attempt < 500; ++attempt) {
         int fd = server::Endpoint{path, -1}.connect();
         if (fd >= 0) {
@@ -75,63 +72,16 @@ void
 LocalCluster::spawnShard(size_t i)
 {
     ShardProc &p = procs_[i];
-    if (cfg.interpdPath.empty()) {
-        server::ServerConfig sc;
-        sc.unixPath = shardPaths_[i];
-        sc.workers = cfg.workersPerShard;
-        sc.maxQueue = cfg.maxQueuePerShard;
-        sc.maxBatch = cfg.maxBatchPerShard;
-        sc.shardId = "s" + std::to_string(i);
-        sc.tier = cfg.tierPerShard;
-        p.server = std::make_unique<server::Server>(sc);
-        p.server->start();
-        p.thread = std::thread([srv = p.server.get()] { srv->run(); });
-        p.alive = true;
-        return;
-    }
-
-    pid_t pid = ::fork();
-    if (pid < 0)
-        fatal("cluster: fork: %s", std::strerror(errno));
-    if (pid == 0) {
-        std::string workers = std::to_string(cfg.workersPerShard);
-        std::string queue = std::to_string(cfg.maxQueuePerShard);
-        std::string batch = std::to_string(cfg.maxBatchPerShard);
-        std::string shard_id = "s" + std::to_string(i);
-        std::string remedy_after =
-            std::to_string(cfg.tierPerShard.remedyAfter);
-        std::string tier2_after =
-            std::to_string(cfg.tierPerShard.tier2After);
-        std::string jit_after =
-            std::to_string(cfg.tierPerShard.jitAfter);
-        std::string per_point =
-            std::to_string(cfg.tierPerShard.commandsPerPoint);
-        std::string decay =
-            std::to_string(cfg.tierPerShard.decayEvery);
-        if (cfg.tierPerShard.enabled)
-            ::execl(cfg.interpdPath.c_str(), cfg.interpdPath.c_str(),
-                    "--socket", shardPaths_[i].c_str(), "--workers",
-                    workers.c_str(), "--queue", queue.c_str(),
-                    "--batch", batch.c_str(), "--shard-id",
-                    shard_id.c_str(), "--tierup",
-                    "--tier-remedy-after", remedy_after.c_str(),
-                    "--tier-tier2-after", tier2_after.c_str(),
-                    "--tier-jit-after", jit_after.c_str(),
-                    "--tier-commands-per-point", per_point.c_str(),
-                    "--tier-decay-every", decay.c_str(),
-                    (char *)nullptr);
-        else
-            ::execl(cfg.interpdPath.c_str(), cfg.interpdPath.c_str(),
-                    "--socket", shardPaths_[i].c_str(), "--workers",
-                    workers.c_str(), "--queue", queue.c_str(),
-                    "--batch", batch.c_str(), "--shard-id",
-                    shard_id.c_str(), (char *)nullptr);
-        // exec failed; nothing sane to do in the child but leave.
-        ::_exit(127);
-    }
-    p.pid = pid;
-    p.alive = true;
-    waitConnectable(shardPaths_[i]);
+    server::ServerConfig sc;
+    sc.unixPath = shardPaths_[i];
+    sc.workers = cfg.workersPerShard;
+    sc.maxQueue = cfg.maxQueuePerShard;
+    sc.maxBatch = cfg.maxBatchPerShard;
+    sc.shardId = "s" + std::to_string(i);
+    sc.tier = cfg.tierPerShard;
+    p.server = std::make_unique<server::Server>(sc);
+    p.server->start();
+    p.thread = std::thread([srv = p.server.get()] { srv->run(); });
 }
 
 void
@@ -168,30 +118,21 @@ void
 LocalCluster::killShard(size_t i)
 {
     ShardProc &p = procs_.at(i);
-    if (!p.alive)
+    if (!p.server)
         return;
-    if (p.server) {
-        p.server->stop();
-        p.thread.join();
-        p.server.reset();
-    } else if (p.pid > 0) {
-        ::kill(p.pid, SIGKILL);
-        ::waitpid(p.pid, nullptr, 0);
-        p.pid = -1;
-    }
+    p.server->stop();
+    p.thread.join();
+    p.server.reset();
     ::unlink(shardPaths_[i].c_str());
-    p.alive = false;
 }
 
 void
 LocalCluster::restartShard(size_t i)
 {
-    ShardProc &p = procs_.at(i);
-    if (p.alive)
+    if (procs_.at(i).server)
         return;
     spawnShard(i);
-    if (p.server)
-        waitConnectable(shardPaths_[i]);
+    waitConnectable(shardPaths_[i]);
 }
 
 void

@@ -4,19 +4,13 @@
  *
  * LocalCluster brings up N interpd shards plus one interproxy router
  * on unix-domain sockets under a private temp directory, and tears
- * everything down (and unlinks the sockets) on destruction. Two
- * spawn modes:
+ * everything down (and unlinks the sockets) on destruction. Each
+ * shard is a server::Server on its own thread in this process: fast
+ * to start and easy to kill mid-run. (perfbench drives the real
+ * interpd and interproxy binaries as separate processes.)
  *
- *   in-process   each shard is a server::Server on its own thread in
- *                this process — fast to start, easy to kill mid-run,
- *                and what the cluster tests use.
- *   subprocess   each shard is a fork/exec'd interpd binary — real
- *                process isolation for benchmarks that want shards on
- *                separate address spaces (and separate malloc arenas).
- *
- * killShard() stops one shard abruptly (thread stop / SIGKILL) so
- * failover paths can be exercised; restartShard() brings it back on
- * the same socket path.
+ * killShard() stops one shard abruptly so failover paths can be
+ * exercised; restartShard() brings it back on the same socket path.
  */
 
 #ifndef INTERP_CLUSTER_SPAWN_HH
@@ -41,9 +35,6 @@ struct ClusterConfig
     uint32_t maxBatchPerShard = 8;
     /** Dynamic tier-up config applied to every shard. */
     tier::TierConfig tierPerShard;
-    /** fork/exec this interpd binary per shard instead of running
-     *  shards in-process ("" = in-process). */
-    std::string interpdPath;
     /** Router knobs; listeners and shard endpoints are filled in by
      *  start() (shards live on unix sockets in a temp directory). */
     ProxyConfig proxy;
@@ -69,9 +60,9 @@ class LocalCluster
     /** Stop the proxy and every shard (idempotent). */
     void stopAll();
 
-    /** Abruptly kill shard @p i (stop thread / SIGKILL) and unlink
-     *  its socket, so the proxy sees connections die and reconnects
-     *  fail — the failover path. */
+    /** Abruptly stop shard @p i and unlink its socket, so the proxy
+     *  sees connections die and reconnects fail — the failover
+     *  path. */
     void killShard(size_t i);
 
     /** Bring shard @p i back on its original socket path. */
@@ -95,12 +86,8 @@ class LocalCluster
   private:
     struct ShardProc
     {
-        // in-process
         std::unique_ptr<server::Server> server;
         std::thread thread;
-        // subprocess
-        pid_t pid = -1;
-        bool alive = false;
     };
 
     void spawnShard(size_t i);

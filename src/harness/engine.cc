@@ -128,7 +128,8 @@ class MipsiJitEngine final : public Engine
         EngineResult res;
         auto image = specImage(spec);
         res.programBytes = image.sizeBytes();
-        if (spec.jitArtifact && spec.jitArtifact->poisoned()) {
+        auto published = spec.tier.get<jit::JitArtifact>();
+        if (published && published->poisoned()) {
             prevVm = std::make_unique<mipsi::ThreadedMipsi>(exec, fs);
             prevVm->load(image);
             auto r = prevVm->run(spec.maxCommands);
@@ -139,10 +140,10 @@ class MipsiJitEngine final : public Engine
         }
         jitVm = std::make_unique<mipsi::JitMipsi>(exec, fs);
         jitVm->load(image);
-        if (spec.jitArtifact)
-            jitVm->useArtifact(spec.jitArtifact);
-        if (spec.publishJitArtifact)
-            jitVm->setPublishHook(spec.publishJitArtifact);
+        if (published)
+            jitVm->useArtifact(std::move(published));
+        if (spec.tier.publish)
+            jitVm->setPublishHook(spec.tier.publish);
         auto r = jitVm->run(spec.maxCommands);
         res.finished = r.exited;
         res.commands = r.commands;
@@ -193,8 +194,8 @@ class JvmEngine final : public Engine
     {
         EngineResult res;
         vm = std::make_unique<jvm::Vm>(exec, fs);
-        if (spec.jvmPairSink)
-            vm->setPairSink(spec.jvmPairSink);
+        if (spec.tier.collect)
+            vm->setPairSink(spec.tier.collect.get());
         if (spec.module) {
             res.programBytes = spec.module->sizeBytes();
             vm->loadShared(spec.module);
@@ -215,21 +216,9 @@ class JvmEngine final : public Engine
         vm = std::make_unique<jvm::Vm>(exec, fs, /*quick=*/true);
         if (spec.module) {
             // A catalog-shared module must never be quickened in
-            // place; execute through a pre-quickened artifact instead
-            // (build one now if the catalog has none published yet).
+            // place; execute through a pre-quickened artifact instead.
             res.programBytes = spec.module->sizeBytes();
-            auto artifact = spec.jvmArtifact;
-            if (!artifact) {
-                jvm::TierOptions opts;
-                opts.fuse = false;
-                opts.inlineCache = false;
-                jvm::PairProfile none;
-                artifact = jvm::buildTierArtifact(&exec, *spec.module,
-                                                  none, opts);
-                if (spec.publishJvmArtifact)
-                    spec.publishJvmArtifact(artifact);
-            }
-            vm->useArtifact(std::move(artifact));
+            vm->useArtifact(artifactFor(spec, spec.module));
         } else {
             auto module = minic::compileBytecode(spec.source, spec.name);
             res.programBytes = module.sizeBytes();
@@ -249,34 +238,52 @@ class JvmEngine final : public Engine
             module = std::make_shared<const jvm::Module>(
                 minic::compileBytecode(spec.source, spec.name));
         res.programBytes = module->sizeBytes();
-        auto artifact = spec.jvmArtifact;
-        if (!artifact) {
-            jvm::PairProfile local;
-            const jvm::PairProfile *pairs = spec.jvmPairs.get();
-            if (!pairs) {
-                // Standalone mode: discover hot pairs with an
-                // unmeasured profiling pre-run (interpd feeds the
-                // profile from earlier baseline runs instead).
-                trace::Execution pexec;
-                vfs::FileSystem pfs;
-                if (spec.needsInputs)
-                    installAllInputs(pfs);
-                jvm::Vm pvm(pexec, pfs);
-                pvm.setPairSink(&local);
-                pvm.loadShared(module);
-                pvm.run(spec.maxCommands);
-                pairs = &local;
-            }
-            artifact = jvm::buildTierArtifact(&exec, *module, *pairs);
-            if (spec.publishJvmArtifact)
-                spec.publishJvmArtifact(artifact);
-        }
+        auto artifact = artifactFor(spec, module);
         vm = std::make_unique<jvm::Vm>(exec, fs, /*quick=*/true);
         vm->useArtifact(std::move(artifact));
         auto r = vm->run(spec.maxCommands);
         res.finished = r.exited;
         res.commands = r.commands;
         return res;
+    }
+
+    /**
+     * The artifact this tier runs @p module through: the published
+     * one, else one built now (charged to Precompile) and handed to
+     * the publish hook.
+     */
+    std::shared_ptr<const jvm::TierArtifact>
+    artifactFor(const BenchSpec &spec,
+                const std::shared_ptr<const jvm::Module> &module)
+    {
+        if (auto published = spec.tier.get<jvm::TierArtifact>())
+            return published;
+        jvm::TierOptions opts;
+        jvm::PairProfile local;
+        const jvm::PairProfile *pairs = &local;
+        if (tier == 1) {
+            // Quickening only.
+            opts.fuse = false;
+            opts.inlineCache = false;
+        } else if (spec.tier.pairs) {
+            pairs = spec.tier.pairs.get();
+        } else {
+            // Standalone mode: discover hot pairs with an unmeasured
+            // profiling pre-run (interpd feeds the profile from
+            // earlier baseline runs instead).
+            trace::Execution pexec;
+            vfs::FileSystem pfs;
+            if (spec.needsInputs)
+                installAllInputs(pfs);
+            jvm::Vm pvm(pexec, pfs);
+            pvm.setPairSink(&local);
+            pvm.loadShared(module);
+            pvm.run(spec.maxCommands);
+        }
+        auto artifact = jvm::buildTierArtifact(&exec, *module, *pairs, opts);
+        if (spec.tier.publish)
+            spec.tier.publish(artifact);
+        return artifact;
     }
 
     trace::Execution &exec;

@@ -14,6 +14,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "mips/image.hh"
@@ -79,6 +80,9 @@ struct ModeInfo
      *  and third (jit) hotness thresholds. A language without a rung
      *  repeats the one below. Unused on the other rows. */
     Lang ladder[3];
+    /** As a rung of a warm program's ladder, the mode runs through a
+     *  published Artifact that one request builds (TierSlot). */
+    bool artifact = false;
 };
 
 // Inline so header-only consumers (the workload registry is below
@@ -96,12 +100,12 @@ inline constexpr ModeInfo kModes[] = {
      {Lang::TclBytecode, Lang::TclTier2, Lang::TclJit}},
     {Lang::MipsiThreaded, "MIPSI-threaded", "MipsiThreaded", Lang::Mipsi,
      1, {}},
-    {Lang::JavaQuick, "Java-quick", "JavaQuick", Lang::Java, 1, {}},
+    {Lang::JavaQuick, "Java-quick", "JavaQuick", Lang::Java, 1, {}, true},
     {Lang::TclBytecode, "Tcl-bytecode", "TclBytecode", Lang::Tcl, 1, {}},
-    {Lang::JavaTier2, "Java-tier2", "JavaTier2", Lang::Java, 2, {}},
+    {Lang::JavaTier2, "Java-tier2", "JavaTier2", Lang::Java, 2, {}, true},
     {Lang::TclTier2, "Tcl-tier2", "TclTier2", Lang::Tcl, 2, {}},
     {Lang::PerlIC, "Perl-ic", "PerlIC", Lang::Perl, 2, {}},
-    {Lang::MipsiJit, "MIPSI-jit", "MipsiJit", Lang::Mipsi, 3, {}},
+    {Lang::MipsiJit, "MIPSI-jit", "MipsiJit", Lang::Mipsi, 3, {}, true},
     {Lang::TclJit, "Tcl-jit", "TclJit", Lang::Tcl, 3, {}},
 };
 
@@ -153,6 +157,55 @@ modeAtTier(Lang base, int tier)
     return modeInfo(rung).tier == tier ? rung : base;
 }
 
+/**
+ * What a tiered rung executes through: a pre-quickened jvm module with
+ * its fusion and inline-cache tables (Java-quick, Java-tier2), or a
+ * stencil program (MIPSI-jit). Immutable once built, so every run
+ * holding one may share it.
+ */
+using Artifact = std::variant<std::shared_ptr<const jvm::TierArtifact>,
+                              std::shared_ptr<const jit::JitArtifact>>;
+
+/** True when @p a holds an artifact of either kind. */
+inline bool
+present(const Artifact &a)
+{
+    return std::visit([](const auto &p) { return p != nullptr; }, a);
+}
+
+/**
+ * The tier-artifact slot: what carries a warm program up the tier
+ * ladder. The tier manager fills it (tier/tier.hh); a standalone run
+ * leaves it empty.
+ */
+struct TierSlot
+{
+    /** Published artifact to execute with. When absent, a run in an
+     *  artifact mode builds one in-run, charged to Precompile. A
+     *  poisoned stencil program (debugPoison, or a build whose emit
+     *  buffer overflowed) is never executed: the run falls back to
+     *  the previous tier, mirroring debugPoisonIc. */
+    Artifact artifact;
+    /** Invoked with the artifact the run built (the tier manager's
+     *  publish hook). */
+    std::function<void(Artifact)> publish;
+    /** Pair profile a Java-tier2 build starts from (skips the
+     *  standalone profiling pre-run). */
+    std::shared_ptr<const jvm::PairProfile> pairs;
+    /** When set on a baseline Java run, dynamic adjacent-pair counts
+     *  are collected into it (host-side only, zero emission). */
+    std::shared_ptr<jvm::PairProfile> collect;
+
+    /** The artifact if it is a @p T, else null. */
+    template <class T>
+    std::shared_ptr<const T>
+    get() const
+    {
+        auto *p = std::get_if<std::shared_ptr<const T>>(&artifact);
+        return p ? *p : nullptr;
+    }
+};
+
 /** One benchmark to run. */
 struct BenchSpec
 {
@@ -175,33 +228,10 @@ struct BenchSpec
      * Pre-compiled jvm module shared from a warm catalog (Java modes
      * only; `source` is ignored when set). The runner never mutates
      * it: quick/tier-2 execution over a shared module requires a
-     * published artifact (below) or builds one in-run.
+     * published artifact or builds one in-run.
      */
     std::shared_ptr<const jvm::Module> module;
-    /** Published tier-2 artifact to execute with (JavaQuick/JavaTier2
-     *  with a shared module). When absent the runner builds one
-     *  in-run, charged to Precompile. */
-    std::shared_ptr<const jvm::TierArtifact> jvmArtifact;
-    /** Pair profile to build the artifact from (skips the standalone
-     *  profiling pre-run). */
-    std::shared_ptr<const jvm::PairProfile> jvmPairs;
-    /** Invoked with the artifact the run built (the tier manager's
-     *  atomic-publish hook). */
-    std::function<void(std::shared_ptr<const jvm::TierArtifact>)>
-        publishJvmArtifact;
-    /** When set on a baseline Java run, dynamic adjacent-pair counts
-     *  are collected into it (host-side only, zero emission). */
-    jvm::PairProfile *jvmPairSink = nullptr;
-    /** Published stencil program to execute with (MipsiJit with a
-     *  warm catalog). When absent the runner compiles one in-run,
-     *  charged to Precompile. A poisoned artifact (debugPoison, or a
-     *  build whose emit buffer overflowed) is never executed: the run
-     *  falls back to the previous tier, mirroring debugPoisonIc. */
-    std::shared_ptr<const jit::JitArtifact> jitArtifact;
-    /** Invoked with the stencil program the run compiled (the tier
-     *  manager's atomic-publish hook). */
-    std::function<void(std::shared_ptr<const jit::JitArtifact>)>
-        publishJitArtifact;
+    TierSlot tier;
 };
 
 /** Everything measured from one run. */

@@ -49,12 +49,6 @@ Client::connectUnix(const std::string &path)
 }
 
 Client
-Client::connectTcp(int port)
-{
-    return connectTo({"", port});
-}
-
-Client
 Client::connect(const std::string &spec)
 {
     Endpoint ep;
@@ -264,16 +258,6 @@ LoadgenReport::table() const
 
 namespace {
 
-Client
-connectTarget(const LoadgenOptions &opt)
-{
-    if (!opt.unixPath.empty())
-        return Client::connectUnix(opt.unixPath);
-    if (opt.tcpPort >= 0)
-        return Client::connectTcp(opt.tcpPort);
-    fatal("loadgen: no target (need a unix path or a tcp port)");
-}
-
 struct Tally
 {
     explicit Tally(const LoadgenOptions &opt_) : opt(opt_) {}
@@ -351,35 +335,14 @@ connectWithRetry(const LoadgenOptions &opt, const std::string &spec,
     return std::nullopt;
 }
 
-void
-closedLoopClient(const LoadgenOptions &opt, unsigned client_index,
-                 Tally &tally, Client conn)
-{
-    for (unsigned i = 0; i < opt.requestsPerClient; ++i) {
-        EvalRequest req =
-            opt.mix[(client_index + i) % opt.mix.size()];
-        req.id = i + 1;
-        auto t0 = steady_clock::now();
-        EvalResponse resp = conn.eval(req);
-        auto t1 = steady_clock::now();
-        if (resp.id != req.id)
-            fatal("loadgen: response id %u for request %u", resp.id,
-                  req.id);
-        tally.note(
-            req, resp,
-            (uint64_t)duration_cast<microseconds>(t1 - t0).count());
-    }
-}
-
 /**
- * Closed loop against one endpoint of a cluster: a dropped
- * connection is re-opened and the in-flight request re-sent (both
- * tallied per endpoint), so one dying shard degrades the report
- * instead of killing the run.
+ * Closed loop against one endpoint: a dropped connection is re-opened
+ * and the in-flight request re-sent (both tallied per endpoint), so
+ * one dying shard degrades the report instead of killing the run.
  */
 void
-clusterClosedLoopClient(const LoadgenOptions &opt,
-                        unsigned client_index, Tally &tally)
+closedLoopClient(const LoadgenOptions &opt, unsigned client_index,
+                 Tally &tally)
 {
     const std::string &spec =
         opt.endpoints[client_index % opt.endpoints.size()];
@@ -433,11 +396,25 @@ clusterClosedLoopClient(const LoadgenOptions &opt,
     }
 }
 
+/**
+ * Open loop against one endpoint: connect with retry and accounting;
+ * a mid-run drop is fatal (the open schedule cannot be replayed
+ * honestly).
+ */
 void
 openLoopClient(const LoadgenOptions &opt, unsigned client_index,
-               Tally &tally, Client conn,
-               const std::string &endpoint_spec = std::string())
+               Tally &tally)
 {
+    const std::string &spec =
+        opt.endpoints[client_index % opt.endpoints.size()];
+    std::optional<Client> conn = connectWithRetry(opt, spec, tally);
+    if (!conn) {
+        tally.endpoint(spec, [&](EndpointTotals &e) {
+            e.abandoned += opt.requestsPerClient;
+        });
+        return;
+    }
+
     // Each client offers rate/clients; stagger starts so the
     // aggregate arrival stream interleaves instead of bursting.
     double per_client = opt.openRatePerSec / (double)opt.clients;
@@ -455,9 +432,8 @@ openLoopClient(const LoadgenOptions &opt, unsigned client_index,
                           steady_clock::now() - it->second)
                           .count();
         tally.note(req_of[resp.id], resp, us);
-        if (!endpoint_spec.empty() && resp.status == Status::Ok)
-            tally.endpoint(endpoint_spec,
-                           [](EndpointTotals &e) { ++e.ok; });
+        if (resp.status == Status::Ok)
+            tally.endpoint(spec, [](EndpointTotals &e) { ++e.ok; });
         sent_at.erase(it);
         req_of.erase(resp.id);
     };
@@ -471,16 +447,14 @@ openLoopClient(const LoadgenOptions &opt, unsigned client_index,
         // from the scheduled instant.
         sent_at[req.id] = start + period * i;
         req_of[req.id] = req;
-        if (!endpoint_spec.empty())
-            tally.endpoint(endpoint_spec,
-                           [](EndpointTotals &e) { ++e.sent; });
-        conn.sendEval(req);
+        tally.endpoint(spec, [](EndpointTotals &e) { ++e.sent; });
+        conn->sendEval(req);
         EvalResponse resp;
-        while (conn.tryRecv(resp))
+        while (conn->tryRecv(resp))
             settle(resp);
     }
     while (!sent_at.empty())
-        settle(conn.recv());
+        settle(conn->recv());
 }
 
 } // namespace
@@ -492,40 +466,18 @@ runLoadgen(const LoadgenOptions &opt)
         fatal("loadgen: empty request mix");
     if (opt.clients == 0)
         fatal("loadgen: need at least one client");
+    if (opt.endpoints.empty())
+        fatal("loadgen: no endpoints");
 
     Tally tally(opt);
     std::vector<std::thread> threads;
     threads.reserve(opt.clients);
     for (unsigned c = 0; c < opt.clients; ++c)
         threads.emplace_back([&opt, c, &tally] {
-            if (!opt.endpoints.empty()) {
-                if (opt.openRatePerSec > 0) {
-                    // Open loop per endpoint: connect with retry and
-                    // accounting; a mid-run drop is fatal (the open
-                    // schedule cannot be replayed honestly).
-                    const std::string &spec =
-                        opt.endpoints[c % opt.endpoints.size()];
-                    std::optional<Client> conn =
-                        connectWithRetry(opt, spec, tally);
-                    if (!conn) {
-                        tally.endpoint(
-                            spec, [&](EndpointTotals &e) {
-                                e.abandoned +=
-                                    opt.requestsPerClient;
-                            });
-                        return;
-                    }
-                    openLoopClient(opt, c, tally,
-                                   std::move(*conn), spec);
-                } else {
-                    clusterClosedLoopClient(opt, c, tally);
-                }
-                return;
-            }
             if (opt.openRatePerSec > 0)
-                openLoopClient(opt, c, tally, connectTarget(opt));
+                openLoopClient(opt, c, tally);
             else
-                closedLoopClient(opt, c, tally, connectTarget(opt));
+                closedLoopClient(opt, c, tally);
         });
     for (std::thread &t : threads)
         t.join();

@@ -37,8 +37,6 @@ class Client
   public:
     /** Connect to a Unix-domain socket; fatal() on failure. */
     static Client connectUnix(const std::string &path);
-    /** Connect to 127.0.0.1:port; fatal() on failure. */
-    static Client connectTcp(int port);
     /** Connect to a "unix:PATH" / "tcp:PORT" / path / port spec
      *  (Endpoint::parse); fatal() on a bad spec or failure. */
     static Client connect(const std::string &spec);
@@ -87,17 +85,12 @@ class Client
 
 struct LoadgenOptions
 {
-    /** Connect target: unix path wins if both are set. */
-    std::string unixPath;
-    int tcpPort = -1;
-
     /**
-     * Cluster mode: a list of endpoint specs ("unix:PATH", a bare
-     * path, "tcp:PORT", or a bare loopback port), clients assigned
-     * round-robin. Overrides unixPath/tcpPort when non-empty. In
-     * this mode connect failures and mid-run reconnects are counted
-     * per endpoint (distinct from SHED, which is a server answer)
-     * and a failed connect retries instead of aborting the run.
+     * Endpoint specs ("unix:PATH", a bare path, "tcp:PORT", or a
+     * bare loopback port), clients assigned round-robin. Connect
+     * failures and mid-run reconnects are counted per endpoint
+     * (distinct from SHED, which is a server answer), and a failed
+     * connect retries instead of aborting the run.
      */
     std::vector<std::string> endpoints;
     /** Connect attempts per endpoint before a client gives up. */
@@ -178,7 +171,7 @@ struct LoadgenReport
      *  is set): the interactive:batch shed/deadline breakdown. */
     std::map<std::string, LoadgenTotals> byClass;
     LoadgenTotals all;
-    /** Cluster mode only: per-endpoint transport + balance tallies. */
+    /** Per-endpoint transport + balance tallies. */
     std::map<std::string, EndpointTotals> byEndpoint;
 
     /**
@@ -190,7 +183,8 @@ struct LoadgenReport
     std::string table() const;
 };
 
-/** Run the load; fatal() on connection failure. */
+/** Run the load; fatal() on an empty mix, client count or endpoint
+ *  list, and on a connection lost in the middle of an open loop. */
 LoadgenReport runLoadgen(const LoadgenOptions &opt);
 
 /**

@@ -368,13 +368,10 @@ Server::executeOne(const Pending &p, uint64_t queue_us)
         // sources have no stable identity to accumulate hotness on)
         // and only baseline modes are ever upgraded — a client that
         // asked for a remedy mode gets exactly that mode.
-        tier::TierPlan plan;
-        jvm::PairProfile collected;
-        bool collecting = false;
         bool tiering =
             cfg.tier.enabled && req.kind == ProgramKind::Named;
         if (tiering) {
-            plan = tierMgr.plan(req.mode, req.program);
+            tier::TierPlan plan = tierMgr.plan(req.mode, req.program);
             if (plan.level > 0) {
                 spec.lang = plan.lang;
                 stats_.note(Counter::TieredRuns, req.mode);
@@ -385,20 +382,7 @@ Server::executeOne(const Pending &p, uint64_t queue_us)
                 stats_.note(Counter::TierUpTier2, req.mode);
             if (plan.promotedJit)
                 stats_.note(Counter::TierUpJit, req.mode);
-            if (plan.artifact)
-                spec.jvmArtifact = std::move(plan.artifact);
-            if (plan.pairs)
-                spec.jvmPairs = std::move(plan.pairs);
-            if (plan.publish)
-                spec.publishJvmArtifact = std::move(plan.publish);
-            if (plan.jitArtifact)
-                spec.jitArtifact = std::move(plan.jitArtifact);
-            if (plan.publishJit)
-                spec.publishJitArtifact = std::move(plan.publishJit);
-            if (plan.collectPairs) {
-                collecting = true;
-                spec.jvmPairSink = &collected;
-            }
+            spec.tier = std::move(plan.tier);
         }
 
         std::vector<trace::Sink *> sinks;
@@ -429,7 +413,7 @@ Server::executeOne(const Pending &p, uint64_t queue_us)
             harness::run(spec, sinks, nullptr, with_machine);
         if (tiering)
             tierMgr.noteRun(req.mode, req.program, m.commands,
-                            collecting ? &collected : nullptr);
+                            spec.tier.collect.get());
         if (writer) {
             writer->setRunResult(m.programBytes, m.commands,
                                  m.finished);

@@ -4,23 +4,10 @@ namespace interp::tier {
 
 using harness::Lang;
 
-namespace {
-
-std::string
-entryKey(Lang mode, const std::string &program)
-{
-    return std::string(harness::langName(mode)) + "/" + program;
-}
-
-} // namespace
-
 TierManager::Entry &
 TierManager::entryFor(Lang mode, const std::string &program)
 {
-    std::unique_ptr<Entry> &slot = entries[entryKey(mode, program)];
-    if (!slot)
-        slot = std::make_unique<Entry>();
-    return *slot;
+    return entries[std::string(harness::langName(mode)) + "/" + program];
 }
 
 TierPlan
@@ -30,11 +17,11 @@ TierManager::plan(Lang mode, const std::string &program)
     out.lang = mode;
     if (!cfg.enabled || harness::isRemedy(mode))
         return out;
-    Lang remedy = harness::rungOf(mode, 1);
-    if (remedy == mode)
+    auto rung = [mode](int level) {
+        return level == 0 ? mode : harness::rungOf(mode, level);
+    };
+    if (rung(1) == mode)
         return out; // no ladder for this mode (C)
-    Lang tier2 = harness::rungOf(mode, 2);
-    Lang jitL = harness::rungOf(mode, 3);
 
     std::lock_guard<std::mutex> lock(mu);
     Entry &e = entryFor(mode, program);
@@ -48,78 +35,47 @@ TierManager::plan(Lang mode, const std::string &program)
                  : e.hotness >= cfg.tier2After  ? 2
                  : e.hotness >= cfg.remedyAfter ? 1
                                                 : 0;
-    if (target == 3 && jitL == tier2)
-        target = 2; // no template backend: tier 2 is the top rung
-    std::string key = entryKey(mode, program);
-    if (target == 3 && mode == Lang::Mipsi) {
-        // mipsi-jit executes through a published stencil program: the
-        // guest text is catalog-shared, so one stencil stream serves
-        // every invocation. Same aside-build protocol as the jvm
-        // artifacts — exactly one request builds and publishes, the
-        // rest run the tier below until the store lands. (tcl-jit
-        // compiles per cached script inside the interpreter and needs
-        // no catalog slot.)
-        if (auto art = e.jitArtifact.load()) {
-            out.jitArtifact = std::move(art);
-        } else if (!e.buildingJit) {
-            e.buildingJit = true;
-            out.publishJit =
-                [this,
-                 key](std::shared_ptr<const jit::JitArtifact> a) {
-                    publishJitArtifact(key, std::move(a));
-                };
-        } else {
-            target = 2;
+    // Walk down from the target to the first level this request can
+    // run. A level whose mode repeats the one below is no rung of its
+    // own. A rung that runs through an artifact runs once the
+    // artifact is published; until then exactly one request (the one
+    // that claims the rung) builds it in-run, and everyone else runs
+    // the level below.
+    for (; target > 0; --target) {
+        Lang l = rung(target);
+        if (l == rung(target - 1))
+            continue;
+        if (!harness::modeInfo(l).artifact)
+            break;
+        Rung &r = e.rungs[target];
+        if (harness::present(r.artifact)) {
+            out.tier.artifact = r.artifact;
+            break;
         }
-    }
-    if (tier2 == remedy && target == 2)
-        target = 1; // the remedy is this mode's tier-2 rung
-
-    if (mode == Lang::Java) {
-        // jvm tiers execute through published artifacts. When the
-        // target tier's artifact is not up yet, exactly one request
-        // (the one that flips the building flag) builds it in-run;
-        // everyone else keeps running the tier below until the
-        // publish lands.
-        if (target == 2) {
-            if (auto art = e.tier2Artifact.load()) {
-                out.artifact = std::move(art);
-            } else if (!e.buildingTier2) {
-                e.buildingTier2 = true;
-                out.pairs =
+        if (r.building.expired()) {
+            // The rung stays claimed while any copy of the hook lives,
+            // so a builder that ends without publishing (an error, a
+            // deadline) hands the rung back by dropping it.
+            auto claim = std::make_shared<char>();
+            r.building = claim;
+            out.tier.publish = [this, &r, claim](harness::Artifact a) {
+                publish(r, std::move(a));
+            };
+            if (harness::isTier2(l))
+                out.tier.pairs =
                     std::make_shared<const jvm::PairProfile>(e.pairs);
-                out.publish =
-                    [this,
-                     key](std::shared_ptr<const jvm::TierArtifact> a) {
-                        publishArtifact(key, 2, std::move(a));
-                    };
-            } else {
-                target = 1;
-            }
-        }
-        if (target == 1) {
-            if (auto art = e.remedyArtifact.load()) {
-                out.artifact = std::move(art);
-            } else if (!e.buildingRemedy) {
-                e.buildingRemedy = true;
-                out.publish =
-                    [this,
-                     key](std::shared_ptr<const jvm::TierArtifact> a) {
-                        publishArtifact(key, 1, std::move(a));
-                    };
-            } else {
-                target = 0;
-            }
+            break;
         }
     }
-    if (target == 0)
-        out.collectPairs = mode == Lang::Java;
+    // A baseline run collects the pair profile the ladder's tier-2
+    // rung is built from when that rung runs through an artifact.
+    Lang tier2 = rung(2);
+    if (target == 0 && harness::isTier2(tier2) &&
+        harness::modeInfo(tier2).artifact)
+        out.tier.collect = std::make_shared<jvm::PairProfile>();
 
     out.level = target;
-    out.lang = target == 3   ? jitL
-               : target == 2 ? tier2
-               : target == 1 ? remedy
-                             : mode;
+    out.lang = rung(target);
     if (target >= 1 && e.level < 1) {
         out.promotedRemedy = true;
         ++promotedRemedy_;
@@ -153,35 +109,14 @@ TierManager::noteRun(Lang mode, const std::string &program,
 }
 
 void
-TierManager::publishArtifact(const std::string &key, int level,
-                             std::shared_ptr<const jvm::TierArtifact> a)
+TierManager::publish(Rung &rung, harness::Artifact a)
 {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = entries.find(key);
-    if (it == entries.end() || !a)
+    if (!harness::present(a))
         return;
-    Entry &e = *it->second;
-    if (level == 2) {
-        e.tier2Artifact.store(std::move(a));
-        e.buildingTier2 = false;
-    } else {
-        e.remedyArtifact.store(std::move(a));
-        e.buildingRemedy = false;
-    }
-    ++artifactsPublished_;
-}
-
-void
-TierManager::publishJitArtifact(const std::string &key,
-                                std::shared_ptr<const jit::JitArtifact> a)
-{
+    // The artifact is built whole before this store; runs that hold
+    // it share it from here on.
     std::lock_guard<std::mutex> lock(mu);
-    auto it = entries.find(key);
-    if (it == entries.end() || !a)
-        return;
-    Entry &e = *it->second;
-    e.jitArtifact.store(std::move(a));
-    e.buildingJit = false;
+    rung.artifact = std::move(a);
     ++artifactsPublished_;
 }
 

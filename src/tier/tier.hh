@@ -23,29 +23,29 @@
  * wall-clock time, so promotion decisions replay deterministically.
  *
  * Promotion must be safe under interpd's concurrent batches: several
- * workers can run the same catalog program at once. Tiered artifacts
- * (the jvm's pre-quickened module + fusion/IC tables) are therefore
- * built aside and published into an atomic slot on the entry —
- * readers either see the old tier or a complete immutable artifact,
- * never a half-built one, and shared modules are never mutated in
- * place (jvm::Vm fatal()s if asked to). While one request builds,
- * other requests for the same program simply run the previous tier;
- * they pick the artifact up on their next visit.
+ * workers can run the same catalog program at once. The rungs that run
+ * through an artifact (harness::ModeInfo::artifact: the jvm's
+ * pre-quickened module + fusion/IC tables, the mipsi stencil program)
+ * therefore have it built aside by exactly one request and published
+ * whole under the manager's lock: readers either see the old tier or
+ * a complete immutable artifact, never a half-built one, and shared
+ * modules are never mutated in place (jvm::Vm fatal()s if asked to).
+ * While one request builds, other requests for the same program
+ * simply run the tier below; they pick the artifact up on their next
+ * visit. A builder that ends without publishing (an error, a
+ * deadline) hands its rung back, and the next request builds.
  */
 
 #ifndef INTERP_TIER_TIER_HH
 #define INTERP_TIER_TIER_HH
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 
 #include "harness/runner.hh"
-#include "jit/artifact.hh"
 #include "jvm/tier2.hh"
 
 namespace interp::tier {
@@ -79,24 +79,12 @@ struct TierPlan
     bool promotedTier2 = false;
     /** This plan crossed the tier-2 -> jit threshold. */
     bool promotedJit = false;
-    /** Collect an adjacent-pair profile during this (baseline jvm)
-     *  run and hand it to noteRun(). */
-    bool collectPairs = false;
-    /** Pair-profile snapshot to build a tier-2 artifact from (set
-     *  when this request is the designated builder). */
-    std::shared_ptr<const jvm::PairProfile> pairs;
-    /** Published artifact to execute with (jvm tiers, once built). */
-    std::shared_ptr<const jvm::TierArtifact> artifact;
-    /** Atomic-publish hook for an artifact this request builds. */
-    std::function<void(std::shared_ptr<const jvm::TierArtifact>)>
-        publish;
-    /** Published stencil program to execute with (mipsi-jit, once
-     *  built). Tcl jit artifacts are per compiled script and never
-     *  leave the interpreter, so they have no catalog slot. */
-    std::shared_ptr<const jit::JitArtifact> jitArtifact;
-    /** Atomic-publish hook for a jit artifact this request builds. */
-    std::function<void(std::shared_ptr<const jit::JitArtifact>)>
-        publishJit;
+    /** The run's artifact slot: the rung's published artifact, or
+     *  the publish hook when this request is the rung's one builder
+     *  (with the merged pair profile for a tier-2 build); on a
+     *  baseline run whose ladder builds from pairs, the collector
+     *  to hand to noteRun(). */
+    harness::TierSlot tier;
 };
 
 class TierManager
@@ -137,43 +125,35 @@ class TierManager
     Snapshot snapshot() const;
 
   private:
-    /** Per-(mode, program) promotion state. Heap-allocated so the
-     *  atomic artifact slots never move. */
+    /** One tier level of an entry: its published artifact, and the
+     *  claim of the request building it, live while any copy of that
+     *  builder's publish hook is. */
+    struct Rung
+    {
+        harness::Artifact artifact;
+        std::weak_ptr<const void> building;
+    };
+
+    /** Per-(mode, program) promotion state. */
     struct Entry
     {
         uint64_t hotness = 0;     ///< decayed points
         uint64_t invocations = 0; ///< drives decay
         int level = 0;            ///< highest tier reached
-        bool buildingRemedy = false;
-        bool buildingTier2 = false;
-        bool buildingJit = false;
+        /** Indexed by tier level; only the rungs whose mode runs
+         *  through an artifact use theirs. */
+        Rung rungs[4];
         /** Merged adjacent-pair profile from baseline runs (jvm). */
         jvm::PairProfile pairs;
-        /**
-         * Published artifacts. Stores are the single visible step of
-         * a promotion: an artifact is fully built before the store,
-         * and a later tier-2 rebuild swaps the slot whole — requests
-         * already holding the old shared_ptr finish on it safely.
-         */
-        std::atomic<std::shared_ptr<const jvm::TierArtifact>>
-            remedyArtifact;
-        std::atomic<std::shared_ptr<const jvm::TierArtifact>>
-            tier2Artifact;
-        /** Published stencil program (mipsi-jit; same single-visible-
-         *  step discipline as the jvm slots above). */
-        std::atomic<std::shared_ptr<const jit::JitArtifact>>
-            jitArtifact;
     };
 
     Entry &entryFor(harness::Lang mode, const std::string &program);
-    void publishArtifact(const std::string &key, int level,
-                         std::shared_ptr<const jvm::TierArtifact> a);
-    void publishJitArtifact(const std::string &key,
-                            std::shared_ptr<const jit::JitArtifact> a);
+    void publish(Rung &rung, harness::Artifact a);
 
     TierConfig cfg;
     mutable std::mutex mu;
-    std::map<std::string, std::unique_ptr<Entry>> entries;
+    /** Map nodes never move, so a hook may hold a Rung's address. */
+    std::map<std::string, Entry> entries;
     uint64_t promotedRemedy_ = 0;
     uint64_t promotedTier2_ = 0;
     uint64_t promotedJit_ = 0;

@@ -53,8 +53,16 @@ Execution::flush()
 {
     if (batch.empty())
         return;
-    for (Sink *sink : sinks)
-        sink->onBatch(batch);
+    try {
+        for (Sink *sink : sinks)
+            sink->onBatch(batch);
+    } catch (...) {
+        // A sink aborted the run (a deadline). The unwind runs
+        // RoutineScope destructors that emit into the batch, so it
+        // must not be left full.
+        batch.clear();
+        throw;
+    }
     batch.clear();
 }
 

@@ -493,7 +493,7 @@ TEST(ClusterEndToEnd, IdentityAcrossModesAndStatsReconcile)
     // single-daemon identity test pins): the cluster must not perturb
     // the measurement.
     LoadgenOptions opt;
-    opt.unixPath = cluster.proxyPath();
+    opt.endpoints = {cluster.proxyPath()};
     opt.clients = 4;
     opt.requestsPerClient = 6;
     for (Lang mode : modes)
@@ -616,7 +616,7 @@ TEST(ClusterEndToEnd, ShardDeathFailsOverAndRecovers)
 
     std::atomic<bool> killed{false};
     LoadgenOptions opt;
-    opt.unixPath = cluster.proxyPath();
+    opt.endpoints = {cluster.proxyPath()};
     opt.clients = 4;
     opt.requestsPerClient = 12;
     opt.mix.push_back(probe);
@@ -766,7 +766,7 @@ TEST(ClusterEndToEnd, MixedClassLoadSplitsOutcomesByClass)
     };
 
     LoadgenOptions opt;
-    opt.unixPath = cluster.proxyPath();
+    opt.endpoints = {cluster.proxyPath()};
     opt.clients = 4;
     opt.requestsPerClient = 8;
     opt.openRatePerSec = 2000; // far beyond the one-shard capacity

@@ -8,6 +8,7 @@
 
 #include "harness/runner.hh"
 #include "harness/workloads.hh"
+#include "support/logging.hh"
 
 namespace {
 
@@ -116,6 +117,28 @@ TEST(Runner, BudgetStopsRunaway)
     EXPECT_FALSE(m.finished);
     EXPECT_GE(m.commands, 2000u);
     EXPECT_LT(m.commands, 2100u);
+}
+
+TEST(Runner, SinkExceptionReachesTheCaller)
+{
+    // A sink may abort a run from a full batch, as interpd's deadline
+    // does. The unwind leaves routine scopes that emit their returns
+    // into the batch, which must not still be full.
+    struct Abort
+    {
+    };
+    struct AbortingSink : trace::Sink
+    {
+        void onBundle(const trace::Bundle &) override { throw Abort{}; }
+    };
+    BenchSpec spec;
+    for (BenchSpec &s : macroSuite())
+        if (s.lang == Lang::Java && s.name == "des")
+            spec = s;
+    spec.lang = Lang::JavaTier2;
+    AbortingSink sink;
+    ScopedFatalThrow contain;
+    EXPECT_THROW(run(spec, {&sink}, nullptr, false), Abort);
 }
 
 TEST(Runner, MachineConfigOverride)

@@ -358,10 +358,9 @@ TEST(JitFallback, PoisonedArtifactFallsBackToPreviousTier)
     BenchSpec spec = microBench(Lang::Mipsi, "a=b+c", 60);
     spec.lang = Lang::MipsiJit;
     std::shared_ptr<const jit::JitArtifact> published;
-    spec.publishJitArtifact =
-        [&published](std::shared_ptr<const jit::JitArtifact> a) {
-            published = std::move(a);
-        };
+    spec.tier.publish = [&published](Artifact a) {
+        published = std::get<std::shared_ptr<const jit::JitArtifact>>(a);
+    };
     Measurement first = runCounting(spec);
     EXPECT_TRUE(first.finished);
     ASSERT_TRUE(published);
@@ -373,7 +372,7 @@ TEST(JitFallback, PoisonedArtifactFallsBackToPreviousTier)
     published->debugPoison();
     BenchSpec poisoned = microBench(Lang::Mipsi, "a=b+c", 60);
     poisoned.lang = Lang::MipsiJit;
-    poisoned.jitArtifact = published;
+    poisoned.tier.artifact = published;
     Measurement fallback = runCounting(poisoned);
 
     BenchSpec prev = microBench(Lang::Mipsi, "a=b+c", 60);
@@ -400,7 +399,7 @@ TEST(JitFallback, StaleArtifactIsRecompiledNotExecuted)
     Measurement clean = runCounting(spec);
     BenchSpec with_stale = microBench(Lang::Mipsi, "a=b+c", 40);
     with_stale.lang = Lang::MipsiJit;
-    with_stale.jitArtifact = stale;
+    with_stale.tier.artifact = stale;
     Measurement recompiled = runCounting(with_stale);
     EXPECT_EQ(clean.profile.instructions(),
               recompiled.profile.instructions());
@@ -435,9 +434,9 @@ TEST(TierManagerJit, TclClimbsToTheJitRung)
     EXPECT_EQ(p3.level, 3);
     EXPECT_TRUE(p3.promotedJit);
     // tcl-jit compiles per cached script inside the interpreter: no
-    // catalog artifact slot, no publish hook.
-    EXPECT_FALSE(p3.publishJit);
-    EXPECT_FALSE(p3.jitArtifact);
+    // catalog artifact, no publish hook.
+    EXPECT_FALSE(p3.tier.publish);
+    EXPECT_FALSE(present(p3.tier.artifact));
 
     // The crossing fires exactly once.
     tier::TierPlan p4 = tm.plan(Lang::Tcl, "des");
@@ -458,23 +457,23 @@ TEST(TierManagerJit, MipsiSingleBuilderPublishesTheStencilProgram)
     EXPECT_EQ(builder.lang, Lang::MipsiJit);
     EXPECT_EQ(builder.level, 3);
     EXPECT_TRUE(builder.promotedJit);
-    EXPECT_FALSE(builder.jitArtifact);
-    ASSERT_TRUE(builder.publishJit);
+    EXPECT_FALSE(present(builder.tier.artifact));
+    ASSERT_TRUE(builder.tier.publish);
 
     // While the build is outstanding, concurrent requests fall back a
     // rung (mipsi's tier 2 folds to the threaded remedy).
     tier::TierPlan waiting = tm.plan(Lang::Mipsi, "des");
     EXPECT_EQ(waiting.lang, Lang::MipsiThreaded);
     EXPECT_LT(waiting.level, 3);
-    EXPECT_FALSE(waiting.publishJit);
+    EXPECT_FALSE(waiting.tier.publish);
 
     // Publish lands: the next request executes the stencil program.
-    builder.publishJit(jit::JitArtifact::build(&logStep, 4));
+    builder.tier.publish(jit::JitArtifact::build(&logStep, 4));
     tier::TierPlan served = tm.plan(Lang::Mipsi, "des");
     EXPECT_EQ(served.lang, Lang::MipsiJit);
-    ASSERT_TRUE(served.jitArtifact);
-    EXPECT_EQ(served.jitArtifact->numSteps(), 4u);
-    EXPECT_FALSE(served.publishJit);
+    ASSERT_TRUE(served.tier.get<jit::JitArtifact>());
+    EXPECT_EQ(served.tier.get<jit::JitArtifact>()->numSteps(), 4u);
+    EXPECT_FALSE(served.tier.publish);
     EXPECT_EQ(tm.snapshot().artifactsPublished, 1u);
     EXPECT_EQ(tm.snapshot().promotedJit, 1u);
 }
@@ -488,13 +487,13 @@ TEST(TierManagerJit, ModesWithoutATemplateBackendFoldToTier2)
     tm.plan(Lang::Java, "des");
     // Past the jit threshold the target folds to tier 2. The jvm
     // aside-build protocol may degrade this particular request
-    // further (both artifact builds are still outstanding), but it
-    // must never hand out a jit rung or a jit hook.
+    // further (an artifact build may still be outstanding), but it
+    // must never hand out a jit rung or a stencil program.
     tier::TierPlan java = tm.plan(Lang::Java, "des");
     EXPECT_LE(java.level, 2);
     EXPECT_FALSE(java.promotedJit);
-    EXPECT_FALSE(java.publishJit);
-    EXPECT_FALSE(java.jitArtifact);
+    EXPECT_FALSE(isJit(java.lang));
+    EXPECT_FALSE(java.tier.get<jit::JitArtifact>());
 
     tm.plan(Lang::Perl, "plexus");
     tm.plan(Lang::Perl, "plexus");

@@ -84,6 +84,21 @@ batchMeasure(Lang mode, const std::string &op, int iterations)
     return harness::run(spec, {}, nullptr, /*with_machine=*/false);
 }
 
+/** Send @p req, which carries a short deadline, until one attempt
+ *  is cut off during execution rather than in the queue (under load a
+ *  short deadline can also expire before the worker takes it). */
+EvalResponse
+evalUntilCutOffRunning(Client &conn, const EvalRequest &req)
+{
+    EvalResponse resp;
+    for (int attempt = 0; attempt < 20; ++attempt) {
+        resp = conn.eval(req);
+        if (resp.result != "deadline expired before execution")
+            break;
+    }
+    return resp;
+}
+
 EvalRequest
 microRequest(Lang mode, uint32_t iterations)
 {
@@ -455,7 +470,7 @@ TEST(ServerEndToEnd, LoadgenMatchesBatchHarnessAcrossModes)
     TestServer ts(cfg);
 
     LoadgenOptions opt;
-    opt.unixPath = ts.path();
+    opt.endpoints = {ts.path()};
     opt.clients = 4;
     opt.requestsPerClient = 6;
     for (Lang mode : modes)
@@ -611,6 +626,29 @@ TEST(ServerEndToEnd, MidRunDeadlineAbortsAtSafepoint)
     EXPECT_EQ(resp.commands, 0u);
 }
 
+TEST(ServerEndToEnd, DeadlineInsideAnArtifactBuildIsContained)
+{
+    // Java-tier2 builds its artifact in-run, inside routine scopes; a
+    // deadline that fires on a full batch there must unwind to a
+    // DEADLINE answer, and the daemon must go on serving.
+    ServerConfig cfg;
+    cfg.workers = 1;
+    TestServer ts(cfg);
+
+    Client conn = Client::connectUnix(ts.path());
+    EvalRequest req;
+    req.id = 1;
+    req.mode = Lang::JavaTier2;
+    req.program = "des";
+    req.deadlineMs = 2;
+    EvalResponse resp = evalUntilCutOffRunning(conn, req);
+    EXPECT_EQ(resp.status, Status::Deadline);
+    EXPECT_EQ(resp.result, "deadline expired during execution");
+
+    resp = conn.eval(microRequest(Lang::Java, 300));
+    EXPECT_EQ(resp.status, Status::Ok) << resp.result;
+}
+
 TEST(ServerEndToEnd, MixedClassLoadSplitsOutcomesByClass)
 {
     // A heterogeneous interactive:batch mix through one overloaded
@@ -633,7 +671,7 @@ TEST(ServerEndToEnd, MixedClassLoadSplitsOutcomesByClass)
     };
 
     LoadgenOptions opt;
-    opt.unixPath = ts.path();
+    opt.endpoints = {ts.path()};
     opt.clients = 4;
     opt.requestsPerClient = 8;
     opt.openRatePerSec = 2000; // far beyond one worker + queue of 2
@@ -763,6 +801,7 @@ TEST(ServerEndToEnd, RecordFlagWritesReplayableTape)
     EXPECT_EQ(reader.meta().commands, resp.commands);
     EXPECT_TRUE(reader.meta().finished);
     std::remove(tape.c_str());
+    ::rmdir(dir);
 }
 
 // --- end-to-end: open loop -------------------------------------------------
@@ -774,7 +813,7 @@ TEST(ServerEndToEnd, OpenLoopAccountsForEveryRequest)
     TestServer ts(cfg);
 
     LoadgenOptions opt;
-    opt.unixPath = ts.path();
+    opt.endpoints = {ts.path()};
     opt.clients = 2;
     opt.requestsPerClient = 5;
     opt.openRatePerSec = 200; // paced sends, pipelined receives
@@ -913,6 +952,42 @@ TEST(ServerEndToEnd, TierPromotionFiresAndPreservesIdentity)
     EXPECT_EQ(v, 2u);
 }
 
+TEST(ServerEndToEnd, FailedBuilderHandsItsRungBack)
+{
+    // The request picked to build Java-quick's artifact hits its
+    // deadline before it publishes. The next request must take the
+    // rung over, not run at baseline like every request after it.
+    ServerConfig cfg;
+    cfg.workers = 1; // sequential requests -> deterministic ladder
+    cfg.tier.enabled = true;
+    cfg.tier.remedyAfter = 1;
+    cfg.tier.tier2After = 1000;
+    cfg.tier.commandsPerPoint = 1'000'000'000;
+    cfg.tier.decayEvery = 1'000'000;
+    TestServer ts(cfg);
+
+    Client conn = Client::connectUnix(ts.path());
+    EvalRequest req;
+    req.mode = Lang::Java;
+    req.program = "des";
+    req.deadlineMs = 1;
+    EvalResponse resp = evalUntilCutOffRunning(conn, req);
+    ASSERT_EQ(resp.result, "deadline expired during execution");
+    uint64_t v = 0;
+    ASSERT_TRUE(statsJsonUint(conn.stats(), "modes.Java.tiered_runs", v));
+    ASSERT_EQ(v, 1u);
+
+    req.deadlineMs = kNoDeadline;
+    for (int i = 0; i < 2; ++i) {
+        resp = conn.eval(req);
+        ASSERT_EQ(resp.status, Status::Ok) << resp.result;
+    }
+    // Both ran at Java-quick, whether the cut-off builder died before
+    // its publish (the next request builds) or just after it.
+    ASSERT_TRUE(statsJsonUint(conn.stats(), "modes.Java.tiered_runs", v));
+    EXPECT_EQ(v, 3u);
+}
+
 TEST(ServerEndToEnd, TierPromotionSafeUnderConcurrency)
 {
     // The shared-mutable-program regression: many workers running —
@@ -935,7 +1010,7 @@ TEST(ServerEndToEnd, TierPromotionSafeUnderConcurrency)
     TestServer ts(cfg);
 
     LoadgenOptions opt;
-    opt.unixPath = ts.path();
+    opt.endpoints = {ts.path()};
     opt.clients = 4;
     opt.requestsPerClient = 8;
     opt.mix.push_back(microRequest(Lang::Java, kIters));

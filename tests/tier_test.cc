@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "harness/runner.hh"
+#include "jit/artifact.hh"
 #include "jvm/tier2.hh"
 #include "jvm/vm.hh"
 #include "minic/compile.hh"
@@ -304,7 +305,7 @@ TEST(TierManager, DisabledIsATotalNoop)
         tier::TierPlan p = tm.plan(Lang::Java, "des");
         EXPECT_EQ(p.lang, Lang::Java);
         EXPECT_EQ(p.level, 0);
-        EXPECT_FALSE(p.collectPairs);
+        EXPECT_FALSE(p.tier.collect);
     }
     EXPECT_EQ(tm.snapshot().entries, 0u);
 }
@@ -366,8 +367,8 @@ TEST(TierManager, JavaSingleBuilderPerArtifact)
     tier::TierPlan builder = tm.plan(Lang::Java, "micro");
     EXPECT_EQ(builder.lang, Lang::JavaQuick);
     EXPECT_TRUE(builder.promotedRemedy);
-    EXPECT_FALSE(builder.artifact);
-    ASSERT_TRUE(builder.publish);
+    EXPECT_FALSE(present(builder.tier.artifact));
+    ASSERT_TRUE(builder.tier.publish);
 
     // While the build is outstanding, concurrent requests fall back a
     // tier instead of duplicating the build — and a baseline jvm run
@@ -375,20 +376,20 @@ TEST(TierManager, JavaSingleBuilderPerArtifact)
     tier::TierPlan waiting = tm.plan(Lang::Java, "micro");
     EXPECT_EQ(waiting.lang, Lang::Java);
     EXPECT_EQ(waiting.level, 0);
-    EXPECT_TRUE(waiting.collectPairs);
-    EXPECT_FALSE(waiting.publish);
+    EXPECT_TRUE(waiting.tier.collect);
+    EXPECT_FALSE(waiting.tier.publish);
 
     // Publish lands: the next request picks the artifact up.
     jvm::PairProfile none;
     jvm::TierOptions quick_only;
     quick_only.fuse = false;
     quick_only.inlineCache = false;
-    builder.publish(
+    builder.tier.publish(
         jvm::buildTierArtifact(nullptr, module, none, quick_only));
     tier::TierPlan served = tm.plan(Lang::Java, "micro");
     EXPECT_EQ(served.lang, Lang::JavaQuick);
-    ASSERT_TRUE(served.artifact);
-    EXPECT_GT(served.artifact->quickened, 0u);
+    ASSERT_TRUE(served.tier.get<jvm::TierArtifact>());
+    EXPECT_GT(served.tier.get<jvm::TierArtifact>()->quickened, 0u);
     EXPECT_EQ(tm.snapshot().artifactsPublished, 1u);
 
     // Tier-2 crossing repeats the dance, with the entry's merged pair
@@ -399,19 +400,259 @@ TEST(TierManager, JavaSingleBuilderPerArtifact)
     tier::TierPlan t2b = tm.plan(Lang::Java, "micro");
     EXPECT_EQ(t2b.lang, Lang::JavaTier2);
     EXPECT_TRUE(t2b.promotedTier2);
-    ASSERT_TRUE(t2b.pairs);
-    EXPECT_EQ(t2b.pairs->counts[7], 123u);
-    ASSERT_TRUE(t2b.publish);
+    ASSERT_TRUE(t2b.tier.pairs);
+    EXPECT_EQ(t2b.tier.pairs->counts[7], 123u);
+    ASSERT_TRUE(t2b.tier.publish);
 
     tier::TierPlan t2wait = tm.plan(Lang::Java, "micro");
     EXPECT_EQ(t2wait.lang, Lang::JavaQuick);
-    EXPECT_TRUE(t2wait.artifact);
+    EXPECT_TRUE(t2wait.tier.get<jvm::TierArtifact>());
 
-    t2b.publish(jvm::buildTierArtifact(nullptr, module, *t2b.pairs));
+    t2b.tier.publish(
+        jvm::buildTierArtifact(nullptr, module, *t2b.tier.pairs));
     tier::TierPlan t2served = tm.plan(Lang::Java, "micro");
     EXPECT_EQ(t2served.lang, Lang::JavaTier2);
-    EXPECT_TRUE(t2served.artifact);
+    EXPECT_TRUE(t2served.tier.get<jvm::TierArtifact>());
     EXPECT_EQ(tm.snapshot().artifactsPublished, 2u);
+}
+
+/** The first plan of @p mode under @p cfg builds @p rung. While that
+ *  builder lives the rung is taken; once it is dropped unpublished,
+ *  the next plan builds again. */
+void
+expectDroppedBuilderHandsBack(const tier::TierConfig &cfg, Lang mode,
+                              Lang rung)
+{
+    SCOPED_TRACE(langName(rung));
+    tier::TierManager tm(cfg);
+    {
+        tier::TierPlan builder = tm.plan(mode, "des");
+        EXPECT_EQ(builder.lang, rung);
+        ASSERT_TRUE(builder.tier.publish);
+        tier::TierPlan waiting = tm.plan(mode, "des");
+        EXPECT_NE(waiting.lang, rung);
+        EXPECT_FALSE(waiting.tier.publish);
+    }
+    tier::TierPlan next = tm.plan(mode, "des");
+    EXPECT_EQ(next.lang, rung);
+    EXPECT_TRUE(next.tier.publish);
+}
+
+TEST(TierManager, DroppedBuilderHandsItsRungBack)
+{
+    // A builder whose run fails (an error, a deadline) drops its hook
+    // without publishing. The rung must not stay claimed, or every
+    // later request would run a rung down.
+    expectDroppedBuilderHandsBack(testConfig(1, 1000), Lang::Java,
+                                  Lang::JavaQuick);
+    tier::TierConfig jit = testConfig(1, 1);
+    jit.jitAfter = 1;
+    expectDroppedBuilderHandsBack(jit, Lang::Mipsi, Lang::MipsiJit);
+}
+
+// --- TierManager: plan() pinned ----------------------------------------
+
+uint8_t
+neverEntered(void *, uint32_t)
+{
+    return 1;
+}
+
+/**
+ * One plan() as a token: the mode it runs at and its level, then what
+ * it carries: +r/+2/+j the crossing it made, B a publish hook (this
+ * request builds the rung's artifact), A an artifact to run with,
+ * P<n> a pair snapshot holding n pair counts, C a pair collector.
+ */
+std::string
+planToken(const tier::TierPlan &p)
+{
+    std::string t =
+        std::string(langName(p.lang)) + "/" + std::to_string(p.level);
+    if (p.promotedRemedy)
+        t += "+r";
+    if (p.promotedTier2)
+        t += "+2";
+    if (p.promotedJit)
+        t += "+j";
+    if (p.tier.publish)
+        t += ",B";
+    if (present(p.tier.artifact))
+        t += ",A";
+    if (p.tier.pairs)
+        t += ",P" + std::to_string(p.tier.pairs->total());
+    if (p.tier.collect)
+        t += ",C";
+    return t;
+}
+
+/**
+ * The whole promotion state machine as text: for three threshold sets
+ * and three builder behaviours (publish at once, hold the hook to the
+ * end, publish three plans later), seven plans of every baseline and
+ * two explicitly requested tiered modes, each followed by the run's
+ * noteRun(). One line per (set, behaviour, mode), then the snapshot.
+ */
+std::string
+planTrace()
+{
+    struct Thresholds
+    {
+        const char *name;
+        uint64_t remedy, tier2, jit, commandsPerPoint, decayEvery;
+    };
+    const Thresholds kSets[] = {
+        {"S1", 1, 2, 3, 1'000'000'000, 1'000'000},
+        {"S2", 2, 3, 5, 100, 4},
+        {"S3", 3, 2, 1, 1'000'000'000, 1'000'000},
+    };
+    const char *const kBehaviours[] = {"now", "hold", "later3"};
+    const Lang kModes[] = {Lang::C,    Lang::Mipsi,     Lang::Java,
+                           Lang::Perl, Lang::Tcl,       Lang::JavaQuick,
+                           Lang::MipsiJit};
+    constexpr int kRounds = 7;
+    constexpr uint64_t kCommands = 150; // 1 point at S2's rate
+
+    jvm::Module module = minic::compileBytecode(
+        microBench(Lang::Java, "a=b+c", 10).source, "a=b+c");
+    std::shared_ptr<const jvm::TierArtifact> jvm_art =
+        jvm::buildTierArtifact(nullptr, module, jvm::PairProfile{});
+    std::shared_ptr<const jit::JitArtifact> jit_art =
+        jit::JitArtifact::build(&neverEntered, 4);
+    auto publish = [&](tier::TierPlan &p) {
+        p.tier.publish(isJit(p.lang) ? Artifact(jit_art) : jvm_art);
+    };
+
+    std::string out;
+    for (const Thresholds &s : kSets) {
+        for (const char *behaviour : kBehaviours) {
+            tier::TierConfig cfg;
+            cfg.enabled = true;
+            cfg.remedyAfter = s.remedy;
+            cfg.tier2After = s.tier2;
+            cfg.jitAfter = s.jit;
+            cfg.commandsPerPoint = s.commandsPerPoint;
+            cfg.decayEvery = s.decayEvery;
+            tier::TierManager tm(cfg);
+            std::vector<tier::TierPlan> held;
+            for (Lang mode : kModes) {
+                std::string line = std::string(s.name) + " " +
+                                   behaviour + " " + langName(mode) +
+                                   ":";
+                std::vector<std::pair<int, tier::TierPlan>> later;
+                for (int round = 0; round < kRounds; ++round) {
+                    tier::TierPlan p = tm.plan(mode, "p");
+                    line += " " + planToken(p);
+                    if (p.tier.collect)
+                        p.tier.collect->counts[1] = 10;
+                    tm.noteRun(mode, "p", kCommands, p.tier.collect.get());
+                    bool builds = bool(p.tier.publish);
+                    if (builds && behaviour == kBehaviours[0])
+                        publish(p);
+                    else if (builds && behaviour == kBehaviours[1])
+                        held.push_back(std::move(p));
+                    else if (builds)
+                        later.emplace_back(round + 3, std::move(p));
+                    for (auto &[due, pending] : later)
+                        if (due == round)
+                            publish(pending);
+                }
+                for (auto &entry : later)
+                    held.push_back(std::move(entry.second));
+                out += line + "\n";
+            }
+            tier::TierManager::Snapshot snap = tm.snapshot();
+            out += std::string(s.name) + " " + behaviour +
+                   " snapshot: entries=" + std::to_string(snap.entries) +
+                   " remedy=" + std::to_string(snap.promotedRemedy) +
+                   " tier2=" + std::to_string(snap.promotedTier2) +
+                   " jit=" + std::to_string(snap.promotedJit) +
+                   " published=" +
+                   std::to_string(snap.artifactsPublished) + "\n";
+        }
+    }
+    return out;
+}
+
+/** planTrace() as captured when the pin was set: any change to it is
+ *  a change to the tier-up policy, not a refactor. */
+const char *const kPinnedPlanTrace = R"(S1 now C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
+S1 now MIPSI: MIPSI-threaded/1+r MIPSI-threaded/1 MIPSI-jit/3+2+j,B MIPSI-jit/3,A MIPSI-jit/3,A MIPSI-jit/3,A MIPSI-jit/3,A
+S1 now Java: Java-quick/1+r,B Java-tier2/2+2,B,P0 Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A
+S1 now Perl: Perl-ic/1+r Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1
+S1 now Tcl: Tcl-bytecode/1+r Tcl-tier2/2+2 Tcl-jit/3+j Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3
+S1 now Java-quick: Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0
+S1 now MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0
+S1 now snapshot: entries=5 remedy=4 tier2=3 jit=2 published=3
+S1 hold C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
+S1 hold MIPSI: MIPSI-threaded/1+r MIPSI-threaded/1 MIPSI-jit/3+2+j,B MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1
+S1 hold Java: Java-quick/1+r,B Java-tier2/2+2,B,P0 Java/0,C Java/0,C Java/0,C Java/0,C Java/0,C
+S1 hold Perl: Perl-ic/1+r Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1
+S1 hold Tcl: Tcl-bytecode/1+r Tcl-tier2/2+2 Tcl-jit/3+j Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3
+S1 hold Java-quick: Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0
+S1 hold MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0
+S1 hold snapshot: entries=5 remedy=4 tier2=3 jit=2 published=0
+S1 later3 C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
+S1 later3 MIPSI: MIPSI-threaded/1+r MIPSI-threaded/1 MIPSI-jit/3+2+j,B MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-jit/3,A
+S1 later3 Java: Java-quick/1+r,B Java-tier2/2+2,B,P0 Java/0,C Java/0,C Java-quick/1,A Java-tier2/2,A Java-tier2/2,A
+S1 later3 Perl: Perl-ic/1+r Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1
+S1 later3 Tcl: Tcl-bytecode/1+r Tcl-tier2/2+2 Tcl-jit/3+j Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3
+S1 later3 Java-quick: Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0
+S1 later3 MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0
+S1 later3 snapshot: entries=5 remedy=4 tier2=3 jit=2 published=3
+S2 now C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
+S2 now MIPSI: MIPSI/0 MIPSI-threaded/1+r MIPSI-jit/3+2+j,B MIPSI-threaded/1 MIPSI-jit/3,A MIPSI-jit/3,A MIPSI-jit/3,A
+S2 now Java: Java/0,C Java-tier2/2+r+2,B,P10 Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A
+S2 now Perl: Perl/0 Perl-ic/1+r Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1
+S2 now Tcl: Tcl/0 Tcl-tier2/2+r+2 Tcl-jit/3+j Tcl-tier2/2 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3
+S2 now Java-quick: Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0
+S2 now MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0
+S2 now snapshot: entries=5 remedy=4 tier2=3 jit=2 published=2
+S2 hold C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
+S2 hold MIPSI: MIPSI/0 MIPSI-threaded/1+r MIPSI-jit/3+2+j,B MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1
+S2 hold Java: Java/0,C Java-tier2/2+r+2,B,P10 Java-quick/1,B Java/0,C Java/0,C Java/0,C Java/0,C
+S2 hold Perl: Perl/0 Perl-ic/1+r Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1
+S2 hold Tcl: Tcl/0 Tcl-tier2/2+r+2 Tcl-jit/3+j Tcl-tier2/2 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3
+S2 hold Java-quick: Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0
+S2 hold MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0
+S2 hold snapshot: entries=5 remedy=4 tier2=3 jit=2 published=0
+S2 later3 C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
+S2 later3 MIPSI: MIPSI/0 MIPSI-threaded/1+r MIPSI-jit/3+2+j,B MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-jit/3,A
+S2 later3 Java: Java/0,C Java-tier2/2+r+2,B,P10 Java-quick/1,B Java/0,C Java/0,C Java-tier2/2,A Java-tier2/2,A
+S2 later3 Perl: Perl/0 Perl-ic/1+r Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1
+S2 later3 Tcl: Tcl/0 Tcl-tier2/2+r+2 Tcl-jit/3+j Tcl-tier2/2 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3
+S2 later3 Java-quick: Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0
+S2 later3 MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0
+S2 later3 snapshot: entries=5 remedy=4 tier2=3 jit=2 published=3
+S3 now C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
+S3 now MIPSI: MIPSI-jit/3+r+2+j,B MIPSI-jit/3,A MIPSI-jit/3,A MIPSI-jit/3,A MIPSI-jit/3,A MIPSI-jit/3,A MIPSI-jit/3,A
+S3 now Java: Java-tier2/2+r+2,B,P0 Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A
+S3 now Perl: Perl-ic/1+r Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1
+S3 now Tcl: Tcl-jit/3+r+2+j Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3
+S3 now Java-quick: Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0
+S3 now MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0
+S3 now snapshot: entries=5 remedy=4 tier2=3 jit=2 published=2
+S3 hold C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
+S3 hold MIPSI: MIPSI-jit/3+r+2+j,B MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1
+S3 hold Java: Java-tier2/2+r+2,B,P0 Java-quick/1,B Java/0,C Java/0,C Java/0,C Java/0,C Java/0,C
+S3 hold Perl: Perl-ic/1+r Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1
+S3 hold Tcl: Tcl-jit/3+r+2+j Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3
+S3 hold Java-quick: Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0
+S3 hold MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0
+S3 hold snapshot: entries=5 remedy=4 tier2=3 jit=2 published=0
+S3 later3 C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
+S3 later3 MIPSI: MIPSI-jit/3+r+2+j,B MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-jit/3,A MIPSI-jit/3,A MIPSI-jit/3,A
+S3 later3 Java: Java-tier2/2+r+2,B,P0 Java-quick/1,B Java/0,C Java/0,C Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A
+S3 later3 Perl: Perl-ic/1+r Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1
+S3 later3 Tcl: Tcl-jit/3+r+2+j Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3
+S3 later3 Java-quick: Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0
+S3 later3 MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0
+S3 later3 snapshot: entries=5 remedy=4 tier2=3 jit=2 published=3
+)";
+
+TEST(TierManager, PlanTraceIsPinned)
+{
+    EXPECT_EQ(planTrace(), kPinnedPlanTrace);
 }
 
 // --- jvm artifacts: determinism, immutability, sharing -----------------
