@@ -28,7 +28,7 @@ using namespace interp::harness;
 namespace {
 
 void
-ablationSymtab(int jobs, const TraceIo &tio, ModeSet modes)
+ablationSymtab(const SuiteOptions &suite, ModeSet modes)
 {
     std::printf("A. Tcl symbol-table size vs per-access cost "
                 "(paper: 206 at des-size to 514 at xf-size)\n");
@@ -56,10 +56,7 @@ ablationSymtab(int jobs, const TraceIo &tio, ModeSet modes)
             specs.push_back(std::move(spec));
         }
     }
-    SuiteOptions opt;
-    opt.jobs = jobs;
-    opt.io = tio;
-    std::vector<Measurement> results = runSuite(specs, opt);
+    std::vector<Measurement> results = runSuite(specs, suite);
     for (size_t i = 0; i < results.size(); ++i) {
         if (i % fillers.size() == 0 && with_remedy)
             std::printf("   [%s]\n", langName(specs[i].lang));
@@ -77,7 +74,7 @@ ablationSymtab(int jobs, const TraceIo &tio, ModeSet modes)
 }
 
 void
-ablationIcache(int jobs, const TraceIo &tio)
+ablationIcache(const SuiteOptions &suite)
 {
     std::printf("B. Bigger/associative I-cache (8K/1w -> 32K/4w), "
                 "total-cycle improvement\n");
@@ -93,18 +90,13 @@ ablationIcache(int jobs, const TraceIo &tio)
     // The record-once/replay-many case in miniature: with --record
     // the first sweep writes each trace, with --replay both machine
     // configurations decode the same tape.
-    SuiteOptions base_opt;
-    base_opt.jobs = jobs;
-    base_opt.io = tio;
-    SuiteOptions big_opt;
-    big_opt.jobs = jobs;
+    SuiteOptions big_opt = suite;
     big_opt.machineCfg = &big;
-    big_opt.io = tio;
-    if (!tio.recordDir.empty()) {
+    if (!suite.io.recordDir.empty()) {
         big_opt.io.recordDir.clear(); // reuse the fresh tapes instead
-        big_opt.io.replayDir = tio.recordDir;
+        big_opt.io.replayDir = suite.io.recordDir;
     }
-    std::vector<Measurement> base = runSuite(specs, base_opt);
+    std::vector<Measurement> base = runSuite(specs, suite);
     std::vector<Measurement> wide = runSuite(specs, big_opt);
     for (size_t i = 0; i < specs.size(); ++i)
         std::printf("   %-14s %14.0f %14.0f %7.2fx\n",
@@ -117,7 +109,7 @@ ablationIcache(int jobs, const TraceIo &tio)
 }
 
 void
-ablationPrecompile(int jobs, const TraceIo &tio)
+ablationPrecompile(const SuiteOptions &suite)
 {
     std::printf("C. Perl startup compilation: fixed precompile cost vs "
                 "run length\n");
@@ -138,10 +130,8 @@ ablationPrecompile(int jobs, const TraceIo &tio)
             "}\nprint \"$s\";\n";
         specs.push_back(std::move(spec));
     }
-    SuiteOptions opt;
-    opt.jobs = jobs;
+    SuiteOptions opt = suite;
     opt.withMachine = false;
-    opt.io = tio;
     std::vector<Measurement> results = runSuite(specs, opt);
     for (size_t i = 0; i < results.size(); ++i) {
         double pre = (double)results[i].profile.precompileInsts();
@@ -161,13 +151,11 @@ ablationPrecompile(int jobs, const TraceIo &tio)
 int
 main(int argc, char **argv)
 {
-    int jobs = parseJobs(argc, argv);
-    TraceIo tio = parseTraceDirs(argc, argv);
-    ModeSet modes = parseModes(argc, argv);
+    BenchArgs args = parseBenchArgs(argc, argv, {.modes = true});
     std::printf("Ablations for DESIGN.md's called-out design choices\n"
                 "====================================================\n\n");
-    ablationSymtab(jobs, tio, modes);
-    ablationIcache(jobs, tio);
-    ablationPrecompile(jobs, tio);
+    ablationSymtab(args.suite, args.modes);
+    ablationIcache(args.suite);
+    ablationPrecompile(args.suite);
     return 0;
 }

@@ -35,7 +35,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -105,30 +104,16 @@ ratio(uint64_t num, uint64_t den)
 int
 main(int argc, char **argv)
 {
-    int jobs = parseJobs(argc, argv);
-    TraceIo tio = parseTraceDirs(argc, argv);
-    std::string patterns = workloads::parseProgramsArg(argc, argv);
-
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) {
-            json_path =
-                i + 1 < argc ? argv[i + 1] : "BENCH_compose.json";
-            break;
-        }
-        if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json_path = argv[i] + 7;
-            break;
-        }
-    }
+    BenchArgs args = parseBenchArgs(
+        argc, argv, {.programs = true, .json = "BENCH_compose.json"});
 
     std::vector<Tower> towers;
     for (const workloads::Workload &w : workloads::registry()) {
         if (!w.composed())
             continue;
-        if (!patterns.empty() &&
+        if (!args.programs.empty() &&
             workloads::filterPrograms({workloads::specFor(w, Lang::Mipsi)},
-                                      patterns)
+                                      args.programs)
                 .empty())
             continue;
         const char *payload = payloadNameOf(w.name);
@@ -183,14 +168,14 @@ main(int argc, char **argv)
     std::vector<std::unique_ptr<workloads::GuestFetchProfiler>> profs(
         specs.size());
     std::vector<Measurement> results = runSuiteWith(
-        specs, jobs, [&](const BenchSpec &spec, size_t i) {
+        specs, args.suite.jobs, [&](const BenchSpec &spec, size_t i) {
             std::vector<trace::Sink *> sinks;
             if (i % kRungs == 3) {
                 profs[i] = std::make_unique<workloads::GuestFetchProfiler>(
                     *images[i / kRungs]);
                 sinks.push_back(profs[i].get());
             }
-            return runOrReplay(spec, tio, sinks);
+            return runOrReplay(spec, args.suite.io, sinks);
         });
 
     std::printf("Composition tower: Scriptel (MiniC script interpreter) "
@@ -374,16 +359,17 @@ main(int argc, char **argv)
                 "inner interpreter's own fetch/decode\nshare, measured "
                 "through two levels of interpretation.\n");
 
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
+    if (!args.jsonPath.empty()) {
+        std::FILE *f = std::fopen(args.jsonPath.c_str(), "w");
         if (!f) {
-            std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+            std::fprintf(stderr, "cannot write %s\n",
+                         args.jsonPath.c_str());
             return 1;
         }
         std::fwrite(json.data(), 1, json.size(), f);
         std::fclose(f);
         std::fprintf(stderr, "wrote %zu towers to %s\n", towers.size(),
-                     json_path.c_str());
+                     args.jsonPath.c_str());
     }
     return bad == 0 ? 0 : 1;
 }

@@ -18,9 +18,7 @@ using namespace interp::harness;
 int
 main(int argc, char **argv)
 {
-    int jobs = parseJobs(argc, argv);
-    TraceIo tio = parseTraceDirs(argc, argv);
-    ModeSet modes = parseModes(argc, argv);
+    BenchArgs args = parseBenchArgs(argc, argv, {.modes = true});
 
     std::printf("Figure 1: cumulative execute-instruction share of the "
                 "top-x virtual commands\n");
@@ -32,12 +30,10 @@ main(int argc, char **argv)
                 "--\n");
 
     // Counting only — no timing needed for this figure.
-    SuiteOptions opt;
-    opt.jobs = jobs;
+    SuiteOptions opt = args.suite;
     opt.withMachine = false;
-    opt.io = tio;
-    for (const Measurement &m : runSuite(withModes(macroSuite(), modes),
-                                         opt)) {
+    for (const Measurement &m :
+         runSuite(withModes(macroSuite(), args.modes), opt)) {
         if (m.failed) {
             std::printf("%-6s %-10s failed: %s\n", langName(m.lang),
                         m.name.c_str(), m.error.c_str());

@@ -20,19 +20,15 @@ using namespace interp::harness;
 int
 main(int argc, char **argv)
 {
-    int jobs = parseJobs(argc, argv);
-    TraceIo tio = parseTraceDirs(argc, argv);
-    ModeSet modes = parseModes(argc, argv);
+    BenchArgs args = parseBenchArgs(argc, argv, {.modes = true});
 
     std::printf("Figure 2: virtual-command and execute-instruction "
                 "distributions\n\n");
 
-    SuiteOptions opt;
-    opt.jobs = jobs;
+    SuiteOptions opt = args.suite;
     opt.withMachine = false;
-    opt.io = tio;
-    for (const Measurement &m : runSuite(withModes(macroSuite(), modes),
-                                         opt)) {
+    for (const Measurement &m :
+         runSuite(withModes(macroSuite(), args.modes), opt)) {
         if (m.failed) {
             std::printf("--- %s / %s --- failed: %s\n", langName(m.lang),
                         m.name.c_str(), m.error.c_str());

@@ -52,9 +52,7 @@ printRow(const sim::Machine &machine, const char *tag)
 int
 main(int argc, char **argv)
 {
-    int jobs = parseJobs(argc, argv);
-    TraceIo tio = parseTraceDirs(argc, argv);
-    ModeSet modes = parseModes(argc, argv);
+    BenchArgs args = parseBenchArgs(argc, argv, {.modes = true});
 
     std::printf("Figure 3: issue-slot breakdown on the Table 3 machine "
                 "(2-issue, 8K I/D L1, 512K L2)\n\n");
@@ -88,7 +86,7 @@ main(int argc, char **argv)
         specs.push_back(std::move(spec));
     }
     size_t num_native = specs.size();
-    for (BenchSpec &spec : withModes(macroSuite(), modes))
+    for (BenchSpec &spec : withModes(macroSuite(), args.modes))
         if (spec.lang != Lang::C) // C-des is already covered above
             specs.push_back(std::move(spec));
 
@@ -101,7 +99,7 @@ main(int argc, char **argv)
         std::array<std::unique_ptr<sim::Machine>, kNumWidths>;
     std::vector<MachineSet> machines(specs.size());
     std::vector<Measurement> results = runSuiteWith(
-        specs, jobs,
+        specs, args.suite.jobs,
         [&](const BenchSpec &spec, size_t i) {
             std::vector<trace::Sink *> sinks;
             for (size_t w = 0; w < kNumWidths; ++w) {
@@ -110,7 +108,7 @@ main(int argc, char **argv)
                 machines[i][w] = std::make_unique<sim::Machine>(cfg);
                 sinks.push_back(machines[i][w].get());
             }
-            return runOrReplay(spec, tio, sinks, nullptr, false);
+            return runOrReplay(spec, args.suite.io, sinks, nullptr, false);
         });
 
     Lang last = Lang::C;

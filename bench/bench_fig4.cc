@@ -27,9 +27,7 @@ using namespace interp::harness;
 int
 main(int argc, char **argv)
 {
-    int jobs = parseJobs(argc, argv);
-    TraceIo tio = parseTraceDirs(argc, argv);
-    ModeSet modes = parseModes(argc, argv);
+    BenchArgs args = parseBenchArgs(argc, argv, {.modes = true});
     const std::vector<uint32_t> sizes = {8, 16, 32, 64};
     const std::vector<uint32_t> assocs = {1, 2, 4};
 
@@ -44,7 +42,7 @@ main(int argc, char **argv)
                 "------------------------------------------------\n");
 
     std::vector<BenchSpec> specs;
-    for (BenchSpec &spec : withModes(macroSuite(), modes)) {
+    for (BenchSpec &spec : withModes(macroSuite(), args.modes)) {
         Lang base = modeInfo(spec.lang).baseline;
         if (base == Lang::Java || base == Lang::Perl ||
             base == Lang::Tcl)
@@ -57,11 +55,11 @@ main(int argc, char **argv)
     // trace, shared by all twelve sweep points.
     std::vector<std::unique_ptr<sim::CacheSweep>> sweeps(specs.size());
     std::vector<Measurement> results = runSuiteWith(
-        specs, jobs,
+        specs, args.suite.jobs,
         [&](const BenchSpec &spec, size_t i) {
             sweeps[i] = std::make_unique<sim::CacheSweep>(sizes, assocs);
-            return runOrReplay(spec, tio, {sweeps[i].get()}, nullptr,
-                               false);
+            return runOrReplay(spec, args.suite.io, {sweeps[i].get()},
+                               nullptr, false);
         });
 
     for (size_t i = 0; i < specs.size(); ++i) {

@@ -20,9 +20,7 @@ using namespace interp::harness;
 int
 main(int argc, char **argv)
 {
-    int jobs = parseJobs(argc, argv);
-    TraceIo tio = parseTraceDirs(argc, argv);
-    ModeSet modes = parseModes(argc, argv);
+    BenchArgs args = parseBenchArgs(argc, argv, {.modes = true});
 
     std::printf("Section 3.3: memory-model cost per interpreter\n\n");
     std::printf("%-6s %-10s %14s %14s %10s\n", "Lang", "Bench",
@@ -31,14 +29,12 @@ main(int argc, char **argv)
                 "-----\n");
 
     std::vector<BenchSpec> specs;
-    for (BenchSpec &spec : withModes(macroSuite(), modes))
+    for (BenchSpec &spec : withModes(macroSuite(), args.modes))
         if (spec.lang != Lang::C)
             specs.push_back(std::move(spec));
 
-    SuiteOptions opt;
-    opt.jobs = jobs;
+    SuiteOptions opt = args.suite;
     opt.withMachine = false;
-    opt.io = tio;
 
     Lang last = Lang::C;
     for (const Measurement &m : runSuite(specs, opt)) {

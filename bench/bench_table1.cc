@@ -12,8 +12,8 @@
  *
  * `--record <dir>` / `--replay <dir>` capture and replay the whole
  * micro cross product as binary traces (see record_replay.hh).
- * `--modes=baseline|remedies|all` swaps in / adds the §5 remedy
- * modes as extra columns against the same compiled-C baseline.
+ * `--modes=baseline|remedies|all|jit` swaps in / adds the §5 remedy
+ * (or the jit) modes as columns against the same compiled-C baseline.
  */
 
 #include <cstdio>
@@ -30,26 +30,16 @@ using namespace interp::harness;
 int
 main(int argc, char **argv)
 {
-    int jobs = parseJobs(argc, argv);
-    TraceIo tio = parseTraceDirs(argc, argv);
-    ModeSet modes = parseModes(argc, argv);
+    BenchArgs args = parseBenchArgs(argc, argv, {.modes = true});
 
-    // Interpreted columns by mode; C is always the slowdown baseline.
+    // Interpreted columns: the four interpreters' modes of the chosen
+    // set; C is always the slowdown baseline.
+    std::vector<BenchSpec> columns;
+    for (Lang lang : {Lang::Mipsi, Lang::Java, Lang::Perl, Lang::Tcl})
+        columns.emplace_back().lang = lang;
     std::vector<Lang> interp_langs;
-    switch (modes) {
-      case ModeSet::Baseline:
-        interp_langs = {Lang::Mipsi, Lang::Java, Lang::Perl, Lang::Tcl};
-        break;
-      case ModeSet::Remedies:
-        interp_langs = {Lang::MipsiThreaded, Lang::JavaQuick,
-                        Lang::TclBytecode};
-        break;
-      case ModeSet::All:
-        interp_langs = {Lang::Mipsi, Lang::Java, Lang::Perl, Lang::Tcl,
-                        Lang::MipsiThreaded, Lang::JavaQuick,
-                        Lang::TclBytecode};
-        break;
-    }
+    for (const BenchSpec &column : withModes(columns, args.modes))
+        interp_langs.push_back(column.lang);
     std::vector<Lang> all_langs = {Lang::C};
     all_langs.insert(all_langs.end(), interp_langs.begin(),
                      interp_langs.end());
@@ -70,8 +60,8 @@ main(int argc, char **argv)
         for (Lang lang : all_langs)
             specs.push_back(microBench(lang, op, microIterations(lang)));
     std::vector<Measurement> results = runSuiteWith(
-        specs, jobs, [&tio](const BenchSpec &spec, size_t) {
-            return runOrReplay(spec, tio);
+        specs, args.suite.jobs, [&args](const BenchSpec &spec, size_t) {
+            return runOrReplay(spec, args.suite.io);
         });
 
     size_t next = 0;

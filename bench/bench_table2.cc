@@ -9,7 +9,7 @@
  * Workloads are scaled down from the paper's (documented in
  * EXPERIMENTS.md); compare shapes, not absolute counts.
  *
- * `--jobs N` (or INTERP_JOBS) runs the suite on N worker threads;
+ * `--jobs N` runs the suite on N worker threads;
  * the table is byte-identical at any job count. `--record <dir>`
  * additionally captures each run as a binary trace; `--replay <dir>`
  * regenerates the table from previously recorded traces without
@@ -31,9 +31,7 @@ using namespace interp::harness;
 int
 main(int argc, char **argv)
 {
-    int jobs = parseJobs(argc, argv);
-    TraceIo tio = parseTraceDirs(argc, argv);
-    ModeSet modes = parseModes(argc, argv);
+    BenchArgs args = parseBenchArgs(argc, argv, {.modes = true});
 
     std::printf("Table 2: baseline performance of the interpreters\n");
     std::printf("(counts in units of 10^3, as in the paper)\n\n");
@@ -46,14 +44,10 @@ main(int argc, char **argv)
     std::printf("--------------------------------------------------"
                 "--------------------------------\n");
 
-    SuiteOptions opt;
-    opt.jobs = jobs;
-    opt.io = tio;
-
     Lang last = Lang::C;
     bool first = true;
-    for (const Measurement &m : runSuite(withModes(macroSuite(), modes),
-                                         opt)) {
+    for (const Measurement &m :
+         runSuite(withModes(macroSuite(), args.modes), args.suite)) {
         if (m.failed) {
             std::printf("%-6s %-10s failed: %s\n", langName(m.lang),
                         m.name.c_str(), m.error.c_str());

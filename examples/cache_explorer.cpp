@@ -8,8 +8,8 @@
  * `des` in every execution mode over a grid of machine configurations
  * and prints cycles and the dominant stall for each.
  *
- * Usage: ./build/examples/cache_explorer [--jobs N] [benchmark]
- *        (benchmark = any macro-suite name; default "des")
+ * Usage: ./build/examples/cache_explorer [--jobs N] [--programs=GLOB]
+ *        (GLOB[,GLOB...] matches macro-suite names; default "des")
  */
 
 #include <cstdio>
@@ -19,6 +19,8 @@
 #include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "sim/machine.hh"
+#include "support/logging.hh"
+#include "workloads/registry.hh"
 
 using namespace interp;
 using namespace interp::harness;
@@ -40,8 +42,10 @@ dominantStall(const sim::SlotBreakdown &bd)
 int
 main(int argc, char **argv)
 {
-    int jobs = parseJobs(argc, argv);
-    std::string which = argc > 1 ? argv[1] : "des";
+    BenchArgs args = parseBenchArgs(argc, argv, {.programs = true});
+    if (args.suite.io.active())
+        fatal("cache_explorer runs live only: no --record/--replay");
+    std::string which = args.programs.empty() ? "des" : args.programs;
 
     struct Config
     {
@@ -57,10 +61,8 @@ main(int argc, char **argv)
     };
     constexpr size_t kNumConfigs = sizeof(configs) / sizeof(configs[0]);
 
-    std::vector<BenchSpec> matching;
-    for (BenchSpec &spec : macroSuite())
-        if (spec.name == which)
-            matching.push_back(std::move(spec));
+    std::vector<BenchSpec> matching =
+        workloads::filterPrograms(macroSuite(), which);
 
     // Flatten the benchmark x config grid into one parallel job list;
     // spec i of the flat suite is (matching[i / kNumConfigs],
@@ -79,7 +81,7 @@ main(int argc, char **argv)
         }
     }
     std::vector<Measurement> results = runSuiteWith(
-        grid, jobs, [&cfgs](const BenchSpec &spec, size_t i) {
+        grid, args.suite.jobs, [&cfgs](const BenchSpec &spec, size_t i) {
             return run(spec, {}, &cfgs[i]);
         });
 
@@ -107,7 +109,7 @@ main(int argc, char **argv)
     }
     if (matching.empty()) {
         std::fprintf(stderr,
-                     "no macro benchmark named '%s' (try des, compress, "
+                     "no macro benchmark matches '%s' (try des, compress, "
                      "tcllex, txt2html, ...)\n",
                      which.c_str());
         return 2;

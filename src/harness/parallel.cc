@@ -1,8 +1,6 @@
 #include "harness/parallel.hh"
 
-#include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <thread>
 
@@ -18,52 +16,6 @@ resolveJobs(int jobs)
         return jobs;
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? (int)hw : 1;
-}
-
-int
-defaultJobs()
-{
-    const char *env = std::getenv("INTERP_JOBS");
-    if (!env || !*env)
-        return 1;
-    char *end = nullptr;
-    long value = std::strtol(env, &end, 10);
-    if (end == env || *end || value < 0)
-        fatal("INTERP_JOBS must be a non-negative integer, got \"%s\"",
-              env);
-    return resolveJobs((int)value);
-}
-
-int
-parseJobs(int &argc, char **argv)
-{
-    int jobs = defaultJobs();
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *value = nullptr;
-        if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) {
-            if (i + 1 >= argc)
-                fatal("%s requires a count", arg);
-            value = argv[++i];
-        } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            value = arg + 7;
-        } else if (arg[0] == '-' && arg[1] == 'j' && arg[2]) {
-            value = arg + 2;
-        } else {
-            argv[out++] = argv[i];
-            continue;
-        }
-        char *end = nullptr;
-        long parsed = std::strtol(value, &end, 10);
-        if (end == value || *end || parsed < 0)
-            fatal("--jobs expects a non-negative integer, got \"%s\"",
-                  value);
-        jobs = resolveJobs((int)parsed);
-    }
-    argv[out] = nullptr;
-    argc = out;
-    return jobs;
 }
 
 void
@@ -122,6 +74,86 @@ runSuite(const std::vector<BenchSpec> &specs, const SuiteOptions &opt)
                                                opt.machineCfg,
                                                opt.withMachine);
                         });
+}
+
+BenchArgs
+parseBenchArgs(int argc, const char *const *argv, const BenchFlags &flags)
+{
+    BenchArgs args;
+    for (int i = 1; i < argc; ++i) {
+        std::string arg = argv[i], name = arg, value;
+        bool inline_value = false;
+        if (arg.rfind("--", 0) == 0 && arg.find('=') != std::string::npos) {
+            name = arg.substr(0, arg.find('='));
+            value = arg.substr(name.size() + 1);
+            inline_value = true;
+        } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
+            name = "-j";
+            value = arg.substr(2);
+            inline_value = true;
+        }
+        // The flag's value: after '=' or the next argument.
+        auto take = [&](const char *what) {
+            if (!inline_value) {
+                if (i + 1 >= argc)
+                    fatal("%s requires %s", name.c_str(), what);
+                value = argv[++i];
+            }
+            if (value.empty())
+                fatal("%s requires %s", name.c_str(), what);
+            return value;
+        };
+
+        if (name == "--jobs" || name == "-j") {
+            std::string count = take("a count");
+            char *end = nullptr;
+            long parsed = std::strtol(count.c_str(), &end, 10);
+            if (*end || parsed < 0)
+                fatal("--jobs expects a non-negative integer, got \"%s\"",
+                      count.c_str());
+            args.suite.jobs = resolveJobs((int)parsed);
+        } else if (name == "--record") {
+            args.suite.io.recordDir = take("a directory");
+        } else if (name == "--replay") {
+            args.suite.io.replayDir = take("a directory");
+        } else if (name == "--modes" && flags.modes) {
+            std::string set = take("a mode set");
+            if (set == "baseline")
+                args.modes = ModeSet::Baseline;
+            else if (set == "remedies")
+                args.modes = ModeSet::Remedies;
+            else if (set == "all")
+                args.modes = ModeSet::All;
+            else if (set == "jit")
+                args.modes = ModeSet::Jit;
+            else
+                fatal("unknown --modes value '%s' "
+                      "(want baseline|remedies|all|jit)",
+                      set.c_str());
+        } else if (name == "--programs" && flags.programs) {
+            args.programs = take("a pattern list");
+        } else if (name == "--json" && flags.json) {
+            if (inline_value)
+                args.jsonPath = take("a file");
+            else if (i + 1 < argc && argv[i + 1][0] != '-')
+                args.jsonPath = argv[++i];
+            else
+                args.jsonPath = flags.json;
+        } else {
+            std::string usage = "[--jobs N] [--record DIR | --replay DIR]";
+            if (flags.modes)
+                usage += " [--modes=baseline|remedies|all|jit]";
+            if (flags.programs)
+                usage += " [--programs=GLOB[,GLOB...]]";
+            if (flags.json)
+                usage += " [--json [FILE]]";
+            fatal("unknown argument '%s'\nusage: %s %s", argv[i], argv[0],
+                  usage.c_str());
+        }
+    }
+    if (!args.suite.io.recordDir.empty() && !args.suite.io.replayDir.empty())
+        fatal("--record and --replay are mutually exclusive");
+    return args;
 }
 
 } // namespace interp::harness

@@ -23,21 +23,9 @@
 
 #include "harness/record_replay.hh"
 #include "harness/runner.hh"
+#include "harness/workloads.hh"
 
 namespace interp::harness {
-
-/**
- * Job count from the environment: INTERP_JOBS if set (0 = one per
- * hardware thread), else 1 (serial, the historical behaviour).
- */
-int defaultJobs();
-
-/**
- * Strip a `--jobs N` / `--jobs=N` / `-jN` option from argv and return
- * the requested job count (0 = one per hardware thread). Returns
- * defaultJobs() when no option is present; argc is updated.
- */
-int parseJobs(int &argc, char **argv);
 
 /** Resolve a user-facing jobs value: 0 -> hardware threads, >=1 kept. */
 int resolveJobs(int jobs);
@@ -77,6 +65,36 @@ struct SuiteOptions
 /** Run a whole suite under the standard instrumentation. */
 std::vector<Measurement> runSuite(const std::vector<BenchSpec> &specs,
                                   const SuiteOptions &opt = {});
+
+/** The flags a suite driver takes on top of --jobs, --record and
+ *  --replay, which every suite driver takes. */
+struct BenchFlags
+{
+    bool modes = false;         ///< --modes=baseline|remedies|all|jit
+    bool programs = false;      ///< --programs=<glob[,glob...]>
+    const char *json = nullptr; ///< --json [file]: a bare --json's file
+};
+
+/** A suite driver's command line. */
+struct BenchArgs
+{
+    SuiteOptions suite;   ///< jobs and record/replay directories
+    ModeSet modes = ModeSet::Baseline;
+    std::string programs; ///< glob list; "" = the whole suite
+    std::string jsonPath; ///< "" = no --json
+};
+
+/**
+ * Parse a suite driver's whole command line. `--jobs N` (also `-jN`;
+ * 0 = one worker per hardware thread, default 1), `--record <dir>`,
+ * `--replay <dir>` and the flags @p flags names take their value as
+ * the next argument or after `=`; `--json` takes the next argument as
+ * its file only when that does not start with '-'. Any other
+ * argument, a malformed value, and --record together with --replay
+ * are fatal() usage errors naming the argument.
+ */
+BenchArgs parseBenchArgs(int argc, const char *const *argv,
+                         const BenchFlags &flags = {});
 
 } // namespace interp::harness
 

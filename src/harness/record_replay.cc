@@ -1,7 +1,6 @@
 #include "harness/record_replay.hh"
 
 #include <cctype>
-#include <cstring>
 #include <filesystem>
 
 #include "support/logging.hh"
@@ -9,43 +8,6 @@
 #include "tracefile/writer.hh"
 
 namespace interp::harness {
-
-TraceIo
-parseTraceDirs(int &argc, char **argv)
-{
-    TraceIo io;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        std::string *dest = nullptr;
-        const char *value = nullptr;
-        if (std::strcmp(arg, "--record") == 0 ||
-            std::strcmp(arg, "--replay") == 0) {
-            if (i + 1 >= argc)
-                fatal("%s requires a directory", arg);
-            dest = std::strcmp(arg, "--record") == 0 ? &io.recordDir
-                                                     : &io.replayDir;
-            value = argv[++i];
-        } else if (std::strncmp(arg, "--record=", 9) == 0) {
-            dest = &io.recordDir;
-            value = arg + 9;
-        } else if (std::strncmp(arg, "--replay=", 9) == 0) {
-            dest = &io.replayDir;
-            value = arg + 9;
-        } else {
-            argv[out++] = argv[i];
-            continue;
-        }
-        if (!*value)
-            fatal("--record/--replay require a non-empty directory");
-        *dest = value;
-    }
-    argv[out] = nullptr;
-    argc = out;
-    if (!io.recordDir.empty() && !io.replayDir.empty())
-        fatal("--record and --replay are mutually exclusive");
-    return io;
-}
 
 std::string
 traceFileName(const BenchSpec &spec)
@@ -109,23 +71,18 @@ replayTrace(const std::string &path, const BenchSpec &spec,
 }
 
 Measurement
-runOrReplay(const BenchSpec &spec, const TraceIo &io,
-            const std::vector<trace::Sink *> &extra_sinks,
-            const sim::MachineConfig *machine_cfg, bool with_machine)
+recordRun(const BenchSpec &spec, const std::string &tape_path,
+          const std::vector<trace::Sink *> &extra_sinks,
+          const sim::MachineConfig *machine_cfg, bool with_machine)
 {
-    if (!io.replayDir.empty())
-        return replayTrace(traceFilePath(io.replayDir, spec), spec,
-                           extra_sinks, machine_cfg, with_machine);
-    if (io.recordDir.empty())
-        return run(spec, extra_sinks, machine_cfg, with_machine);
-
+    auto dir = std::filesystem::path(tape_path).parent_path();
     std::error_code ec;
-    std::filesystem::create_directories(io.recordDir, ec);
+    if (!dir.empty())
+        std::filesystem::create_directories(dir, ec);
     if (ec)
-        fatal("cannot create trace directory %s: %s",
-              io.recordDir.c_str(), ec.message().c_str());
-    tracefile::TraceWriter writer(traceFilePath(io.recordDir, spec),
-                                  langName(spec.lang), spec.name);
+        fatal("cannot create trace directory %s: %s", dir.c_str(),
+              ec.message().c_str());
+    tracefile::TraceWriter writer(tape_path, langName(spec.lang), spec.name);
     std::vector<trace::Sink *> sinks = extra_sinks;
     sinks.push_back(&writer);
     Measurement m = run(spec, sinks, machine_cfg, with_machine);
@@ -133,6 +90,20 @@ runOrReplay(const BenchSpec &spec, const TraceIo &io,
     writer.setCommandNames(m.commandNames);
     writer.finish();
     return m;
+}
+
+Measurement
+runOrReplay(const BenchSpec &spec, const TraceIo &io,
+            const std::vector<trace::Sink *> &extra_sinks,
+            const sim::MachineConfig *machine_cfg, bool with_machine)
+{
+    if (!io.replayDir.empty())
+        return replayTrace(traceFilePath(io.replayDir, spec), spec,
+                           extra_sinks, machine_cfg, with_machine);
+    if (!io.recordDir.empty())
+        return recordRun(spec, traceFilePath(io.recordDir, spec),
+                         extra_sinks, machine_cfg, with_machine);
+    return run(spec, extra_sinks, machine_cfg, with_machine);
 }
 
 } // namespace interp::harness

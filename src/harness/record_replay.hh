@@ -34,13 +34,6 @@ struct TraceIo
 };
 
 /**
- * Strip `--record <dir>` / `--record=<dir>` / `--replay <dir>` /
- * `--replay=<dir>` from argv (argc is updated), like parseJobs().
- * Asking for both at once is a fatal() usage error.
- */
-TraceIo parseTraceDirs(int &argc, char **argv);
-
-/**
  * Canonical trace file name for a spec: lowercase language, sanitized
  * benchmark name, `.itr` — e.g. "perl-txt2html.itr".
  */
@@ -61,6 +54,16 @@ Measurement replayTrace(const std::string &path, const BenchSpec &spec,
                         const std::vector<trace::Sink *> &extra_sinks = {},
                         const sim::MachineConfig *machine_cfg = nullptr,
                         bool with_machine = true);
+
+/**
+ * harness::run() that also records the run's trace into the tape at
+ * @p tape_path (creating its directory), labelled with @p spec's
+ * language and name.
+ */
+Measurement recordRun(const BenchSpec &spec, const std::string &tape_path,
+                      const std::vector<trace::Sink *> &extra_sinks = {},
+                      const sim::MachineConfig *machine_cfg = nullptr,
+                      bool with_machine = true);
 
 /**
  * harness::run() with the record/replay policy applied: replay from

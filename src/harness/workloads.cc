@@ -3,7 +3,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/strutil.hh"
 #include "workloads/registry.hh"
@@ -38,30 +37,6 @@ loadProgram(const std::string &relative_path)
 }
 
 // --- execution-mode selection ------------------------------------------
-
-ModeSet
-parseModes(int argc, char **argv)
-{
-    const std::string prefix = "--modes=";
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.compare(0, prefix.size(), prefix) != 0)
-            continue;
-        std::string value = arg.substr(prefix.size());
-        if (value == "baseline")
-            return ModeSet::Baseline;
-        if (value == "remedies")
-            return ModeSet::Remedies;
-        if (value == "all")
-            return ModeSet::All;
-        if (value == "jit")
-            return ModeSet::Jit;
-        fatal("unknown --modes value '%s' "
-              "(want baseline|remedies|all|jit)",
-              value.c_str());
-    }
-    return ModeSet::Baseline;
-}
 
 std::vector<BenchSpec>
 withModes(std::vector<BenchSpec> suite, ModeSet mode)

@@ -33,12 +33,6 @@ enum class ModeSet : uint8_t
 };
 
 /**
- * Parse a `--modes=baseline|remedies|all|jit` argument if present
- * (fatal on an unknown value); other arguments are left alone.
- */
-ModeSet parseModes(int argc, char **argv);
-
-/**
  * Expand @p suite for @p mode: Baseline returns it unchanged;
  * Remedies keeps only rows whose language has a §5 remedy, retargeted
  * to the remedy mode; All appends the remedy rows after the

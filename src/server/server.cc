@@ -1,12 +1,10 @@
 #include "server/server.hh"
 
 #include <chrono>
-#include <filesystem>
 
 #include "harness/record_replay.hh"
 #include "minic/compile.hh"
 #include "support/logging.hh"
-#include "tracefile/writer.hh"
 
 namespace interp::server {
 
@@ -100,24 +98,24 @@ ProgramCatalog::resolve(harness::Lang mode, const std::string &name,
         std::string key =
             catalogKey(base, op) + "/" + std::to_string(iters);
         auto it = micro.find(key);
-        if (it == micro.end()) {
+        harness::BenchSpec spec;
+        if (it != micro.end()) {
+            ++counters_.hits;
+            spec = it->second;
+        } else {
             ++counters_.misses;
             ++counters_.loads;
             // microBench fatal()s on an unknown op; the caller's
             // ScopedFatalThrow turns that into an ERROR response.
-            it = micro
-                     .emplace(std::move(key),
-                              harness::microBench(base, op, iters))
-                     .first;
+            spec = harness::microBench(base, op, iters);
             if (base == Lang::Java)
-                it->second.module =
-                    std::make_shared<const jvm::Module>(
-                        minic::compileBytecode(it->second.source,
-                                               it->second.name));
-        } else {
-            ++counters_.hits;
+                spec.module = std::make_shared<const jvm::Module>(
+                    minic::compileBytecode(spec.source, spec.name));
+            // The client picks the iteration count, so the keys are
+            // unbounded: past the cap a new key is built per request.
+            if (micro.size() < kMaxMicroEntries)
+                micro.emplace(std::move(key), spec);
         }
-        harness::BenchSpec spec = it->second;
         spec.lang = mode;
         return spec;
     }
@@ -391,35 +389,23 @@ Server::executeOne(const Pending &p, uint64_t queue_us)
         if (req.deadlineMs != kNoDeadline)
             sinks.push_back(&deadline);
 
-        std::unique_ptr<tracefile::TraceWriter> writer;
+        bool with_machine = (req.flags & kFlagWithMachine) != 0;
+        harness::Measurement m;
         if ((req.flags & kFlagRecordTrace) && !cfg.recordDir.empty()) {
-            std::error_code ec;
-            std::filesystem::create_directories(cfg.recordDir, ec);
-            if (ec)
-                fatal("interpd: cannot create trace dir %s: %s",
-                      cfg.recordDir.c_str(), ec.message().c_str());
             // Suffix the request id so concurrent requests for the
             // same program never race on one tape.
-            harness::BenchSpec named = spec;
-            named.name += "-r" + std::to_string(req.id);
-            writer = std::make_unique<tracefile::TraceWriter>(
-                harness::traceFilePath(cfg.recordDir, named),
-                harness::langName(spec.lang), spec.name);
-            sinks.push_back(writer.get());
+            harness::BenchSpec tape;
+            tape.lang = spec.lang;
+            tape.name = spec.name + "-r" + std::to_string(req.id);
+            m = harness::recordRun(
+                spec, harness::traceFilePath(cfg.recordDir, tape), sinks,
+                nullptr, with_machine);
+        } else {
+            m = harness::run(spec, sinks, nullptr, with_machine);
         }
-
-        bool with_machine = (req.flags & kFlagWithMachine) != 0;
-        harness::Measurement m =
-            harness::run(spec, sinks, nullptr, with_machine);
         if (tiering)
             tierMgr.noteRun(req.mode, req.program, m.commands,
                             spec.tier.collect.get());
-        if (writer) {
-            writer->setRunResult(m.programBytes, m.commands,
-                                 m.finished);
-            writer->setCommandNames(m.commandNames);
-            writer->finish();
-        }
 
         resp.status = Status::Ok;
         resp.commands = m.commands;

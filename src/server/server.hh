@@ -112,6 +112,9 @@ class ProgramCatalog
      *  and each expensive build is a load. */
     CatalogCounters counters() const;
 
+    /** Micro specs kept warm; later micro keys are built per request. */
+    static constexpr size_t kMaxMicroEntries = 256;
+
   private:
     mutable std::mutex mu;
     CatalogCounters counters_;

@@ -286,18 +286,6 @@ macroRows()
 
 // --- suite subsetting --------------------------------------------------
 
-std::string
-parseProgramsArg(int argc, char **argv)
-{
-    const std::string prefix = "--programs=";
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.compare(0, prefix.size(), prefix) == 0)
-            return arg.substr(prefix.size());
-    }
-    return "";
-}
-
 bool
 globMatch(const std::string &pattern, const std::string &name)
 {

@@ -104,9 +104,6 @@ std::string composeSource(const std::string &script);
 
 // --- suite subsetting (--programs=<glob>) ------------------------------
 
-/** Parse a `--programs=<glob[,glob...]>` argument; "" if absent. */
-std::string parseProgramsArg(int argc, char **argv);
-
 /** Shell-style match: `*` any run, `?` any one char. */
 bool globMatch(const std::string &pattern, const std::string &name);
 

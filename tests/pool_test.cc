@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the parallel suite runner: the thread pool itself, the
- * jobs-option plumbing, failure containment (exceptions and fatal()
+ * suite command line, failure containment (exceptions and fatal()
  * program errors become failed Measurements, not process exits), and
  * the determinism guarantee — a parallel suite run is bit-identical
  * to a serial one.
@@ -12,7 +12,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -133,58 +132,55 @@ TEST(ParallelFor, MoreJobsThanWork)
     EXPECT_EQ(count.load(), 3);
 }
 
-// --- jobs-option plumbing ----------------------------------------------
+// --- suite command line ------------------------------------------------
 
-TEST(ParseJobs, StripsOptionForms)
+BenchArgs
+parse(std::vector<const char *> words, const BenchFlags &flags = {})
 {
-    const char *forms[][3] = {
-        {"prog", "--jobs", "4"},
-        {"prog", "--jobs=4", nullptr},
-        {"prog", "-j4", nullptr},
-        {"prog", "-j", "4"},
-    };
-    for (auto &form : forms) {
-        char a0[16], a1[16], a2[16];
-        char *argv[4] = {a0, a1, nullptr, nullptr};
-        int argc = 2;
-        std::strcpy(a0, form[0]);
-        std::strcpy(a1, form[1]);
-        if (form[2]) {
-            std::strcpy(a2, form[2]);
-            argv[2] = a2;
-            argc = 3;
-        }
-        EXPECT_EQ(parseJobs(argc, argv), 4);
-        EXPECT_EQ(argc, 1) << "option should be stripped";
-        EXPECT_STREQ(argv[0], "prog");
-    }
+    words.insert(words.begin(), "bench");
+    return parseBenchArgs((int)words.size(), words.data(), flags);
 }
 
-TEST(ParseJobs, LeavesOtherArgs)
+TEST(ParseBenchArgs, EverySpellingAndEveryUsageError)
 {
-    char a0[] = "prog", a1[] = "des", a2[] = "--jobs", a3[] = "2";
-    char *argv[] = {a0, a1, a2, a3, nullptr};
-    int argc = 4;
-    EXPECT_EQ(parseJobs(argc, argv), 2);
-    EXPECT_EQ(argc, 2);
-    EXPECT_STREQ(argv[1], "des");
-}
+    for (auto words : std::vector<std::vector<const char *>>{
+             {"--jobs", "4"}, {"--jobs=4"}, {"-j4"}, {"-j", "4"}})
+        EXPECT_EQ(parse(words).suite.jobs, 4) << words[0];
+    EXPECT_EQ(parse({}).suite.jobs, 1);
+    EXPECT_GE(parse({"--jobs=0"}).suite.jobs, 1) << "hardware threads";
 
-TEST(ParseJobs, ZeroMeansHardwareThreads)
-{
-    char a0[] = "prog", a1[] = "--jobs=0";
-    char *argv[] = {a0, a1, nullptr};
-    int argc = 2;
-    EXPECT_GE(parseJobs(argc, argv), 1);
-}
+    // Every value flag, as the next argument and after '='.
+    const BenchFlags all = {.modes = true, .programs = true,
+                            .json = "default.json"};
+    EXPECT_EQ(parse({"--record", "tr"}).suite.io.recordDir, "tr");
+    EXPECT_EQ(parse({"--record=tr"}).suite.io.recordDir, "tr");
+    EXPECT_EQ(parse({"--replay", "tr"}).suite.io.replayDir, "tr");
+    EXPECT_EQ(parse({"--replay=tr"}).suite.io.replayDir, "tr");
+    EXPECT_EQ(parse({"--modes", "jit"}, all).modes, ModeSet::Jit);
+    EXPECT_EQ(parse({"--modes=all"}, all).modes, ModeSet::All);
+    EXPECT_EQ(parse({"--programs", "des"}, all).programs, "des");
+    EXPECT_EQ(parse({"--programs=a*,b"}, all).programs, "a*,b");
+    EXPECT_EQ(parse({"--json", "out.json"}, all).jsonPath, "out.json");
+    EXPECT_EQ(parse({"--json=x.json"}, all).jsonPath, "x.json");
 
-TEST(ParseJobs, RejectsGarbage)
-{
-    char a0[] = "prog", a1[] = "--jobs=many";
-    char *argv[] = {a0, a1, nullptr};
-    int argc = 2;
+    // A bare --json writes the driver's default file, also when
+    // another flag follows it; no --json writes nothing.
+    BenchArgs before = parse({"--json", "--programs=spin"}, all);
+    EXPECT_EQ(before.jsonPath, "default.json");
+    EXPECT_EQ(before.programs, "spin");
+    EXPECT_EQ(parse({"--jobs", "2", "--json"}, all).jsonPath,
+              "default.json");
+    EXPECT_EQ(parse({"--jobs=2"}, all).jsonPath, "");
+
     ScopedFatalThrow contain;
-    EXPECT_THROW(parseJobs(argc, argv), FatalError);
+    for (auto words : std::vector<std::vector<const char *>>{
+             {"--mode=all"}, {"--program=des"}, {"des"}, {"--modes=all"},
+             {"--programs=des"}, {"--json"}, {"--jobs=many"},
+             {"--jobs=-3"}, {"-j", "abc"}, {"--jobs"}, {"--record"},
+             {"--replay="}, {"--record", "a", "--replay", "b"}})
+        EXPECT_THROW(parse(words), FatalError) << words[0];
+    EXPECT_THROW(parse({"--modes=fast"}, all), FatalError);
+    EXPECT_THROW(parse({"--json="}, all), FatalError);
 }
 
 // --- failure containment -----------------------------------------------

@@ -225,83 +225,38 @@ readFile(const std::string &path)
     return out.str();
 }
 
-std::string
-row(const std::string &bench, int tier)
-{
-    std::string tag =
-        tier == 1 ? "" : ", \"tier\": " + std::to_string(tier);
-    return "{\"bench\": \"" + bench + "\"" + tag + "}";
-}
-
 } // namespace
 
-TEST(RemediesJson, EachTierReplacesOnlyItsRowsInTierOrder)
+TEST(RemediesJson, WritingEveryRowBackKeepsTheCheckedInBytes)
 {
-    std::string path = testing::TempDir() + "remedies_tiers.json";
-    std::remove(path.c_str());
-
-    // The drivers in the order that used to scramble the document:
-    // jit first, then tier 2, then the §5 remedies (which used to
-    // truncate the file), then tier 2 again with fewer rows.
-    ASSERT_TRUE(writeRemediesTier(path, 3, {row("j1", 3), row("j2", 3)}));
-    ASSERT_TRUE(writeRemediesTier(path, 2, {row("t1", 2), row("t2", 2)}));
-    ASSERT_TRUE(writeRemediesTier(path, 1, {row("r1", 1), row("r2", 1)}));
-    EXPECT_EQ(readFile(path),
-              "{\n  \"schema\": \"interp-remedies-v1\",\n"
-              "  \"pairs\": [\n"
-              "    " + row("r1", 1) + ",\n    " + row("r2", 1) +
-              ",\n    " + row("t1", 2) + ",\n    " + row("t2", 2) +
-              ",\n    " + row("j1", 3) + ",\n    " + row("j2", 3) +
-              "\n  ]\n}\n");
-
-    ASSERT_TRUE(writeRemediesTier(path, 2, {row("t3", 2)}));
-    std::string doc = readFile(path);
-    EXPECT_EQ(doc.find("\"t1\""), std::string::npos);
-    EXPECT_LT(doc.find("\"r2\""), doc.find("\"t3\""));
-    EXPECT_LT(doc.find("\"t3\""), doc.find("\"j1\""));
-
-    ASSERT_TRUE(writeRemediesTier(path, 3, {}));
-    EXPECT_EQ(readFile(path).find("\"j1\""), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(RemediesJson, RewritingATierWithItsRowsKeepsTheCheckedInBytes)
-{
-    // The checked-in document, tier-2 rows (one line each) rewritten
-    // in place: the writer must reproduce every byte, multi-line
-    // tier-1 rows included.
+    // Every row of the checked-in document, the multi-line tier-1
+    // rows included, written back: the writer's framing must
+    // reproduce every byte.
     std::string original =
         readFile(std::string(INTERP_PROGRAMS_DIR) + "/../BENCH_remedies.json");
     ASSERT_NE(original.find("interp-remedies-v1"), std::string::npos);
-    std::vector<std::string> tier2;
+    std::vector<std::string> rows;
     std::istringstream lines(original);
     for (std::string line; std::getline(lines, line);) {
-        if (line.find("\"tier\": 2") == std::string::npos)
-            continue;
-        line = line.substr(line.find('{'));
-        if (line.back() == ',')
-            line.pop_back();
-        tier2.push_back(line);
+        if (line.rfind("    {", 0) == 0)
+            rows.push_back(line.substr(4));
+        else if (line.rfind("     ", 0) == 0 && !rows.empty())
+            rows.back() += "\n" + line;
     }
-    ASSERT_FALSE(tier2.empty());
+    for (std::string &row : rows)
+        if (row.back() == ',')
+            row.pop_back();
+    size_t objects = 0;
+    for (size_t at = 0; (at = original.find("{\"baseline_lang\"", at)) !=
+                        std::string::npos;
+         ++at)
+        ++objects;
+    ASSERT_EQ(rows.size(), objects) << "one row per pair, all tiers";
 
     std::string path = testing::TempDir() + "remedies_checked_in.json";
-    std::ofstream(path, std::ios::binary) << original;
-    ASSERT_TRUE(writeRemediesTier(path, 2, tier2));
+    ASSERT_TRUE(writeRemediesJson(path, rows));
     EXPECT_EQ(readFile(path), original);
     std::remove(path.c_str());
-}
-
-TEST(RemediesJson, JsonPathArgument)
-{
-    const char *bare[] = {"bench", "--jobs", "2", "--json"};
-    const char *named[] = {"bench", "--json", "out.json"};
-    const char *eq[] = {"bench", "--json=x.json", "--jobs=2"};
-    const char *none[] = {"bench", "--jobs=2"};
-    EXPECT_EQ(parseJsonPath(4, (char **)bare), "BENCH_remedies.json");
-    EXPECT_EQ(parseJsonPath(3, (char **)named), "out.json");
-    EXPECT_EQ(parseJsonPath(3, (char **)eq), "x.json");
-    EXPECT_EQ(parseJsonPath(2, (char **)none), "");
 }
 
 // --- code-mutation guards ----------------------------------------------

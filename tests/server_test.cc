@@ -451,6 +451,38 @@ TEST(ModeNames, EveryModeRoundTripsThroughItsName)
     EXPECT_FALSE(langFromName("", alias));
 }
 
+TEST(ProgramCatalog, MicroCacheStopsGrowingAtItsCap)
+{
+    // The client picks a micro's iteration count, so it can name
+    // unboundedly many keys; only the first kMaxMicroEntries stay warm.
+    ProgramCatalog catalog;
+    const uint32_t cap = ProgramCatalog::kMaxMicroEntries;
+    for (uint32_t iters = 1; iters <= cap; ++iters)
+        catalog.resolve(Lang::Tcl, "micro:a=b+c", iters);
+    CatalogCounters c = catalog.counters();
+    EXPECT_EQ(c.hits, 0u);
+    EXPECT_EQ(c.misses, cap);
+    EXPECT_EQ(c.loads, cap);
+
+    // An early key still hits, in any mode of its baseline...
+    catalog.resolve(Lang::TclBytecode, "micro:a=b+c", 1);
+    EXPECT_EQ(catalog.counters().hits, 1u);
+
+    // ...and a new key misses on every resolve, built the same way.
+    std::string source =
+        harness::microBench(Lang::Tcl, "a=b+c", cap + 1).source;
+    for (int i = 0; i < 3; ++i) {
+        harness::BenchSpec spec =
+            catalog.resolve(Lang::TclJit, "micro:a=b+c", cap + 1);
+        EXPECT_EQ(spec.lang, Lang::TclJit);
+        EXPECT_EQ(spec.source, source);
+    }
+    c = catalog.counters();
+    EXPECT_EQ(c.hits, 1u);
+    EXPECT_EQ(c.misses, cap + 3);
+    EXPECT_EQ(c.loads, cap + 3);
+}
+
 // --- end-to-end: identity under concurrency --------------------------------
 
 TEST(ServerEndToEnd, LoadgenMatchesBatchHarnessAcrossModes)
