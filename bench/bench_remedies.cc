@@ -470,21 +470,13 @@ main(int argc, char **argv)
     // One suite: each program with a ladder runs once in its baseline
     // and once in each distinct rung, whichever tables use the run.
     Pass pass;
-    std::vector<BenchSpec> specs;
     for (BenchSpec &program :
-         workloads::filterPrograms(macroSuite(), args.programs)) {
-        if (rungOf(program.lang, 3) == program.lang)
-            continue; // no ladder
-        for (int level = 0; level <= 3; ++level) {
-            Lang mode = level ? rungOf(program.lang, level) : program.lang;
-            if (pass.slot.try_emplace({mode, program.name}, specs.size())
-                    .second) {
-                specs.push_back(program);
-                specs.back().lang = mode;
-            }
-        }
-        pass.programs.push_back(std::move(program));
-    }
+         workloads::filterPrograms(macroSuite(), args.programs))
+        if (rungOf(program.lang, 3) != program.lang)
+            pass.programs.push_back(std::move(program));
+    std::vector<BenchSpec> specs = ladderSuite(pass.programs);
+    for (size_t i = 0; i < specs.size(); ++i)
+        pass.slot[{specs[i].lang, specs[i].name}] = i;
 
     // The jit runs carry a region sink so the emitted segment's
     // footprint rides the same pass as the Table 3 machine.

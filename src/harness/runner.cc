@@ -1,5 +1,7 @@
 #include "harness/runner.hh"
 
+#include <optional>
+
 #include "harness/engine.hh"
 #include "harness/workloads.hh"
 #include "mips/asm_builder.hh"
@@ -20,12 +22,15 @@ run(const BenchSpec &spec, const std::vector<trace::Sink *> &extra_sinks,
     m.name = spec.name;
 
     trace::Execution exec;
-    exec.addSink(&m.profile);
-    sim::MachineConfig cfg =
-        machine_cfg ? *machine_cfg : sim::MachineConfig();
-    sim::Machine machine(cfg);
-    if (with_machine)
-        exec.addSink(&machine);
+    // The profile is counted at the source; bundles are built only for
+    // the machine and the extra sinks, so a counting-only run builds
+    // none.
+    exec.countInto(&m.profile);
+    std::optional<sim::Machine> machine;
+    if (with_machine) {
+        machine.emplace(machine_cfg ? *machine_cfg : sim::MachineConfig());
+        exec.addSink(&*machine);
+    }
     for (trace::Sink *sink : extra_sinks)
         exec.addSink(sink);
 
@@ -51,9 +56,11 @@ run(const BenchSpec &spec, const std::vector<trace::Sink *> &extra_sinks,
     // covers hypothetical future paths that emit outside run().
     exec.flush();
 
-    m.cycles = machine.cycles();
-    m.breakdown = machine.breakdown();
-    m.imissPer100 = machine.imissPer100Insts();
+    if (machine) {
+        m.cycles = machine->cycles();
+        m.breakdown = machine->breakdown();
+        m.imissPer100 = machine->imissPer100Insts();
+    }
     m.stdoutText = fs.stdoutCapture();
     return m;
 }
@@ -66,6 +73,26 @@ macroSuite()
     // The suite is the workload registry's canonical row order; this
     // wrapper survives so existing callers keep one include.
     return workloads::macroRows();
+}
+
+std::vector<BenchSpec>
+ladderSuite(const std::vector<BenchSpec> &suite)
+{
+    std::vector<BenchSpec> out;
+    for (const BenchSpec &row : suite) {
+        size_t first = out.size();
+        for (int level = 0; level <= 3; ++level) {
+            Lang mode = level ? rungOf(row.lang, level) : row.lang;
+            bool seen = false;
+            for (size_t i = first; i < out.size(); ++i)
+                seen = seen || out[i].lang == mode;
+            if (!seen) {
+                out.push_back(row);
+                out.back().lang = mode;
+            }
+        }
+    }
+    return out;
 }
 
 // --- micro suite --------------------------------------------------------

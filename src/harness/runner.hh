@@ -264,7 +264,9 @@ struct Measurement
  * machine model.
  * @param extra_sinks  additional consumers of the instruction stream
  * @param machine_cfg  machine configuration (null = Table 3 default)
- * @param with_machine simulate timing (disable for counting-only runs)
+ * @param with_machine simulate timing (disable for counting-only runs,
+ *                     which then build no machine and report cycles,
+ *                     breakdown and imissPer100 as zero)
  */
 Measurement run(const BenchSpec &spec,
                 const std::vector<trace::Sink *> &extra_sinks = {},
@@ -275,6 +277,10 @@ Measurement run(const BenchSpec &spec,
 
 /** The Table 2 macro suite (des in all languages + per-language apps). */
 std::vector<BenchSpec> macroSuite();
+
+/** Each row of @p suite in its own mode, then in each distinct rung of
+ *  its ladder (a row without one appears once). */
+std::vector<BenchSpec> ladderSuite(const std::vector<BenchSpec> &suite);
 
 /** One microbenchmark from Table 1, for one language. */
 BenchSpec microBench(Lang lang, const std::string &op, int iterations);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/logging.hh"
+#include "trace/profile.hh"
 
 namespace interp::trace {
 
@@ -22,20 +23,29 @@ CommandSet::intern(const std::string &name)
 
 Execution::Execution()
 {
-    topRoutine = registry.registerRoutine("__top__", 256,
-                                          Segment::InterpCore);
-    topPc = registry.routine(topRoutine).base;
+    // Registered first, so every routine the interpreters register is
+    // laid out after it.
+    const Routine &top = registry.routine(
+        registry.registerRoutine("__top__", 256, Segment::InterpCore));
+    curBase = curPc = top.base;
+    curEnd = top.base + top.sizeInsts * 4;
+}
+
+void
+Execution::requireFreshStream(const char *what) const
+{
+    if (totalInsts != 0 || totalCommands != 0)
+        fatal("%s attached after %llu instructions / %llu commands were "
+              "already emitted; sinks must be registered before "
+              "execution starts",
+              what, (unsigned long long)totalInsts,
+              (unsigned long long)totalCommands);
 }
 
 void
 Execution::addSink(Sink *sink)
 {
-    if (totalInsts != 0 || totalCommands != 0)
-        fatal("trace sink attached after %llu instructions / %llu "
-              "commands were already emitted; sinks must be "
-              "registered before execution starts",
-              (unsigned long long)totalInsts,
-              (unsigned long long)totalCommands);
+    requireFreshStream("trace sink");
     sinks.push_back(sink);
 }
 
@@ -49,8 +59,16 @@ Execution::removeSink(Sink *sink)
 }
 
 void
+Execution::countInto(Profile *profile)
+{
+    requireFreshStream("counted profile");
+    counted = profile;
+}
+
+void
 Execution::flush()
 {
+    commitRun();
     if (batch.empty())
         return;
     try {
@@ -66,101 +84,117 @@ Execution::flush()
     batch.clear();
 }
 
+// --- emission core -----------------------------------------------------------
+
 uint32_t
-Execution::currentPc() const
+Execution::attribution() const
 {
-    return frames.empty() ? topPc : frames.back().pc;
+    // Category in the low byte, the BundleBatch flag bits in the next,
+    // the command in the top half: never equal to kNoRun.
+    return (uint32_t)cat |
+           (uint32_t)BundleBatch::packFlags(memModel, native, system,
+                                            false) << 8 |
+           (uint32_t)command << 16;
 }
 
 void
-Execution::deliver(Bundle &bundle)
+Execution::commitRun()
 {
-    bundle.cat = cat;
-    bundle.command = command;
-    bundle.memModel = memModel;
-    bundle.native = native;
-    bundle.system = system;
-    totalInsts += bundle.count;
-    batch.push(bundle);
+    if (runKey == kNoRun)
+        return;
+    if (counted)
+        counted->accountRun((Category)(runKey & 0xff),
+                            (uint8_t)(runKey >> 8),
+                            (CommandId)(runKey >> 16),
+                            totalInsts - runStart);
+    runKey = kNoRun;
+}
+
+void
+Execution::emit(uint32_t at, uint32_t n, InstClass cls, uint32_t mem_addr,
+                bool taken, uint32_t target)
+{
+    uint32_t key = attribution();
+    if (key != runKey) {
+        commitRun();
+        runKey = key;
+        runStart = totalInsts;
+    }
+    totalInsts += n;
+    if (sinks.empty())
+        return;
+    batch.pushPacked(at, n, BundleBatch::packClsCat(cls, cat),
+                     (uint8_t)(key >> 8) |
+                         (taken ? BundleBatch::kTakenBit : 0),
+                     command, mem_addr, target);
     if (batch.full())
         flush();
 }
 
 uint32_t
-Execution::advance(uint32_t count)
+Execution::step()
 {
-    uint32_t pc;
-    if (frames.empty()) {
-        const Routine &r = registry.routine(topRoutine);
-        pc = topPc;
-        topPc += count * 4;
-        if (topPc >= r.base + r.sizeInsts * 4)
-            topPc = r.base;
-        return pc;
-    }
-    Frame &f = frames.back();
-    const Routine &r = registry.routine(f.routine);
-    pc = f.pc;
-    f.pc += count * 4;
-    if (f.pc >= r.base + r.sizeInsts * 4) {
-        // Wrap: model an inner loop with a taken backward branch.
-        f.pc = r.base;
-    }
-    return pc;
+    uint32_t at = curPc;
+    curPc += 4;
+    if (curPc >= curEnd)
+        curPc = curBase;
+    return at;
 }
 
 void
 Execution::emitStraight(uint32_t count, InstClass cls)
 {
-    if (count == 0)
-        return;
-    // Split bundles at routine-wrap boundaries so PCs stay inside the
-    // routine body and each wrap is visible as a taken branch.
+    // Split runs at the routine's end so PCs stay inside its body, and
+    // carve each wrap's taken loop-back branch out of the count.
     while (count > 0) {
-        uint32_t pc = currentPc();
-        uint32_t limit;
-        if (frames.empty()) {
-            const Routine &r = registry.routine(topRoutine);
-            limit = (r.base + r.sizeInsts * 4 - pc) / 4;
-        } else {
-            const Routine &r = registry.routine(frames.back().routine);
-            limit = (r.base + r.sizeInsts * 4 - pc) / 4;
-        }
-        uint32_t run = std::min(count, std::max(limit, 1u));
-        Bundle b;
-        b.pc = advance(run);
-        b.count = run;
-        b.cls = cls;
-        deliver(b);
+        uint32_t at = curPc;
+        uint32_t run = std::min(count, (curEnd - at) / 4);
+        curPc += run * 4;
+        if (curPc >= curEnd)
+            curPc = curBase;
+        emit(at, run, cls, 0, false, 0);
         count -= run;
         if (count > 0) {
-            // Emit the loop-back branch of the wrap.
-            Bundle br;
-            br.pc = currentPc();
-            br.cls = InstClass::CondBranch;
-            br.taken = true;
-            br.target = currentPc();
-            advance(1);
-            deliver(br);
+            uint32_t branch_pc = step();
+            emit(branch_pc, 1, InstClass::CondBranch, 0, true, branch_pc);
             --count;
-            if (count == 0)
-                break;
         }
     }
 }
 
 void
-Execution::emitOne(InstClass cls, uint32_t mem_addr, bool taken,
-                   uint32_t target)
+Execution::enter(RoutineId routine, InstClass cls, uint32_t dispatch_bit)
 {
-    Bundle b;
-    b.pc = advance(1);
-    b.cls = cls;
-    b.memAddr = mem_addr;
-    b.taken = taken;
-    b.target = target;
-    deliver(b);
+    const Routine &r = registry.routine(routine);
+    uint32_t callee_base = r.base;
+    uint32_t callee_end = r.base + r.sizeInsts * 4;
+    uint32_t at = step();
+    emit(at, 1, cls, 0, true, callee_base);
+    frames.push_back({curPc, curBase, curEnd, (at + 4) | dispatch_bit});
+    curPc = curBase = callee_base;
+    curEnd = callee_end;
 }
+
+void
+Execution::leave(InstClass cls, uint32_t dispatch_bit)
+{
+    const char *how = dispatch_bit ? "endDispatch" : "returnRoutine";
+    if (frames.empty())
+        panic("%s with empty routine stack", how);
+    Frame f = frames.back();
+    if ((f.returnPc & kViaDispatch) != dispatch_bit)
+        panic("%s from %s frame; use %s", how,
+              dispatch_bit ? "call" : "dispatch",
+              dispatch_bit ? "returnRoutine" : "endDispatch");
+    uint32_t at = curPc;
+    frames.pop_back();
+    curPc = f.pc;
+    curBase = f.base;
+    curEnd = f.end;
+    emit(at, 1, cls, 0, true, f.returnPc & ~kViaDispatch);
+}
+
+// --- primitives --------------------------------------------------------------
 
 void
 Execution::alu(uint32_t n)
@@ -189,25 +223,27 @@ Execution::nop(uint32_t n)
 void
 Execution::load(const void *ptr)
 {
-    emitOne(InstClass::Load, addrMapper.map(ptr), false, 0);
+    uint32_t addr = addrMapper.map(ptr);
+    emit(step(), 1, InstClass::Load, addr, false, 0);
 }
 
 void
 Execution::store(const void *ptr)
 {
-    emitOne(InstClass::Store, addrMapper.map(ptr), false, 0);
+    uint32_t addr = addrMapper.map(ptr);
+    emit(step(), 1, InstClass::Store, addr, false, 0);
 }
 
 void
 Execution::loadAt(uint32_t synth_addr)
 {
-    emitOne(InstClass::Load, synth_addr, false, 0);
+    emit(step(), 1, InstClass::Load, synth_addr, false, 0);
 }
 
 void
 Execution::storeAt(uint32_t synth_addr)
 {
-    emitOne(InstClass::Store, synth_addr, false, 0);
+    emit(step(), 1, InstClass::Store, synth_addr, false, 0);
 }
 
 void
@@ -215,86 +251,39 @@ Execution::branch(bool taken)
 {
     // Taken branches jump a short distance forward within the routine;
     // the exact target only matters to the predictor's history table.
-    uint32_t pc = currentPc();
-    emitOne(InstClass::CondBranch, 0, taken, pc + 16);
+    uint32_t at = step();
+    emit(at, 1, InstClass::CondBranch, 0, taken, at + 16);
 }
 
 void
 Execution::callRoutine(RoutineId routine)
 {
-    const Routine &r = registry.routine(routine);
-    uint32_t caller_pc = currentPc();
-    emitOne(InstClass::Call, 0, true, r.base);
-    Frame f;
-    f.routine = routine;
-    f.pc = r.base;
-    f.viaDispatch = false;
-    f.returnPc = caller_pc + 4;
-    frames.push_back(f);
+    enter(routine, InstClass::Call, 0);
 }
 
 void
 Execution::returnRoutine()
 {
-    if (frames.empty())
-        panic("returnRoutine with empty routine stack");
-    Frame f = frames.back();
-    if (f.viaDispatch)
-        panic("returnRoutine from dispatch frame; use endDispatch");
-    uint32_t ret_pc = f.pc;
-    frames.pop_back();
-    Bundle b;
-    b.pc = ret_pc;
-    b.cls = InstClass::Return;
-    b.taken = true;
-    b.target = f.returnPc;
-    deliver(b);
+    leave(InstClass::Return, 0);
 }
 
 void
 Execution::dispatch(RoutineId routine)
 {
-    const Routine &r = registry.routine(routine);
-    uint32_t caller_pc = currentPc();
-    emitOne(InstClass::IndirectJump, 0, true, r.base);
-    Frame f;
-    f.routine = routine;
-    f.pc = r.base;
-    f.viaDispatch = true;
-    f.returnPc = caller_pc + 4;
-    frames.push_back(f);
+    enter(routine, InstClass::IndirectJump, kViaDispatch);
 }
 
 void
 Execution::endDispatch()
 {
-    if (frames.empty())
-        panic("endDispatch with empty routine stack");
-    Frame f = frames.back();
-    if (!f.viaDispatch)
-        panic("endDispatch from call frame; use returnRoutine");
-    uint32_t pc = f.pc;
-    frames.pop_back();
-    Bundle b;
-    b.pc = pc;
-    b.cls = InstClass::Jump;
-    b.taken = true;
-    b.target = f.returnPc;
-    deliver(b);
+    leave(InstClass::Jump, kViaDispatch);
 }
 
 void
 Execution::emitAt(uint32_t pc, InstClass cls, uint32_t count,
                   uint32_t mem_addr, bool taken, uint32_t target)
 {
-    Bundle b;
-    b.pc = pc;
-    b.cls = cls;
-    b.count = count;
-    b.memAddr = mem_addr;
-    b.taken = taken;
-    b.target = target;
-    deliver(b);
+    emit(pc, count, cls, mem_addr, taken, target);
 }
 
 void
@@ -302,6 +291,8 @@ Execution::noteMemModelAccess()
 {
     // Keep the access event in stream order behind buffered bundles.
     flush();
+    if (counted)
+        counted->onMemModelAccess();
     for (Sink *sink : sinks)
         sink->onMemModelAccess();
 }
@@ -314,6 +305,8 @@ Execution::beginCommand(CommandId id)
     flush();
     command = id;
     ++totalCommands;
+    if (counted)
+        counted->onCommand(id);
     for (Sink *sink : sinks)
         sink->onCommand(id);
 }

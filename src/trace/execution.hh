@@ -17,11 +17,23 @@
  * must call flush() before reading any sink's counters; the
  * interpreters do this on every exit from their run() loops (see
  * FlushOnExit), so harness users never see a stale sink.
+ *
+ * A Profile can instead be counted at the source (countInto()): the
+ * Execution sums each run of instructions sharing one attribution and
+ * hands the sum to the Profile when the attribution changes and at
+ * every flush(). Bundles are then built only while a batch sink is
+ * attached; a counting-only run builds none.
+ *
+ * The emission primitives stay out of line, in execution.cc. The
+ * interpreters pass addresses of their own stack locals to load() and
+ * store(), and inlining the primitives would change those stack
+ * frames and with them the simulated data addresses.
  */
 
 #ifndef INTERP_TRACE_EXECUTION_HH
 #define INTERP_TRACE_EXECUTION_HH
 
+#include <array>
 #include <cstdint>
 #include <exception>
 #include <string>
@@ -32,6 +44,8 @@
 #include "trace/events.hh"
 
 namespace interp::trace {
+
+class Profile;
 
 /**
  * Maps host pointers into a compact synthetic 32-bit data space.
@@ -46,12 +60,22 @@ namespace interp::trace {
  * is what lets a parallel suite run reproduce a serial run bit for
  * bit. Sequential walks still map to sequential synthetic addresses,
  * so spatial locality inside arrays and strings remains genuine.
+ *
+ * A fixed direct-mapped table of recently mapped granules sits in
+ * front of the first-touch map and answers most lookups. It is a
+ * cache only: the map alone decides the numbering, and it sees the
+ * same insertions in the same order as without the table, so its
+ * heap allocations (which the deterministic allocator hands back to
+ * the interpreters) are unchanged. The table itself allocates nothing.
  */
 class AddressMapper
 {
   public:
     static constexpr uint32_t kGranuleBits = 4; // 16 B: malloc/ABI alignment
     static constexpr uint32_t kHeapBase = 0x40000000u;
+    static constexpr uint32_t kRecentEntries = 256;
+
+    AddressMapper() { recentGranule.fill(kNoGranule); }
 
     /** Synthetic address for a host pointer. */
     uint32_t
@@ -59,21 +83,34 @@ class AddressMapper
     {
         auto addr = (uint64_t)ptr;
         uint64_t granule = addr >> kGranuleBits;
-        auto it = granuleMap.find(granule);
-        uint32_t synth;
-        if (it == granuleMap.end()) {
-            synth = nextGranule++;
-            granuleMap.emplace(granule, synth);
-        } else {
-            synth = it->second;
+        uint32_t slot = (uint32_t)granule % kRecentEntries;
+        if (recentGranule[slot] != granule) {
+            recentGranule[slot] = granule;
+            recentSynth[slot] = firstTouch(granule);
         }
-        return kHeapBase + (synth << kGranuleBits) +
+        return kHeapBase + (recentSynth[slot] << kGranuleBits) +
                (uint32_t)(addr & ((1u << kGranuleBits) - 1));
     }
 
     size_t granulesTouched() const { return granuleMap.size(); }
 
   private:
+    /** No host granule: the top 16 bytes of the address space. */
+    static constexpr uint64_t kNoGranule = ~0ull >> kGranuleBits;
+
+    uint32_t
+    firstTouch(uint64_t granule)
+    {
+        auto it = granuleMap.find(granule);
+        if (it != granuleMap.end())
+            return it->second;
+        uint32_t synth = nextGranule++;
+        granuleMap.emplace(granule, synth);
+        return synth;
+    }
+
+    std::array<uint64_t, kRecentEntries> recentGranule;
+    std::array<uint32_t, kRecentEntries> recentSynth{};
     std::unordered_map<uint64_t, uint32_t> granuleMap;
     uint32_t nextGranule = 0;
 };
@@ -116,6 +153,13 @@ class Execution
      */
     void addSink(Sink *sink);
     void removeSink(Sink *sink);
+    /**
+     * Count the run into @p profile at the source instead of feeding
+     * it batches (harness::run's path). The profile ends up with the
+     * same counters as an attached Profile sink, once flush() has
+     * run. Same attach rule as addSink().
+     */
+    void countInto(Profile *profile);
 
     /**
      * Deliver the buffered bundle batch to every sink. Idempotent and
@@ -201,31 +245,64 @@ class Execution
     uint64_t commandsRetired() const { return totalCommands; }
 
   private:
+    /**
+     * A caller's PC window, saved while the routine it called runs.
+     *
+     * The element stays exactly 16 bytes, and the trace layer's heap
+     * allocations during a run keep their sizes and order: the
+     * deterministic allocator hands freed cells back to the
+     * interpreters LIFO, so a different `frames` growth (a 20-byte
+     * Frame) or a different allocation in the mapper gives the
+     * interpreters different cells, and the first-touch map then
+     * numbers their granules differently.
+     */
     struct Frame
     {
-        RoutineId routine;
-        uint32_t pc;       ///< next instruction PC inside the routine
-        bool viaDispatch;  ///< entered with dispatch(), not call
-        uint32_t returnPc; ///< caller PC to restore
+        uint32_t pc;
+        uint32_t base;
+        uint32_t end;
+        uint32_t returnPc; ///< caller PC + 4; bit 0: entered by dispatch()
     };
+    static_assert(sizeof(Frame) == 16, "see Frame");
+    static constexpr uint32_t kViaDispatch = 1;
+    /** runKey when no attribution run is open. */
+    static constexpr uint32_t kNoRun = ~0u;
 
-    void deliver(Bundle &bundle);
-    /** Emit a @p count-instruction bundle of @p cls at the current PC. */
+    /** Current attribution as one word: category, flags, command. */
+    uint32_t attribution() const;
+    /** Count @p n instructions and, with a batch sink attached, push
+     *  their bundle. */
+    void emit(uint32_t at, uint32_t n, InstClass cls, uint32_t mem_addr,
+              bool taken, uint32_t target);
+    /** Hand the open attribution run to the counted profile. */
+    void commitRun();
+    /** The current PC, then advance it one instruction, wrapping. */
+    uint32_t step();
+    /** Emit a @p count-instruction run of @p cls at the current PC. */
     void emitStraight(uint32_t count, InstClass cls);
-    /** Emit a single-instruction bundle, returning it for tweaks. */
-    void emitOne(InstClass cls, uint32_t mem_addr, bool taken,
-                 uint32_t target);
-    /** Advance the current PC by @p count instructions, wrapping. */
-    uint32_t advance(uint32_t count);
-    uint32_t currentPc() const;
+    /** fatal() unless nothing has been emitted yet. */
+    void requireFreshStream(const char *what) const;
+    /** Emit the transfer into @p routine and make its window current,
+     *  saving the caller's. */
+    void enter(RoutineId routine, InstClass cls, uint32_t dispatch_bit);
+    /** Restore the caller's window and emit the transfer back to it. */
+    void leave(InstClass cls, uint32_t dispatch_bit);
 
     CodeRegistry registry;
     AddressMapper addrMapper;
     std::vector<Sink *> sinks;
+    Profile *counted = nullptr;
     BundleBatch batch;
     std::vector<Frame> frames;
-    RoutineId topRoutine; ///< implicit outermost routine ("main")
-    uint32_t topPc;
+
+    // The current routine's window: next PC and body [curBase, curEnd).
+    uint32_t curPc = 0;
+    uint32_t curBase = 0;
+    uint32_t curEnd = 0;
+
+    // The open attribution run: its key and totalInsts at its start.
+    uint32_t runKey = kNoRun;
+    uint64_t runStart = 0;
 
     Category cat = Category::Execute;
     CommandId command = kNoCommand;

@@ -98,18 +98,20 @@ class Profile : public Sink
 
     void reset();
 
-  private:
-    /** One-bundle accounting (the onBundle path). */
-    void account(const Bundle &bundle);
     /**
      * Accounting for @p count instructions sharing one attribution
      * (category, packed flags sans taken, command). The batched path
-     * collapses each same-attribution run into a single call; every
-     * counter update is an associative uint64 add, so the totals match
-     * bundle-at-a-time accounting exactly.
+     * collapses each same-attribution run into a single call, and
+     * Execution::countInto() calls it once per run at the source;
+     * every counter update is an associative uint64 add, so the totals
+     * match bundle-at-a-time accounting exactly.
      */
     void accountRun(Category cat, uint8_t flags, CommandId command,
                     uint64_t count);
+
+  private:
+    /** One-bundle accounting (the onBundle path). */
+    void account(const Bundle &bundle);
 
     uint64_t totalCommands = 0;
     uint64_t totalInsts = 0;

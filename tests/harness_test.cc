@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "harness/runner.hh"
 #include "harness/workloads.hh"
 #include "support/logging.hh"
@@ -151,6 +153,63 @@ TEST(Runner, MachineConfigOverride)
     Measurement wide = run(spec, {}, &big);
     EXPECT_LT(wide.cycles, base.cycles)
         << "a big I$ must help a Tcl workload";
+}
+
+/** Every counter of two profiles, per command included. */
+void
+expectSameProfile(const trace::Profile &a, const trace::Profile &b)
+{
+    EXPECT_EQ(a.commands(), b.commands());
+    EXPECT_EQ(a.instructions(), b.instructions());
+    EXPECT_EQ(a.fetchDecodeInsts(), b.fetchDecodeInsts());
+    EXPECT_EQ(a.executeInsts(), b.executeInsts());
+    EXPECT_EQ(a.precompileInsts(), b.precompileInsts());
+    EXPECT_EQ(a.nativeLibInsts(), b.nativeLibInsts());
+    EXPECT_EQ(a.memModelInsts(), b.memModelInsts());
+    EXPECT_EQ(a.systemInsts(), b.systemInsts());
+    EXPECT_EQ(a.memModelAccesses(), b.memModelAccesses());
+    ASSERT_EQ(a.perCommand().size(), b.perCommand().size());
+    for (size_t i = 0; i < a.perCommand().size(); ++i) {
+        const trace::CommandStats &x = a.perCommand()[i];
+        const trace::CommandStats &y = b.perCommand()[i];
+        EXPECT_EQ(x.retired, y.retired) << "command " << i;
+        EXPECT_EQ(x.fetchDecode, y.fetchDecode) << "command " << i;
+        EXPECT_EQ(x.execute, y.execute) << "command " << i;
+        EXPECT_EQ(x.nativeLib, y.nativeLib) << "command " << i;
+        EXPECT_EQ(x.memModel, y.memModel) << "command " << i;
+    }
+}
+
+TEST(Runner, SourceCountedProfileMatchesBatchedProfile)
+{
+    // run() counts its profile at the source; a Profile passed as an
+    // extra sink is fed the same stream as batches. The two must agree
+    // on every macro row under every rung of its ladder, with and
+    // without the machine.
+    size_t compared = 0;
+    for (BenchSpec &spec : ladderSuite(macroSuite())) {
+        spec.maxCommands = 20'000;
+        for (bool machine : {false, true}) {
+            std::string key = std::string(langName(spec.lang)) + "/" +
+                              spec.name +
+                              (machine ? " with machine" : " counting");
+            SCOPED_TRACE(key);
+            trace::Profile batched;
+            try {
+                ScopedFatalThrow contain;
+                Measurement m = run(spec, {&batched}, nullptr, machine);
+                expectSameProfile(m.profile, batched);
+                ++compared;
+            } catch (const FatalError &e) {
+                // perlish and tclish can fault when the budget stops
+                // them inside an expression; such a run has no
+                // profile to compare.
+                std::printf("not compared: %s: %s\n", key.c_str(),
+                            e.what());
+            }
+        }
+    }
+    EXPECT_GT(compared, 100u);
 }
 
 // --- micro suite -------------------------------------------------------

@@ -345,6 +345,136 @@ TEST(Execution, NestedRoutinesReturnToCaller)
     EXPECT_LT(after.pc, routine.base + routine.sizeInsts * 4);
 }
 
+TEST(Execution, CallAsLastInstructionReturnsPastTheWrap)
+{
+    // A call that is the last instruction of its routine wraps the
+    // caller's PC to the routine's base before the callee runs. On
+    // return the caller resumes at that base, but the Return's target
+    // is the call's own PC plus 4, one past the routine's end.
+    Execution exec;
+    Collector sink;
+    exec.addSink(&sink);
+    auto caller = exec.code().registerRoutine("caller", 4);
+    auto callee = exec.code().registerRoutine("callee", 8);
+    uint32_t base = exec.code().routine(caller).base;
+    {
+        RoutineScope outer(exec, caller);
+        exec.alu(3);
+        exec.callRoutine(callee);
+        exec.alu(1);
+        exec.returnRoutine();
+        exec.alu(1);
+    }
+    exec.flush();
+    // call caller, alu 3, call callee, alu 1, return, alu 1, return.
+    ASSERT_EQ(sink.bundles.size(), 7u);
+    const Bundle &call = sink.bundles[2];
+    EXPECT_EQ(call.cls, InstClass::Call);
+    EXPECT_EQ(call.pc, base + 12) << "the routine's last instruction";
+    EXPECT_EQ(call.target, exec.code().routine(callee).base);
+    const Bundle &ret = sink.bundles[4];
+    EXPECT_EQ(ret.cls, InstClass::Return);
+    EXPECT_EQ(ret.pc, exec.code().routine(callee).base + 4);
+    EXPECT_EQ(ret.target, base + 16) << "pre-wrap PC + 4";
+    const Bundle &resumed = sink.bundles[5];
+    EXPECT_EQ(resumed.cls, InstClass::IntAlu);
+    EXPECT_EQ(resumed.pc, base) << "the caller resumes at its base";
+}
+
+/** Every counter of two profiles, per command included. */
+void
+expectSameProfile(const Profile &a, const Profile &b)
+{
+    EXPECT_EQ(a.commands(), b.commands());
+    EXPECT_EQ(a.instructions(), b.instructions());
+    EXPECT_EQ(a.fetchDecodeInsts(), b.fetchDecodeInsts());
+    EXPECT_EQ(a.executeInsts(), b.executeInsts());
+    EXPECT_EQ(a.precompileInsts(), b.precompileInsts());
+    EXPECT_EQ(a.nativeLibInsts(), b.nativeLibInsts());
+    EXPECT_EQ(a.memModelInsts(), b.memModelInsts());
+    EXPECT_EQ(a.systemInsts(), b.systemInsts());
+    EXPECT_EQ(a.memModelAccesses(), b.memModelAccesses());
+    ASSERT_EQ(a.perCommand().size(), b.perCommand().size());
+    for (size_t i = 0; i < a.perCommand().size(); ++i) {
+        const CommandStats &x = a.perCommand()[i];
+        const CommandStats &y = b.perCommand()[i];
+        EXPECT_EQ(x.retired, y.retired) << "command " << i;
+        EXPECT_EQ(x.fetchDecode, y.fetchDecode) << "command " << i;
+        EXPECT_EQ(x.execute, y.execute) << "command " << i;
+        EXPECT_EQ(x.nativeLib, y.nativeLib) << "command " << i;
+        EXPECT_EQ(x.memModel, y.memModel) << "command " << i;
+    }
+}
+
+TEST(Profile, SourceCountingMatchesBatches)
+{
+    // The same emission counted at the source, with and without a
+    // batch sink beside it, and fed to a Profile as batches.
+    auto script = [](Execution &exec) {
+        CommandSet set;
+        auto a = set.intern("a");
+        auto b = set.intern("b");
+        auto h = exec.code().registerRoutine("handler", 6);
+        int cell = 0;
+        exec.alu(3); // kNoCommand
+        exec.emitAt(0x400000, InstClass::IntAlu, 0); // zero-count
+        exec.beginCommand(a);
+        for (int i = 0; i < 300; ++i) { // crosses a full batch
+            exec.setCategory(i % 3 ? Category::Execute
+                                   : Category::FetchDecode);
+            exec.load(&cell);
+            exec.branch(i & 1);
+        }
+        {
+            RoutineScope r(exec, h);
+            MemModelScope mm(exec);
+            exec.noteMemModelAccess();
+            exec.alu(20); // wraps the 6-instruction handler
+            NativeScope nat(exec);
+            exec.store(&cell);
+            exec.flush(); // mid-run, inside an open run
+            exec.floatOp(2);
+        }
+        exec.beginCommand(b);
+        {
+            SystemScope sys(exec);
+            exec.alu(9);
+        }
+        exec.resumeCommand(a);
+        exec.shortInt(4);
+        exec.dispatch(h);
+        exec.nop(1);
+        exec.endDispatch();
+        exec.setCategory(Category::Precompile);
+        exec.alu(5);
+        exec.resumeCommand(kNoCommand);
+        exec.setCategory(Category::Execute);
+        exec.alu(2);
+        exec.emitAt(0x400040, InstClass::Load, 0, 0x40000000);
+        exec.flush();
+    };
+
+    Profile alone, beside, batched;
+    {
+        Execution exec;
+        exec.countInto(&alone);
+        script(exec);
+    }
+    {
+        Execution exec;
+        exec.countInto(&beside);
+        exec.addSink(&batched);
+        script(exec);
+    }
+    EXPECT_EQ(batched.commands(), 2u);
+    EXPECT_EQ(batched.memModelAccesses(), 1u);
+    EXPECT_GT(batched.systemInsts(), 0u);
+    EXPECT_GT(batched.nativeLibInsts(), 0u);
+    EXPECT_GT(batched.precompileInsts(), 0u);
+    expectSameProfile(alone, batched);
+    expectSameProfile(beside, batched);
+}
+
 TEST(Execution, LateSinkAttachIsFatal)
 {
     // A sink attached mid-run would silently miss the prefix of the
@@ -357,6 +487,7 @@ TEST(Execution, LateSinkAttachIsFatal)
     Profile late;
     interp::ScopedFatalThrow contain;
     EXPECT_THROW(exec.addSink(&late), interp::FatalError);
+    EXPECT_THROW(exec.countInto(&late), interp::FatalError);
 }
 
 TEST(Execution, LateSinkAttachAfterCommandIsFatal)
