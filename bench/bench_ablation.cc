@@ -21,6 +21,7 @@
 #include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "harness/workloads.hh"
+#include "workloads/registry.hh"
 
 using namespace interp;
 using namespace interp::harness;
@@ -48,7 +49,7 @@ ablationSymtab(const SuiteOptions &suite, ModeSet modes)
             std::string script;
             for (int i = 0; i < filler; ++i)
                 script += "set filler" + std::to_string(i) + " 1\n";
-            script += loadProgram("tclish/des.tcl");
+            script += workloads::loadProgramFile("tclish/des.tcl");
             BenchSpec spec;
             spec.lang = pass == 0 ? Lang::Tcl : Lang::TclBytecode;
             spec.name = "des+" + std::to_string(filler);

@@ -27,6 +27,7 @@
 #include "harness/runner.hh"
 #include "harness/workloads.hh"
 #include "sim/machine.hh"
+#include "workloads/registry.hh"
 
 using namespace interp;
 using namespace interp::harness;
@@ -81,7 +82,7 @@ main(int argc, char **argv)
         BenchSpec spec;
         spec.lang = Lang::C;
         spec.name = name;
-        spec.source = loadProgram(path);
+        spec.source = workloads::loadProgramFile(path);
         spec.needsInputs = true;
         specs.push_back(std::move(spec));
     }

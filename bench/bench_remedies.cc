@@ -67,15 +67,17 @@ class JitRegionSink : public trace::Sink
 {
   public:
     void
-    onBundle(const trace::Bundle &b) override
+    onBatch(const trace::BundleBatch &batch) override
     {
-        if (b.pc < lo_ || b.pc >= hi_)
-            return;
-        insts_ += b.count;
-        uint32_t first = b.pc >> 5;
-        uint32_t last = (b.pc + 4 * b.count - 1) >> 5;
-        for (uint32_t line = first; line <= last; ++line)
-            lines_.insert(line);
+        for (const trace::Bundle &b : batch) {
+            if (b.pc < lo_ || b.pc >= hi_)
+                continue;
+            insts_ += b.count;
+            uint32_t first = b.pc >> 5;
+            uint32_t last = (b.pc + 4 * b.count - 1) >> 5;
+            for (uint32_t line = first; line <= last; ++line)
+                lines_.insert(line);
+        }
     }
 
     uint64_t insts() const { return insts_; }

@@ -16,11 +16,11 @@
 #include <string>
 
 #include "gfx/framebuffer.hh"
-#include "harness/workloads.hh"
 #include "tclish/interp.hh"
 #include "trace/execution.hh"
 #include "trace/profile.hh"
 #include "vfs/vfs.hh"
+#include "workloads/registry.hh"
 
 using namespace interp;
 
@@ -33,7 +33,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::string script = harness::loadProgram("tclish/hanoi.tcl");
+    std::string script = workloads::loadProgramFile("tclish/hanoi.tcl");
     size_t at = script.find("set ndisks 5");
     if (at != std::string::npos)
         script.replace(at, 12, "set ndisks " + std::to_string(ndisks));

@@ -57,21 +57,23 @@ class StatSink : public trace::Sink
 {
   public:
     void
-    onBundle(const trace::Bundle &b) override
+    onBatch(const trace::BundleBatch &batch) override
     {
-        classInsts[(int)b.cls] += b.count;
-        ++classBundles[(int)b.cls];
-        totalInsts += b.count;
-        if (b.memModel)
-            memModelInsts += b.count;
-        if (b.native)
-            nativeInsts += b.count;
-        if (b.system)
-            systemInsts += b.count;
-        if (b.cat == trace::Category::FetchDecode)
-            fetchDecodeInsts += b.count;
-        else if (b.cat == trace::Category::Precompile)
-            precompileInsts += b.count;
+        for (const trace::Bundle &b : batch) {
+            classInsts[(int)b.cls] += b.count;
+            ++classBundles[(int)b.cls];
+            totalInsts += b.count;
+            if (b.memModel)
+                memModelInsts += b.count;
+            if (b.native)
+                nativeInsts += b.count;
+            if (b.system)
+                systemInsts += b.count;
+            if (b.cat == trace::Category::FetchDecode)
+                fetchDecodeInsts += b.count;
+            else if (b.cat == trace::Category::Precompile)
+                precompileInsts += b.count;
+        }
     }
 
     void onCommand(trace::CommandId) override { ++commands; }
@@ -93,7 +95,7 @@ class StatSink : public trace::Sink
 class NullSink : public trace::Sink
 {
   public:
-    void onBundle(const trace::Bundle &) override {}
+    void onBatch(const trace::BundleBatch &) override {}
 };
 
 double

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <filesystem>
+#include <optional>
 
 #include "support/logging.hh"
 #include "tracefile/reader.hh"
@@ -48,14 +49,15 @@ replayTrace(const std::string &path, const BenchSpec &spec,
     m.lang = spec.lang;
     m.name = spec.name;
 
-    sim::MachineConfig cfg =
-        machine_cfg ? *machine_cfg : sim::MachineConfig();
-    sim::Machine machine(cfg);
-    // Same sink order as harness::run(): profile, machine, extras.
+    // Same sink order as harness::run(): profile, machine, extras; and
+    // as there, a counting-only replay builds no machine.
+    std::optional<sim::Machine> machine;
     std::vector<trace::Sink *> sinks;
     sinks.push_back(&m.profile);
-    if (with_machine)
-        sinks.push_back(&machine);
+    if (with_machine) {
+        machine.emplace(machine_cfg ? *machine_cfg : sim::MachineConfig());
+        sinks.push_back(&*machine);
+    }
     for (trace::Sink *sink : extra_sinks)
         sinks.push_back(sink);
     reader.replay(sinks);
@@ -64,9 +66,11 @@ replayTrace(const std::string &path, const BenchSpec &spec,
     m.commands = meta.commands;
     m.finished = meta.finished;
     m.commandNames = meta.commandNames;
-    m.cycles = machine.cycles();
-    m.breakdown = machine.breakdown();
-    m.imissPer100 = machine.imissPer100Insts();
+    if (machine) {
+        m.cycles = machine->cycles();
+        m.breakdown = machine->breakdown();
+        m.imissPer100 = machine->imissPer100Insts();
+    }
     return m;
 }
 

@@ -24,8 +24,9 @@ run(const BenchSpec &spec, const std::vector<trace::Sink *> &extra_sinks,
     trace::Execution exec;
     // The profile is counted at the source; bundles are built only for
     // the machine and the extra sinks, so a counting-only run builds
-    // none.
+    // none, deadline or not.
     exec.countInto(&m.profile);
+    exec.setDeadline(spec.deadline);
     std::optional<sim::Machine> machine;
     if (with_machine) {
         machine.emplace(machine_cfg ? *machine_cfg : sim::MachineConfig());

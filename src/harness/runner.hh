@@ -10,6 +10,7 @@
 #ifndef INTERP_HARNESS_RUNNER_HH
 #define INTERP_HARNESS_RUNNER_HH
 
+#include <chrono>
 #include <functional>
 #include <iterator>
 #include <memory>
@@ -222,6 +223,11 @@ struct BenchSpec
     std::shared_ptr<mips::Image> image;
     bool needsInputs = false; ///< install the standard input files
     uint64_t maxCommands = 400'000'000;
+    /** The run throws trace::DeadlineExpired at the first trace
+     *  safepoint past this (trace::Execution::setDeadline); max()
+     *  never fires. */
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max();
 
     // --- warm-catalog / tier-up inputs (interpd) ----------------------
     /**
@@ -267,6 +273,7 @@ struct Measurement
  * @param with_machine simulate timing (disable for counting-only runs,
  *                     which then build no machine and report cycles,
  *                     breakdown and imissPer100 as zero)
+ * Throws trace::DeadlineExpired once spec.deadline passes mid-run.
  */
 Measurement run(const BenchSpec &spec,
                 const std::vector<trace::Sink *> &extra_sinks = {},

@@ -1,6 +1,5 @@
 #include "harness/workloads.hh"
 
-#include <fstream>
 #include <sstream>
 
 #include "support/rng.hh"
@@ -29,12 +28,6 @@ randomIdent(Rng &rng)
 }
 
 } // namespace
-
-std::string
-loadProgram(const std::string &relative_path)
-{
-    return workloads::loadProgramFile(relative_path);
-}
 
 // --- execution-mode selection ------------------------------------------
 

@@ -18,9 +18,6 @@
 
 namespace interp::harness {
 
-/** Read a program source from the repository's programs/ directory. */
-std::string loadProgram(const std::string &relative_path);
-
 // --- execution-mode selection ------------------------------------------
 
 /** Which execution modes a bench driver should run. */

@@ -5,6 +5,7 @@
 #include "harness/record_replay.hh"
 #include "minic/compile.hh"
 #include "support/logging.hh"
+#include "trace/execution.hh"
 
 namespace interp::server {
 
@@ -14,46 +15,6 @@ using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
 namespace {
-
-/**
- * Thrown by DeadlineSink at a safepoint. Deliberately not a
- * std::exception: executeOne() must tell "the deadline fired" apart
- * from "the program failed" (FatalError and friends), and catching it
- * first by distinct type is the cheapest way to keep the two paths
- * separate.
- */
-struct DeadlineExpired
-{
-};
-
-/**
- * Safepoint deadline enforcement: a passive sink that probes the
- * monotonic clock whenever the execution delivers events (every full
- * BundleBatch and every partial flush) and aborts the run by
- * exception once the deadline has passed. FlushOnExit skips the
- * tail flush during this unwind, so no sink sees events mid-abort.
- */
-class DeadlineSink : public trace::Sink
-{
-  public:
-    explicit DeadlineSink(steady_clock::time_point deadline)
-        : deadline_(deadline)
-    {
-    }
-
-    void onBundle(const trace::Bundle &) override { check(); }
-    void onBatch(const trace::BundleBatch &) override { check(); }
-
-  private:
-    void
-    check()
-    {
-        if (steady_clock::now() >= deadline_)
-            throw DeadlineExpired{};
-    }
-
-    steady_clock::time_point deadline_;
-};
 
 uint64_t
 elapsedMicros(steady_clock::time_point from, steady_clock::time_point to)
@@ -383,11 +344,9 @@ Server::executeOne(const Pending &p, uint64_t queue_us)
             spec.tier = std::move(plan.tier);
         }
 
-        std::vector<trace::Sink *> sinks;
-        DeadlineSink deadline(p.arrival +
-                              milliseconds(req.deadlineMs));
+        // The run's own trace safepoints enforce the deadline.
         if (req.deadlineMs != kNoDeadline)
-            sinks.push_back(&deadline);
+            spec.deadline = p.arrival + milliseconds(req.deadlineMs);
 
         bool with_machine = (req.flags & kFlagWithMachine) != 0;
         harness::Measurement m;
@@ -398,10 +357,10 @@ Server::executeOne(const Pending &p, uint64_t queue_us)
             tape.lang = spec.lang;
             tape.name = spec.name + "-r" + std::to_string(req.id);
             m = harness::recordRun(
-                spec, harness::traceFilePath(cfg.recordDir, tape), sinks,
+                spec, harness::traceFilePath(cfg.recordDir, tape), {},
                 nullptr, with_machine);
         } else {
-            m = harness::run(spec, sinks, nullptr, with_machine);
+            m = harness::run(spec, {}, nullptr, with_machine);
         }
         if (tiering)
             tierMgr.noteRun(req.mode, req.program, m.commands,
@@ -414,7 +373,7 @@ Server::executeOne(const Pending &p, uint64_t queue_us)
         resp.result = std::move(m.stdoutText);
         if (resp.result.size() > kMaxResponseBytes)
             resp.result.resize(kMaxResponseBytes);
-    } catch (const DeadlineExpired &) {
+    } catch (const trace::DeadlineExpired &) {
         resp.status = Status::Deadline;
         resp.commands = 0;
         resp.instructions = 0;

@@ -19,9 +19,10 @@
  *               trace::BundleBatch fast path stays hot end-to-end.
  *   deadlines   each request may carry a relative deadline; it is
  *               enforced at dequeue (expired requests are answered
- *               DEADLINE without being executed) and at safepoints
- *               during execution (a sink probes the clock as batches
- *               flush and aborts the run).
+ *               DEADLINE without being executed) and at the trace
+ *               layer's safepoints during execution (the run's
+ *               trace::Execution reads the clock every few thousand
+ *               instructions and aborts the run).
  *   containment every request executes under a ScopedFatalThrow: a
  *               poisoned program (bad source, budget misuse, corrupt
  *               trace) fails that one response as ERROR, never the

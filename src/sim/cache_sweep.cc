@@ -8,7 +8,6 @@ namespace interp::sim {
 CacheSweep::CacheSweep(const std::vector<uint32_t> &sizes_kb,
                        const std::vector<uint32_t> &assocs,
                        uint32_t line_bytes)
-    : lineBytes(line_bytes)
 {
     if (line_bytes == 0 || (line_bytes & (line_bytes - 1)) != 0)
         panic("cache sweep line size %u not a power of two", line_bytes);
@@ -25,12 +24,6 @@ CacheSweep::CacheSweep(const std::vector<uint32_t> &sizes_kb,
 }
 
 void
-CacheSweep::onBundle(const trace::Bundle &bundle)
-{
-    account(bundle);
-}
-
-void
 CacheSweep::onBatch(const trace::BundleBatch &batch)
 {
     // Column iteration: one vector pass computes every bundle's line
@@ -44,22 +37,10 @@ CacheSweep::onBatch(const trace::BundleBatch &batch)
     lanes::lineSpans(batch.pcCol(), cnt, n, lineShift, first, last);
     insts += lanes::sumCounts(cnt, n);
     for (uint32_t i = 0; i < n; ++i) {
+        // An empty bundle touches no lines; its span underflows.
         if (cnt[i] != 0) [[likely]]
             accountSpan(first[i], last[i]);
     }
-}
-
-void
-CacheSweep::account(const trace::Bundle &bundle)
-{
-    // An empty bundle touches no lines; without this guard the
-    // (count - 1) below underflows and walks ~2^32 cache lines.
-    if (bundle.count == 0)
-        return;
-    insts += bundle.count;
-    uint32_t first = bundle.pc >> lineShift;
-    uint32_t last = (bundle.pc + (bundle.count - 1) * 4) >> lineShift;
-    accountSpan(first, last);
 }
 
 void

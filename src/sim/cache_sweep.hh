@@ -41,7 +41,6 @@ class CacheSweep : public trace::Sink
                const std::vector<uint32_t> &assocs,
                uint32_t line_bytes = 32);
 
-    void onBundle(const trace::Bundle &bundle) override;
     void onBatch(const trace::BundleBatch &batch) override;
 
     /** Results, ordered assoc-major then size. */
@@ -50,8 +49,6 @@ class CacheSweep : public trace::Sink
     uint64_t instructions() const { return insts; }
 
   private:
-    /** One-bundle accounting (the onBundle path). */
-    void account(const trace::Bundle &bundle);
     /** Feed line [first, last] spans to every cache in the grid. */
     void accountSpan(uint32_t first, uint32_t last);
 
@@ -64,8 +61,7 @@ class CacheSweep : public trace::Sink
      */
     uint64_t lastLine = ~0ull;
     uint64_t insts = 0;
-    uint32_t lineBytes;
-    uint32_t lineShift; ///< log2(lineBytes); ctor rejects non-pow2
+    uint32_t lineShift; ///< log2(line bytes); ctor rejects non-pow2
 };
 
 } // namespace interp::sim

@@ -93,37 +93,6 @@ Machine::dataAccess(uint32_t addr)
 }
 
 void
-Machine::execLoad(const trace::Bundle &bundle)
-{
-    dataAccess(bundle.memAddr);
-    if (++loadTick >= cfg.loadUsePeriod) {
-        loadTick = 0;
-        addStall(StallCause::LoadDelay, cfg.loadDelayCycles);
-    }
-}
-
-void
-Machine::execCondBranch(const trace::Bundle &bundle)
-{
-    if (!bp.predictConditional(bundle.pc, bundle.taken))
-        addStall(StallCause::Mispredict, cfg.mispredictPenalty);
-}
-
-void
-Machine::execIndirectJump(const trace::Bundle &bundle)
-{
-    if (!bp.predictIndirect(bundle.pc, bundle.target))
-        addStall(StallCause::Mispredict, cfg.mispredictPenalty);
-}
-
-void
-Machine::execReturn(const trace::Bundle &bundle)
-{
-    if (!bp.predictReturn(bundle.target))
-        addStall(StallCause::Mispredict, cfg.mispredictPenalty);
-}
-
-void
 Machine::simulateOne(const trace::Bundle &bundle)
 {
     using trace::InstClass;
@@ -152,24 +121,31 @@ Machine::simulateOne(const trace::Bundle &bundle)
         }
         break;
       case InstClass::Load:
-        execLoad(bundle);
+        dataAccess(bundle.memAddr);
+        if (++loadTick >= cfg.loadUsePeriod) {
+            loadTick = 0;
+            addStall(StallCause::LoadDelay, cfg.loadDelayCycles);
+        }
         break;
       case InstClass::Store:
         dataAccess(bundle.memAddr);
         break;
       case InstClass::CondBranch:
-        execCondBranch(bundle);
+        if (!bp.predictConditional(bundle.pc, bundle.taken))
+            addStall(StallCause::Mispredict, cfg.mispredictPenalty);
         break;
       case InstClass::Jump:
         break;
       case InstClass::IndirectJump:
-        execIndirectJump(bundle);
+        if (!bp.predictIndirect(bundle.pc, bundle.target))
+            addStall(StallCause::Mispredict, cfg.mispredictPenalty);
         break;
       case InstClass::Call:
         bp.call(bundle.pc + 4);
         break;
       case InstClass::Return:
-        execReturn(bundle);
+        if (!bp.predictReturn(bundle.target))
+            addStall(StallCause::Mispredict, cfg.mispredictPenalty);
         break;
     }
 }
@@ -336,16 +312,6 @@ Machine::compareWithShadow()
     mismatch("branch lookups", bp.lookups(), shadow->bp.lookups());
     mismatch("branch mispredicts", bp.mispredicts(),
              shadow->bp.mispredicts());
-}
-
-void
-Machine::onBundle(const trace::Bundle &bundle)
-{
-    simulateOne(bundle);
-    if (shadow) {
-        shadow->simulateOne(bundle);
-        compareWithShadow();
-    }
 }
 
 void

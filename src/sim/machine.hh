@@ -148,7 +148,6 @@ class Machine : public trace::Sink
   public:
     explicit Machine(const MachineConfig &config = MachineConfig());
 
-    void onBundle(const trace::Bundle &bundle) override;
     void onBatch(const trace::BundleBatch &batch) override;
 
     /** Total simulated cycles so far. */
@@ -191,7 +190,8 @@ class Machine : public trace::Sink
      * same-class bundles.
      */
     void simulateBatch(const trace::BundleBatch &batch);
-    /** Reference path: one bundle through the per-bundle switch. */
+    /** Reference path: one bundle through the per-bundle switch. Only
+     *  the shadow machine runs it (MachineConfig::shadowCheck). */
     void simulateOne(const trace::Bundle &bundle);
     /** Feed the shadow machine and compare every counter. */
     void crossCheck(const trace::BundleBatch &batch);
@@ -203,10 +203,6 @@ class Machine : public trace::Sink
     void fetchSpan(uint32_t first, uint32_t last);
     void dataAccess(uint32_t addr);
     void addStall(StallCause cause, uint64_t cycles_);
-    void execLoad(const trace::Bundle &bundle);
-    void execCondBranch(const trace::Bundle &bundle);
-    void execIndirectJump(const trace::Bundle &bundle);
-    void execReturn(const trace::Bundle &bundle);
 
     MachineConfig cfg;
     Cache il1;

@@ -89,9 +89,8 @@ struct Bundle
  * needs (a Load run never loads targets; an IntAlu run never loads
  * data addresses) and the index/tag extraction pre-passes over the
  * pc/count columns compile to vector code (sim/batch_lanes.hh).
- * Cold sinks keep the bundle-at-a-time view: operator[] and the
- * iterator materialize a Bundle by value from the columns, so the
- * default Sink::onBatch forwarding loop is unchanged.
+ * Cold sinks loop over Bundle values instead: operator[] and the
+ * iterator materialize a Bundle by value from the columns.
  */
 class BundleBatch
 {
@@ -231,10 +230,6 @@ class BundleBatch
         {
             return i_ != o.i_;
         }
-        bool operator==(const const_iterator &o) const
-        {
-            return i_ == o.i_;
-        }
 
       private:
         const BundleBatch *batch_;
@@ -260,27 +255,30 @@ class BundleBatch
     alignas(64) std::array<CommandId, kCapacity> command_;
 };
 
-/** Consumer of the instruction stream. */
+/**
+ * Consumer of the instruction stream. Bundles arrive only in batches:
+ * onBatch() is the one method a sink implements. Hot sinks iterate
+ * the batch's columns; cold ones loop over its Bundle values.
+ */
 class Sink
 {
   public:
     virtual ~Sink() = default;
 
-    /** Observe one bundle of instructions. */
-    virtual void onBundle(const Bundle &bundle) = 0;
+    /** Observe a batch of bundles, in stream order. */
+    virtual void onBatch(const BundleBatch &batch) = 0;
 
     /**
-     * Observe a batch of bundles (one virtual call instead of
-     * size() of them). The default forwards bundle-at-a-time, so a
-     * sink only implementing onBundle() sees an unchanged stream;
-     * hot consumers (sim::Machine, trace::Profile, sim::CacheSweep)
-     * override this and loop without further virtual dispatch.
+     * Deliver @p bundle to onBatch() as a one-bundle batch: the way
+     * tests feed a sink a hand-built stream. No producer calls it. It
+     * stays virtual only because perfbench's sinks still override it.
      */
     virtual void
-    onBatch(const BundleBatch &batch)
+    onBundle(const Bundle &bundle)
     {
-        for (const Bundle &bundle : batch)
-            onBundle(bundle);
+        BundleBatch one;
+        one.push(bundle);
+        onBatch(one);
     }
 
     /** Observe the retirement of one virtual command. */

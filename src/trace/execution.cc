@@ -50,19 +50,39 @@ Execution::addSink(Sink *sink)
 }
 
 void
-Execution::removeSink(Sink *sink)
-{
-    // Deliver anything the departing sink is still owed.
-    flush();
-    sinks.erase(std::remove(sinks.begin(), sinks.end(), sink),
-                sinks.end());
-}
-
-void
 Execution::countInto(Profile *profile)
 {
     requireFreshStream("counted profile");
     counted = profile;
+}
+
+void
+Execution::setDeadline(Clock::time_point at)
+{
+    deadline = at;
+    nextSafepoint = at == Clock::time_point::max() ? kNoSafepoint : 0;
+}
+
+void
+Execution::abortRun()
+{
+    nextSafepoint = kNoSafepoint;
+    sinks.clear(); // keeps its capacity: no allocation, no free
+    counted = nullptr;
+    batch.clear();
+}
+
+template <class Event>
+void
+Execution::deliver(Event &&event)
+{
+    try {
+        for (Sink *sink : sinks)
+            event(*sink);
+    } catch (...) {
+        abortRun();
+        throw;
+    }
 }
 
 void
@@ -71,16 +91,7 @@ Execution::flush()
     commitRun();
     if (batch.empty())
         return;
-    try {
-        for (Sink *sink : sinks)
-            sink->onBatch(batch);
-    } catch (...) {
-        // A sink aborted the run (a deadline). The unwind runs
-        // RoutineScope destructors that emit into the batch, so it
-        // must not be left full.
-        batch.clear();
-        throw;
-    }
+    deliver([this](Sink &sink) { sink.onBatch(batch); });
     batch.clear();
 }
 
@@ -110,6 +121,7 @@ Execution::commitRun()
     runKey = kNoRun;
 }
 
+template <bool Safepoint>
 void
 Execution::emit(uint32_t at, uint32_t n, InstClass cls, uint32_t mem_addr,
                 bool taken, uint32_t target)
@@ -121,6 +133,8 @@ Execution::emit(uint32_t at, uint32_t n, InstClass cls, uint32_t mem_addr,
         runStart = totalInsts;
     }
     totalInsts += n;
+    if (Safepoint && totalInsts >= nextSafepoint) [[unlikely]]
+        safepoint();
     if (sinks.empty())
         return;
     batch.pushPacked(at, n, BundleBatch::packClsCat(cls, cat),
@@ -129,6 +143,17 @@ Execution::emit(uint32_t at, uint32_t n, InstClass cls, uint32_t mem_addr,
                      command, mem_addr, target);
     if (batch.full())
         flush();
+}
+
+void
+Execution::safepoint()
+{
+    if (Clock::now() < deadline) {
+        nextSafepoint = totalInsts + kSafepointInsts;
+        return;
+    }
+    abortRun();
+    throw DeadlineExpired{};
 }
 
 uint32_t
@@ -191,7 +216,8 @@ Execution::leave(InstClass cls, uint32_t dispatch_bit)
     curPc = f.pc;
     curBase = f.base;
     curEnd = f.end;
-    emit(at, 1, cls, 0, true, f.returnPc & ~kViaDispatch);
+    // Not a safepoint: RoutineScope's destructor lands here.
+    emit<false>(at, 1, cls, 0, true, f.returnPc & ~kViaDispatch);
 }
 
 // --- primitives --------------------------------------------------------------
@@ -293,8 +319,7 @@ Execution::noteMemModelAccess()
     flush();
     if (counted)
         counted->onMemModelAccess();
-    for (Sink *sink : sinks)
-        sink->onMemModelAccess();
+    deliver([](Sink &sink) { sink.onMemModelAccess(); });
 }
 
 void
@@ -307,8 +332,7 @@ Execution::beginCommand(CommandId id)
     ++totalCommands;
     if (counted)
         counted->onCommand(id);
-    for (Sink *sink : sinks)
-        sink->onCommand(id);
+    deliver([id](Sink &sink) { sink.onCommand(id); });
 }
 
 } // namespace interp::trace

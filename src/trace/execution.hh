@@ -18,6 +18,14 @@
  * interpreters do this on every exit from their run() loops (see
  * FlushOnExit), so harness users never see a stale sink.
  *
+ * A run may carry a deadline (setDeadline()). The Execution checks it
+ * itself at its safepoints, on the emission path, and aborts the run
+ * by throwing DeadlineExpired. Once a run is aborting — the deadline
+ * fired, or a sink threw from a delivery — the Execution disarms the
+ * deadline and detaches every sink, so the unwind, whose routine
+ * scopes still emit their returns, can neither re-enter a sink nor
+ * throw from a destructor.
+ *
  * A Profile can instead be counted at the source (countInto()): the
  * Execution sums each run of instructions sharing one attribution and
  * hands the sum to the Profile when the attribution changes and at
@@ -34,6 +42,7 @@
 #define INTERP_TRACE_EXECUTION_HH
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <string>
@@ -46,6 +55,16 @@
 namespace interp::trace {
 
 class Profile;
+
+/**
+ * Thrown at an Execution safepoint once the run's deadline has
+ * passed. Deliberately not a std::exception: interpd must tell "the
+ * deadline fired" apart from "the program failed" (FatalError and
+ * friends), and catching it by its own type keeps the two apart.
+ */
+struct DeadlineExpired
+{
+};
 
 /**
  * Maps host pointers into a compact synthetic 32-bit data space.
@@ -139,6 +158,8 @@ class CommandSet
 class Execution
 {
   public:
+    using Clock = std::chrono::steady_clock;
+
     Execution();
 
     CodeRegistry &code() { return registry; }
@@ -152,7 +173,6 @@ class Execution
      * live run. fatal() (ScopedFatalThrow-compatible) otherwise.
      */
     void addSink(Sink *sink);
-    void removeSink(Sink *sink);
     /**
      * Count the run into @p profile at the source instead of feeding
      * it batches (harness::run's path). The profile ends up with the
@@ -160,6 +180,16 @@ class Execution
      * run. Same attach rule as addSink().
      */
     void countInto(Profile *profile);
+
+    /**
+     * Throw DeadlineExpired at the first safepoint past @p deadline
+     * (Clock::time_point::max(), the default, never fires). Every
+     * emission but a return compares the instruction count with the
+     * next safepoint, which reads the clock every kSafepointInsts
+     * instructions from the first emission on. A return is exempt: it
+     * runs in RoutineScope's destructor, where a throw terminates.
+     */
+    void setDeadline(Clock::time_point deadline);
 
     /**
      * Deliver the buffered bundle batch to every sink. Idempotent and
@@ -174,8 +204,6 @@ class Execution
     void callRoutine(RoutineId routine);
     /** Emit a return instruction and leave the current routine. */
     void returnRoutine();
-    /** Depth of the routine stack (top-level = 0). */
-    size_t routineDepth() const { return frames.size(); }
 
     // --- emission primitives ---------------------------------------------
     /** @p n straight-line integer ALU instructions. */
@@ -240,10 +268,6 @@ class Execution
     /** Count one logical memory-model access (§3.3 accounting). */
     void noteMemModelAccess();
 
-    // --- statistics ---------------------------------------------------------
-    uint64_t instructionsEmitted() const { return totalInsts; }
-    uint64_t commandsRetired() const { return totalCommands; }
-
   private:
     /**
      * A caller's PC window, saved while the routine it called runs.
@@ -267,13 +291,26 @@ class Execution
     static constexpr uint32_t kViaDispatch = 1;
     /** runKey when no attribution run is open. */
     static constexpr uint32_t kNoRun = ~0u;
+    /** Instructions between two deadline clock reads. */
+    static constexpr uint64_t kSafepointInsts = 4096;
+    /** nextSafepoint without an armed deadline. */
+    static constexpr uint64_t kNoSafepoint = ~0ull;
 
     /** Current attribution as one word: category, flags, command. */
     uint32_t attribution() const;
-    /** Count @p n instructions and, with a batch sink attached, push
+    /** Count @p n instructions, pass the deadline safepoint (unless
+     *  @p Safepoint is false) and, with a batch sink attached, push
      *  their bundle. */
+    template <bool Safepoint = true>
     void emit(uint32_t at, uint32_t n, InstClass cls, uint32_t mem_addr,
               bool taken, uint32_t target);
+    /** Read the clock: arm the next check, or abort the run. */
+    void safepoint();
+    /** The run is aborting: disarm the deadline, drop the pending
+     *  batch, detach every sink and the counted profile. */
+    void abortRun();
+    /** Hand one event to every sink; abortRun() if one throws. */
+    template <class Event> void deliver(Event &&event);
     /** Hand the open attribution run to the counted profile. */
     void commitRun();
     /** The current PC, then advance it one instruction, wrapping. */
@@ -312,6 +349,10 @@ class Execution
 
     uint64_t totalInsts = 0;
     uint64_t totalCommands = 0;
+
+    Clock::time_point deadline = Clock::time_point::max();
+    /** totalInsts at or past which the next emission reads the clock. */
+    uint64_t nextSafepoint = kNoSafepoint;
 };
 
 // --- RAII helpers ----------------------------------------------------------

@@ -5,12 +5,6 @@
 namespace interp::trace {
 
 void
-Profile::onBundle(const Bundle &bundle)
-{
-    account(bundle);
-}
-
-void
 Profile::onBatch(const BundleBatch &batch)
 {
     // Iterate the SoA columns directly. Consecutive bundles almost
@@ -44,15 +38,6 @@ Profile::onBatch(const BundleBatch &batch)
         accountRun((Category)cat_bits, f, c, sum);
         i = run;
     }
-}
-
-void
-Profile::account(const Bundle &bundle)
-{
-    accountRun(bundle.cat,
-               BundleBatch::packFlags(bundle.memModel, bundle.native,
-                                      bundle.system, false),
-               bundle.command, bundle.count);
 }
 
 void
@@ -151,12 +136,6 @@ Profile::cumulativeExecuteShare(size_t top_n) const
     for (size_t i = 0; i < sorted.size() && i < top_n; ++i)
         covered += sorted[i].second.execute;
     return (double)covered / (double)total;
-}
-
-void
-Profile::reset()
-{
-    *this = Profile();
 }
 
 } // namespace interp::trace

@@ -37,7 +37,6 @@ struct CommandStats
 class Profile : public Sink
 {
   public:
-    void onBundle(const Bundle &bundle) override;
     void onBatch(const BundleBatch &batch) override;
     void onCommand(CommandId command) override;
     void onMemModelAccess() override;
@@ -96,23 +95,18 @@ class Profile : public Sink
      */
     double cumulativeExecuteShare(size_t top_n) const;
 
-    void reset();
-
     /**
      * Accounting for @p count instructions sharing one attribution
-     * (category, packed flags sans taken, command). The batched path
+     * (category, packed flags sans taken, command). onBatch()
      * collapses each same-attribution run into a single call, and
      * Execution::countInto() calls it once per run at the source;
-     * every counter update is an associative uint64 add, so the totals
-     * match bundle-at-a-time accounting exactly.
+     * every counter update is an associative uint64 add, so both
+     * totals match exactly however the runs are cut.
      */
     void accountRun(Category cat, uint8_t flags, CommandId command,
                     uint64_t count);
 
   private:
-    /** One-bundle accounting (the onBundle path). */
-    void account(const Bundle &bundle);
-
     uint64_t totalCommands = 0;
     uint64_t totalInsts = 0;
     uint64_t catInsts[3] = {0, 0, 0};

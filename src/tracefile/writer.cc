@@ -54,7 +54,6 @@ TraceWriter::TraceWriter(const std::string &path, const std::string &lang,
     out_.write(header.data(), (std::streamsize)header.size());
     if (!out_)
         fatal("trace file %s: header write failed", path_.c_str());
-    bytesWritten_ = header.size();
     buf_.reserve(chunkBytes_ + 64);
 }
 
@@ -100,75 +99,54 @@ TraceWriter::emitStateChange(trace::Category cat, bool mem_model,
 }
 
 void
-TraceWriter::encodeBundle(uint32_t pc, uint32_t count,
-                          trace::InstClass cls, trace::Category cat,
-                          bool mem_model, bool native, bool system,
-                          bool taken, trace::CommandId command,
-                          uint32_t mem_addr, uint32_t target)
-{
-    if (cat != st_.cat || mem_model != st_.memModel ||
-        native != st_.native || system != st_.system ||
-        command != st_.command)
-        emitStateChange(cat, mem_model, native, system, command);
-
-    uint8_t tag = kTagBundleBit | ((uint8_t)cls & kBundleClsMask);
-    if (taken)
-        tag |= kBundleTakenBit;
-    bool seq = pc == st_.nextPc;
-    if (seq)
-        tag |= kBundleSeqPcBit;
-    if (count == 1)
-        tag |= kBundleCountOneBit;
-    beginEvent();
-    buf_.push_back((char)tag);
-    if (!seq)
-        putSVarint(buf_, (int64_t)pc - (int64_t)st_.nextPc);
-    if (count != 1)
-        putVarint(buf_, count);
-    if (classHasMemAddr(cls)) {
-        putSVarint(buf_, (int64_t)mem_addr - (int64_t)st_.lastMemAddr);
-        st_.lastMemAddr = mem_addr;
-    }
-    if (classHasTarget(cls))
-        putSVarint(buf_, (int64_t)target - (int64_t)pc);
-
-    st_.nextPc = pc + count * 4;
-    ++totalBundles_;
-    totalInsts_ += count;
-    bufInsts_ += count;
-
-    if (buf_.size() >= chunkBytes_)
-        flushEventChunk();
-}
-
-void
-TraceWriter::onBundle(const trace::Bundle &b)
-{
-    encodeBundle(b.pc, b.count, b.cls, b.cat, b.memModel, b.native,
-                 b.system, b.taken, b.command, b.memAddr, b.target);
-}
-
-void
 TraceWriter::onBatch(const trace::BundleBatch &batch)
 {
     using trace::BundleBatch;
-    const uint32_t n = batch.size();
-    const uint32_t *pc = batch.pcCol();
-    const uint32_t *cnt = batch.countCol();
-    const uint32_t *mem_addr = batch.memAddrCol();
-    const uint32_t *target = batch.targetCol();
-    const uint8_t *cls_cat = batch.clsCatCol();
-    const uint8_t *flags = batch.flagsCol();
-    const trace::CommandId *cmd = batch.commandCol();
-    for (uint32_t i = 0; i < n; ++i) {
-        uint8_t f = flags[i];
-        encodeBundle(pc[i], cnt[i], BundleBatch::cls(cls_cat[i]),
-                     BundleBatch::cat(cls_cat[i]),
-                     (f & BundleBatch::kMemModelBit) != 0,
-                     (f & BundleBatch::kNativeBit) != 0,
-                     (f & BundleBatch::kSystemBit) != 0,
-                     (f & BundleBatch::kTakenBit) != 0, cmd[i],
-                     mem_addr[i], target[i]);
+    for (uint32_t i = 0; i < batch.size(); ++i) {
+        uint32_t pc = batch.pcCol()[i];
+        uint32_t count = batch.countCol()[i];
+        trace::InstClass cls = BundleBatch::cls(batch.clsCatCol()[i]);
+        trace::Category cat = BundleBatch::cat(batch.clsCatCol()[i]);
+        uint8_t f = batch.flagsCol()[i];
+        bool mem_model = (f & BundleBatch::kMemModelBit) != 0;
+        bool native = (f & BundleBatch::kNativeBit) != 0;
+        bool system = (f & BundleBatch::kSystemBit) != 0;
+        trace::CommandId command = batch.commandCol()[i];
+        if (cat != st_.cat || mem_model != st_.memModel ||
+            native != st_.native || system != st_.system ||
+            command != st_.command)
+            emitStateChange(cat, mem_model, native, system, command);
+
+        uint8_t tag = kTagBundleBit | ((uint8_t)cls & kBundleClsMask);
+        if (f & BundleBatch::kTakenBit)
+            tag |= kBundleTakenBit;
+        bool seq = pc == st_.nextPc;
+        if (seq)
+            tag |= kBundleSeqPcBit;
+        if (count == 1)
+            tag |= kBundleCountOneBit;
+        beginEvent();
+        buf_.push_back((char)tag);
+        if (!seq)
+            putSVarint(buf_, (int64_t)pc - (int64_t)st_.nextPc);
+        if (count != 1)
+            putVarint(buf_, count);
+        if (classHasMemAddr(cls)) {
+            uint32_t mem_addr = batch.memAddrCol()[i];
+            putSVarint(buf_,
+                       (int64_t)mem_addr - (int64_t)st_.lastMemAddr);
+            st_.lastMemAddr = mem_addr;
+        }
+        if (classHasTarget(cls))
+            putSVarint(buf_, (int64_t)batch.targetCol()[i] - (int64_t)pc);
+
+        st_.nextPc = pc + count * 4;
+        ++totalBundles_;
+        totalInsts_ += count;
+        bufInsts_ += count;
+
+        if (buf_.size() >= chunkBytes_)
+            flushEventChunk();
     }
 }
 
@@ -229,7 +207,6 @@ TraceWriter::writeChunk(uint8_t type, const std::string &raw,
     if (!out_)
         fatal("trace file %s: chunk write failed (disk full?)",
               path_.c_str());
-    bytesWritten_ += h.size() + stored.size();
     ++numChunks_;
 }
 

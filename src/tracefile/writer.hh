@@ -83,11 +83,10 @@ class TraceWriter : public trace::Sink
     TraceWriter &operator=(const TraceWriter &) = delete;
 
     // --- trace::Sink ------------------------------------------------------
-    void onBundle(const trace::Bundle &bundle) override;
     /**
      * Encode a batch straight from the SoA columns (no Bundle
-     * materialization). Byte-identical to encoding the same bundles
-     * one at a time: the codec state machine is shared.
+     * materialization). The codec state carries across batches, so
+     * the bytes do not depend on where the batches were cut.
      */
     void onBatch(const trace::BundleBatch &batch) override;
     void onCommand(trace::CommandId command) override;
@@ -104,20 +103,12 @@ class TraceWriter : public trace::Sink
     void finish();
 
     const std::string &path() const { return path_; }
-    uint64_t eventsWritten() const { return totalEvents_; }
-    /** Bytes in the file so far (header + sealed chunks). */
-    uint64_t bytesWritten() const { return bytesWritten_; }
 
   private:
     void beginEvent();
     void emitStateChange(trace::Category cat, bool mem_model,
                          bool native, bool system,
                          trace::CommandId command);
-    /** The codec proper; onBundle and onBatch both land here. */
-    void encodeBundle(uint32_t pc, uint32_t count, trace::InstClass cls,
-                      trace::Category cat, bool mem_model, bool native,
-                      bool system, bool taken, trace::CommandId command,
-                      uint32_t mem_addr, uint32_t target);
     void flushEventChunk();
     void writeChunk(uint8_t type, const std::string &raw,
                     uint32_t event_count, uint64_t inst_count);
@@ -144,7 +135,6 @@ class TraceWriter : public trace::Sink
     uint64_t totalCommandEvents_ = 0;
     uint64_t totalMemAccesses_ = 0;
     uint64_t numChunks_ = 0;
-    uint64_t bytesWritten_ = 0;
     bool finished_ = false;
 };
 

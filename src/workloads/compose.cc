@@ -78,35 +78,37 @@ GuestFetchProfiler::indexOf(uint32_t guest_pc) const
 }
 
 void
-GuestFetchProfiler::onBundle(const trace::Bundle &bundle)
+GuestFetchProfiler::onBatch(const trace::BundleBatch &batch)
 {
-    if (bundle.cls == trace::InstClass::Load &&
-        bundle.cat == trace::Category::FetchDecode &&
-        (bundle.memAddr & mipsi::kGuestDataBit) && !funcs_.empty()) {
-        size_t idx = indexOf(bundle.memAddr & ~mipsi::kGuestDataBit);
-        if (idx != SIZE_MAX) {
-            cur_ = idx;
-            funcs_[idx].guestFetches += 1;
-            phases_[(size_t)funcs_[idx].phase].guestFetches += 1;
+    for (const trace::Bundle &bundle : batch) {
+        if (bundle.cls == trace::InstClass::Load &&
+            bundle.cat == trace::Category::FetchDecode &&
+            (bundle.memAddr & mipsi::kGuestDataBit) && !funcs_.empty()) {
+            size_t idx = indexOf(bundle.memAddr & ~mipsi::kGuestDataBit);
+            if (idx != SIZE_MAX) {
+                cur_ = idx;
+                funcs_[idx].guestFetches += 1;
+                phases_[(size_t)funcs_[idx].phase].guestFetches += 1;
+            }
         }
-    }
 
-    InnerPhase phase = cur_ == SIZE_MAX ? InnerPhase::Startup
-                                        : funcs_[cur_].phase;
-    PhaseCounters &pc = phases_[(size_t)phase];
-    switch (bundle.cat) {
-      case trace::Category::FetchDecode:
-        pc.outerFetchDecode += bundle.count;
-        break;
-      case trace::Category::Execute:
-        pc.outerExecute += bundle.count;
-        break;
-      case trace::Category::Precompile:
-        pc.outerPrecompile += bundle.count;
-        break;
+        InnerPhase phase = cur_ == SIZE_MAX ? InnerPhase::Startup
+                                            : funcs_[cur_].phase;
+        PhaseCounters &pc = phases_[(size_t)phase];
+        switch (bundle.cat) {
+          case trace::Category::FetchDecode:
+            pc.outerFetchDecode += bundle.count;
+            break;
+          case trace::Category::Execute:
+            pc.outerExecute += bundle.count;
+            break;
+          case trace::Category::Precompile:
+            pc.outerPrecompile += bundle.count;
+            break;
+        }
+        if (cur_ != SIZE_MAX)
+            funcs_[cur_].outerInsts += bundle.count;
     }
-    if (cur_ != SIZE_MAX)
-        funcs_[cur_].outerInsts += bundle.count;
 }
 
 } // namespace interp::workloads

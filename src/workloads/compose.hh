@@ -84,7 +84,7 @@ class GuestFetchProfiler : public trace::Sink
   public:
     explicit GuestFetchProfiler(const mips::Image &image);
 
-    void onBundle(const trace::Bundle &bundle) override;
+    void onBatch(const trace::BundleBatch &batch) override;
 
     const std::array<PhaseCounters, (size_t)InnerPhase::kCount> &
     phases() const

@@ -123,24 +123,45 @@ TEST(Runner, BudgetStopsRunaway)
 
 TEST(Runner, SinkExceptionReachesTheCaller)
 {
-    // A sink may abort a run from a full batch, as interpd's deadline
-    // does. The unwind leaves routine scopes that emit their returns
-    // into the batch, which must not still be full.
+    // A sink may abort a run from a delivery. The unwind leaves
+    // routine scopes that emit their returns, hundreds of them under
+    // a deep Tcl recursion; the aborting run must hand none of them
+    // to the sink that threw, or it throws again from a destructor.
     struct Abort
     {
     };
     struct AbortingSink : trace::Sink
     {
-        void onBundle(const trace::Bundle &) override { throw Abort{}; }
+        explicit AbortingSink(uint64_t first) : first(first) {}
+        void
+        onBatch(const trace::BundleBatch &) override
+        {
+            if (++batches >= first)
+                throw Abort{};
+        }
+        uint64_t first;
+        uint64_t batches = 0;
     };
-    BenchSpec spec;
+    BenchSpec tier2;
     for (BenchSpec &s : macroSuite())
         if (s.lang == Lang::Java && s.name == "des")
-            spec = s;
-    spec.lang = Lang::JavaTier2;
-    AbortingSink sink;
-    ScopedFatalThrow contain;
-    EXPECT_THROW(run(spec, {&sink}, nullptr, false), Abort);
+            tier2 = s;
+    tier2.lang = Lang::JavaTier2;
+    BenchSpec deep;
+    deep.lang = Lang::Tcl;
+    deep.name = "deep";
+    deep.source = "proc f {n} {if {$n > 0} {f [expr {$n-1}]} else "
+                  "{set i 0; while {$i < 10000000} {incr i}}}; f 140";
+    deep.maxCommands = 1'000'000;
+    const std::pair<BenchSpec, uint64_t> inputs[] = {{tier2, 1},
+                                                     {deep, 5000}};
+    for (const auto &[spec, first] : inputs) {
+        SCOPED_TRACE(spec.name);
+        AbortingSink sink(first);
+        ScopedFatalThrow contain;
+        EXPECT_THROW(run(spec, {&sink}, nullptr, false), Abort);
+        EXPECT_EQ(sink.batches, first);
+    }
 }
 
 TEST(Runner, MachineConfigOverride)

@@ -322,10 +322,11 @@ class RegionCounter : public trace::Sink
 {
   public:
     void
-    onBundle(const trace::Bundle &b) override
+    onBatch(const trace::BundleBatch &batch) override
     {
-        if (b.pc >= lo && b.pc < lo + 0x04000000)
-            insts += b.count;
+        for (const trace::Bundle &b : batch)
+            if (b.pc >= lo && b.pc < lo + 0x04000000)
+                insts += b.count;
     }
     uint32_t lo =
         trace::CodeRegistry::segmentBase(trace::Segment::JitCode);

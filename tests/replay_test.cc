@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -238,15 +239,12 @@ TEST(Replay, ReaderDeliversBundlesInBatches)
             ++batches;
             bundles += batch.size();
         }
-        void onBundle(const trace::Bundle &) override { ++singles; }
-        uint64_t batches = 0, bundles = 0, singles = 0;
+        uint64_t batches = 0, bundles = 0;
     };
 
     tracefile::TraceReader reader(traceFilePath(dir, spec));
     BatchCounter counter;
     reader.replay({&counter});
-    EXPECT_EQ(counter.singles, 0u)
-        << "bundles must arrive through onBatch, not one at a time";
     EXPECT_EQ(counter.bundles, reader.meta().totalBundles);
     EXPECT_LT(counter.batches, counter.bundles / 8)
         << "batches should amortize many bundles per virtual call";
@@ -296,11 +294,6 @@ class StreamHash : public trace::Sink
         mix(batch.commandCol(), n * sizeof(trace::CommandId));
     }
     void
-    onBundle(const trace::Bundle &) override
-    {
-        ADD_FAILURE() << "Execution delivers whole batches";
-    }
-    void
     onCommand(trace::CommandId command) override
     {
         mix('c');
@@ -331,7 +324,9 @@ TEST(Replay, EmissionStreamIsPinned)
     // batch boundary the trace layer emits for two programs under every
     // mode each supports, 20,000 commands each. A change to the
     // emission primitives, the address mapper or the trace layer's own
-    // heap allocations must leave all of them as they are.
+    // heap allocations must leave all of them as they are. Each run
+    // goes twice, the second time under a deadline that never fires:
+    // the safepoint's clock reads must emit and allocate nothing.
     struct Pin
     {
         const char *program;
@@ -371,30 +366,38 @@ TEST(Replay, EmissionStreamIsPinned)
                 continue;
             BenchSpec spec = workloads::specFor(*w, mode.lang);
             spec.maxCommands = 20'000;
-            StreamHash stream;
-            try {
-                ScopedFatalThrow contain;
-                run(spec, {&stream}, nullptr, false);
-            } catch (const FatalError &) {
-                // spin under Perl and Perl-ic: the budget stops
-                // perlish inside `($c * 33 + ($i & 7)) % 65521`, whose
-                // operands then read as 0 ("modulo by zero"). The
-                // stream delivered up to the fault is pinned all the
-                // same.
-                stream.mix('F');
-            }
-            ++runs;
             const Pin *pin = nullptr;
             for (const Pin &p : pins)
                 if (p.program == std::string(program) &&
                     p.mode == mode.lang)
                     pin = &p;
-            char got[96];
-            std::snprintf(got, sizeof got,
-                          "{\"%s\", Lang::%s, 0x%016llxull},", program,
-                          mode.ident, (unsigned long long)stream.hash);
-            ASSERT_NE(pin, nullptr) << "no pin for " << got;
-            EXPECT_EQ(stream.hash, pin->hash) << "now " << got;
+            for (bool deadline : {false, true}) {
+                if (deadline)
+                    spec.deadline = std::chrono::steady_clock::now() +
+                                    std::chrono::hours(24);
+                StreamHash stream;
+                try {
+                    ScopedFatalThrow contain;
+                    run(spec, {&stream}, nullptr, false);
+                } catch (const FatalError &) {
+                    // spin under Perl and Perl-ic: the budget stops
+                    // perlish inside `($c * 33 + ($i & 7)) % 65521`,
+                    // whose operands then read as 0 ("modulo by
+                    // zero"). The stream delivered up to the fault is
+                    // pinned all the same.
+                    stream.mix('F');
+                }
+                char got[96];
+                std::snprintf(got, sizeof got,
+                              "{\"%s\", Lang::%s, 0x%016llxull},",
+                              program, mode.ident,
+                              (unsigned long long)stream.hash);
+                ASSERT_NE(pin, nullptr) << "no pin for " << got;
+                EXPECT_EQ(stream.hash, pin->hash)
+                    << (deadline ? "with a deadline, now " : "now ")
+                    << got;
+            }
+            ++runs;
         }
     }
     EXPECT_EQ(runs, std::size(pins));

@@ -647,7 +647,7 @@ TEST(ServerEndToEnd, MidRunDeadlineAbortsAtSafepoint)
     TestServer ts(cfg);
 
     Client conn = Client::connectUnix(ts.path());
-    // Big enough to run well past the deadline; the safepoint sink
+    // Big enough to run well past the deadline; a trace safepoint
     // must cut it off (or the dequeue check, if the queue was slow —
     // either way: DEADLINE, never a full run).
     EvalRequest req = microRequest(Lang::Tcl, 2'000'000);
@@ -661,7 +661,7 @@ TEST(ServerEndToEnd, MidRunDeadlineAbortsAtSafepoint)
 TEST(ServerEndToEnd, DeadlineInsideAnArtifactBuildIsContained)
 {
     // Java-tier2 builds its artifact in-run, inside routine scopes; a
-    // deadline that fires on a full batch there must unwind to a
+    // deadline that fires at a safepoint there must unwind to a
     // DEADLINE answer, and the daemon must go on serving.
     ServerConfig cfg;
     cfg.workers = 1;
@@ -679,6 +679,36 @@ TEST(ServerEndToEnd, DeadlineInsideAnArtifactBuildIsContained)
 
     resp = conn.eval(microRequest(Lang::Java, 300));
     EXPECT_EQ(resp.status, Status::Ok) << resp.result;
+}
+
+TEST(ServerEndToEnd, DeadlineInsideDeepRecursionIsContained)
+{
+    // A 140-deep Tcl recursion keeps hundreds of routine scopes live
+    // when the deadline fires in the loop at its bottom. Their
+    // returns, emitted by the unwind, must reach no sink and throw
+    // nothing, with or without the machine: the request answers
+    // DEADLINE and the daemon goes on serving.
+    ServerConfig cfg;
+    cfg.workers = 1;
+    TestServer ts(cfg);
+
+    Client conn = Client::connectUnix(ts.path());
+    for (uint8_t flags : {uint8_t{0}, kFlagWithMachine}) {
+        EvalRequest req;
+        req.id = 1;
+        req.mode = Lang::Tcl;
+        req.kind = ProgramKind::Inline;
+        req.flags = flags;
+        req.program = "proc f {n} {if {$n > 0} {f [expr {$n-1}]} else "
+                      "{set i 0; while {$i < 10000000} {incr i}}}; f 140";
+        req.deadlineMs = 200;
+        EvalResponse resp = evalUntilCutOffRunning(conn, req);
+        EXPECT_EQ(resp.status, Status::Deadline) << resp.result;
+        EXPECT_EQ(resp.result, "deadline expired during execution");
+
+        resp = conn.eval(microRequest(Lang::Tcl, 300));
+        EXPECT_EQ(resp.status, Status::Ok) << resp.result;
+    }
 }
 
 TEST(ServerEndToEnd, MixedClassLoadSplitsOutcomesByClass)

@@ -11,7 +11,7 @@
 #include <cmath>
 
 #include "harness/runner.hh"
-#include "harness/workloads.hh"
+#include "workloads/registry.hh"
 #include "sim/cache_sweep.hh"
 
 namespace {
@@ -44,7 +44,7 @@ TEST(Shapes, InterpreterDominatesApplication)
         BenchSpec spec;
         spec.lang = Lang::C;
         spec.name = name;
-        spec.source = loadProgram("minic/" + name + ".mc");
+        spec.source = workloads::loadProgramFile("minic/" + name + ".mc");
         spec.needsInputs = true;
         spec.maxCommands = 40'000'000;
         native_busy.push_back(run(spec).breakdown.busyPct);
@@ -90,7 +90,7 @@ TEST(Shapes, CompressDtlbInversion)
     BenchSpec native;
     native.lang = Lang::C;
     native.name = "compress";
-    native.source = loadProgram("minic/compress.mc");
+    native.source = workloads::loadProgramFile("minic/compress.mc");
     native.needsInputs = true;
     double native_dtlb =
         run(native).breakdown.stallPct[(int)sim::StallCause::Dtlb];

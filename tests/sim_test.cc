@@ -587,11 +587,16 @@ TEST(Machine, SameLineRefetchIsDeduplicatedUntilReset)
 TEST(Machine, BatchedPathMatchesBundlePathExactly)
 {
     // The run-hoisted batch loop (closed-form use-delay ticks, hoisted
-    // switch) must be observationally identical to the per-bundle
-    // reference path on every counter.
+    // switch) must be observationally identical on every counter
+    // whether the stream comes in one-bundle batches or full ones.
+    // The shadow checks each one-bundle batch against the per-bundle
+    // reference path (Machine::simulateOne).
     auto work = mixedWorkload(4000, 99);
 
-    Machine byBundle, byBatch;
+    MachineConfig checked;
+    checked.shadowCheck = true;
+    Machine byBundle(checked), byBatch;
+    ScopedFatalThrow contain;
     for (const auto &b : work)
         byBundle.onBundle(b);
 

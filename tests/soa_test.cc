@@ -1,16 +1,17 @@
 /**
  * @file
  * SoA-batch equivalence: one recorded tape, replayed twice through
- * identically configured sinks — once with the bundle-at-a-time path
- * (the default Sink::onBatch forwarding loop reconstructing a Bundle
- * per element) and once with the batched SoA column consumers
+ * identically configured sinks — once bundle-at-a-time (each Bundle
+ * reconstructed from the columns and delivered as a one-bundle batch)
+ * and once as full batches through the SoA column consumers
  * (Machine::simulateBatch, Profile::onBatch, CacheSweep::onBatch).
  * Every observable counter must match exactly: simulated cycles, the
  * full stall ledger, per-structure hit/miss counts, the Profile
  * attribution tables, and the cache-sweep miss grid. This is the
  * test that pins "the SoA layout changed the memory layout, not the
- * event stream"; the sanitizer preset additionally runs it with
- * INTERP_SIM_CHECK's shadow machine cross-checking every batch.
+ * event stream". The bundle-at-a-time machine runs with its shadow
+ * on, so every bundle is also checked against the reference
+ * Machine::simulateOne.
  */
 
 #include <gtest/gtest.h>
@@ -32,18 +33,19 @@ using namespace interp;
 namespace fs = std::filesystem;
 
 /**
- * Wrapper that erases a sink's batched fast path: it does not
- * override onBatch, so the default forwarding loop materializes each
- * Bundle from the SoA columns and delivers it through onBundle —
- * exactly what every consumer saw before batching existed.
+ * Wrapper that cuts every batch into one-bundle batches: each Bundle
+ * is materialized from the SoA columns and handed to the inner sink
+ * through Sink::onBundle.
  */
 class BundleAtATime : public trace::Sink
 {
   public:
     explicit BundleAtATime(trace::Sink &inner) : inner(inner) {}
-    void onBundle(const trace::Bundle &b) override
+    void
+    onBatch(const trace::BundleBatch &batch) override
     {
-        inner.onBundle(b);
+        for (const trace::Bundle &b : batch)
+            inner.onBundle(b);
     }
     void onCommand(trace::CommandId id) override
     {
@@ -129,8 +131,10 @@ TEST(SoaEquivalence, BatchedSinksMatchBundleAtATimeReplay)
     std::string tape = recordTape();
     tracefile::TraceReader reader(tape);
 
-    // Pass 1: bundle-at-a-time through the default forwarding loop.
-    sim::Machine slowMachine;
+    // Pass 1: one-bundle batches, the machine checked by its shadow.
+    sim::MachineConfig checked;
+    checked.shadowCheck = true;
+    sim::Machine slowMachine(checked);
     trace::Profile slowProfile;
     sim::CacheSweep slowSweep({4, 16}, {1, 2});
     BundleAtATime wrapMachine(slowMachine);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <vector>
 
 #include "support/logging.hh"
@@ -17,35 +18,27 @@ namespace {
 
 using namespace interp::trace;
 
-/** Sink that records every bundle. */
-class Collector : public Sink
-{
-  public:
-    void onBundle(const Bundle &b) override { bundles.push_back(b); }
-    std::vector<Bundle> bundles;
-};
-
 /**
- * Sink that records the full event stream (bundles, batch boundaries,
- * commands, memory-model accesses) to check delivery order.
+ * Sink that records every bundle, and the full event stream (bundles,
+ * batch boundaries, commands, memory-model accesses) to check
+ * delivery order.
  */
-class StreamCollector : public Sink
+class Collector : public Sink
 {
   public:
     void
     onBatch(const BundleBatch &batch) override
     {
         ++batches;
-        for (const Bundle &b : batch)
+        for (const Bundle &b : batch) {
+            bundles.push_back(b);
             events.push_back({'b', b.count});
-    }
-    void onBundle(const Bundle &b) override
-    {
-        events.push_back({'b', b.count});
+        }
     }
     void onCommand(CommandId id) override { events.push_back({'c', id}); }
     void onMemModelAccess() override { events.push_back({'m', 0}); }
 
+    std::vector<Bundle> bundles;
     std::vector<std::pair<char, uint32_t>> events;
     int batches = 0;
 };
@@ -505,7 +498,7 @@ TEST(Batch, FullBatchDeliversWithoutFlush)
     // The batch drains to the sinks on its own once kCapacity bundles
     // accumulate; only the tail needs an explicit flush.
     Execution exec;
-    StreamCollector sink;
+    Collector sink;
     exec.addSink(&sink);
     for (uint32_t i = 0; i < BundleBatch::kCapacity; ++i)
         exec.load(&sink);
@@ -576,7 +569,7 @@ TEST(Batch, NonBundleEventsKeepStreamOrder)
     // property that keeps recorded traces byte-identical.
     Execution exec;
     CommandSet set;
-    StreamCollector sink;
+    Collector sink;
     exec.addSink(&sink);
     auto add = set.intern("add");
     exec.alu(2);
@@ -590,44 +583,43 @@ TEST(Batch, NonBundleEventsKeepStreamOrder)
     EXPECT_EQ(sink.events, expected);
 }
 
-TEST(Batch, DefaultOnBatchForwardsToOnBundle)
-{
-    // A sink that only implements onBundle still sees every bundle,
-    // in order, through Sink::onBatch's default forwarding loop.
-    Execution exec;
-    Collector sink;
-    exec.addSink(&sink);
-    exec.alu(1);
-    exec.shortInt(2);
-    exec.floatOp(3);
-    exec.flush();
-    ASSERT_EQ(sink.bundles.size(), 3u);
-    EXPECT_EQ(sink.bundles[0].cls, InstClass::IntAlu);
-    EXPECT_EQ(sink.bundles[1].cls, InstClass::ShortInt);
-    EXPECT_EQ(sink.bundles[2].cls, InstClass::FloatOp);
-}
-
-TEST(Batch, RemoveSinkDeliversPendingFirst)
-{
-    Execution exec;
-    Collector sink;
-    exec.addSink(&sink);
-    exec.alu(7);
-    exec.removeSink(&sink);
-    ASSERT_EQ(sink.bundles.size(), 1u);
-    EXPECT_EQ(sink.bundles[0].count, 7u);
-}
-
 TEST(Batch, FlushIsIdempotent)
 {
     Execution exec;
-    StreamCollector sink;
+    Collector sink;
     exec.addSink(&sink);
     exec.alu(1);
     exec.flush();
     exec.flush();
     EXPECT_EQ(sink.batches, 1);
     EXPECT_EQ(sink.events.size(), 1u);
+}
+
+TEST(Deadline, PastDeadlineThrowsOnceAtTheFirstEmission)
+{
+    // The first emission is a safepoint: a deadline already past
+    // aborts the run there, exactly once. The aborting run then
+    // delivers nothing more, so the routine returns an unwind emits
+    // can neither throw again nor reach a sink.
+    Execution exec;
+    CommandSet set;
+    Collector sink;
+    exec.addSink(&sink);
+    auto r = exec.code().registerRoutine("body", 16);
+    exec.setDeadline(Execution::Clock::now() - std::chrono::seconds(1));
+    EXPECT_THROW(exec.alu(1), DeadlineExpired);
+    EXPECT_NO_THROW({
+        for (uint32_t i = 0; i < 3 * BundleBatch::kCapacity; ++i) {
+            RoutineScope scope(exec, r);
+            exec.alu(5000);
+            exec.load(&sink);
+        }
+        exec.beginCommand(set.intern("cmd"));
+        exec.noteMemModelAccess();
+        exec.flush();
+    });
+    EXPECT_TRUE(sink.events.empty());
+    EXPECT_EQ(sink.batches, 0);
 }
 
 } // namespace

@@ -142,9 +142,10 @@ class Collector : public trace::Sink
     };
 
     void
-    onBundle(const trace::Bundle &b) override
+    onBatch(const trace::BundleBatch &batch) override
     {
-        events.push_back({0, b, 0});
+        for (const trace::Bundle &b : batch)
+            events.push_back({0, b, 0});
     }
     void
     onCommand(trace::CommandId c) override
