@@ -33,14 +33,4 @@ BranchPredictor::BranchPredictor(const BranchConfig &config) : cfg(config)
     ras.assign(cfg.returnStack, 0);
 }
 
-void
-BranchPredictor::reset()
-{
-    bht.assign(cfg.bhtEntries, 0);
-    btcTags.assign(cfg.btcEntries, 0xffffffffu);
-    btcTargets.assign(cfg.btcEntries, 0);
-    rasTop = rasDepth = 0;
-    lookupCount = mispredictCount = 0;
-}
-
 } // namespace interp::sim

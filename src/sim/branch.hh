@@ -37,15 +37,12 @@ class BranchPredictor
   public:
     explicit BranchPredictor(const BranchConfig &config);
 
-    /**
-     * Conditional branch whose BHT index was precomputed (the batched
-     * hot loop extracts indices for a whole batch in one vector pass,
-     * sim/batch_lanes.hh). @p idx must equal (pc >> 2) & (bhtEntries-1).
-     */
+    /** Conditional branch at @p pc resolving to @p taken. */
     bool
-    predictConditionalAt(uint32_t idx, bool taken)
+    predictConditional(uint32_t pc, bool taken)
     {
         ++lookupCount;
+        uint32_t idx = (pc >> 2) & (cfg.bhtEntries - 1);
         bool predicted = bht[idx] != 0;
         bht[idx] = taken ? 1 : 0;
         if (predicted != taken) {
@@ -55,36 +52,21 @@ class BranchPredictor
         return true;
     }
 
-    /** Conditional branch at @p pc resolving to @p taken. */
-    bool
-    predictConditional(uint32_t pc, bool taken)
-    {
-        return predictConditionalAt((pc >> 2) & (cfg.bhtEntries - 1),
-                                    taken);
-    }
-
     /**
-     * Computed jump with a precomputed BTC index; @p idx must equal
-     * (pc >> 2) & (btcEntries - 1). The full pc still tags the entry.
+     * Computed jump at @p pc resolving to @p target. The full pc tags
+     * the BTC entry.
      */
     bool
-    predictIndirectAt(uint32_t idx, uint32_t pc, uint32_t target)
+    predictIndirect(uint32_t pc, uint32_t target)
     {
         ++lookupCount;
+        uint32_t idx = (pc >> 2) & (cfg.btcEntries - 1);
         bool correct = btcTags[idx] == pc && btcTargets[idx] == target;
         btcTags[idx] = pc;
         btcTargets[idx] = target;
         if (!correct)
             ++mispredictCount;
         return correct;
-    }
-
-    /** Computed jump at @p pc resolving to @p target. */
-    bool
-    predictIndirect(uint32_t pc, uint32_t target)
-    {
-        return predictIndirectAt((pc >> 2) & (cfg.btcEntries - 1), pc,
-                                 target);
     }
 
     /** Call at @p pc; pushes @p return_pc onto the return stack. */
@@ -115,8 +97,6 @@ class BranchPredictor
         }
         return true;
     }
-
-    void reset();
 
     uint64_t lookups() const { return lookupCount; }
     uint64_t mispredicts() const { return mispredictCount; }

@@ -1,24 +1,34 @@
 /**
  * @file
- * Set-associative cache model with LRU replacement.
+ * Set-associative cache model with LRU replacement: the one lookup
+ * structure of the Table 3 machine.
  *
  * Used for the first-level instruction and data caches and the unified
- * second-level cache of the Table 3 machine, and swept over size and
- * associativity for Figure 4.
+ * second-level cache, swept over size and associativity for Figure 4,
+ * and, as one fully associative set of page-sized lines, for the
+ * instruction and data TLBs.
+ *
+ * Each set keeps its line addresses as 4-byte tags in recency order,
+ * most recent first, with empty ways (kEmpty) behind the valid lines.
+ * A hit moves its line to the front; a miss shifts the set down one
+ * way, dropping the last (the LRU line, or an empty way), and inserts
+ * the new line at the front. Together that is exact LRU.
  */
 
 #ifndef INTERP_SIM_CACHE_HH
 #define INTERP_SIM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "support/logging.hh"
 
 namespace interp::sim {
 
-/** Geometry of one cache. */
+/**
+ * Geometry of one cache. sizeBytes and lineBytes must be powers of
+ * two, lineBytes at least 2, and the set count (lines / assoc) a power
+ * of two; the constructor rejects other geometries.
+ */
 struct CacheConfig
 {
     uint32_t sizeBytes = 8 * 1024;
@@ -41,67 +51,39 @@ class Cache
     bool
     access(uint32_t addr)
     {
-        ++tick;
-        uint32_t line = lineAddr(addr);
-        uint32_t set = line & (sets - 1);
-        uint32_t tag = line >> 0; // full line address as tag: simple, exact
-        Way *base = &ways[(size_t)set * cfg.assoc];
-        Way *victim = base;
-        for (uint32_t w = 0; w < cfg.assoc; ++w) {
-            Way &way = base[w];
-            if (!way.valid) {
-                // Ways fill front to back (the victim is always the
-                // first free way), so the valid ways of a set form a
-                // prefix: nothing past this point can hit, and a free
-                // way always wins victim selection. Stop scanning.
-                victim = &way;
-                break;
-            }
-            if (way.tag == tag) {
-                way.lastUse = tick;
-                ++hitCount;
-                return true;
-            }
-            if (way.lastUse < victim->lastUse)
-                victim = &way;
-        }
-        victim->valid = true;
-        victim->tag = tag;
-        victim->lastUse = tick;
-        ++missCount;
-        return false;
+        // The full line address is the tag: simple, exact.
+        uint32_t line = addr >> lineShift;
+        uint32_t *set = &tags[(size_t)(line & setMask) * cfg.assoc];
+        uint32_t way = 0;
+        while (way != cfg.assoc && set[way] != line)
+            ++way;
+        bool hit = way != cfg.assoc;
+        // Shift the more recent lines down over the hit way, or over
+        // the last way on a miss, and put this line in front.
+        for (way -= !hit; way != 0; --way)
+            set[way] = set[way - 1];
+        set[0] = line;
+        if (hit)
+            ++hitCount;
+        else
+            ++missCount;
+        return hit;
     }
-
-    /** Invalidate all lines and reset statistics. */
-    void reset();
 
     uint64_t hits() const { return hitCount; }
     uint64_t misses() const { return missCount; }
     uint64_t accesses() const { return hitCount + missCount; }
-    double missRate() const;
 
     const CacheConfig &config() const { return cfg; }
-    uint32_t numSets() const { return sets; }
-
-    /** Cache line address (addr with offset bits stripped). */
-    uint32_t
-    lineAddr(uint32_t addr) const
-    {
-        return addr / cfg.lineBytes;
-    }
 
   private:
-    struct Way
-    {
-        uint32_t tag = 0;
-        uint64_t lastUse = 0;
-        bool valid = false;
-    };
+    /** An empty way. No line address reaches it: lines are >= 2 bytes. */
+    static constexpr uint32_t kEmpty = ~0u;
 
     CacheConfig cfg;
-    uint32_t sets;
-    std::vector<Way> ways; ///< sets * assoc entries, set-major
-    uint64_t tick = 0;
+    uint32_t lineShift;          ///< log2(lineBytes)
+    uint32_t setMask;            ///< sets - 1
+    std::vector<uint32_t> tags;  ///< sets * assoc line addresses, set-major
     uint64_t hitCount = 0;
     uint64_t missCount = 0;
 };

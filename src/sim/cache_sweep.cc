@@ -1,6 +1,5 @@
 #include "sim/cache_sweep.hh"
 
-#include "sim/batch_lanes.hh"
 #include "support/logging.hh"
 
 namespace interp::sim {
@@ -26,33 +25,25 @@ CacheSweep::CacheSweep(const std::vector<uint32_t> &sizes_kb,
 void
 CacheSweep::onBatch(const trace::BundleBatch &batch)
 {
-    // Column iteration: one vector pass computes every bundle's line
-    // span and the batch's instruction total, then the scalar loop
-    // only walks spans (and the dedup makes most of those walks a
-    // single compare).
+    // Column iteration: each bundle adds its count and walks its line
+    // span, and the dedup makes most of those walks a single compare.
     const uint32_t n = batch.size();
+    const uint32_t *pc = batch.pcCol();
     const uint32_t *cnt = batch.countCol();
-    alignas(64) uint32_t first[trace::BundleBatch::kCapacity];
-    alignas(64) uint32_t last[trace::BundleBatch::kCapacity];
-    lanes::lineSpans(batch.pcCol(), cnt, n, lineShift, first, last);
-    insts += lanes::sumCounts(cnt, n);
     for (uint32_t i = 0; i < n; ++i) {
+        insts += cnt[i];
         // An empty bundle touches no lines; its span underflows.
-        if (cnt[i] != 0) [[likely]]
-            accountSpan(first[i], last[i]);
-    }
-}
-
-void
-CacheSweep::accountSpan(uint32_t first, uint32_t last)
-{
-    for (uint32_t line = first; line <= last; ++line) {
-        if (lastLine == line)
+        if (cnt[i] == 0) [[unlikely]]
             continue;
-        lastLine = line;
-        uint32_t addr = line << lineShift;
-        for (Cache &cache : caches)
-            cache.access(addr);
+        uint32_t last = (pc[i] + (cnt[i] - 1) * 4) >> lineShift;
+        for (uint32_t line = pc[i] >> lineShift; line <= last; ++line) {
+            if (lastLine == line)
+                continue;
+            lastLine = line;
+            uint32_t addr = line << lineShift;
+            for (Cache &cache : caches)
+                cache.access(addr);
+        }
     }
 }
 

@@ -49,9 +49,6 @@ class CacheSweep : public trace::Sink
     uint64_t instructions() const { return insts; }
 
   private:
-    /** Feed line [first, last] spans to every cache in the grid. */
-    void accountSpan(uint32_t first, uint32_t last);
-
     std::vector<Cache> caches;
     /**
      * Line-number dedup, shared by the whole grid: every cache sees

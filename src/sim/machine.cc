@@ -1,6 +1,5 @@
 #include "sim/machine.hh"
 
-#include "sim/batch_lanes.hh"
 #include "support/logging.hh"
 
 namespace interp::sim {
@@ -21,10 +20,22 @@ stallCauseName(StallCause cause)
     }
 }
 
+namespace {
+
+/** A TLB is a Cache with one fully associative set of page-sized lines. */
+CacheConfig
+tlbGeometry(uint32_t entries, uint32_t page_bits)
+{
+    return {entries << page_bits, entries, 1u << page_bits};
+}
+
+} // namespace
+
 Machine::Machine(const MachineConfig &config)
     : cfg(config), il1(config.icache), dl1(config.dcache), l2(config.l2),
-      itlb_(config.itlbEntries, config.pageBits),
-      dtlb_(config.dtlbEntries, config.pageBits), bp(config.branch)
+      itlb_(tlbGeometry(config.itlbEntries, config.pageBits)),
+      dtlb_(tlbGeometry(config.dtlbEntries, config.pageBits)),
+      bp(config.branch)
 {
     if (cfg.issueWidth == 0)
         panic("issue width must be nonzero");
@@ -53,15 +64,8 @@ Machine::fetch(uint32_t pc, uint32_t count)
     // (count - 1) below underflows and walks ~2^30 i-cache lines.
     if (count == 0)
         return;
-    uint32_t first = pc >> ilineShift;
     uint32_t last = (pc + (count - 1) * 4) >> ilineShift;
-    fetchSpan(first, last);
-}
-
-void
-Machine::fetchSpan(uint32_t first, uint32_t last)
-{
-    for (uint32_t line = first; line <= last; ++line) {
+    for (uint32_t line = pc >> ilineShift; line <= last; ++line) {
         if (line == lastFetchLine)
             continue;
         lastFetchLine = line;
@@ -164,25 +168,9 @@ Machine::simulateBatch(const trace::BundleBatch &batch)
     const uint8_t *clsCat = batch.clsCatCol();
     const uint8_t *flags = batch.flagsCol();
 
-    // Vector pre-passes over the pc/count columns: the whole batch's
-    // i-cache line spans, BHT/BTC indices, and instruction total come
-    // out of four SIMD loops before any stateful work starts. The
-    // instruction total joins the ledger up front — slot columns are
-    // independent sums, so accumulation order cannot change them.
-    alignas(64) uint32_t firstLine[BundleBatch::kCapacity];
-    alignas(64) uint32_t lastLine[BundleBatch::kCapacity];
-    alignas(64) uint32_t bhtIdx[BundleBatch::kCapacity];
-    alignas(64) uint32_t btcIdx[BundleBatch::kCapacity];
-    lanes::lineSpans(pc, cnt, n, ilineShift, firstLine, lastLine);
-    lanes::branchIndices(pc, n, cfg.branch.bhtEntries - 1, bhtIdx);
-    lanes::branchIndices(pc, n, cfg.branch.btcEntries - 1, btcIdx);
-    insts += lanes::sumCounts(cnt, n);
-
     auto fetchAt = [&](uint32_t i) {
-        // Empty bundles fetch nothing (their precomputed span is a
-        // degenerate clamp, not a real line).
-        if (cnt[i] != 0) [[likely]]
-            fetchSpan(firstLine[i], lastLine[i]);
+        insts += cnt[i];
+        fetch(pc[i], cnt[i]);
     };
 
     uint32_t i = 0;
@@ -246,7 +234,7 @@ Machine::simulateBatch(const trace::BundleBatch &batch)
             for (; i != run; ++i) {
                 fetchAt(i);
                 bool taken = (flags[i] & BundleBatch::kTakenBit) != 0;
-                if (!bp.predictConditionalAt(bhtIdx[i], taken))
+                if (!bp.predictConditional(pc[i], taken))
                     addStall(StallCause::Mispredict,
                              cfg.mispredictPenalty);
             }
@@ -254,7 +242,7 @@ Machine::simulateBatch(const trace::BundleBatch &batch)
           case InstClass::IndirectJump:
             for (; i != run; ++i) {
                 fetchAt(i);
-                if (!bp.predictIndirectAt(btcIdx[i], pc[i], target[i]))
+                if (!bp.predictIndirect(pc[i], target[i]))
                     addStall(StallCause::Mispredict,
                              cfg.mispredictPenalty);
             }
@@ -357,26 +345,6 @@ double
 Machine::imissPer100Insts() const
 {
     return insts ? 100.0 * (double)imisses / (double)insts : 0.0;
-}
-
-void
-Machine::reset()
-{
-    il1.reset();
-    dl1.reset();
-    l2.reset();
-    itlb_.reset();
-    dtlb_.reset();
-    bp.reset();
-    insts = 0;
-    imisses = 0;
-    for (auto &s : stallSlots)
-        s = 0;
-    loadTick = shortTick = floatTick = 0;
-    lastFetchLine = ~0ull;
-    lastFetchPage = ~0ull;
-    if (shadow)
-        shadow->reset();
 }
 
 } // namespace interp::sim

@@ -30,11 +30,17 @@
  * are slot fractions, and mixing cycle- and slot-denominated terms
  * (as an earlier version of breakdown() did) cannot reproduce them.
  *
+ * The I-cache, D-cache, L2 and both TLBs are sim::Cache instances (a
+ * TLB is one fully associative set of page-sized lines), so every
+ * lookup is one Cache::access.
+ *
  * The hot path is batched: trace producers deliver BundleBatches and
- * onBatch() drains each batch in a single non-virtual loop with the
- * per-class switch hoisted out of runs of same-class bundles and the
- * cache/TLB/predictor lookups inlined (their access methods live in
- * the headers). With MachineConfig::shadowCheck (default-on under
+ * onBatch() drains each batch in a single non-virtual loop over its
+ * columns, with the per-class switch hoisted out of runs of same-class
+ * bundles and the cache and predictor lookups inlined (their access
+ * methods live in the headers). There are no pre-passes: each
+ * bundle's line span and instruction count are taken as the loop
+ * reaches it. With MachineConfig::shadowCheck (default-on under
  * -DINTERP_SIM_CHECK, which the sanitizer preset sets) a shadow
  * machine re-simulates every batch bundle-at-a-time through the
  * straightforward reference switch and fatal()s on the first counter
@@ -51,7 +57,6 @@
 
 #include "sim/branch.hh"
 #include "sim/cache.hh"
-#include "sim/tlb.hh"
 #include "trace/events.hh"
 
 namespace interp::sim {
@@ -84,6 +89,7 @@ struct MachineConfig
     CacheConfig dcache{8 * 1024, 1, 32};
     CacheConfig l2{512 * 1024, 1, 32};
 
+    /// TLB entry counts; powers of two (Cache rejects other counts).
     uint32_t itlbEntries = 8;
     uint32_t dtlbEntries = 32;
     uint32_t pageBits = 13; // 8 KB pages
@@ -176,18 +182,14 @@ class Machine : public trace::Sink
     const Cache &icache() const { return il1; }
     const Cache &dcache() const { return dl1; }
     const Cache &l2cache() const { return l2; }
-    const Tlb &itlb() const { return itlb_; }
-    const Tlb &dtlb() const { return dtlb_; }
+    const Cache &itlb() const { return itlb_; }
+    const Cache &dtlb() const { return dtlb_; }
     const BranchPredictor &predictor() const { return bp; }
-
-    void reset();
 
   private:
     /**
-     * Batched hot loop over the batch's SoA columns: vector pre-passes
-     * (sim/batch_lanes.hh) compute line spans and branch-table indices
-     * for the whole batch, then the class switch is hoisted per run of
-     * same-class bundles.
+     * Batched hot loop over the batch's SoA columns, with the class
+     * switch hoisted per run of same-class bundles.
      */
     void simulateBatch(const trace::BundleBatch &batch);
     /** Reference path: one bundle through the per-bundle switch. Only
@@ -198,9 +200,8 @@ class Machine : public trace::Sink
     /** fatal() on the first counter divergence from the shadow. */
     void compareWithShadow();
 
+    /** Fetch the i-cache lines of @p count instructions at @p pc. */
     void fetch(uint32_t pc, uint32_t count);
-    /** Walk i-cache lines [first, last] (precomputed span). */
-    void fetchSpan(uint32_t first, uint32_t last);
     void dataAccess(uint32_t addr);
     void addStall(StallCause cause, uint64_t cycles_);
 
@@ -208,8 +209,8 @@ class Machine : public trace::Sink
     Cache il1;
     Cache dl1;
     Cache l2;
-    Tlb itlb_;
-    Tlb dtlb_;
+    Cache itlb_;
+    Cache dtlb_;
     BranchPredictor bp;
 
     uint64_t insts = 0; ///< busy slots: one per retired instruction

@@ -87,10 +87,9 @@ struct Bundle
  * sim::CacheSweep, tracefile::TraceWriter) iterate the columns
  * directly, so per-bundle work touches only the fields its class
  * needs (a Load run never loads targets; an IntAlu run never loads
- * data addresses) and the index/tag extraction pre-passes over the
- * pc/count columns compile to vector code (sim/batch_lanes.hh).
- * Cold sinks loop over Bundle values instead: operator[] and the
- * iterator materialize a Bundle by value from the columns.
+ * data addresses). Cold sinks loop over Bundle values instead:
+ * operator[] and the iterator materialize a Bundle by value from the
+ * columns.
  */
 class BundleBatch
 {

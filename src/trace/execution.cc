@@ -141,8 +141,15 @@ Execution::emit(uint32_t at, uint32_t n, InstClass cls, uint32_t mem_addr,
                      (uint8_t)(key >> 8) |
                          (taken ? BundleBatch::kTakenBit : 0),
                      command, mem_addr, target);
-    if (batch.full())
-        flush();
+    if (batch.full()) {
+        // A return runs in RoutineScope's destructor. While an
+        // exception unwinds, a sink's throw from there would
+        // terminate, so the failing run drops its batch instead.
+        if (!Safepoint && std::uncaught_exceptions() != 0)
+            abortRun();
+        else
+            flush();
+    }
 }
 
 void

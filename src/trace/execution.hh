@@ -24,7 +24,10 @@
  * fired, or a sink threw from a delivery — the Execution disarms the
  * deadline and detaches every sink, so the unwind, whose routine
  * scopes still emit their returns, can neither re-enter a sink nor
- * throw from a destructor.
+ * throw from a destructor. A return that fills the batch while any
+ * other exception unwinds aborts the run the same way instead of
+ * flushing; outside an unwind its flush may throw, and the throw
+ * leaves RoutineScope's destructor for the caller.
  *
  * A Profile can instead be counted at the source (countInto()): the
  * Execution sums each run of instructions sharing one attribution and
@@ -187,7 +190,8 @@ class Execution
      * emission but a return compares the instruction count with the
      * next safepoint, which reads the clock every kSafepointInsts
      * instructions from the first emission on. A return is exempt: it
-     * runs in RoutineScope's destructor, where a throw terminates.
+     * runs in RoutineScope's destructor, which may run during an
+     * unwind, where a second throw terminates.
      */
     void setDeadline(Clock::time_point deadline);
 
@@ -362,10 +366,11 @@ class Execution
  * interpreter run leaves no buffered events behind. Every VM's run()
  * declares one at the top; all return paths (including the computed-
  * goto exits of the threaded MIPSI core) then deliver the tail batch
- * before any caller reads a sink. Skipped while an exception is
- * unwinding: a fatal()ed run's Measurement is discarded anyway, and
- * delivering into sinks mid-unwind could turn a contained FatalError
- * into std::terminate.
+ * before any caller reads a sink; a sink that throws from that flush
+ * throws out of the destructor to the caller. Skipped while an
+ * exception is unwinding: a fatal()ed run's Measurement is discarded
+ * anyway, and delivering into sinks mid-unwind could turn a contained
+ * FatalError into std::terminate.
  */
 class FlushOnExit
 {
@@ -374,7 +379,7 @@ class FlushOnExit
         : exec_(exec), entryDepth(std::uncaught_exceptions())
     {
     }
-    ~FlushOnExit()
+    ~FlushOnExit() noexcept(false)
     {
         if (std::uncaught_exceptions() == entryDepth)
             exec_.flush();
@@ -388,7 +393,11 @@ class FlushOnExit
     int entryDepth;
 };
 
-/** Enters a routine on construction, returns on destruction. */
+/**
+ * Enters a routine on construction, returns on destruction. The
+ * return may fill the batch, and a sink that throws from that flush
+ * throws out of the destructor to the caller.
+ */
 class RoutineScope
 {
   public:
@@ -396,7 +405,7 @@ class RoutineScope
     {
         exec_.callRoutine(routine);
     }
-    ~RoutineScope() { exec_.returnRoutine(); }
+    ~RoutineScope() noexcept(false) { exec_.returnRoutine(); }
 
     RoutineScope(const RoutineScope &) = delete;
     RoutineScope &operator=(const RoutineScope &) = delete;

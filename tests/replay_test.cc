@@ -20,6 +20,7 @@
 #include "harness/record_replay.hh"
 #include "harness/runner.hh"
 #include "sim/cache_sweep.hh"
+#include "sim/machine.hh"
 #include "support/detalloc.hh"
 #include "support/logging.hh"
 #include "tracefile/reader.hh"
@@ -315,6 +316,29 @@ class StreamHash : public trace::Sink
     }
 };
 
+/** FNV-1a over every counter of @p machine. */
+uint64_t
+machineHash(const sim::Machine &machine)
+{
+    std::vector<uint64_t> counters = {machine.cycles(),
+                                      machine.instructions()};
+    for (int c = 0; c < sim::kNumStallCauses; ++c)
+        counters.push_back(machine.slotsLostTo((sim::StallCause)c));
+    for (const sim::Cache *cache :
+         {&machine.icache(), &machine.dcache(), &machine.l2cache(),
+          &machine.itlb(), &machine.dtlb()}) {
+        counters.push_back(cache->hits());
+        counters.push_back(cache->misses());
+    }
+    counters.push_back(machine.predictor().lookups());
+    counters.push_back(machine.predictor().mispredicts());
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (uint64_t v : counters)
+        for (int i = 0; i < 8; ++i)
+            hash = (hash ^ (uint8_t)(v >> (8 * i))) * 0x100000001b3ull;
+    return hash;
+}
+
 TEST(Replay, EmissionStreamIsPinned)
 {
     if (!support::deterministicAllocatorActive())
@@ -325,37 +349,40 @@ TEST(Replay, EmissionStreamIsPinned)
     // mode each supports, 20,000 commands each. A change to the
     // emission primitives, the address mapper or the trace layer's own
     // heap allocations must leave all of them as they are. Each run
-    // goes twice, the second time under a deadline that never fires:
-    // the safepoint's clock reads must emit and allocate nothing.
+    // goes three times: plain; under a deadline that never fires, whose
+    // safepoint clock reads must emit and allocate nothing; and with a
+    // Table 3 machine as a further sink, which must leave the stream as
+    // it is and whose every counter is pinned too.
     struct Pin
     {
         const char *program;
         Lang mode;
         uint64_t hash;
+        uint64_t machine;
     };
     const Pin pins[] = {
-        {"spin", Lang::Mipsi, 0xeed50b200d1fea5aull},
-        {"spin", Lang::Java, 0x807567b4fd264ff5ull},
-        {"spin", Lang::Perl, 0xa1616a8731f9360dull},
-        {"spin", Lang::Tcl, 0xb4b81248005fbde2ull},
-        {"spin", Lang::MipsiThreaded, 0x2a6664e9cc64ca3aull},
-        {"spin", Lang::JavaQuick, 0x56cab731f8fea30dull},
-        {"spin", Lang::TclBytecode, 0xa659b087bb9a502aull},
-        {"spin", Lang::JavaTier2, 0x922106e5cad774dfull},
-        {"spin", Lang::TclTier2, 0xdd2c0b886ccffeb5ull},
-        {"spin", Lang::PerlIC, 0xb7f678e4d51c47fbull},
-        {"spin", Lang::MipsiJit, 0x4660ff6024a9f495ull},
-        {"spin", Lang::TclJit, 0xfe65aa84237ec944ull},
-        {"kanren", Lang::Mipsi, 0xf6c5ea4bf285b123ull},
-        {"kanren", Lang::Java, 0xd505a532dcba3227ull},
-        {"kanren", Lang::Tcl, 0x904aa152d0f84e6cull},
-        {"kanren", Lang::MipsiThreaded, 0xfbc6f3495f5778b7ull},
-        {"kanren", Lang::JavaQuick, 0xfac4275860859954ull},
-        {"kanren", Lang::TclBytecode, 0x6b9ed0c352ba9bb2ull},
-        {"kanren", Lang::JavaTier2, 0x320bc341d8d990d2ull},
-        {"kanren", Lang::TclTier2, 0xff7f57fc32333ee3ull},
-        {"kanren", Lang::MipsiJit, 0x4cc548a682dc51b6ull},
-        {"kanren", Lang::TclJit, 0x7577baffc1996573ull},
+        {"spin", Lang::Mipsi, 0xeed50b200d1fea5aull, 0xcdf14f5f892f6bdcull},
+        {"spin", Lang::Java, 0x807567b4fd264ff5ull, 0x1224ab9b78dd0d60ull},
+        {"spin", Lang::Perl, 0xa1616a8731f9360dull, 0x55cefe819f54a521ull},
+        {"spin", Lang::Tcl, 0xb4b81248005fbde2ull, 0x431c52071d7147eeull},
+        {"spin", Lang::MipsiThreaded, 0x2a6664e9cc64ca3aull, 0x4dc4faec220b0d2aull},
+        {"spin", Lang::JavaQuick, 0x56cab731f8fea30dull, 0x1e84219ee34017a5ull},
+        {"spin", Lang::TclBytecode, 0xa659b087bb9a502aull, 0x61a84a7f55a58508ull},
+        {"spin", Lang::JavaTier2, 0x922106e5cad774dfull, 0x3d374bc253ba2ba2ull},
+        {"spin", Lang::TclTier2, 0xdd2c0b886ccffeb5ull, 0x0f91b5fbb9db6e9eull},
+        {"spin", Lang::PerlIC, 0xb7f678e4d51c47fbull, 0x55cefe819f54a521ull},
+        {"spin", Lang::MipsiJit, 0x4660ff6024a9f495ull, 0x531c29ccf5380413ull},
+        {"spin", Lang::TclJit, 0xfe65aa84237ec944ull, 0x4f71db0b221fd1e0ull},
+        {"kanren", Lang::Mipsi, 0xf6c5ea4bf285b123ull, 0x07f5c1a47650aa55ull},
+        {"kanren", Lang::Java, 0xd505a532dcba3227ull, 0xfe80443e425812eeull},
+        {"kanren", Lang::Tcl, 0x904aa152d0f84e6cull, 0xb8bcb3c9ffe5fad1ull},
+        {"kanren", Lang::MipsiThreaded, 0xfbc6f3495f5778b7ull, 0x7c81a983ac35d543ull},
+        {"kanren", Lang::JavaQuick, 0xfac4275860859954ull, 0x37ca781a6ec576e5ull},
+        {"kanren", Lang::TclBytecode, 0x6b9ed0c352ba9bb2ull, 0xc2fd9815d55ecda0ull},
+        {"kanren", Lang::JavaTier2, 0x320bc341d8d990d2ull, 0x20a23d24ce72c286ull},
+        {"kanren", Lang::TclTier2, 0xff7f57fc32333ee3ull, 0xaf47fc632653787full},
+        {"kanren", Lang::MipsiJit, 0x4cc548a682dc51b6ull, 0xc2e98a08cdcd9a19ull},
+        {"kanren", Lang::TclJit, 0x7577baffc1996573ull, 0x11c3e6c427b053a1ull},
     };
     size_t runs = 0;
     for (const char *program : {"spin", "kanren"}) {
@@ -371,14 +398,12 @@ TEST(Replay, EmissionStreamIsPinned)
                 if (p.program == std::string(program) &&
                     p.mode == mode.lang)
                     pin = &p;
-            for (bool deadline : {false, true}) {
-                if (deadline)
-                    spec.deadline = std::chrono::steady_clock::now() +
-                                    std::chrono::hours(24);
+            auto hashRun = [&](std::vector<trace::Sink *> sinks) {
                 StreamHash stream;
+                sinks.insert(sinks.begin(), &stream);
                 try {
                     ScopedFatalThrow contain;
-                    run(spec, {&stream}, nullptr, false);
+                    run(spec, sinks, nullptr, false);
                 } catch (const FatalError &) {
                     // spin under Perl and Perl-ic: the budget stops
                     // perlish inside `($c * 33 + ($i & 7)) % 65521`,
@@ -387,16 +412,26 @@ TEST(Replay, EmissionStreamIsPinned)
                     // pinned all the same.
                     stream.mix('F');
                 }
-                char got[96];
-                std::snprintf(got, sizeof got,
-                              "{\"%s\", Lang::%s, 0x%016llxull},",
-                              program, mode.ident,
-                              (unsigned long long)stream.hash);
-                ASSERT_NE(pin, nullptr) << "no pin for " << got;
-                EXPECT_EQ(stream.hash, pin->hash)
-                    << (deadline ? "with a deadline, now " : "now ")
-                    << got;
-            }
+                return stream.hash;
+            };
+            uint64_t plain = hashRun({});
+            spec.deadline =
+                std::chrono::steady_clock::now() + std::chrono::hours(24);
+            uint64_t with_deadline = hashRun({});
+            sim::Machine machine;
+            uint64_t with_machine = hashRun({&machine});
+            uint64_t counters = machineHash(machine);
+
+            char got[128];
+            std::snprintf(got, sizeof got,
+                          "{\"%s\", Lang::%s, 0x%016llxull, 0x%016llxull},",
+                          program, mode.ident, (unsigned long long)plain,
+                          (unsigned long long)counters);
+            ASSERT_NE(pin, nullptr) << "no pin for " << got;
+            EXPECT_EQ(plain, pin->hash) << "now " << got;
+            EXPECT_EQ(with_deadline, pin->hash) << "with a deadline";
+            EXPECT_EQ(with_machine, pin->hash) << "with a machine";
+            EXPECT_EQ(counters, pin->machine) << "now " << got;
             ++runs;
         }
     }

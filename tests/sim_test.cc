@@ -1,19 +1,43 @@
 /**
  * @file
- * Unit and property tests for the architecture simulator: caches,
- * TLBs, branch prediction and the stall-accounting machine.
+ * Unit and property tests for the architecture simulator: caches (and
+ * the TLBs built from them), branch prediction and the stall-accounting
+ * machine. A timestamp-LRU reference model checks sim::Cache access by
+ * access over random and recorded address streams.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
+
+#include "harness/record_replay.hh"
 #include "sim/branch.hh"
 #include "sim/cache.hh"
 #include "sim/cache_sweep.hh"
 #include "sim/machine.hh"
-#include "sim/tlb.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "trace/events.hh"
+#include "tracefile/reader.hh"
+#include "workloads/registry.hh"
+
+namespace interp::sim {
+
+/** Prints a geometry in test failure messages. */
+void
+PrintTo(const CacheConfig &c, std::ostream *os)
+{
+    *os << "{" << c.sizeBytes << ", " << c.assoc << ", " << c.lineBytes
+        << "}";
+}
+
+} // namespace interp::sim
 
 namespace {
 
@@ -22,14 +46,49 @@ using namespace interp::sim;
 
 // --- Cache -------------------------------------------------------------
 
-TEST(Cache, ColdMissThenHit)
+/** A TLB of @p entries 8 KB pages, shaped as Machine shapes its TLBs. */
+CacheConfig
+tlbGeometry(uint32_t entries)
 {
-    Cache cache({1024, 1, 32});
-    EXPECT_FALSE(cache.access(0x1000));
-    EXPECT_TRUE(cache.access(0x1000));
-    EXPECT_TRUE(cache.access(0x101f)) << "same 32-byte line";
-    EXPECT_FALSE(cache.access(0x1020)) << "next line misses";
+    return {entries << 13, entries, 8192};
 }
+
+std::string
+geometryName(const testing::TestParamInfo<CacheConfig> &info)
+{
+    const CacheConfig &c = info.param;
+    if (c.lineBytes == 8192)
+        return "Tlb" + std::to_string(c.assoc);
+    return std::to_string(c.sizeBytes) + "B" + std::to_string(c.assoc) +
+           "Way" + std::to_string(c.lineBytes) + "BLine";
+}
+
+/** The distance between two lines of one set: the sets' span. */
+uint32_t
+setStride(const CacheConfig &c)
+{
+    return c.sizeBytes / c.assoc;
+}
+
+/** Hit within a line (an 8 KB page for a TLB), miss on the next. */
+class CacheColdMissThenHit : public testing::TestWithParam<CacheConfig>
+{};
+
+TEST_P(CacheColdMissThenHit, SameLineHitsNextLineMisses)
+{
+    Cache cache(GetParam());
+    const uint32_t line = GetParam().lineBytes;
+    const uint32_t base = 0x10000;
+    EXPECT_FALSE(cache.access(base));
+    EXPECT_TRUE(cache.access(base));
+    EXPECT_TRUE(cache.access(base + line - 1)) << "same line";
+    EXPECT_FALSE(cache.access(base + line)) << "next line misses";
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometry, CacheColdMissThenHit,
+                         testing::Values(CacheConfig{1024, 1, 32},
+                                         tlbGeometry(8)),
+                         geometryName);
 
 TEST(Cache, DirectMappedConflict)
 {
@@ -48,87 +107,100 @@ TEST(Cache, TwoWayAbsorbsConflictPair)
     EXPECT_TRUE(cache.access(0x0000 + 1024));
 }
 
-TEST(Cache, LruEvictsOldest)
+/**
+ * A full set holds all its lines; after line 0 is refreshed, one more
+ * line evicts line 1, the least recently used.
+ */
+class CacheLruEvictsOldest : public testing::TestWithParam<CacheConfig>
+{};
+
+TEST_P(CacheLruEvictsOldest, RefreshedLineSurvives)
 {
-    Cache cache({2 * 32, 2, 32}); // one set, 2 ways
-    cache.access(0 * 32);
-    cache.access(1 * 32);
-    cache.access(0 * 32);        // refresh line 0
-    cache.access(2 * 32);        // evicts line 1 (LRU)
-    EXPECT_TRUE(cache.access(0 * 32));
-    EXPECT_FALSE(cache.access(1 * 32));
+    Cache cache(GetParam());
+    const uint32_t assoc = GetParam().assoc;
+    const uint32_t stride = setStride(GetParam());
+    for (uint32_t i = 0; i < assoc; ++i)
+        cache.access(i * stride);
+    for (uint32_t i = 0; i < assoc; ++i)
+        EXPECT_TRUE(cache.access(i * stride)) << "line " << i;
+    cache.access(0);                   // refresh line 0
+    cache.access(assoc * stride);      // evicts line 1 (LRU)
+    EXPECT_TRUE(cache.access(0));
+    EXPECT_FALSE(cache.access(1 * stride));
 }
 
+INSTANTIATE_TEST_SUITE_P(Geometry, CacheLruEvictsOldest,
+                         testing::Values(CacheConfig{2 * 32, 2, 32},
+                                         tlbGeometry(4)),
+                         geometryName);
+
 /**
- * Fill-then-evict in strict LRU order, parameterized on associativity.
- * Filling a set must consume free ways without evicting valid lines
- * (first free way, as in Tlb::access), and once full, evictions must
- * follow recency order exactly.
+ * Fill-then-evict in strict LRU order, parameterized on geometry: one
+ * set of 1, 2 or 4 ways, as a cache and as a TLB. Filling a set must
+ * consume free ways without evicting valid lines, and once full,
+ * evictions must follow recency order exactly.
  */
-class CacheLruOrder : public testing::TestWithParam<uint32_t>
+class CacheLruOrder : public testing::TestWithParam<CacheConfig>
 {};
 
 TEST_P(CacheLruOrder, FillThenEvictFollowsRecency)
 {
-    const uint32_t assoc = GetParam();
-    Cache cache({assoc * 32, assoc, 32}); // one set, `assoc` ways
+    Cache cache(GetParam());
+    const uint32_t assoc = GetParam().assoc;
+    const uint32_t line = GetParam().lineBytes;
+    ASSERT_EQ(setStride(GetParam()), line) << "one set";
 
     // Fill: each new line is a cold miss but must not evict any of the
     // previously installed lines while free ways remain.
     for (uint32_t i = 0; i < assoc; ++i) {
-        EXPECT_FALSE(cache.access(i * 32)) << "cold line " << i;
+        EXPECT_FALSE(cache.access(i * line)) << "cold line " << i;
         for (uint32_t j = 0; j <= i; ++j)
-            EXPECT_TRUE(cache.access(j * 32))
+            EXPECT_TRUE(cache.access(j * line))
                 << "line " << j << " evicted during fill at " << i;
     }
     // That re-touch loop left recency order = 0,1,...,assoc-1 (oldest
     // first). Overflowing lines must evict in exactly that order.
     for (uint32_t i = 0; i < assoc; ++i) {
-        EXPECT_FALSE(cache.access((assoc + i) * 32));
-        EXPECT_FALSE(cache.access(i * 32))
+        EXPECT_FALSE(cache.access((assoc + i) * line));
+        EXPECT_FALSE(cache.access(i * line))
             << "line " << i << " should have been the LRU victim";
         // Re-installing line i evicts the then-oldest resident, so
         // line i+1 is gone by the time the next iteration probes it.
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Assoc, CacheLruOrder,
-                         testing::Values(1u, 2u, 4u));
+INSTANTIATE_TEST_SUITE_P(Geometry, CacheLruOrder,
+                         testing::Values(CacheConfig{32, 1, 32},
+                                         CacheConfig{2 * 32, 2, 32},
+                                         CacheConfig{4 * 32, 4, 32},
+                                         tlbGeometry(1), tlbGeometry(2),
+                                         tlbGeometry(4)),
+                         geometryName);
 
 /**
- * Same fill-then-evict recency contract for the fully-associative
- * TLB, parameterized on entry count. Mirrors CacheLruOrder so the
- * shared victim-selection idiom (first free way wins, valid entries
- * form a prefix) is pinned in both structures.
+ * Round-robin over one line more than a set holds: with LRU every
+ * access misses (a direct-mapped ping-pong, an 8-entry iTLB over nine
+ * pages).
  */
-class TlbLruOrder : public testing::TestWithParam<uint32_t>
+class CacheThrash : public testing::TestWithParam<CacheConfig>
 {};
 
-TEST_P(TlbLruOrder, FillThenEvictFollowsRecency)
+TEST_P(CacheThrash, OneLineTooManyAlwaysMisses)
 {
-    const uint32_t entries = GetParam();
-    Tlb tlb(entries);
-    const uint32_t page = 8192;
-
-    // Fill: every new page is a cold miss and must land in a free
-    // entry, never evicting a resident page while free entries remain.
-    for (uint32_t i = 0; i < entries; ++i) {
-        EXPECT_FALSE(tlb.access(i * page)) << "cold page " << i;
-        for (uint32_t j = 0; j <= i; ++j)
-            EXPECT_TRUE(tlb.access(j * page))
-                << "page " << j << " evicted during fill at " << i;
-    }
-    // Recency order is now 0,1,...,entries-1 (oldest first); overflow
-    // pages must evict in exactly that order.
-    for (uint32_t i = 0; i < entries; ++i) {
-        EXPECT_FALSE(tlb.access((entries + i) * page));
-        EXPECT_FALSE(tlb.access(i * page))
-            << "page " << i << " should have been the LRU victim";
-    }
+    Cache cache(GetParam());
+    const uint32_t lines = GetParam().assoc + 1;
+    const uint32_t stride = setStride(GetParam());
+    uint64_t misses = 0;
+    for (int round = 0; round < 10; ++round)
+        for (uint32_t i = 0; i < lines; ++i)
+            misses += !cache.access(i * stride);
+    EXPECT_EQ(misses, 10u * lines);
 }
 
-INSTANTIATE_TEST_SUITE_P(Entries, TlbLruOrder,
-                         testing::Values(1u, 2u, 4u));
+INSTANTIATE_TEST_SUITE_P(Geometry, CacheThrash,
+                         testing::Values(CacheConfig{1024, 1, 32},
+                                         tlbGeometry(8)),
+                         geometryName);
 
 TEST(Cache, WorkingSetFitsAfterWarmup)
 {
@@ -175,46 +247,273 @@ TEST(Cache, FullAssocBeatsDirectOnConflictTrace)
     EXPECT_EQ(direct.misses(), 100u);
 }
 
-TEST(Cache, ResetClearsState)
+TEST(CacheDeathTest, BadGeometryPanics)
 {
-    Cache cache({1024, 1, 32});
-    cache.access(0);
-    cache.reset();
-    EXPECT_EQ(cache.accesses(), 0u);
-    EXPECT_FALSE(cache.access(0));
+    // A TLB entry count must be a power of two, like Table 3's 8 and
+    // 32, and a line must hold at least two bytes, so that no line
+    // address can equal an empty way's marker.
+    EXPECT_DEATH(Cache c({12u << 13, 12, 8192}), "bad cache geometry");
+    EXPECT_DEATH(Cache c({0, 1, 8192}), "bad cache geometry");
+    EXPECT_DEATH(Cache c({1024, 1, 1}), "bad cache geometry");
+    EXPECT_DEATH(Cache c({1024, 1, 48}), "bad cache geometry");
+    MachineConfig cfg;
+    cfg.dtlbEntries = 12;
+    EXPECT_DEATH(Machine m(cfg), "bad cache geometry");
 }
 
-// --- TLB ---------------------------------------------------------------
+// --- Reference model ------------------------------------------------------
 
-TEST(Tlb, HitWithinPage)
+/**
+ * The simulator's earlier timestamp-LRU cache, kept as the reference
+ * that sim::Cache must match access by access. Every way carries a
+ * valid flag and a 64-bit last-use stamp; ways fill front to back, and
+ * once a set is full a miss evicts the way with the oldest stamp.
+ */
+class RefCache
 {
-    Tlb tlb(8);
-    EXPECT_FALSE(tlb.access(0x2000));
-    EXPECT_TRUE(tlb.access(0x2000 + 8191)) << "same 8 KB page";
-    EXPECT_FALSE(tlb.access(0x2000 + 8192));
+  public:
+    explicit RefCache(const CacheConfig &config)
+        : cfg(config),
+          sets(config.sizeBytes / config.lineBytes / config.assoc),
+          ways((size_t)sets * config.assoc)
+    {
+    }
+
+    bool
+    access(uint32_t addr)
+    {
+        ++tick;
+        uint32_t line = addr / cfg.lineBytes;
+        uint32_t set = line & (sets - 1);
+        Way *base = &ways[(size_t)set * cfg.assoc];
+        Way *victim = base;
+        for (uint32_t w = 0; w < cfg.assoc; ++w) {
+            Way &way = base[w];
+            if (!way.valid) {
+                // Valid ways form a prefix: a free way ends the scan
+                // and is the victim.
+                victim = &way;
+                break;
+            }
+            if (way.tag == line) {
+                way.lastUse = tick;
+                return true;
+            }
+            if (way.lastUse < victim->lastUse)
+                victim = &way;
+        }
+        victim->valid = true;
+        victim->tag = line;
+        victim->lastUse = tick;
+        return false;
+    }
+
+  private:
+    struct Way
+    {
+        uint32_t tag = 0;
+        uint64_t lastUse = 0;
+        bool valid = false;
+    };
+
+    CacheConfig cfg;
+    uint32_t sets;
+    std::vector<Way> ways;
+    uint64_t tick = 0;
+};
+
+/** The earlier fully associative timestamp-LRU TLB, same rules. */
+class RefTlb
+{
+  public:
+    RefTlb(uint32_t entries, uint32_t page_bits)
+        : entries(entries), bits(page_bits)
+    {
+    }
+
+    bool
+    access(uint32_t addr)
+    {
+        ++tick;
+        uint32_t page = addr >> bits;
+        Entry *victim = &entries[0];
+        for (Entry &e : entries) {
+            if (!e.valid) {
+                victim = &e;
+                break;
+            }
+            if (e.page == page) {
+                e.lastUse = tick;
+                return true;
+            }
+            if (e.lastUse < victim->lastUse)
+                victim = &e;
+        }
+        victim->valid = true;
+        victim->page = page;
+        victim->lastUse = tick;
+        return false;
+    }
+
+  private:
+    struct Entry
+    {
+        uint32_t page = 0;
+        uint64_t lastUse = 0;
+        bool valid = false;
+    };
+
+    std::vector<Entry> entries;
+    uint32_t bits;
+    uint64_t tick = 0;
+};
+
+/**
+ * Seeded addresses with mixed reuse distances: three accesses in four
+ * repeat an address from 1 to 16384 accesses back (a power of four
+ * drawn uniformly bounds the distance), the rest touch a fresh address
+ * in a region of 64 KB to 16 MB.
+ */
+std::vector<uint32_t>
+mixedReuseStream(uint64_t seed, size_t n)
+{
+    Rng rng(seed);
+    std::vector<uint32_t> out;
+    out.reserve(n);
+    while (out.size() < n) {
+        if (!out.empty() && rng.below(4) != 0) {
+            uint64_t span = std::min<uint64_t>(out.size(),
+                                               1ull << (2 * rng.below(8)));
+            out.push_back(out[out.size() - 1 - rng.below(span)]);
+        } else {
+            uint64_t region = 1ull << (16 + 2 * rng.below(5));
+            out.push_back((uint32_t)rng.below(region));
+        }
+    }
+    return out;
 }
 
-TEST(Tlb, LruCapacity)
+/**
+ * The address streams the Table 3 machine looks up: every fetched
+ * i-cache line (consecutive repeats collapsed, as Machine fetches),
+ * every load and store address, and each fetched line whose page
+ * differs from the previous one (the iTLB's lookups).
+ */
+class AddressStreams : public trace::Sink
 {
-    Tlb tlb(4);
-    for (uint32_t p = 0; p < 4; ++p)
-        tlb.access(p * 8192);
-    for (uint32_t p = 0; p < 4; ++p)
-        EXPECT_TRUE(tlb.access(p * 8192));
-    tlb.access(4 * 8192); // evicts page 0 (LRU)
-    EXPECT_FALSE(tlb.access(0));
-    EXPECT_TRUE(tlb.access(4 * 8192));
+  public:
+    void
+    onBatch(const trace::BundleBatch &batch) override
+    {
+        for (const trace::Bundle &b : batch) {
+            if (b.cls == trace::InstClass::Load ||
+                b.cls == trace::InstClass::Store)
+                data.push_back(b.memAddr);
+            if (b.count == 0)
+                continue;
+            uint32_t last = (b.pc + (b.count - 1) * 4) >> 5;
+            for (uint32_t line = b.pc >> 5; line <= last; ++line) {
+                if (line == lastLine)
+                    continue;
+                lastLine = line;
+                ilines.push_back(line << 5);
+                if ((line << 5 >> 13) != lastPage) {
+                    lastPage = line << 5 >> 13;
+                    pages.push_back(line << 5);
+                }
+            }
+        }
+    }
+
+    std::vector<uint32_t> ilines;
+    std::vector<uint32_t> data;
+    std::vector<uint32_t> pages;
+
+  private:
+    uint32_t lastLine = ~0u;
+    uint32_t lastPage = ~0u;
+};
+
+/** Every Fig 4 point, then Table 3's L1 and L2. */
+std::vector<CacheConfig>
+referenceCacheGeometries()
+{
+    std::vector<CacheConfig> out;
+    for (uint32_t assoc : {1u, 2u, 4u})
+        for (uint32_t kb : {8u, 16u, 32u, 64u})
+            out.push_back({kb * 1024, assoc, 32});
+    MachineConfig table3;
+    out.push_back(table3.icache);
+    out.push_back(table3.l2);
+    return out;
 }
 
-TEST(Tlb, EightEntryItlbThrashesOnNinePages)
+/** ADD_FAILURE at the first access whose hit/miss outcome differs. */
+template <class Ref>
+void
+expectSameOutcomes(Ref ref, Cache cache, const std::vector<uint32_t> &stream,
+                   const std::string &what)
 {
-    Tlb tlb(8);
-    // Round-robin over 9 pages with LRU: every access misses.
-    uint64_t misses = 0;
-    for (int round = 0; round < 10; ++round)
-        for (uint32_t p = 0; p < 9; ++p)
-            misses += !tlb.access(p * 8192);
-    EXPECT_EQ(misses, 90u);
+    uint64_t hits = 0;
+    for (size_t i = 0; i < stream.size(); ++i) {
+        bool want = ref.access(stream[i]);
+        if (cache.access(stream[i]) != want) {
+            ADD_FAILURE() << what << ": access " << i << " to 0x"
+                          << std::hex << stream[i] << std::dec
+                          << (want ? " hits" : " misses")
+                          << " in the reference";
+            return;
+        }
+        hits += want;
+    }
+    EXPECT_EQ(cache.hits(), hits) << what;
+    EXPECT_EQ(cache.accesses(), stream.size()) << what;
+}
+
+/** Every stream through every cache geometry and TLB size. */
+void
+expectCacheMatchesReference(
+    const std::vector<std::pair<std::string, std::vector<uint32_t>>>
+        &streams)
+{
+    for (const auto &[name, stream] : streams) {
+        ASSERT_FALSE(stream.empty()) << name;
+        for (const CacheConfig &g : referenceCacheGeometries())
+            expectSameOutcomes(RefCache(g), Cache(g), stream,
+                               name + " in " + std::to_string(g.sizeBytes) +
+                                   " B " + std::to_string(g.assoc) + "-way");
+        for (uint32_t n : {1u, 2u, 4u, 8u, 32u})
+            expectSameOutcomes(RefTlb(n, 13), Cache(tlbGeometry(n)), stream,
+                               name + " in a " + std::to_string(n) +
+                                   "-entry TLB");
+    }
+}
+
+TEST(CacheReference, RandomStreamsMatchTimestampLru)
+{
+    expectCacheMatchesReference({{"seed 1", mixedReuseStream(1, 200000)},
+                                 {"seed 2", mixedReuseStream(2, 200000)}});
+}
+
+TEST(CacheReference, TapeStreamsMatchTimestampLru)
+{
+    // The lookup order of a real interpreter run: 3.4M i-line, 0.8M
+    // data and 0.2M page lookups over about 900 code lines and 1700
+    // data lines. Its 14 code and 13 data pages evict in TLBs of up
+    // to 8 entries; the random streams evict in every geometry.
+    const workloads::Workload *w = workloads::find("kanren");
+    ASSERT_NE(w, nullptr);
+    harness::BenchSpec spec = workloads::specFor(*w, harness::Lang::Tcl);
+    spec.maxCommands = 20'000;
+    std::string tape = testing::TempDir() + "sim_test_reference_" +
+                       std::to_string(getpid()) + ".itr";
+    harness::recordRun(spec, tape, {}, nullptr, false);
+    AddressStreams streams;
+    tracefile::TraceReader(tape).replay({&streams});
+    std::filesystem::remove(tape);
+    expectCacheMatchesReference({{"i-lines", streams.ilines},
+                                 {"data", streams.data},
+                                 {"pages", streams.pages}});
 }
 
 // --- Branch prediction ------------------------------------------------------
@@ -504,15 +803,6 @@ TEST_P(MachineBreakdownSum, SumsTo100AtEveryIssueWidth)
 INSTANTIATE_TEST_SUITE_P(IssueWidth, MachineBreakdownSum,
                          testing::Values(1u, 2u, 4u));
 
-TEST(Machine, ResetRestoresInitialState)
-{
-    Machine machine;
-    machine.onBundle(aluBundle(0, 100));
-    machine.reset();
-    EXPECT_EQ(machine.instructions(), 0u);
-    EXPECT_EQ(machine.cycles(), 0u);
-}
-
 TEST(Machine, ZeroCountBundleFetchesNothing)
 {
     // Regression: fetch() computed pc + (count - 1) * 4 with a
@@ -567,21 +857,18 @@ TEST(Machine, PageCrossingFetchChargesOneItlbPerPage)
     EXPECT_EQ(machine.itlb().misses(), 2u);
 }
 
-TEST(Machine, SameLineRefetchIsDeduplicatedUntilReset)
+TEST(Machine, SameLineRefetchIsDeduplicated)
 {
     // Consecutive fetches of the same line collapse into one lookup
-    // (the paper's per-line charging), but reset() must forget the
-    // last-line latch so a genuine re-fetch is charged again.
+    // (the paper's per-line charging); the first fetch of a fresh
+    // machine is always charged.
     Machine machine;
     machine.onBundle(aluBundle(0x1000, 1));
     EXPECT_EQ(machine.icache().accesses(), 1u);
     machine.onBundle(aluBundle(0x1004, 1)); // same 32-byte line
     EXPECT_EQ(machine.icache().accesses(), 1u);
-
-    machine.reset();
-    machine.onBundle(aluBundle(0x1000, 1));
-    EXPECT_EQ(machine.icache().accesses(), 1u)
-        << "reset() must not suppress the first fetch after it";
+    machine.onBundle(aluBundle(0x1020, 1)); // next line
+    EXPECT_EQ(machine.icache().accesses(), 2u);
 }
 
 TEST(Machine, BatchedPathMatchesBundlePathExactly)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
 #include <vector>
 
 #include "support/logging.hh"
@@ -593,6 +594,79 @@ TEST(Batch, FlushIsIdempotent)
     exec.flush();
     EXPECT_EQ(sink.batches, 1);
     EXPECT_EQ(sink.events.size(), 1u);
+}
+
+/** A Collector that throws after recording each batch. */
+class ThrowingSink : public Collector
+{
+  public:
+    void
+    onBatch(const BundleBatch &batch) override
+    {
+        Collector::onBatch(batch);
+        throw std::runtime_error("sink failed");
+    }
+};
+
+TEST(Batch, SinkThrowingFromAReturnsFlushReachesTheCaller)
+{
+    // A call, kCapacity - 2 branches and the return: the return is the
+    // bundle that fills the batch, so its flush runs from
+    // RoutineScope's destructor.
+    auto fill_batch = [](Execution &exec, bool body_throws) {
+        RoutineScope scope(exec, exec.code().registerRoutine("body", 16));
+        for (uint32_t i = 0; i + 2 < BundleBatch::kCapacity; ++i)
+            exec.branch(false);
+        if (body_throws)
+            throw std::logic_error("body failed");
+    };
+
+    // The sink's throw leaves the destructor and fails the run; the
+    // aborted run delivers nothing more.
+    {
+        Execution exec;
+        ThrowingSink sink;
+        exec.addSink(&sink);
+        EXPECT_THROW(fill_batch(exec, false), std::runtime_error);
+        EXPECT_EQ(sink.batches, 1);
+        EXPECT_EQ(sink.bundles.size(), (size_t)BundleBatch::kCapacity);
+        EXPECT_EQ(sink.bundles.back().cls, InstClass::Return);
+        exec.alu(1);
+        exec.flush();
+        EXPECT_EQ(sink.batches, 1) << "delivered after the abort";
+    }
+    // While the body's own exception unwinds, the full batch is
+    // dropped instead of delivered, so the sink cannot throw a second
+    // exception from the destructor.
+    {
+        Execution exec;
+        ThrowingSink sink;
+        exec.addSink(&sink);
+        EXPECT_THROW(fill_batch(exec, true), std::logic_error);
+        EXPECT_EQ(sink.batches, 0);
+        exec.alu(1);
+        exec.flush();
+        EXPECT_EQ(sink.batches, 0) << "delivered after the abort";
+    }
+}
+
+TEST(Batch, SinkThrowingFromTheExitFlushReachesTheCaller)
+{
+    // An interpreter's run() delivers its tail batch from FlushOnExit's
+    // destructor; a sink's throw there fails the run.
+    Execution exec;
+    ThrowingSink sink;
+    exec.addSink(&sink);
+    EXPECT_THROW(
+        {
+            FlushOnExit flush_on_exit(exec);
+            exec.alu(1);
+        },
+        std::runtime_error);
+    EXPECT_EQ(sink.batches, 1);
+    exec.alu(1);
+    exec.flush();
+    EXPECT_EQ(sink.batches, 1) << "delivered after the abort";
 }
 
 TEST(Deadline, PastDeadlineThrowsOnceAtTheFirstEmission)

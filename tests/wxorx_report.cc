@@ -10,9 +10,9 @@
  * rwx-mapped would be sampled. Exit status is the report: nonzero if
  * any rwx anonymous mapping was ever observed, zero otherwise.
  *
- * Registered as the `w_xor_x_report` ctest (label: jit). Like
- * vectorization_report, this checks the artifact the build actually
- * produced, not a promise in a comment. On hosts without
+ * Registered as the `w_xor_x_report` ctest (label: jit). It checks
+ * the artifact the build actually produced, not a promise in a
+ * comment. On hosts without
  * /proc/self/maps or without the native backend the property is
  * vacuous and the tool reports a skip (exit 0).
  */
