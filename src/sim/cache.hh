@@ -12,7 +12,8 @@
  * most recent first, with empty ways (kEmpty) behind the valid lines.
  * A hit moves its line to the front; a miss shifts the set down one
  * way, dropping the last (the LRU line, or an empty way), and inserts
- * the new line at the front. Together that is exact LRU.
+ * the new line at the front. Together that is exact LRU. The front way
+ * is checked first: a hit there changes nothing but the hit count.
  */
 
 #ifndef INTERP_SIM_CACHE_HH
@@ -54,7 +55,12 @@ class Cache
         // The full line address is the tag: simple, exact.
         uint32_t line = addr >> lineShift;
         uint32_t *set = &tags[(size_t)(line & setMask) * cfg.assoc];
-        uint32_t way = 0;
+        // Every direct-mapped hit and a TLB's repeated page end here.
+        if (set[0] == line) {
+            ++hitCount;
+            return true;
+        }
+        uint32_t way = 1;
         while (way != cfg.assoc && set[way] != line)
             ++way;
         bool hit = way != cfg.assoc;

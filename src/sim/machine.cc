@@ -39,6 +39,10 @@ Machine::Machine(const MachineConfig &config)
 {
     if (cfg.issueWidth == 0)
         panic("issue width must be nonzero");
+    // simulateBatch divides by each use-delay period.
+    if (cfg.loadUsePeriod == 0 || cfg.shortIntUsePeriod == 0 ||
+        cfg.floatUsePeriod == 0)
+        panic("use-delay periods must be nonzero");
     // Cache's constructor has already rejected non-power-of-two line
     // sizes, so the shift is exact.
     ilineShift = (uint32_t)__builtin_ctz(cfg.icache.lineBytes);
@@ -168,101 +172,75 @@ Machine::simulateBatch(const trace::BundleBatch &batch)
     const uint8_t *clsCat = batch.clsCatCol();
     const uint8_t *flags = batch.flagsCol();
 
-    auto fetchAt = [&](uint32_t i) {
-        insts += cnt[i];
-        fetch(pc[i], cnt[i]);
-    };
+    // Use-delay instances, charged once for the whole batch: the
+    // ticks feed no other counter, so only their totals matter.
+    uint64_t loads = 0, shortInts = 0, floatOps = 0;
+    for (uint32_t i = 0; i != n; ++i) {
+        const uint32_t count = cnt[i];
+        insts += count;
+        // Most bundles stay on the last fetched line; only one that
+        // leaves it walks its lines. An empty bundle fetches nothing.
+        if (count != 0) {
+            uint32_t first = pc[i] >> ilineShift;
+            uint32_t last = (pc[i] + (count - 1) * 4) >> ilineShift;
+            if (first != lastFetchLine || last != first)
+                fetch(pc[i], count);
+        }
 
-    uint32_t i = 0;
-    while (i != n) {
-        // Hoist the class switch out of runs of same-class bundles:
-        // interpreter traces are dominated by long alternations of a
-        // few classes, so the per-bundle work below is branch-light.
-        const InstClass cls = BundleBatch::cls(clsCat[i]);
-        uint32_t run = i + 1;
-        while (run != n && BundleBatch::cls(clsCat[run]) == cls)
-            ++run;
-
-        switch (cls) {
+        switch (BundleBatch::cls(clsCat[i])) {
           case InstClass::IntAlu:
           case InstClass::Nop:
           case InstClass::Jump:
-            for (; i != run; ++i)
-                fetchAt(i);
             break;
-          case InstClass::ShortInt: {
-            uint64_t m = 0;
-            for (; i != run; ++i) {
-                fetchAt(i);
-                m += cnt[i];
-            }
-            // Closed form of the every-Nth-instance charge: the tick
-            // wraps at shortIntUsePeriod, charging once per wrap.
-            uint64_t wraps = (shortTick + m) / cfg.shortIntUsePeriod;
-            shortTick = (uint32_t)((shortTick + m) % cfg.shortIntUsePeriod);
-            addStall(StallCause::ShortInt, wraps * cfg.shortIntCycles);
+          case InstClass::ShortInt:
+            shortInts += count;
             break;
-          }
-          case InstClass::FloatOp: {
-            uint64_t m = 0;
-            for (; i != run; ++i) {
-                fetchAt(i);
-                m += cnt[i];
-            }
-            uint64_t wraps = (floatTick + m) / cfg.floatUsePeriod;
-            floatTick = (uint32_t)((floatTick + m) % cfg.floatUsePeriod);
-            addStall(StallCause::Other, wraps * cfg.floatOpCycles);
+          case InstClass::FloatOp:
+            floatOps += count;
             break;
-          }
           case InstClass::Load:
-            for (; i != run; ++i) {
-                fetchAt(i);
-                dataAccess(memAddr[i]);
-                if (++loadTick >= cfg.loadUsePeriod) {
-                    loadTick = 0;
-                    addStall(StallCause::LoadDelay, cfg.loadDelayCycles);
-                }
-            }
+            ++loads;
+            dataAccess(memAddr[i]);
             break;
           case InstClass::Store:
-            for (; i != run; ++i) {
-                fetchAt(i);
-                dataAccess(memAddr[i]);
-            }
+            dataAccess(memAddr[i]);
             break;
           case InstClass::CondBranch:
-            for (; i != run; ++i) {
-                fetchAt(i);
-                bool taken = (flags[i] & BundleBatch::kTakenBit) != 0;
-                if (!bp.predictConditional(pc[i], taken))
-                    addStall(StallCause::Mispredict,
-                             cfg.mispredictPenalty);
-            }
+            if (!bp.predictConditional(
+                    pc[i], (flags[i] & BundleBatch::kTakenBit) != 0))
+                addStall(StallCause::Mispredict, cfg.mispredictPenalty);
             break;
           case InstClass::IndirectJump:
-            for (; i != run; ++i) {
-                fetchAt(i);
-                if (!bp.predictIndirect(pc[i], target[i]))
-                    addStall(StallCause::Mispredict,
-                             cfg.mispredictPenalty);
-            }
+            if (!bp.predictIndirect(pc[i], target[i]))
+                addStall(StallCause::Mispredict, cfg.mispredictPenalty);
             break;
           case InstClass::Call:
-            for (; i != run; ++i) {
-                fetchAt(i);
-                bp.call(pc[i] + 4);
-            }
+            bp.call(pc[i] + 4);
             break;
           case InstClass::Return:
-            for (; i != run; ++i) {
-                fetchAt(i);
-                if (!bp.predictReturn(target[i]))
-                    addStall(StallCause::Mispredict,
-                             cfg.mispredictPenalty);
-            }
+            if (!bp.predictReturn(target[i]))
+                addStall(StallCause::Mispredict, cfg.mispredictPenalty);
             break;
         }
     }
+
+    // Closed form of simulateOne's every-Nth-instance charge: the tick
+    // wraps at period, charging once per wrap.
+    auto charge = [this](uint64_t instances, uint32_t &tick,
+                         uint32_t period, StallCause cause,
+                         uint32_t cycles_) {
+        if (instances == 0)
+            return;
+        uint64_t ticks = tick + instances;
+        tick = (uint32_t)(ticks % period);
+        addStall(cause, ticks / period * cycles_);
+    };
+    charge(loads, loadTick, cfg.loadUsePeriod, StallCause::LoadDelay,
+           cfg.loadDelayCycles);
+    charge(shortInts, shortTick, cfg.shortIntUsePeriod,
+           StallCause::ShortInt, cfg.shortIntCycles);
+    charge(floatOps, floatTick, cfg.floatUsePeriod, StallCause::Other,
+           cfg.floatOpCycles);
 }
 
 void

@@ -243,8 +243,7 @@ class BundleBatch
     [[noreturn]] static void overflow();
 
     uint32_t count_ = 0;
-    // 64-byte alignment so the vector pre-passes start on a cache
-    // line and never need peel loops for the full-batch case.
+    // Each column starts on its own 64-byte cache line.
     alignas(64) std::array<uint32_t, kCapacity> pc_;
     alignas(64) std::array<uint32_t, kCapacity> nInsts_;
     alignas(64) std::array<uint32_t, kCapacity> memAddr_;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -263,6 +264,35 @@ TEST(CacheDeathTest, BadGeometryPanics)
 
 // --- Reference model ------------------------------------------------------
 
+/** What a reference model counted over one stream. */
+struct RefCounts
+{
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    /** Hits on the set's most recently used line: Cache's front way. */
+    uint64_t frontHits = 0;
+
+    RefCounts &
+    operator+=(const RefCounts &o)
+    {
+        hits += o.hits;
+        misses += o.misses;
+        frontHits += o.frontHits;
+        return *this;
+    }
+};
+
+/** Count a hit on @p way of the set [begin, end), stamped by lastUse. */
+template <class Way>
+void
+countHit(RefCounts &counts, const Way *begin, const Way *end, const Way &way)
+{
+    ++counts.hits;
+    counts.frontHits += std::none_of(begin, end, [&](const Way &o) {
+        return o.valid && o.lastUse > way.lastUse;
+    });
+}
+
 /**
  * The simulator's earlier timestamp-LRU cache, kept as the reference
  * that sim::Cache must match access by access. Every way carries a
@@ -296,17 +326,21 @@ class RefCache
                 break;
             }
             if (way.tag == line) {
+                countHit(counts, base, base + cfg.assoc, way);
                 way.lastUse = tick;
                 return true;
             }
             if (way.lastUse < victim->lastUse)
                 victim = &way;
         }
+        ++counts.misses;
         victim->valid = true;
         victim->tag = line;
         victim->lastUse = tick;
         return false;
     }
+
+    RefCounts counts;
 
   private:
     struct Way
@@ -343,17 +377,22 @@ class RefTlb
                 break;
             }
             if (e.page == page) {
+                countHit(counts, entries.data(),
+                         entries.data() + entries.size(), e);
                 e.lastUse = tick;
                 return true;
             }
             if (e.lastUse < victim->lastUse)
                 victim = &e;
         }
+        ++counts.misses;
         victim->valid = true;
         victim->page = page;
         victim->lastUse = tick;
         return false;
     }
+
+    RefCounts counts;
 
   private:
     struct Entry
@@ -448,13 +487,16 @@ referenceCacheGeometries()
     return out;
 }
 
-/** ADD_FAILURE at the first access whose hit/miss outcome differs. */
+/**
+ * ADD_FAILURE at the first access whose hit/miss outcome differs, then
+ * compare the hit and miss totals with the reference's.
+ * @return what the reference counted.
+ */
 template <class Ref>
-void
+RefCounts
 expectSameOutcomes(Ref ref, Cache cache, const std::vector<uint32_t> &stream,
                    const std::string &what)
 {
-    uint64_t hits = 0;
     for (size_t i = 0; i < stream.size(); ++i) {
         bool want = ref.access(stream[i]);
         if (cache.access(stream[i]) != want) {
@@ -462,31 +504,56 @@ expectSameOutcomes(Ref ref, Cache cache, const std::vector<uint32_t> &stream,
                           << std::hex << stream[i] << std::dec
                           << (want ? " hits" : " misses")
                           << " in the reference";
-            return;
+            return ref.counts;
         }
-        hits += want;
     }
-    EXPECT_EQ(cache.hits(), hits) << what;
-    EXPECT_EQ(cache.accesses(), stream.size()) << what;
+    EXPECT_EQ(cache.hits(), ref.counts.hits) << what;
+    EXPECT_EQ(cache.misses(), ref.counts.misses) << what;
+    return ref.counts;
 }
 
-/** Every stream through every cache geometry and TLB size. */
+/**
+ * Every stream through every cache geometry and TLB size. Over the
+ * streams, each geometry must have hit on a set's front way (Cache's
+ * first check) and, with more than one way, behind it.
+ */
 void
 expectCacheMatchesReference(
     const std::vector<std::pair<std::string, std::vector<uint32_t>>>
         &streams)
 {
+    const std::vector<CacheConfig> caches = referenceCacheGeometries();
+    const std::vector<uint32_t> tlbs = {1, 2, 4, 8, 32};
+    std::vector<RefCounts> cacheTotals(caches.size()), tlbTotals(tlbs.size());
+    auto cacheName = [](const CacheConfig &g) {
+        return std::to_string(g.sizeBytes) + " B " + std::to_string(g.assoc) +
+               "-way";
+    };
+    auto tlbName = [](uint32_t n) {
+        return "a " + std::to_string(n) + "-entry TLB";
+    };
     for (const auto &[name, stream] : streams) {
         ASSERT_FALSE(stream.empty()) << name;
-        for (const CacheConfig &g : referenceCacheGeometries())
-            expectSameOutcomes(RefCache(g), Cache(g), stream,
-                               name + " in " + std::to_string(g.sizeBytes) +
-                                   " B " + std::to_string(g.assoc) + "-way");
-        for (uint32_t n : {1u, 2u, 4u, 8u, 32u})
-            expectSameOutcomes(RefTlb(n, 13), Cache(tlbGeometry(n)), stream,
-                               name + " in a " + std::to_string(n) +
-                                   "-entry TLB");
+        for (size_t i = 0; i < caches.size(); ++i)
+            cacheTotals[i] += expectSameOutcomes(
+                RefCache(caches[i]), Cache(caches[i]), stream,
+                name + " in " + cacheName(caches[i]));
+        for (size_t i = 0; i < tlbs.size(); ++i)
+            tlbTotals[i] += expectSameOutcomes(
+                RefTlb(tlbs[i], 13), Cache(tlbGeometry(tlbs[i])), stream,
+                name + " in " + tlbName(tlbs[i]));
     }
+    auto expectBothPaths = [](const RefCounts &t, uint32_t assoc,
+                              const std::string &what) {
+        EXPECT_GT(t.frontHits, 0u) << what;
+        if (assoc > 1) {
+            EXPECT_GT(t.hits - t.frontHits, 0u) << what;
+        }
+    };
+    for (size_t i = 0; i < caches.size(); ++i)
+        expectBothPaths(cacheTotals[i], caches[i].assoc, cacheName(caches[i]));
+    for (size_t i = 0; i < tlbs.size(); ++i)
+        expectBothPaths(tlbTotals[i], tlbs[i], tlbName(tlbs[i]));
 }
 
 TEST(CacheReference, RandomStreamsMatchTimestampLru)
@@ -495,22 +562,30 @@ TEST(CacheReference, RandomStreamsMatchTimestampLru)
                                  {"seed 2", mixedReuseStream(2, 200000)}});
 }
 
+/** Record a Tcl kanren run of 20,000 commands and replay it into
+ *  @p sinks: the bundle stream of a real interpreter run. */
+void
+replayKanrenTape(const std::vector<trace::Sink *> &sinks)
+{
+    const workloads::Workload *w = workloads::find("kanren");
+    ASSERT_NE(w, nullptr);
+    harness::BenchSpec spec = workloads::specFor(*w, harness::Lang::Tcl);
+    spec.maxCommands = 20'000;
+    std::string tape = testing::TempDir() + "sim_test_kanren_" +
+                       std::to_string(getpid()) + ".itr";
+    harness::recordRun(spec, tape, {}, nullptr, false);
+    tracefile::TraceReader(tape).replay(sinks);
+    std::filesystem::remove(tape);
+}
+
 TEST(CacheReference, TapeStreamsMatchTimestampLru)
 {
     // The lookup order of a real interpreter run: 3.4M i-line, 0.8M
     // data and 0.2M page lookups over about 900 code lines and 1700
     // data lines. Its 14 code and 13 data pages evict in TLBs of up
     // to 8 entries; the random streams evict in every geometry.
-    const workloads::Workload *w = workloads::find("kanren");
-    ASSERT_NE(w, nullptr);
-    harness::BenchSpec spec = workloads::specFor(*w, harness::Lang::Tcl);
-    spec.maxCommands = 20'000;
-    std::string tape = testing::TempDir() + "sim_test_reference_" +
-                       std::to_string(getpid()) + ".itr";
-    harness::recordRun(spec, tape, {}, nullptr, false);
     AddressStreams streams;
-    tracefile::TraceReader(tape).replay({&streams});
-    std::filesystem::remove(tape);
+    replayKanrenTape({&streams});
     expectCacheMatchesReference({{"i-lines", streams.ilines},
                                  {"data", streams.data},
                                  {"pages", streams.pages}});
@@ -869,54 +944,151 @@ TEST(Machine, SameLineRefetchIsDeduplicated)
     EXPECT_EQ(machine.icache().accesses(), 1u);
     machine.onBundle(aluBundle(0x1020, 1)); // next line
     EXPECT_EQ(machine.icache().accesses(), 2u);
+    // A bundle that starts on the last fetched line and runs into the
+    // next one fetches the next one only.
+    machine.onBundle(aluBundle(0x103c, 2));
+    EXPECT_EQ(machine.icache().accesses(), 3u);
+}
+
+/** Every counter of @p m, by name. */
+std::vector<std::pair<std::string, uint64_t>>
+machineCounters(const Machine &m)
+{
+    std::vector<std::pair<std::string, uint64_t>> out = {
+        {"cycles", m.cycles()}, {"instructions", m.instructions()}};
+    for (int c = 0; c < kNumStallCauses; ++c)
+        out.emplace_back(stallCauseName((StallCause)c),
+                         m.slotsLostTo((StallCause)c));
+    const std::pair<std::string, const Cache *> caches[] = {
+        {"icache", &m.icache()}, {"dcache", &m.dcache()},
+        {"l2", &m.l2cache()},    {"itlb", &m.itlb()},
+        {"dtlb", &m.dtlb()}};
+    for (const auto &[name, cache] : caches) {
+        out.emplace_back(name + " hits", cache->hits());
+        out.emplace_back(name + " misses", cache->misses());
+    }
+    out.emplace_back("branch lookups", m.predictor().lookups());
+    out.emplace_back("branch mispredicts", m.predictor().mispredicts());
+    return out;
+}
+
+/**
+ * Cuts the stream it is fed into batches of @p size bundles (a seeded
+ * random size from 1 to a full batch when @p size is 0) and drains
+ * them into its own Machine.
+ */
+class Resplit : public trace::Sink
+{
+  public:
+    Resplit(uint32_t size, uint64_t seed) : size(size), rng(seed)
+    {
+        drain(); // picks the first batch's size
+    }
+
+    void
+    onBatch(const trace::BundleBatch &in) override
+    {
+        for (const trace::Bundle &b : in)
+            push(b);
+    }
+
+    void
+    push(const trace::Bundle &b)
+    {
+        batch.push(b);
+        if (batch.size() == next)
+            drain();
+    }
+
+    /** Deliver the batch so far (at the end: the partial last one). */
+    void
+    drain()
+    {
+        if (!batch.empty())
+            machine.onBatch(batch);
+        batch.clear();
+        next = size ? size
+                    : 1 + (uint32_t)rng.below(trace::BundleBatch::kCapacity);
+    }
+
+    Machine machine;
+
+  private:
+    uint32_t size;
+    Rng rng;
+    uint32_t next = 0;
+    trace::BundleBatch batch;
+};
+
+TEST(MachineDeathTest, ZeroUsePeriodPanics)
+{
+    // The batch loop charges use delays in closed form, dividing by
+    // each period.
+    for (uint32_t MachineConfig::*period :
+         {&MachineConfig::loadUsePeriod, &MachineConfig::shortIntUsePeriod,
+          &MachineConfig::floatUsePeriod}) {
+        MachineConfig cfg;
+        cfg.*period = 0;
+        EXPECT_DEATH(Machine m(cfg), "use-delay periods must be nonzero");
+    }
 }
 
 TEST(Machine, BatchedPathMatchesBundlePathExactly)
 {
-    // The run-hoisted batch loop (closed-form use-delay ticks, hoisted
-    // switch) must be observationally identical on every counter
-    // whether the stream comes in one-bundle batches or full ones.
-    // The shadow checks each one-bundle batch against the per-bundle
-    // reference path (Machine::simulateOne).
+    // The batch loop (one pass, closed-form use-delay charges) must be
+    // observationally identical on every counter whether the stream
+    // comes in one-bundle batches or full ones. The shadow checks each
+    // one-bundle batch against the per-bundle reference path
+    // (Machine::simulateOne).
     auto work = mixedWorkload(4000, 99);
 
     MachineConfig checked;
     checked.shadowCheck = true;
-    Machine byBundle(checked), byBatch;
+    Machine byBundle(checked);
+    Resplit byBatch(trace::BundleBatch::kCapacity, 0);
     ScopedFatalThrow contain;
-    for (const auto &b : work)
-        byBundle.onBundle(b);
-
-    trace::BundleBatch batch;
     for (const auto &b : work) {
-        batch.push(b);
-        if (batch.full()) {
-            byBatch.onBatch(batch);
-            batch.clear();
-        }
+        byBundle.onBundle(b);
+        byBatch.push(b);
     }
-    if (!batch.empty())
-        byBatch.onBatch(batch);
+    byBatch.drain();
 
-    EXPECT_EQ(byBatch.instructions(), byBundle.instructions());
-    EXPECT_EQ(byBatch.cycles(), byBundle.cycles());
-    EXPECT_EQ(byBatch.totalSlots(), byBundle.totalSlots());
-    for (int c = 0; c < kNumStallCauses; ++c)
-        EXPECT_EQ(byBatch.slotsLostTo((StallCause)c),
-                  byBundle.slotsLostTo((StallCause)c))
-            << stallCauseName((StallCause)c);
-    EXPECT_EQ(byBatch.icache().accesses(), byBundle.icache().accesses());
-    EXPECT_EQ(byBatch.icache().misses(), byBundle.icache().misses());
-    EXPECT_EQ(byBatch.dcache().accesses(), byBundle.dcache().accesses());
-    EXPECT_EQ(byBatch.dcache().misses(), byBundle.dcache().misses());
-    EXPECT_EQ(byBatch.l2cache().misses(), byBundle.l2cache().misses());
-    EXPECT_EQ(byBatch.itlb().misses(), byBundle.itlb().misses());
-    EXPECT_EQ(byBatch.dtlb().misses(), byBundle.dtlb().misses());
-    EXPECT_EQ(byBatch.predictor().lookups(),
-              byBundle.predictor().lookups());
-    EXPECT_EQ(byBatch.predictor().mispredicts(),
-              byBundle.predictor().mispredicts());
-    EXPECT_EQ(byBatch.imissPer100Insts(), byBundle.imissPer100Insts());
+    EXPECT_EQ(machineCounters(byBatch.machine), machineCounters(byBundle));
+    EXPECT_EQ(byBatch.machine.imissPer100Insts(),
+              byBundle.imissPer100Insts());
+}
+
+TEST(Machine, CountersDoNotDependOnBatchSplit)
+{
+    // The use-delay charges are made once per batch, while the caches,
+    // the predictor and the same-line fetch test carry their state
+    // from one batch to the next. However a stream is cut into
+    // batches, every counter must come out the same: batches of 1, 2,
+    // 21 (the served average) and 256 bundles, and seeded random cuts.
+    auto feed = [](const std::string &what, auto &&stream) {
+        std::vector<std::unique_ptr<Resplit>> splits;
+        for (uint32_t size : {1u, 2u, 21u, 256u, 0u})
+            splits.push_back(std::make_unique<Resplit>(size, 17));
+        stream(splits);
+        for (auto &split : splits)
+            split->drain();
+        ASSERT_GT(splits[0]->machine.instructions(), 0u) << what;
+        for (auto &split : splits)
+            EXPECT_EQ(machineCounters(split->machine),
+                      machineCounters(splits[0]->machine))
+                << what;
+    };
+    feed("mixed workload", [](auto &splits) {
+        for (const auto &b : mixedWorkload(20000, 5))
+            for (auto &split : splits)
+                split->push(b);
+    });
+    feed("kanren tape", [](auto &splits) {
+        std::vector<trace::Sink *> sinks;
+        for (auto &split : splits)
+            sinks.push_back(split.get());
+        replayKanrenTape(sinks);
+    });
 }
 
 TEST(Machine, ShadowCheckAcceptsBatchedSimulation)
