@@ -2,23 +2,18 @@
  * @file
  * interpd: the interpreter-as-a-service daemon (see src/server/).
  *
- * Listens on a Unix-domain socket and/or loopback TCP, executes EVAL
- * requests on a worker pool with same-mode batching, sheds load when
- * the admission queue is full, enforces per-request deadlines, and
- * serves its counters over the STATS verb. Drive it with `loadgen`.
+ * Listens on a Unix-domain socket, executes EVAL requests in arrival
+ * order on a worker pool, sheds load when the admission queue is
+ * full, enforces per-request deadlines, and serves its counters over
+ * the STATS verb. Drive it with `loadgen`.
  *
  * Usage: interpd [options]
  *   --socket PATH    unix socket path (default /tmp/interpd.sock)
- *   --tcp PORT       also listen on 127.0.0.1:PORT (0 = ephemeral)
  *   --workers N      execution threads (default 2)
  *   --queue N        admission queue bound before SHED (default 64)
- *   --batch N        max same-mode requests per drain (default 8)
  *   --record DIR     honor the record-trace flag, tapes into DIR
  *   --max-commands N default command budget per request
  *   --shard-id NAME  identity reported as "shard_id" in STATS
- *   --reuseport      SO_REUSEPORT on the TCP listener, so several
- *                    interpd shards can share one port (the kernel
- *                    spreads accepts across them)
  *   --tierup         promote hot named programs at runtime: baseline
  *                    -> remedy -> superinstructions/inline caches
  *                    -> template-compiled native-code region
@@ -57,10 +52,9 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: interpd [--socket PATH] [--tcp PORT] [--workers N]\n"
-        "               [--queue N] [--batch N] [--record DIR]\n"
-        "               [--max-commands N] [--shard-id NAME]\n"
-        "               [--reuseport] [--tierup]\n"
+        "usage: interpd [--socket PATH] [--workers N] [--queue N]\n"
+        "               [--record DIR] [--max-commands N]\n"
+        "               [--shard-id NAME] [--tierup]\n"
         "               [--tier-remedy-after N] [--tier-tier2-after N]\n"
         "               [--tier-jit-after N]\n"
         "               [--tier-commands-per-point N]\n"
@@ -88,16 +82,11 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--socket"))
             cfg.unixPath = argValue(argc, argv, i);
-        else if (!std::strcmp(argv[i], "--tcp"))
-            cfg.tcpPort = std::atoi(argValue(argc, argv, i));
         else if (!std::strcmp(argv[i], "--workers"))
             cfg.workers =
                 (unsigned)std::atoi(argValue(argc, argv, i));
         else if (!std::strcmp(argv[i], "--queue"))
             cfg.maxQueue = (size_t)std::atol(argValue(argc, argv, i));
-        else if (!std::strcmp(argv[i], "--batch"))
-            cfg.maxBatch =
-                (uint32_t)std::atoi(argValue(argc, argv, i));
         else if (!std::strcmp(argv[i], "--record"))
             cfg.recordDir = argValue(argc, argv, i);
         else if (!std::strcmp(argv[i], "--max-commands"))
@@ -105,8 +94,6 @@ main(int argc, char **argv)
                 (uint64_t)std::atoll(argValue(argc, argv, i));
         else if (!std::strcmp(argv[i], "--shard-id"))
             cfg.shardId = argValue(argc, argv, i);
-        else if (!std::strcmp(argv[i], "--reuseport"))
-            cfg.reusePort = true;
         else if (!std::strcmp(argv[i], "--tierup"))
             cfg.tier.enabled = true;
         else if (!std::strcmp(argv[i], "--tier-remedy-after"))
@@ -138,12 +125,9 @@ main(int argc, char **argv)
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
 
-    if (!cfg.unixPath.empty())
-        inform("interpd: listening on %s", cfg.unixPath.c_str());
-    if (server.tcpPort() >= 0)
-        inform("interpd: listening on 127.0.0.1:%d", server.tcpPort());
-    inform("interpd: %u workers, queue bound %zu, batch %u",
-           cfg.workers, cfg.maxQueue, cfg.maxBatch);
+    inform("interpd: listening on %s", cfg.unixPath.c_str());
+    inform("interpd: %u workers, queue bound %zu", cfg.workers,
+           cfg.maxQueue);
 
     server.run();
 

@@ -11,13 +11,12 @@
  * SHED behavior become visible.
  *
  * Usage: loadgen [options]
- *   --endpoints A,B   comma-separated endpoints (unix:PATH, tcp:PORT,
- *                     a path, or a port), clients assigned
+ *   --endpoints A,B   comma-separated unix sockets (unix:PATH or a
+ *                     path containing '/'), clients assigned
  *                     round-robin; connect failures and reconnects
  *                     are tallied per endpoint, distinct from SHED
  *                     (default /tmp/interpd.sock)
  *   --socket PATH     shorthand for --endpoints unix:PATH
- *   --tcp PORT        shorthand for --endpoints tcp:PORT
  *   --connect-attempts N  connect retries per endpoint (default 3)
  *   --clients N       concurrent connections (default 1)
  *   --requests N      requests per client (default 8)
@@ -47,6 +46,7 @@
 #include <vector>
 
 #include "server/client.hh"
+#include "server/conn.hh"
 #include "support/logging.hh"
 #include "workloads/registry.hh"
 
@@ -70,14 +70,15 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: loadgen [--socket PATH | --tcp PORT |\n"
-        "                --endpoints A,B,...] [--clients N]\n"
-        "               [--connect-attempts N] [--requests N]\n"
+        "usage: loadgen [--socket PATH | --endpoints A,B,...]\n"
+        "               [--clients N] [--connect-attempts N]\n"
+        "               [--requests N]\n"
         "               [--rate R] [--mode M[,M...]]\n"
         "               [--program NAME | --mix I:B]\n"
         "               [--iterations N]\n"
         "               [--deadline MS] [--max-commands N]\n"
         "               [--machine] [--stats]\n"
+        "endpoints: unix:PATH or a path containing '/'\n"
         "modes (any case): %s\n",
         modeNames().c_str());
     std::exit(2);
@@ -143,9 +144,6 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[i], "--socket"))
             opt.endpoints = {std::string("unix:") +
                              argValue(argc, argv, i)};
-        else if (!std::strcmp(argv[i], "--tcp"))
-            opt.endpoints = {std::string("tcp:") +
-                             argValue(argc, argv, i)};
         else if (!std::strcmp(argv[i], "--endpoints"))
             opt.endpoints = splitCommas(argValue(argc, argv, i));
         else if (!std::strcmp(argv[i], "--connect-attempts"))
@@ -183,6 +181,11 @@ main(int argc, char **argv)
     }
     if (opt.endpoints.empty())
         opt.endpoints = {"unix:/tmp/interpd.sock"};
+    for (const std::string &spec : opt.endpoints) {
+        Endpoint ep;
+        if (!Endpoint::parse(spec, ep))
+            usage();
+    }
 
     auto makeRequest = [&](harness::Lang mode,
                            const std::string &name) {

@@ -1,6 +1,5 @@
 #include "cluster/proxy.hh"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -33,7 +32,7 @@ elapsedMicros(std::chrono::steady_clock::time_point from,
 
 Proxy::Proxy(const ProxyConfig &config)
     : cfg(config),
-      ring((int)config.shards.size(), config.vnodes ? config.vnodes : 1),
+      ring((int)config.shards.size(), kVnodes),
       front("interproxy",
             [this](uint64_t conn, const std::string &payload) {
                 handleFrontFrame(conn, payload);
@@ -59,9 +58,9 @@ Proxy::start()
 {
     if (cfg.shards.empty())
         fatal("interproxy: no shards configured");
-    front.listen(cfg.unixPath, cfg.tcpPort);
+    front.listen(cfg.unixPath);
     for (size_t i = 0; i < shards.size(); ++i)
-        beginConnect((int)i);
+        connectShard((int)i);
 }
 
 void
@@ -84,9 +83,9 @@ Proxy::pollTimeoutMs(Clock::time_point now) const
         }
     };
     for (const Shard &s : shards) {
-        if (s.state == Shard::State::Down)
+        if (!s.up)
             consider(s.nextAttempt);
-        else if (s.state == Shard::State::Up && !s.probeOutstanding)
+        else if (!s.probeOutstanding)
             consider(s.nextProbe);
         for (const auto &entry : s.inflight)
             consider(entry.second.deadline);
@@ -113,11 +112,11 @@ Proxy::run()
         fds.clear();
         backs.clear();
         for (size_t si = 0; si < shards.size(); ++si) {
-            const BackConn &bc = shards[si].conn;
+            const server::Conn &bc = shards[si].conn;
             if (bc.fd < 0)
                 continue;
-            short events = bc.connecting ? POLLOUT : POLLIN;
-            if (!bc.connecting && !bc.out.empty())
+            short events = POLLIN;
+            if (!bc.out.empty())
                 events |= POLLOUT;
             fds.push_back({bc.fd, events, 0});
             backs.push_back((int)si);
@@ -130,14 +129,9 @@ Proxy::run()
             int shard = backs[i];
             // The shard may have been failed (fds closed) by an earlier
             // event in this same batch; skip stale entries.
-            BackConn &bc = shards[(size_t)shard].conn;
+            server::Conn &bc = shards[(size_t)shard].conn;
             if (!rev || bc.fd != fds[i].fd)
                 continue;
-            if (bc.connecting) {
-                if (rev & (POLLOUT | POLLHUP | POLLERR))
-                    finishConnect(shard);
-                continue;
-            }
             if (rev & (POLLIN | POLLHUP | POLLERR | POLLNVAL))
                 readBack(shard);
             if (bc.fd == fds[i].fd && (rev & POLLOUT))
@@ -154,10 +148,9 @@ Proxy::runTimers(Clock::time_point now)
     std::vector<uint32_t> expired;
     for (size_t i = 0; i < shards.size(); ++i) {
         Shard &s = shards[i];
-        if (s.state == Shard::State::Down && now >= s.nextAttempt)
-            beginConnect((int)i);
-        else if (s.state == Shard::State::Up && !s.probeOutstanding &&
-                 now >= s.nextProbe)
+        if (!s.up && now >= s.nextAttempt)
+            connectShard((int)i);
+        else if (s.up && !s.probeOutstanding && now >= s.nextProbe)
             sendProbe((int)i);
 
         expired.clear();
@@ -178,7 +171,7 @@ Proxy::runTimers(Clock::time_point now)
             ++s.gauge.probeFailures;
             ++s.probeMisses;
             s.probeOutstanding = false;
-            if (s.probeMisses >= cfg.probeMissLimit)
+            if (s.probeMisses >= kProbeMissLimit)
                 failShard((int)i, "health probes missed");
         }
     }
@@ -245,9 +238,7 @@ Proxy::dispatchEval(Outstanding o)
             o.tried.end())
             continue;
         const Shard &s = shards[(size_t)c];
-        if (s.state == Shard::State::Down)
-            continue;
-        if (s.inflight.size() >= cfg.maxInflightPerShard)
+        if (!s.up || s.inflight.size() >= kMaxInflightPerShard)
             continue;
         target = c;
         break;
@@ -263,12 +254,8 @@ Proxy::dispatchEval(Outstanding o)
         return;
     }
 
-    bool any_alive = false;
-    for (const Shard &s : shards)
-        if (s.state != Shard::State::Down) {
-            any_alive = true;
-            break;
-        }
+    bool any_alive = std::any_of(shards.begin(), shards.end(),
+                                 [](const Shard &s) { return s.up; });
     EvalResponse resp;
     if (any_alive) {
         // Aggregate capacity: every alive shard is full or shed.
@@ -295,8 +282,7 @@ Proxy::forwardTo(int shard_index, Outstanding o)
     ++s.gauge.forwarded;
     stats_.noteForwarded();
     s.inflight.emplace(id, std::move(o));
-    if (!s.conn.connecting)
-        writeBack(shard_index);
+    writeBack(shard_index);
 }
 
 void
@@ -313,65 +299,43 @@ Proxy::deliver(Outstanding &o, EvalResponse resp)
 // --- back side -------------------------------------------------------------
 
 void
-Proxy::beginConnect(int shard_index)
+Proxy::connectShard(int shard_index)
 {
     Shard &s = shards[(size_t)shard_index];
-    bool pending = false;
-    int fd = s.ep.connect(&pending);
-    if (fd >= 0) {
-        s.state = Shard::State::Connecting;
-        s.conn.fd = fd;
-        s.conn.connecting = pending;
-        s.conn.in.clear();
-        s.conn.out.clear();
-        server::encodeHello(s.conn.out); // first bytes on the wire
-        if (!pending)
-            finishConnect(shard_index);
-    } else {
-        // Immediate refusal: back off quietly (down events are
-        // counted by failShard(), not by each failed retry).
-        s.state = Shard::State::Down;
-        s.backoffMs = s.backoffMs
-                          ? std::min(s.backoffMs * 2,
-                                     cfg.connectBackoffMaxMs)
-                          : cfg.connectBackoffMs;
-        s.nextAttempt = Clock::now() + milliseconds(s.backoffMs);
+    int fd = s.ep.connect(/*nonblocking=*/true);
+    if (fd < 0) {
+        // Refused: back off quietly (down events are counted by
+        // failShard(), not by each failed retry).
+        scheduleReconnect(s);
+        return;
     }
+    s.conn.fd = fd;
+    s.conn.in.clear();
+    s.conn.out.clear();
+    server::encodeHello(s.conn.out); // first bytes on the wire
+    s.up = true;
+    if (s.gauge.downEvents > 0)
+        ++s.gauge.reconnects;
+    s.backoffMs = 0;
+    s.probeMisses = 0;
+    s.probeOutstanding = false;
+    s.nextProbe = Clock::now() + milliseconds(kProbeIntervalMs);
+    writeBack(shard_index);
 }
 
 void
-Proxy::finishConnect(int shard_index)
+Proxy::scheduleReconnect(Shard &s)
 {
-    Shard &s = shards[(size_t)shard_index];
-    BackConn &bc = s.conn;
-    if (bc.connecting) {
-        int err = 0;
-        socklen_t len = sizeof(err);
-        if (::getsockopt(bc.fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0)
-            err = errno;
-        if (err != 0) {
-            failShard(shard_index, std::strerror(err));
-            return;
-        }
-        bc.connecting = false;
-    }
-    if (s.state != Shard::State::Up) {
-        s.state = Shard::State::Up;
-        if (s.gauge.downEvents > 0)
-            ++s.gauge.reconnects;
-        s.backoffMs = 0;
-        s.probeMisses = 0;
-        s.probeOutstanding = false;
-        s.nextProbe =
-            Clock::now() + milliseconds(cfg.probeIntervalMs);
-    }
-    writeBack(shard_index);
+    s.backoffMs = s.backoffMs
+                      ? std::min(s.backoffMs * 2, kConnectBackoffMaxMs)
+                      : kConnectBackoffMs;
+    s.nextAttempt = Clock::now() + milliseconds(s.backoffMs);
 }
 
 void
 Proxy::readBack(int shard_index)
 {
-    BackConn &bc = shards[(size_t)shard_index].conn;
+    server::Conn &bc = shards[(size_t)shard_index].conn;
     if (!bc.fill()) {
         failShard(shard_index,
                   errno ? std::strerror(errno) : "connection closed");
@@ -403,8 +367,8 @@ Proxy::readBack(int shard_index)
 void
 Proxy::writeBack(int shard_index)
 {
-    BackConn &bc = shards[(size_t)shard_index].conn;
-    if (bc.fd >= 0 && !bc.connecting && !bc.flush())
+    server::Conn &bc = shards[(size_t)shard_index].conn;
+    if (bc.fd >= 0 && !bc.flush())
         failShard(shard_index, std::strerror(errno));
 }
 
@@ -473,21 +437,16 @@ void
 Proxy::failShard(int shard_index, const char *reason)
 {
     Shard &s = shards[(size_t)shard_index];
-    if (s.state == Shard::State::Down)
+    if (!s.up)
         return;
-    if (s.conn.fd >= 0)
-        ::close(s.conn.fd);
-    s.conn = BackConn{};
-    s.state = Shard::State::Down;
+    ::close(s.conn.fd);
+    s.conn = server::Conn{};
+    s.up = false;
     ++s.gauge.downEvents;
     stats_.noteShardFailure();
     s.probeOutstanding = false;
     s.probeMisses = 0;
-    s.backoffMs =
-        s.backoffMs
-            ? std::min(s.backoffMs * 2, cfg.connectBackoffMaxMs)
-            : cfg.connectBackoffMs;
-    s.nextAttempt = Clock::now() + milliseconds(s.backoffMs);
+    scheduleReconnect(s);
 
     auto inflight = std::move(s.inflight);
     s.inflight.clear();
@@ -528,9 +487,9 @@ Proxy::sendProbe(int shard_index)
     Shard &s = shards[(size_t)shard_index];
     Outstanding o;
     o.kind = Outstanding::Kind::Probe;
-    o.deadline = Clock::now() + milliseconds(cfg.statsTimeoutMs);
+    o.deadline = Clock::now() + milliseconds(kStatsTimeoutMs);
     s.probeOutstanding = true;
-    s.nextProbe = Clock::now() + milliseconds(cfg.probeIntervalMs);
+    s.nextProbe = Clock::now() + milliseconds(kProbeIntervalMs);
     sendStats(shard_index, std::move(o));
 }
 
@@ -554,10 +513,10 @@ Proxy::startStatsFanout(uint64_t conn_id, uint32_t client_req_id)
     auto agg = std::make_shared<StatsAgg>();
     agg->frontId = conn_id;
     agg->clientReqId = client_req_id;
-    agg->deadline = Clock::now() + milliseconds(cfg.statsTimeoutMs);
+    agg->deadline = Clock::now() + milliseconds(kStatsTimeoutMs);
 
     for (size_t i = 0; i < shards.size(); ++i) {
-        if (shards[i].state == Shard::State::Down)
+        if (!shards[i].up)
             continue;
         Outstanding o;
         o.kind = Outstanding::Kind::Stats;
@@ -590,34 +549,16 @@ Proxy::finishAgg(const std::shared_ptr<StatsAgg> &agg)
 std::vector<ShardGauges>
 Proxy::gauges() const
 {
-    // Indexed by Shard::State.
-    static const char *const kStateNames[] = {"connecting", "up", "down"};
     std::vector<ShardGauges> out;
     out.reserve(shards.size());
     for (const Shard &s : shards) {
         ShardGauges g = s.gauge;
         g.name = s.ep.name;
-        g.state = kStateNames[(int)s.state];
+        g.state = s.up ? "up" : "down";
         g.inflight = s.inflight.size();
         out.push_back(std::move(g));
     }
     return out;
-}
-
-// --- endpoint parsing ------------------------------------------------------
-
-ShardEndpoint
-parseEndpoint(const std::string &spec, const std::string &name)
-{
-    ShardEndpoint ep;
-    if (!server::Endpoint::parse(spec, ep))
-        fatal("interproxy: bad shard endpoint \"%s\" "
-              "(want unix:PATH, tcp:PORT, a path, or a port)",
-              spec.c_str());
-    if (ep.unixPath.empty() && (ep.tcpPort <= 0 || ep.tcpPort > 65535))
-        fatal("interproxy: bad shard port in \"%s\"", spec.c_str());
-    ep.name = name;
-    return ep;
 }
 
 } // namespace interp::cluster

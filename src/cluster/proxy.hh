@@ -8,21 +8,21 @@
  * on the other:
  *
  *   routing    every EVAL is consistent-hashed by (mode, program)
- *              onto one of N interpd shards (HashRing with virtual
- *              nodes), so each program warms exactly one shard's
- *              catalog and repeat traffic stays hot. Requests are
- *              forwarded over one non-blocking connection per shard
- *              with proxy-assigned ids and demultiplexed back to the
- *              right client connection and client-chosen id,
- *              preserving full pipelining with out-of-order replies
- *              end to end.
+ *              onto one of N interpd shards (HashRing with kVnodes
+ *              virtual nodes per shard), so each program warms
+ *              exactly one shard's catalog and repeat traffic stays
+ *              hot. Requests are forwarded over one non-blocking
+ *              unix-socket connection per shard with proxy-assigned
+ *              ids and demultiplexed back to the right client
+ *              connection and client-chosen id, preserving full
+ *              pipelining with out-of-order replies end to end.
  *   failover   a shard that refuses connections, closes mid-request,
- *              times out, or fails health probes is marked down:
- *              its in-flight requests are retried on the next ring
- *              candidate (bounded retries) or answered ERROR, new
- *              requests route around it (explicit DEGRADED
- *              accounting in STATS), and reconnects back off
- *              exponentially until it returns.
+ *              times out, or misses kProbeMissLimit health probes in
+ *              a row is marked down: its in-flight requests are
+ *              retried on the next ring candidate (bounded retries)
+ *              or answered ERROR, new requests route around it
+ *              (explicit DEGRADED accounting in STATS), and
+ *              reconnects back off exponentially until it returns.
  *   shedding   a shard's SHED answer makes the proxy retry the next
  *              candidate; the client sees SHED only when every
  *              alive shard has refused — backpressure at aggregate
@@ -53,7 +53,7 @@
 
 namespace interp::cluster {
 
-/** Where one interpd shard listens. Unix path wins if both set. */
+/** Where one interpd shard listens. */
 struct ShardEndpoint : server::Endpoint
 {
     std::string name; ///< identity in STATS ("s0", "s1", ... )
@@ -61,32 +61,32 @@ struct ShardEndpoint : server::Endpoint
 
 struct ProxyConfig
 {
-    /** Front-side listeners, same semantics as ServerConfig. */
+    /** Front-side unix socket, same semantics as ServerConfig. */
     std::string unixPath;
-    int tcpPort = -1;
 
     std::vector<ShardEndpoint> shards;
 
-    /** Virtual nodes per shard on the hash ring. */
-    unsigned vnodes = 64;
     /** Re-dispatch budget per request (shard SHED / death / timeout). */
     uint32_t maxRetries = 2;
-    /** Reconnect backoff after a shard goes down (doubles per
-     *  failure up to the max). */
-    uint32_t connectBackoffMs = 50;
-    uint32_t connectBackoffMaxMs = 2000;
-    /** Health-probe (STATS) period against every up shard. */
-    uint32_t probeIntervalMs = 250;
-    /** Consecutive missed probes before the shard is marked down. */
-    uint32_t probeMissLimit = 2;
-    /** Probe / STATS fan-out reply deadline. */
-    uint32_t statsTimeoutMs = 1000;
     /** Per-forwarded-request reply deadline at a shard. */
     uint32_t forwardTimeoutMs = 30000;
-    /** Proxy-side in-flight cap per shard; a full shard is skipped
-     *  on the ring exactly like a down one. */
-    size_t maxInflightPerShard = 1024;
 };
+
+/** Virtual nodes per shard on the hash ring. */
+constexpr unsigned kVnodes = 64;
+/** Reconnect backoff after a shard goes down: doubles per failed
+ *  attempt up to the max. */
+constexpr uint32_t kConnectBackoffMs = 50;
+constexpr uint32_t kConnectBackoffMaxMs = 2000;
+/** Health-probe (STATS) period against every up shard. */
+constexpr uint32_t kProbeIntervalMs = 250;
+/** Consecutive missed probes before the shard is marked down. */
+constexpr uint32_t kProbeMissLimit = 2;
+/** Probe / STATS fan-out reply deadline. */
+constexpr uint32_t kStatsTimeoutMs = 1000;
+/** Proxy-side in-flight cap per shard; a full shard is skipped on
+ *  the ring exactly like a down one. */
+constexpr size_t kMaxInflightPerShard = 1024;
 
 class Proxy
 {
@@ -99,9 +99,9 @@ class Proxy
     Proxy(const Proxy &) = delete;
     Proxy &operator=(const Proxy &) = delete;
 
-    /** Bind front listeners and start connecting to every shard.
-     *  fatal() on setup errors (shard connects are retried, not
-     *  fatal — a cluster may come up proxy-first). */
+    /** Bind the front socket and connect to every shard. fatal() on
+     *  setup errors (shard connects are retried, not fatal — a
+     *  cluster may come up proxy-first). */
     void start();
 
     /** Event loop; returns after stop(). Call from one thread only. */
@@ -110,18 +110,10 @@ class Proxy
     /** Ask run() to return; callable from any thread / signal. */
     void stop();
 
-    /** Actual front TCP port after start(). */
-    int tcpPort() const { return front.tcpPort(); }
-
     const ProxyConfig &config() const { return cfg; }
 
   private:
     using Clock = std::chrono::steady_clock;
-
-    struct BackConn : server::Conn
-    {
-        bool connecting = false; ///< non-blocking connect pending
-    };
 
     /** One STATS fan-out awaiting shard replies. */
     struct StatsAgg
@@ -154,9 +146,8 @@ class Proxy
     struct Shard
     {
         ShardEndpoint ep;
-        enum class State : uint8_t { Connecting, Up, Down };
-        State state = State::Down;
-        BackConn conn;
+        bool up = false; ///< connected; else down, awaiting nextAttempt
+        server::Conn conn;
         std::unordered_map<uint32_t, Outstanding> inflight;
         uint32_t backoffMs = 0;
         Clock::time_point nextAttempt; ///< reconnect timer (Down)
@@ -176,8 +167,10 @@ class Proxy
     void deliver(Outstanding &o, server::EvalResponse resp);
 
     // --- back side --------------------------------------------------------
-    void beginConnect(int shard_index);
-    void finishConnect(int shard_index);
+    /** Connect and mark the shard up, or schedule the next attempt. */
+    void connectShard(int shard_index);
+    /** Back off the shard's next connect attempt. */
+    static void scheduleReconnect(Shard &s);
     void readBack(int shard_index);
     void writeBack(int shard_index);
     void handleBackResponse(int shard_index,
@@ -211,11 +204,6 @@ class Proxy
     uint32_t nextBackendId = 1;
     std::vector<std::shared_ptr<StatsAgg>> aggs;
 };
-
-/** Parse "unix:PATH", "tcp:PORT", a bare path (contains '/') or a
- *  bare port into an endpoint named @p name. fatal() on nonsense. */
-ShardEndpoint parseEndpoint(const std::string &spec,
-                            const std::string &name);
 
 } // namespace interp::cluster
 

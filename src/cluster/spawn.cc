@@ -57,7 +57,7 @@ LocalCluster::waitConnectable(const std::string &path)
     // for it so a listener still coming up gets time to reach
     // listen().
     for (int attempt = 0; attempt < 500; ++attempt) {
-        int fd = server::Endpoint{path, -1}.connect();
+        int fd = server::Endpoint{path}.connect();
         if (fd >= 0) {
             ::close(fd);
             return;
@@ -76,7 +76,6 @@ LocalCluster::spawnShard(size_t i)
     sc.unixPath = shardPaths_[i];
     sc.workers = cfg.workersPerShard;
     sc.maxQueue = cfg.maxQueuePerShard;
-    sc.maxBatch = cfg.maxBatchPerShard;
     sc.shardId = "s" + std::to_string(i);
     sc.tier = cfg.tierPerShard;
     p.server = std::make_unique<server::Server>(sc);
@@ -100,7 +99,7 @@ LocalCluster::start()
         shardPaths_[i] = dir_ + "/shard" + std::to_string(i) + ".sock";
         ShardEndpoint ep;
         ep.name = "s" + std::to_string(i);
-        ep.unixPath = shardPaths_[i];
+        ep.path = shardPaths_[i];
         cfg.proxy.shards.push_back(std::move(ep));
     }
     for (size_t i = 0; i < cfg.shardCount; ++i)

@@ -32,11 +32,11 @@ struct ClusterConfig
     /** server::ServerConfig knobs applied to every shard. */
     unsigned workersPerShard = 2;
     size_t maxQueuePerShard = 64;
-    uint32_t maxBatchPerShard = 8;
     /** Dynamic tier-up config applied to every shard. */
     tier::TierConfig tierPerShard;
-    /** Router knobs; listeners and shard endpoints are filled in by
-     *  start() (shards live on unix sockets in a temp directory). */
+    /** Router knobs; the front socket and shard endpoints are filled
+     *  in by start() (shards live on unix sockets in a temp
+     *  directory). */
     ProxyConfig proxy;
 };
 

@@ -12,7 +12,7 @@
  *            replies — plus per-mode log2 latency histograms of
  *            forward -> response time (client-observed tail latency
  *            of the whole cluster).
- *   shards   per-shard gauges: state (up/connecting/down), in-flight,
+ *   shards   per-shard gauges: state (up/down), in-flight,
  *            forwarded/outcome counts, down events, reconnects,
  *            probe failures.
  *   merged   the sum of the shards' own ServerStats documents,
@@ -40,7 +40,7 @@ namespace interp::cluster {
 struct ShardGauges
 {
     std::string name;
-    const char *state = "down"; ///< "up" | "connecting" | "down"
+    const char *state = "down"; ///< "up" | "down"
     size_t inflight = 0;        ///< requests awaiting a reply
     uint64_t forwarded = 0;     ///< EVAL frames sent (incl. retries)
     uint64_t ok = 0;

@@ -34,7 +34,8 @@ class ThreadPool
     /** Start @p threads workers (at least one). */
     explicit ThreadPool(unsigned threads);
 
-    /** Drains outstanding work, then joins the workers. */
+    /** Runs every queued job, then joins the workers. A job that must
+     *  not run at shutdown checks a flag of its own (interpd's do). */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -50,9 +51,11 @@ class ThreadPool
 
     /**
      * Jobs sitting in the queue, not yet picked up by a worker.
-     * A point-in-time gauge for admission control (interpd sheds on
-     * it) and stats; with concurrent submitters the value is stale the
-     * moment it returns.
+     * A point-in-time gauge for admission control and stats: interpd
+     * runs each admitted request as one job and sheds when this
+     * reaches its bound. Workers only ever lower the count, so a lone
+     * submitter's check-then-submit keeps the bound; with concurrent
+     * submitters the value is stale the moment it returns.
      */
     size_t queuedCount() const;
 

@@ -31,7 +31,7 @@ Client::connectTo(const Endpoint &ep)
 {
     int fd = ep.connect();
     if (fd < 0)
-        fatal("loadgen: connect %s: %s", ep.str().c_str(),
+        fatal("loadgen: connect %s: %s", ep.path.c_str(),
               std::strerror(errno));
     Client client(fd);
     std::string hello;
@@ -45,7 +45,7 @@ Client::connectUnix(const std::string &path)
 {
     if (path.empty())
         fatal("loadgen: bad socket path \"\"");
-    return connectTo({path, -1});
+    return connectTo({path});
 }
 
 Client
@@ -53,8 +53,7 @@ Client::connect(const std::string &spec)
 {
     Endpoint ep;
     if (!Endpoint::parse(spec, ep))
-        fatal("loadgen: bad endpoint \"%s\" "
-              "(want unix:PATH, tcp:PORT, a path, or a port)",
+        fatal("loadgen: bad endpoint \"%s\" (want unix:PATH or a path)",
               spec.c_str());
     return connectTo(ep);
 }

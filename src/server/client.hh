@@ -37,8 +37,8 @@ class Client
   public:
     /** Connect to a Unix-domain socket; fatal() on failure. */
     static Client connectUnix(const std::string &path);
-    /** Connect to a "unix:PATH" / "tcp:PORT" / path / port spec
-     *  (Endpoint::parse); fatal() on a bad spec or failure. */
+    /** Connect to a "unix:PATH" or path spec (Endpoint::parse);
+     *  fatal() on a bad spec or failure. */
     static Client connect(const std::string &spec);
 
     Client(Client &&other) noexcept;
@@ -86,11 +86,11 @@ class Client
 struct LoadgenOptions
 {
     /**
-     * Endpoint specs ("unix:PATH", a bare path, "tcp:PORT", or a
-     * bare loopback port), clients assigned round-robin. Connect
-     * failures and mid-run reconnects are counted per endpoint
-     * (distinct from SHED, which is a server answer), and a failed
-     * connect retries instead of aborting the run.
+     * Endpoint specs ("unix:PATH" or a bare path), clients assigned
+     * round-robin. Connect failures and mid-run reconnects are
+     * counted per endpoint (distinct from SHED, which is a server
+     * answer), and a failed connect retries instead of aborting the
+     * run.
      */
     std::vector<std::string> endpoints;
     /** Connect attempts per endpoint before a client gives up. */

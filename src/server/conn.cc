@@ -1,14 +1,11 @@
 #include "server/conn.hh"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "support/logging.hh"
@@ -19,36 +16,19 @@ namespace interp::server {
 
 namespace {
 
-/** @p ep's socket address; false (errno ENAMETOOLONG) when the path
- *  does not fit in a sockaddr_un. */
+/** The socket address of @p path; false (errno ENAMETOOLONG) when the
+ *  path does not fit in a sockaddr_un. */
 bool
-socketAddress(const Endpoint &ep, sockaddr_storage &addr, socklen_t &len)
+socketAddress(const std::string &path, sockaddr_un &addr)
 {
     addr = {};
-    if (ep.unixPath.empty()) {
-        auto *sin = (sockaddr_in *)&addr;
-        sin->sin_family = AF_INET;
-        sin->sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        sin->sin_port = htons((uint16_t)ep.tcpPort);
-        len = sizeof(sockaddr_in);
-        return true;
-    }
-    auto *sun = (sockaddr_un *)&addr;
-    if (ep.unixPath.size() >= sizeof(sun->sun_path)) {
+    if (path.size() >= sizeof(addr.sun_path)) {
         errno = ENAMETOOLONG;
         return false;
     }
-    sun->sun_family = AF_UNIX;
-    std::memcpy(sun->sun_path, ep.unixPath.c_str(), ep.unixPath.size() + 1);
-    len = sizeof(sockaddr_un);
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
     return true;
-}
-
-bool
-allDigits(const std::string &s)
-{
-    return !s.empty() &&
-           s.find_first_not_of("0123456789") == std::string::npos;
 }
 
 } // namespace
@@ -56,44 +36,29 @@ allDigits(const std::string &s)
 bool
 Endpoint::parse(const std::string &spec, Endpoint &out)
 {
-    out = Endpoint();
     if (spec.rfind("unix:", 0) == 0)
-        out.unixPath = spec.substr(5);
-    else if (spec.rfind("tcp:", 0) == 0 && allDigits(spec.substr(4)))
-        out.tcpPort = std::atoi(spec.c_str() + 4);
+        out.path = spec.substr(5);
     else if (spec.find('/') != std::string::npos)
-        out.unixPath = spec;
-    else if (allDigits(spec))
-        out.tcpPort = std::atoi(spec.c_str());
+        out.path = spec;
     else
         return false;
-    return out.unixPath.size() < sizeof(sockaddr_un::sun_path);
-}
-
-std::string
-Endpoint::str() const
-{
-    return unixPath.empty() ? "127.0.0.1:" + std::to_string(tcpPort)
-                            : unixPath;
+    return !out.path.empty() &&
+           out.path.size() < sizeof(sockaddr_un::sun_path);
 }
 
 int
-Endpoint::connect(bool *pending) const
+Endpoint::connect(bool nonblocking) const
 {
-    sockaddr_storage addr;
-    socklen_t len = 0;
-    if (!socketAddress(*this, addr, len))
+    sockaddr_un addr;
+    if (!socketAddress(path, addr))
         return -1;
-    int fd = ::socket(addr.ss_family,
+    int fd = ::socket(AF_UNIX,
                       SOCK_STREAM | SOCK_CLOEXEC |
-                          (pending ? SOCK_NONBLOCK : 0),
+                          (nonblocking ? SOCK_NONBLOCK : 0),
                       0);
     if (fd < 0)
         return -1;
-    int rc = ::connect(fd, (const sockaddr *)&addr, len);
-    if (pending)
-        *pending = rc != 0;
-    if (rc != 0 && !(pending && errno == EINPROGRESS)) {
+    if (::connect(fd, (const sockaddr *)&addr, sizeof(addr)) != 0) {
         int err = errno;
         ::close(fd);
         errno = err;
@@ -153,21 +118,21 @@ Frontend::~Frontend()
 {
     for (auto &entry : conns_)
         ::close(entry.second.fd);
-    for (int fd : {unixFd_, tcpFd_, wakeRead_, wakeWrite_})
+    for (int fd : {listenFd_, wakeRead_, wakeWrite_})
         if (fd >= 0)
             ::close(fd);
-    if (!unixPath_.empty())
-        ::unlink(unixPath_.c_str());
+    if (!path_.empty())
+        ::unlink(path_.c_str());
 }
 
 void
-Frontend::listen(const std::string &unix_path, int tcp_port,
-                 bool reuse_port)
+Frontend::listen(const std::string &path)
 {
-    if (unix_path.empty() && tcp_port < 0)
-        fatal("%s: no listener configured "
-              "(need a unix path or a tcp port)",
-              who_);
+    sockaddr_un addr;
+    if (path.empty())
+        fatal("%s: no socket path configured", who_);
+    if (!socketAddress(path, addr))
+        fatal("%s: socket path too long: %s", who_, path.c_str());
 
     int pipefd[2];
     if (::pipe2(pipefd, O_NONBLOCK | O_CLOEXEC) != 0)
@@ -175,46 +140,18 @@ Frontend::listen(const std::string &unix_path, int tcp_port,
     wakeRead_ = pipefd[0];
     wakeWrite_ = pipefd[1];
 
-    if (!unix_path.empty())
-        unixFd_ = bindListener({unix_path, -1}, false);
-    if (tcp_port >= 0) {
-        tcpFd_ = bindListener({"", tcp_port}, reuse_port);
-        sockaddr_in sin{};
-        socklen_t len = sizeof(sin);
-        if (::getsockname(tcpFd_, (sockaddr *)&sin, &len) != 0)
-            fatal("%s: getsockname: %s", who_, std::strerror(errno));
-        boundTcpPort_ = ntohs(sin.sin_port);
-    }
-}
-
-int
-Frontend::bindListener(const Endpoint &ep, bool reuse_port)
-{
-    sockaddr_storage addr;
-    socklen_t len = 0;
-    if (!socketAddress(ep, addr, len))
-        fatal("%s: socket path too long: %s", who_, ep.unixPath.c_str());
-    int fd = ::socket(addr.ss_family,
-                      SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (fd < 0)
+    listenFd_ =
+        ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    if (listenFd_ < 0)
         fatal("%s: socket: %s", who_, std::strerror(errno));
-    int one = 1;
-    if (ep.unixPath.empty()) {
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        if (reuse_port && ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one,
-                                       sizeof(one)) != 0)
-            fatal("%s: SO_REUSEPORT: %s", who_, std::strerror(errno));
-    } else {
-        ::unlink(ep.unixPath.c_str()); // a stale socket file
-        unixPath_ = ep.unixPath;
-    }
-    if (::bind(fd, (const sockaddr *)&addr, len) != 0)
-        fatal("%s: bind %s: %s", who_, ep.str().c_str(),
+    ::unlink(path.c_str()); // a stale socket file
+    path_ = path;
+    if (::bind(listenFd_, (const sockaddr *)&addr, sizeof(addr)) != 0)
+        fatal("%s: bind %s: %s", who_, path.c_str(),
               std::strerror(errno));
-    if (::listen(fd, 128) != 0)
-        fatal("%s: listen %s: %s", who_, ep.str().c_str(),
+    if (::listen(listenFd_, 128) != 0)
+        fatal("%s: listen %s: %s", who_, path.c_str(),
               std::strerror(errno));
-    return fd;
 }
 
 void
@@ -239,11 +176,9 @@ Frontend::poll(std::vector<pollfd> &extra, int timeout_ms)
 {
     if (stopping_.load(std::memory_order_acquire))
         return false;
-    // Fixed entries first (negative fds are ignored by poll): the wake
-    // pipe and both listeners; then the connections, then @p extra.
-    fds_.assign({{wakeRead_, POLLIN, 0},
-                 {unixFd_, POLLIN, 0},
-                 {tcpFd_, POLLIN, 0}});
+    // Fixed entries first: the wake pipe and the listener; then the
+    // connections, then @p extra.
+    fds_.assign({{wakeRead_, POLLIN, 0}, {listenFd_, POLLIN, 0}});
     ids_.clear();
     for (auto &entry : conns_) {
         short events = POLLIN;
@@ -271,11 +206,10 @@ Frontend::poll(std::vector<pollfd> &extra, int timeout_ms)
         while (::read(wakeRead_, drain, sizeof(drain)) > 0) {
         }
     }
-    for (size_t i = 1; i < 3; ++i)
-        if (fds_[i].revents & POLLIN)
-            acceptAll(fds_[i].fd);
-    for (size_t i = 3; i < conns_end; ++i) {
-        uint64_t id = ids_[i - 3];
+    if (fds_[1].revents & POLLIN)
+        acceptAll();
+    for (size_t i = 2; i < conns_end; ++i) {
+        uint64_t id = ids_[i - 2];
         if (fds_[i].revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL))
             serve(id);
         if (fds_[i].revents & POLLOUT)
@@ -287,10 +221,10 @@ Frontend::poll(std::vector<pollfd> &extra, int timeout_ms)
 }
 
 void
-Frontend::acceptAll(int listen_fd)
+Frontend::acceptAll()
 {
     for (;;) {
-        int fd = ::accept4(listen_fd, nullptr, nullptr,
+        int fd = ::accept4(listenFd_, nullptr, nullptr,
                            SOCK_NONBLOCK | SOCK_CLOEXEC);
         if (fd < 0) {
             if (errno == EINTR)

@@ -2,18 +2,18 @@
  * @file
  * The connection core interpd and interproxy share.
  *
- * Both daemons are one poll() loop over the same pieces: unix/TCP
- * listeners, a wake pipe other threads (and signal handlers) use to
- * interrupt poll(), and accepted connections that open with the
- * protocol hello and then carry length-prefixed frames. Frontend owns
- * those pieces and runs one loop iteration at a time; what a daemon
- * does with a frame is its frame handler, and any sockets of its own
- * (the proxy's shard connections) ride in the same poll() call.
- * Conn is the framed connection itself: bytes received but not yet
- * parsed, bytes encoded but not yet sent, and the non-blocking pumps
- * between them and the socket. Endpoint names a daemon's address for
- * both sides: the listeners bind it, loadgen and the proxy's shard
- * connections connect to it.
+ * Both daemons are one poll() loop over the same pieces: a
+ * Unix-domain listener, a wake pipe other threads (and signal
+ * handlers) use to interrupt poll(), and accepted connections that
+ * open with the protocol hello and then carry length-prefixed frames.
+ * Frontend owns those pieces and runs one loop iteration at a time;
+ * what a daemon does with a frame is its frame handler, and any
+ * sockets of its own (the proxy's shard connections) ride in the same
+ * poll() call. Conn is the framed connection itself: bytes received
+ * but not yet parsed, bytes encoded but not yet sent, and the
+ * non-blocking pumps between them and the socket. Endpoint names a
+ * daemon's socket path for both sides: the listener binds it,
+ * loadgen and the proxy's shard connections connect to it.
  */
 
 #ifndef INTERP_SERVER_CONN_HH
@@ -32,25 +32,20 @@
 
 namespace interp::server {
 
-/** Where a daemon listens: a unix-domain socket path, or port
- *  tcpPort on 127.0.0.1 when the path is empty. */
+/** Where a daemon listens: a Unix-domain socket path. */
 struct Endpoint
 {
-    std::string unixPath;
-    int tcpPort = -1;
+    std::string path;
 
-    /** Parse "unix:PATH", "tcp:PORT", a bare path (one with a '/')
-     *  or a bare port number; false for anything else and for a
-     *  path too long for a unix socket. */
+    /** Parse "unix:PATH" or a bare path (one with a '/'); false for
+     *  anything else, for an empty path and for a path too long for
+     *  a unix socket. */
     static bool parse(const std::string &spec, Endpoint &out);
 
-    /** The path, or "127.0.0.1:PORT" (for messages). */
-    std::string str() const;
-
-    /** A new stream socket connected to this endpoint, or -1 with
-     *  errno set. With @p pending the socket is non-blocking and
-     *  *pending says whether the connect is still in progress. */
-    int connect(bool *pending = nullptr) const;
+    /** A new stream socket connected to this path, or -1 with errno
+     *  set. With @p nonblocking the socket is O_NONBLOCK; a
+     *  Unix-domain connect still completes or fails at once. */
+    int connect(bool nonblocking = false) const;
 };
 
 /** One non-blocking stream connection and its two byte queues. */
@@ -95,17 +90,9 @@ class Frontend
     Frontend(const Frontend &) = delete;
     Frontend &operator=(const Frontend &) = delete;
 
-    /**
-     * Create the wake pipe and listen on @p unix_path (a stale file
-     * there is unlinked) and/or 127.0.0.1:@p tcp_port (0 picks an
-     * ephemeral port; -1 means no TCP listener). @p reuse_port sets
-     * SO_REUSEPORT on the TCP listener. fatal() on any error.
-     */
-    void listen(const std::string &unix_path, int tcp_port,
-                bool reuse_port = false);
-
-    /** The bound TCP port after listen() (-1 without a listener). */
-    int tcpPort() const { return boundTcpPort_; }
+    /** Create the wake pipe and listen on the unix socket @p path (a
+     *  stale file there is unlinked). fatal() on any error. */
+    void listen(const std::string &path);
 
     /** Interrupt poll(). Callable from any thread and from signal
      *  handlers (one pipe write). */
@@ -116,7 +103,7 @@ class Frontend
 
     /**
      * One loop iteration: wait up to @p timeout_ms (-1 = forever) on
-     * the wake pipe, the listeners, every connection and @p extra
+     * the wake pipe, the listener, every connection and @p extra
      * (whose revents are filled in for the caller); then accept, read
      * and hand complete frames to the handler, and send what
      * connections have queued. False, with nothing serviced, once
@@ -136,17 +123,14 @@ class Frontend
         bool greeted = false; ///< hello verified
     };
 
-    int bindListener(const Endpoint &ep, bool reuse_port);
-    void acceptAll(int listen_fd);
+    void acceptAll();
     void serve(uint64_t conn_id);
     void flush(uint64_t conn_id);
 
     const char *who_;
     FrameHandler onFrame_;
-    std::string unixPath_;
-    int unixFd_ = -1;
-    int tcpFd_ = -1;
-    int boundTcpPort_ = -1;
+    std::string path_;
+    int listenFd_ = -1;
     int wakeRead_ = -1;
     int wakeWrite_ = -1;
     std::atomic<bool> stopping_{false};
@@ -154,7 +138,7 @@ class Frontend
     uint64_t nextConnId_ = 1;
     std::unordered_map<uint64_t, Accepted> conns_;
     std::vector<pollfd> fds_;   ///< poll() set of the current iteration
-    std::vector<uint64_t> ids_; ///< connection of each fds_[3 + i]
+    std::vector<uint64_t> ids_; ///< connection of each fds_[2 + i]
 };
 
 } // namespace interp::server

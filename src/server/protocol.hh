@@ -2,8 +2,8 @@
  * @file
  * Wire protocol of interpd, the interpreter-as-a-service daemon.
  *
- * Both directions speak length-prefixed binary frames over a stream
- * socket (Unix-domain or loopback TCP). A connection opens with a
+ * Both directions speak length-prefixed binary frames over a
+ * Unix-domain stream socket. A connection opens with a
  * 4-byte hello — "IPD" plus a protocol version byte — sent by the
  * connecting side before its first frame; the accepting side answers
  * a mismatch with one contained-fatal ERROR response (id 0) and

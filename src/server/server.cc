@@ -138,19 +138,17 @@ Server::Server(const ServerConfig &config)
 
 Server::~Server()
 {
-    {
-        // Unexecuted admissions die with the daemon; queued drainer
-        // jobs then find nothing and return, so the pool joins fast.
-        std::lock_guard<std::mutex> lock(pendingMu);
-        pending.clear();
-    }
+    // ~ThreadPool runs every queued job before it joins; with the flag
+    // set they return at once, so unstarted requests die with the
+    // daemon and only the running ones are waited for.
+    closing.store(true, std::memory_order_release);
     pool.reset();
 }
 
 void
 Server::start()
 {
-    front.listen(cfg.unixPath, cfg.tcpPort, cfg.reusePort);
+    front.listen(cfg.unixPath);
     pool = std::make_unique<harness::ThreadPool>(cfg.workers);
 }
 
@@ -193,26 +191,17 @@ Server::handleFrame(uint64_t conn_id, const std::string &payload)
             return;
         }
         stats_.note(Counter::Accepted, req.mode);
-        uint32_t req_id = req.id;
-        harness::Lang mode = req.mode;
-        bool admitted = false;
-        {
-            std::lock_guard<std::mutex> lock(pendingMu);
-            if (pending.size() < cfg.maxQueue) {
-                Pending p;
-                p.connId = conn_id;
-                p.req = std::move(req);
-                p.arrival = steady_clock::now();
-                pending.push_back(std::move(p));
-                admitted = true;
-            }
-        }
-        if (admitted) {
-            pool->submit([this] { drainPending(); });
+        // This thread is the pool's only submitter, so the queue never
+        // grows past the bound between this check and the submit.
+        if (pool->queuedCount() < cfg.maxQueue) {
+            pool->submit([this, a = Admitted{conn_id, std::move(req),
+                                             steady_clock::now()}] {
+                serve(a);
+            });
         } else {
-            stats_.note(Counter::Shed, mode);
+            stats_.note(Counter::Shed, req.mode);
             EvalResponse resp;
-            resp.id = req_id;
+            resp.id = req.id;
             resp.status = Status::Shed;
             resp.result = "admission queue full";
             front.reply(conn_id, resp);
@@ -252,56 +241,33 @@ Server::postCompletion(uint64_t conn_id, EvalResponse resp)
 }
 
 void
-Server::drainPending()
+Server::serve(const Admitted &a)
 {
-    // Take up to maxBatch requests for ONE mode (the oldest one),
-    // leaving other modes in place and in order: consecutive requests
-    // for the same interpreter run back-to-back on a warm catalog.
-    // Every admission submitted one drainer job, so even a drainer
-    // that batches several requests leaves enough later drainers to
-    // empty the queue.
-    std::vector<Pending> batch;
-    {
-        std::lock_guard<std::mutex> lock(pendingMu);
-        if (pending.empty())
-            return;
-        harness::Lang mode = pending.front().req.mode;
-        for (auto it = pending.begin();
-             it != pending.end() && batch.size() < cfg.maxBatch;) {
-            if (it->req.mode == mode) {
-                batch.push_back(std::move(*it));
-                it = pending.erase(it);
-            } else {
-                ++it;
-            }
-        }
+    if (closing.load(std::memory_order_acquire))
+        return;
+    auto dequeue = steady_clock::now();
+    uint64_t queue_us = elapsedMicros(a.arrival, dequeue);
+    EvalResponse resp;
+    if (a.req.deadlineMs != kNoDeadline &&
+        dequeue - a.arrival >= milliseconds(a.req.deadlineMs)) {
+        // Expired while queued: answer without executing.
+        resp.id = a.req.id;
+        resp.status = Status::Deadline;
+        resp.queueMicros = queue_us;
+        resp.result = "deadline expired before execution";
+    } else {
+        resp = executeOne(a, queue_us);
     }
-
-    for (const Pending &p : batch) {
-        auto dequeue = steady_clock::now();
-        uint64_t queue_us = elapsedMicros(p.arrival, dequeue);
-        EvalResponse resp;
-        if (p.req.deadlineMs != kNoDeadline &&
-            dequeue - p.arrival >= milliseconds(p.req.deadlineMs)) {
-            // Expired while queued: answer without executing.
-            resp.id = p.req.id;
-            resp.status = Status::Deadline;
-            resp.queueMicros = queue_us;
-            resp.result = "deadline expired before execution";
-        } else {
-            resp = executeOne(p, queue_us);
-        }
-        stats_.note(outcomeCounter(resp.status), p.req.mode);
-        if (resp.status != Status::Deadline)
-            stats_.noteLatency(resp.queueMicros, resp.serviceMicros);
-        postCompletion(p.connId, std::move(resp));
-    }
+    stats_.note(outcomeCounter(resp.status), a.req.mode);
+    if (resp.status != Status::Deadline)
+        stats_.noteLatency(resp.queueMicros, resp.serviceMicros);
+    postCompletion(a.connId, std::move(resp));
 }
 
 EvalResponse
-Server::executeOne(const Pending &p, uint64_t queue_us)
+Server::executeOne(const Admitted &a, uint64_t queue_us)
 {
-    const EvalRequest &req = p.req;
+    const EvalRequest &req = a.req;
     EvalResponse resp;
     resp.id = req.id;
     resp.queueMicros = queue_us;
@@ -346,7 +312,7 @@ Server::executeOne(const Pending &p, uint64_t queue_us)
 
         // The run's own trace safepoints enforce the deadline.
         if (req.deadlineMs != kNoDeadline)
-            spec.deadline = p.arrival + milliseconds(req.deadlineMs);
+            spec.deadline = a.arrival + milliseconds(req.deadlineMs);
 
         bool with_machine = (req.flags & kFlagWithMachine) != 0;
         harness::Measurement m;

@@ -3,20 +3,17 @@
  * interpd: the interpreter-as-a-service daemon.
  *
  * One thread (the caller of run()) owns a poll() event loop that
- * accepts connections on a Unix-domain socket and/or loopback TCP,
- * frames requests (see protocol.hh) and writes responses — the
- * connection core in conn.hh, shared with interproxy; execution
- * happens on a harness::ThreadPool. The structure is the classic
+ * accepts connections on a Unix-domain socket, frames requests (see
+ * protocol.hh) and writes responses — the connection core in
+ * conn.hh, shared with interproxy; execution happens on a
+ * harness::ThreadPool. The structure is the classic
  * single-threaded-accept / pooled-execute serving shape:
  *
- *   admission   EVAL frames enter a bounded queue; when it is full
- *               the request is answered SHED immediately — explicit
+ *   admission   each admitted EVAL becomes one pool job that owns the
+ *               request, so requests run in arrival order. When
+ *               ServerConfig::maxQueue jobs are already waiting the
+ *               request is answered SHED immediately — explicit
  *               backpressure instead of unbounded buffering.
- *   batching    a worker draining the queue takes up to
- *               ServerConfig::maxBatch *same-mode* requests in one
- *               go, so consecutive requests for one interpreter run
- *               back-to-back on a warm program catalog and the
- *               trace::BundleBatch fast path stays hot end-to-end.
  *   deadlines   each request may carry a relative deadline; it is
  *               enforced at dequeue (expired requests are answered
  *               DEADLINE without being executed) and at the trace
@@ -33,15 +30,17 @@
  *
  * Responses are appended to connection buffers only by the event-loop
  * thread; workers hand finished responses over through a completion
- * queue plus the Frontend's wake pipe. Clients may pipeline; responses can
- * overtake (a SHED answer arrives before earlier requests finish).
+ * queue plus the Frontend's wake pipe. Clients may pipeline; responses
+ * come back in completion order, so they can overtake (a SHED answer
+ * arrives before earlier requests finish, and with several workers a
+ * short run can finish before a long one sent earlier).
  */
 
 #ifndef INTERP_SERVER_SERVER_HH
 #define INTERP_SERVER_SERVER_HH
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -59,18 +58,14 @@ namespace interp::server {
 
 struct ServerConfig
 {
-    /** Unix-domain socket path ("" = no unix listener). A stale file
-     *  at the path is unlinked. */
+    /** Unix-domain socket path to listen on. A stale file at the
+     *  path is unlinked. */
     std::string unixPath;
-    /** Loopback TCP port: -1 = no TCP listener, 0 = ephemeral (read
-     *  the bound port back via Server::tcpPort()). */
-    int tcpPort = -1;
     /** Execution pool size. */
     unsigned workers = 2;
-    /** Admission-queue bound; EVALs beyond it are answered SHED. */
+    /** Admission bound: an EVAL that finds this many requests
+     *  waiting for a worker is answered SHED. */
     size_t maxQueue = 64;
-    /** Max same-mode requests one worker drains in one batch. */
-    uint32_t maxBatch = 8;
     /** Directory for kFlagRecordTrace tapes ("" = flag is ignored). */
     std::string recordDir;
     /** Command budget for requests that do not set one. */
@@ -78,11 +73,6 @@ struct ServerConfig
     /** Identity reported as "shard_id" in STATS — how a cluster's
      *  aggregator tells one daemon from another ("" = omitted). */
     std::string shardId;
-    /** Set SO_REUSEPORT on the TCP listener so several interpd
-     *  processes (shards) can share one port, with the kernel
-     *  spreading accepts across them — the multi-acceptor scale-out
-     *  path that needs no router at all. */
-    bool reusePort = false;
     /** Dynamic tier-up of hot named programs (off by default; every
      *  request then runs exactly the mode it asked for). */
     tier::TierConfig tier;
@@ -133,14 +123,15 @@ class Server
   public:
     explicit Server(const ServerConfig &config);
 
-    /** Unlinks the unix socket and joins the pool. run() must have
-     *  returned (or never been called). */
+    /** Drops the requests no worker has started, waits for the
+     *  running ones, joins the pool and unlinks the unix socket.
+     *  run() must have returned (or never been called). */
     ~Server();
 
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
-    /** Bind/listen the configured sockets and start the worker pool.
+    /** Bind/listen the configured socket and start the worker pool.
      *  fatal() on any setup error. */
     void start();
 
@@ -151,15 +142,12 @@ class Server
      *  handlers (one atomic store and one pipe write). */
     void stop();
 
-    /** Actual TCP port after start() (ephemeral port resolution). */
-    int tcpPort() const { return front.tcpPort(); }
-
     const ServerStats &stats() const { return stats_; }
     const ServerConfig &config() const { return cfg; }
 
   private:
-    /** One admitted EVAL waiting for a worker. */
-    struct Pending
+    /** One admitted EVAL, owned by the pool job that runs it. */
+    struct Admitted
     {
         uint64_t connId = 0;
         EvalRequest req;
@@ -177,8 +165,8 @@ class Server
     void drainCompletions();
 
     // --- worker threads ---------------------------------------------------
-    void drainPending();
-    EvalResponse executeOne(const Pending &p, uint64_t queue_us);
+    void serve(const Admitted &a);
+    EvalResponse executeOne(const Admitted &a, uint64_t queue_us);
     void postCompletion(uint64_t conn_id, EvalResponse resp);
 
     ServerConfig cfg;
@@ -187,10 +175,9 @@ class Server
     tier::TierManager tierMgr;
     Frontend front;
 
+    /** Set by ~Server: queued jobs return without running. */
+    std::atomic<bool> closing{false};
     std::unique_ptr<harness::ThreadPool> pool;
-
-    std::mutex pendingMu;
-    std::deque<Pending> pending;
 
     std::mutex completionMu;
     std::vector<Completion> completions;

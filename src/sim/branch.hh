@@ -73,7 +73,8 @@ class BranchPredictor
     void
     call(uint32_t return_pc)
     {
-        rasTop = (rasTop + 1) % cfg.returnStack;
+        // Compare-and-wrap, not a divide by the runtime depth.
+        rasTop = rasTop + 1 == cfg.returnStack ? 0 : rasTop + 1;
         ras[rasTop] = return_pc;
         if (rasDepth < cfg.returnStack)
             ++rasDepth;
@@ -89,7 +90,7 @@ class BranchPredictor
             return false;
         }
         uint32_t predicted = ras[rasTop];
-        rasTop = (rasTop + cfg.returnStack - 1) % cfg.returnStack;
+        rasTop = rasTop == 0 ? cfg.returnStack - 1 : rasTop - 1;
         --rasDepth;
         if (predicted != target) {
             ++mispredictCount;

@@ -15,6 +15,8 @@
  *              requests fail over to the next ring candidate, new
  *              requests route around the corpse, STATS reports the
  *              DEGRADED shard, and a restarted shard is re-adopted;
+ *              a shard that accepts but never answers is marked down
+ *              by missed health probes and its keys reroute;
  *   shedding   the client sees SHED only at aggregate cluster
  *              capacity (every alive shard refused), not on one
  *              unlucky shard;
@@ -25,17 +27,23 @@
  *   hardening  a peer that opens with garbage instead of the
  *              protocol hello gets one contained ERROR reply and a
  *              close — from the daemon and from the proxy alike —
- *              and truncated/oversized frames never wedge either.
+ *              and truncated/oversized frames never wedge either;
+ *              the programs refuse, with their usage text, an
+ *              endpoint that is not a unix socket path and any flag
+ *              they do not take (--tcp, --batch, --vnodes, ...).
  */
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
-
+#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <set>
@@ -86,7 +94,7 @@ microRequest(Lang mode, uint32_t iterations)
 int
 rawConnect(const std::string &path)
 {
-    int fd = Endpoint{path, -1}.connect();
+    int fd = Endpoint{path}.connect();
     EXPECT_GE(fd, 0) << path << ": " << std::strerror(errno);
     return fd;
 }
@@ -127,6 +135,65 @@ waitShardState(const std::string &proxy_path, const std::string &name,
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
     return false;
+}
+
+/** Poll the STATS of the daemon or proxy at @p path until counter
+ *  @p key reaches @p min; false after @p max_ms. */
+bool
+waitStatAtLeast(const std::string &path, const std::string &key,
+                uint64_t min, int max_ms)
+{
+    auto until = std::chrono::steady_clock::now() +
+                 std::chrono::milliseconds(max_ms);
+    for (;;) {
+        uint64_t v = 0;
+        if (statsJsonUint(proxyStats(path), key, v) && v >= min)
+            return true;
+        if (std::chrono::steady_clock::now() > until)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+}
+
+/** A Proxy on its own event-loop thread, stopped on scope exit. */
+class RunningProxy
+{
+  public:
+    explicit RunningProxy(const ProxyConfig &cfg) : proxy(cfg)
+    {
+        proxy.start();
+        loop = std::thread([this] { proxy.run(); });
+    }
+
+    ~RunningProxy()
+    {
+        proxy.stop();
+        loop.join();
+    }
+
+    RunningProxy(const RunningProxy &) = delete;
+    RunningProxy &operator=(const RunningProxy &) = delete;
+
+  private:
+    Proxy proxy;
+    std::thread loop;
+};
+
+/** Run @p command with stderr folded into stdout: its exit status
+ *  (-1 if it did not exit) and everything it printed. */
+std::pair<int, std::string>
+runProgram(const std::string &command)
+{
+    std::string out;
+    FILE *pipe = ::popen((command + " 2>&1").c_str(), "r");
+    if (!pipe)
+        return {-1, out};
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0)
+        out.append(buf, n);
+    int status = ::pclose(pipe);
+    return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
 }
 
 } // namespace
@@ -601,16 +668,13 @@ TEST(ClusterEndToEnd, ShardDeathFailsOverAndRecovers)
     cc.shardCount = 2;
     cc.workersPerShard = 2;
     cc.proxy.maxRetries = 2;
-    cc.proxy.probeIntervalMs = 100;
-    cc.proxy.probeMissLimit = 2;
-    cc.proxy.connectBackoffMs = 50;
     LocalCluster cluster(cc);
     cluster.start();
 
     // Find the home shard of the request key so the kill provably
     // hits the hot path (the other shard would be a no-op kill).
     EvalRequest probe = microRequest(Lang::Tcl, 2000);
-    HashRing ring(2, cc.proxy.vnodes);
+    HashRing ring(2, kVnodes);
     int home =
         ring.shardFor(routingKey((uint8_t)probe.mode, probe.program));
 
@@ -689,7 +753,6 @@ TEST(ClusterEndToEnd, ShedsOnlyAtAggregateCapacity)
     cc.shardCount = 1;
     cc.workersPerShard = 1;
     cc.maxQueuePerShard = 1;
-    cc.maxBatchPerShard = 1;
     cc.proxy.maxRetries = 1;
     LocalCluster cluster(cc);
     cluster.start();
@@ -751,7 +814,6 @@ TEST(ClusterEndToEnd, MixedClassLoadSplitsOutcomesByClass)
     cc.shardCount = 1;
     cc.workersPerShard = 1;
     cc.maxQueuePerShard = 1;
-    cc.maxBatchPerShard = 1;
     cc.proxy.maxRetries = 1;
     LocalCluster cluster(cc);
     cluster.start();
@@ -877,17 +939,15 @@ TEST(ClusterEndToEnd, LateReplyAfterTimeoutIsCountedOnceAndDropped)
     EXPECT_NE(resp.result.find("timed out"), std::string::npos)
         << resp.result;
 
-    // Wait for the shard to finish the run and its reply to reach
-    // the proxy's late-reply branch.
-    bool late_seen = false;
-    for (int waited = 0; waited < 5000 && !late_seen; waited += 50) {
-        std::string json = proxyStats(cluster.proxyPath());
-        uint64_t v = 0;
-        late_seen = statsJsonUint(json, "proxy.late_replies", v) &&
-                    v >= 1;
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    EXPECT_TRUE(late_seen) << "late reply never counted";
+    // Wait for the events themselves, however slow the build: first
+    // the shard finishes the run, then its reply reaches the proxy's
+    // late-reply branch.
+    ASSERT_TRUE(waitStatAtLeast(cluster.shardPath(0), "served", 1,
+                                600'000))
+        << "the shard never finished the run";
+    EXPECT_TRUE(waitStatAtLeast(cluster.proxyPath(), "proxy.late_replies",
+                                1, 60'000))
+        << "late reply never counted";
 
     std::string json = proxyStats(cluster.proxyPath());
     uint64_t v = 0;
@@ -908,6 +968,93 @@ TEST(ClusterEndToEnd, LateReplyAfterTimeoutIsCountedOnceAndDropped)
     ok.id = 2;
     EvalResponse resp2 = conn.eval(ok);
     EXPECT_EQ(resp2.status, Status::Ok) << resp2.result;
+}
+
+// --- end-to-end: a mute shard and the health probes ------------------------
+
+TEST(ClusterEndToEnd, MuteShardIsMarkedDownByMissedProbes)
+{
+    // A shard that takes connections but never answers: a listening
+    // unix socket that nothing accepts or reads. Its socket never
+    // closes, so only the health probes can find it out: the first
+    // goes out kProbeIntervalMs after the connect, and each miss
+    // takes kStatsTimeoutMs, so it is down after about 2.25 s.
+    ClusterConfig cc;
+    cc.shardCount = 1; // the live shard; this test brings its own proxy
+    cc.workersPerShard = 1;
+    LocalCluster cluster(cc);
+    cluster.start();
+
+    std::string mute = cluster.tempDir() + "/mute.sock";
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    ASSERT_LT(mute.size(), sizeof(addr.sun_path));
+    std::memcpy(addr.sun_path, mute.c_str(), mute.size() + 1);
+    struct Listener
+    {
+        int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+        Listener() = default;
+        Listener(const Listener &) = delete;
+        Listener &operator=(const Listener &) = delete;
+        ~Listener() { ::close(fd); }
+    } listener;
+    ASSERT_EQ(::bind(listener.fd, (const sockaddr *)&addr, sizeof(addr)),
+              0)
+        << std::strerror(errno);
+    ASSERT_EQ(::listen(listener.fd, 16), 0) << std::strerror(errno);
+
+    ProxyConfig pc;
+    pc.unixPath = cluster.tempDir() + "/probed-proxy.sock";
+    pc.shards.resize(2);
+    pc.shards[0].name = "s0";
+    pc.shards[0].path = mute;
+    pc.shards[1].name = "s1";
+    pc.shards[1].path = cluster.shardPath(0);
+
+    // A key whose home is the mute shard.
+    HashRing ring(2, kVnodes);
+    EvalRequest req;
+    bool found = false;
+    for (Lang mode : {Lang::Tcl, Lang::Mipsi, Lang::Java,
+                      Lang::MipsiThreaded, Lang::Perl}) {
+        req = microRequest(mode, 300);
+        if (ring.shardFor(routingKey((uint8_t)mode, req.program)) == 0) {
+            found = true;
+            break;
+        }
+    }
+    ASSERT_TRUE(found) << "no candidate key homes on the mute shard";
+
+    auto t0 = std::chrono::steady_clock::now();
+    RunningProxy proxy(pc);
+    ASSERT_TRUE(waitStatAtLeast(pc.unixPath, "shards.s0.down_events", 1,
+                                30'000))
+        << "the mute shard was never marked down";
+    auto elapsed = std::chrono::steady_clock::now() - t0;
+    EXPECT_GE(elapsed, std::chrono::milliseconds(
+                           kProbeIntervalMs +
+                           kProbeMissLimit * kStatsTimeoutMs));
+    std::string json = proxyStats(pc.unixPath);
+    uint64_t v = 0;
+    ASSERT_TRUE(statsJsonUint(json, "shards.s0.probe_failures", v));
+    EXPECT_GE(v, kProbeMissLimit);
+    ASSERT_TRUE(statsJsonUint(json, "shards.s1.down_events", v));
+    EXPECT_EQ(v, 0u);
+
+    // The proxy reconnects after its backoff, and the listener takes
+    // that connection too. Unlink the socket so the next down sticks,
+    // then send the mute shard's key: it reroutes to the live shard.
+    ::unlink(mute.c_str());
+    ASSERT_TRUE(waitShardState(pc.unixPath, "s0", "down", 30'000));
+    Client conn = Client::connectUnix(pc.unixPath);
+    req.id = 7;
+    EvalResponse resp = conn.eval(req);
+    EXPECT_EQ(resp.status, Status::Ok) << resp.result;
+    json = proxyStats(pc.unixPath);
+    ASSERT_TRUE(statsJsonUint(json, "proxy.rerouted", v));
+    EXPECT_GE(v, 1u);
+    ASSERT_TRUE(statsJsonUint(json, "shards.s1.ok", v));
+    EXPECT_EQ(v, 1u);
 }
 
 // --- end-to-end: tier-up across the cluster --------------------------------
@@ -991,4 +1138,47 @@ TEST(ClusterEndToEnd, TeardownSweepsTempSocketsEvenAfterShardKill)
     EXPECT_NE(::stat(dir.c_str(), &st), 0)
         << dir << " left behind after teardown";
     EXPECT_EQ(errno, ENOENT);
+}
+
+// --- the programs' command lines -------------------------------------------
+
+TEST(Programs, RefuseNonUnixEndpointsAndRemovedFlagsWithUsage)
+{
+    // Each command names a socket in a directory that does not exist,
+    // so a program that accepted what it should refuse fails to bind
+    // or connect instead of serving forever.
+    const std::string interpd = std::string(INTERPD_BIN) +
+                                " --socket /nonexistent/interpd.sock";
+    const std::string interproxy =
+        std::string(INTERPROXY_BIN) +
+        " --socket /nonexistent/interproxy.sock";
+    const std::string loadgen =
+        std::string(LOADGEN_BIN) + " --connect-attempts 1 --endpoints";
+    std::string too_long =
+        "/" + std::string(sizeof(sockaddr_un::sun_path), 'x');
+
+    std::vector<std::pair<std::string, std::string>> refused;
+    for (const std::string &spec :
+         {std::string("tcp:8080"), std::string("8080"),
+          std::string("unix:"), too_long}) {
+        refused.push_back({interproxy + " --shard " + spec, "interproxy"});
+        refused.push_back({loadgen + " " + spec, "loadgen"});
+    }
+    for (const char *flags : {"--tcp 0", "--batch 4", "--reuseport"})
+        refused.push_back({interpd + " " + flags, "interpd"});
+    for (const char *flags :
+         {"--tcp 0", "--vnodes 8", "--retries 1", "--probe-ms 100",
+          "--probe-misses 2", "--forward-ms 60", "--backoff-ms 50",
+          "--max-inflight 4"})
+        refused.push_back({interproxy + " --shard /nonexistent/s0.sock " +
+                               flags,
+                           "interproxy"});
+    refused.push_back({std::string(LOADGEN_BIN) + " --tcp 8080", "loadgen"});
+
+    for (const auto &[command, program] : refused) {
+        auto [status, out] = runProgram(command);
+        EXPECT_EQ(status, 2) << command << "\n" << out;
+        EXPECT_EQ(out.rfind("usage: " + program, 0), 0u)
+            << command << "\n" << out;
+    }
 }

@@ -11,6 +11,9 @@
  *              harness produces for the same spec (commands, native
  *              instructions, stdout) — serving must not perturb the
  *              measurement, even with several modes in flight;
+ *   order      one worker runs requests in arrival order, whatever
+ *              their modes, and a daemon torn down with requests
+ *              queued runs none of them;
  *   shedding   an over-capacity burst yields SHED responses and zero
  *              crashes, and every request id is answered exactly once;
  *   deadlines  an already-expired deadline returns DEADLINE without
@@ -21,6 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <sys/un.h>
+
 #include <cctype>
 #include <cstdio>
 #include <map>
@@ -30,6 +36,7 @@
 
 #include "harness/runner.hh"
 #include "server/client.hh"
+#include "server/conn.hh"
 #include "server/server.hh"
 #include "server/stats.hh"
 #include "support/logging.hh"
@@ -483,6 +490,33 @@ TEST(ProgramCatalog, MicroCacheStopsGrowingAtItsCap)
     EXPECT_EQ(c.loads, cap + 3);
 }
 
+// --- endpoint parsing (outside input) --------------------------------------
+
+TEST(Endpoint, OnlyUnixSocketPathsParse)
+{
+    Endpoint ep;
+    ASSERT_TRUE(Endpoint::parse("unix:/tmp/s0.sock", ep));
+    EXPECT_EQ(ep.path, "/tmp/s0.sock");
+    ASSERT_TRUE(Endpoint::parse("unix:s0.sock", ep));
+    EXPECT_EQ(ep.path, "s0.sock");
+    ASSERT_TRUE(Endpoint::parse("/tmp/s1.sock", ep));
+    EXPECT_EQ(ep.path, "/tmp/s1.sock");
+    ASSERT_TRUE(Endpoint::parse("run/s2.sock", ep));
+    EXPECT_EQ(ep.path, "run/s2.sock");
+
+    // The longest path a sockaddr_un holds, and one byte more.
+    const size_t room = sizeof(sockaddr_un::sun_path) - 1;
+    std::string longest = "/" + std::string(room - 1, 'x');
+    EXPECT_TRUE(Endpoint::parse(longest, ep));
+    EXPECT_TRUE(Endpoint::parse("unix:" + longest, ep));
+    EXPECT_FALSE(Endpoint::parse(longest + "x", ep));
+    EXPECT_FALSE(Endpoint::parse("unix:" + longest + "x", ep));
+
+    for (const char *bad : {"tcp:8080", "8080", "unix:", "", "s0.sock",
+                            "localhost:8080"})
+        EXPECT_FALSE(Endpoint::parse(bad, ep)) << '"' << bad << '"';
+}
+
 // --- end-to-end: identity under concurrency --------------------------------
 
 TEST(ServerEndToEnd, LoadgenMatchesBatchHarnessAcrossModes)
@@ -552,7 +586,6 @@ TEST(ServerEndToEnd, OverCapacityBurstShedsWithoutCrashing)
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.maxQueue = 2;
-    cfg.maxBatch = 1;
     TestServer ts(cfg);
 
     // Pipeline a burst far beyond queue capacity; every id must come
@@ -599,6 +632,86 @@ TEST(ServerEndToEnd, OverCapacityBurstShedsWithoutCrashing)
     EXPECT_EQ(v, shed);
     ASSERT_TRUE(statsJsonUint(json, "served", v));
     EXPECT_EQ(v, ok + 1);
+}
+
+// --- end-to-end: arrival order and shutdown --------------------------------
+
+TEST(ServerEndToEnd, OneWorkerAnswersInArrivalOrderAcrossModes)
+{
+    ServerConfig cfg;
+    cfg.workers = 1;
+    TestServer ts(cfg);
+
+    // A slow Tcl run holds the only worker while MIPSI, Java, MIPSI
+    // requests queue behind it. The pool is one FIFO, so they run and
+    // answer in send order; no mode jumps the queue.
+    Client conn = Client::connectUnix(ts.path());
+    const Lang modes[] = {Lang::Tcl, Lang::Mipsi, Lang::Java,
+                          Lang::Mipsi};
+    for (uint32_t i = 0; i < 4; ++i) {
+        EvalRequest req = microRequest(modes[i], i == 0 ? 20000 : 300);
+        req.id = i + 1;
+        conn.sendEval(req);
+    }
+    for (uint32_t i = 0; i < 4; ++i) {
+        EvalResponse resp = conn.recv();
+        EXPECT_EQ(resp.id, i + 1) << "answer " << i << " out of order";
+        EXPECT_EQ(resp.status, Status::Ok) << resp.result;
+    }
+}
+
+TEST(ServerEndToEnd, DestroyingTheServerDropsQueuedRequests)
+{
+    char dir[96];
+    std::snprintf(dir, sizeof(dir), "/tmp/interpd_test_drop_%d",
+                  (int)::getpid());
+
+    ServerConfig cfg;
+    cfg.workers = 1;
+    cfg.recordDir = dir;
+    auto ts = std::make_unique<TestServer>(cfg);
+
+    // One long run (cut off by its deadline) holds the only worker;
+    // three recording requests queue behind it. A request that runs
+    // leaves a tape in the record directory.
+    Client conn = Client::connectUnix(ts->path());
+    EvalRequest slow = microRequest(Lang::Tcl, 2'000'000);
+    slow.id = 1;
+    slow.deadlineMs = 2000;
+    conn.sendEval(slow);
+    for (uint32_t id = 2; id <= 4; ++id) {
+        EvalRequest req = microRequest(Lang::Mipsi, 300);
+        req.id = id;
+        req.flags = kFlagRecordTrace;
+        conn.sendEval(req);
+    }
+    Client probe = Client::connectUnix(ts->path());
+    uint64_t queued = 0, idle = 1;
+    for (int tries = 0; tries < 200 && (queued != 3 || idle != 0);
+         ++tries) {
+        std::string json = probe.stats();
+        statsJsonUint(json, "queued_jobs", queued);
+        statsJsonUint(json, "idle_workers", idle);
+        if (queued != 3 || idle != 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_EQ(queued, 3u);
+    ASSERT_EQ(idle, 0u);
+
+    // Teardown waits for the running request only; the queued ones
+    // never start, so no tape is written.
+    ts.reset();
+    size_t tapes = 0;
+    if (DIR *d = ::opendir(dir)) {
+        while (struct dirent *ent = ::readdir(d))
+            if (ent->d_name[0] != '.') {
+                ++tapes;
+                std::remove((std::string(dir) + "/" + ent->d_name).c_str());
+            }
+        ::closedir(d);
+    }
+    ::rmdir(dir);
+    EXPECT_EQ(tapes, 0u) << "a queued request ran during teardown";
 }
 
 // --- end-to-end: deadlines -------------------------------------------------
@@ -720,7 +833,6 @@ TEST(ServerEndToEnd, MixedClassLoadSplitsOutcomesByClass)
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.maxQueue = 2;
-    cfg.maxBatch = 1;
     TestServer ts(cfg);
 
     auto named = [](const char *name, uint32_t deadline) {

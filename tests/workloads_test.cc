@@ -56,8 +56,9 @@ TEST(Registry, EveryWorkloadHasSourcesAndAGoldenPerMode)
                 << harness::langName(src.lang);
             EXPECT_FALSE(golden->empty()) << w.name;
             // The checksum form must be a full 16-digit fnv64 hex.
-            if (golden->rfind("fnv64:", 0) == 0)
+            if (golden->rfind("fnv64:", 0) == 0) {
                 EXPECT_EQ(golden->size(), 6u + 16u) << w.name;
+            }
         }
         // No golden may dangle: each must name a declared source mode.
         for (const Golden &g : w.goldens)
