@@ -83,9 +83,9 @@ Proxy::pollTimeoutMs(Clock::time_point now) const
         }
     };
     for (const Shard &s : shards) {
-        if (!s.up)
+        if (s.conn.fd < 0)
             consider(s.nextAttempt);
-        else if (!s.probeOutstanding)
+        else if (s.up && !s.probeOutstanding)
             consider(s.nextProbe);
         for (const auto &entry : s.inflight)
             consider(entry.second.deadline);
@@ -148,7 +148,7 @@ Proxy::runTimers(Clock::time_point now)
     std::vector<uint32_t> expired;
     for (size_t i = 0; i < shards.size(); ++i) {
         Shard &s = shards[i];
-        if (!s.up && now >= s.nextAttempt)
+        if (s.conn.fd < 0 && now >= s.nextAttempt)
             connectShard((int)i);
         else if (s.up && !s.probeOutstanding && now >= s.nextProbe)
             sendProbe((int)i);
@@ -171,7 +171,7 @@ Proxy::runTimers(Clock::time_point now)
             ++s.gauge.probeFailures;
             ++s.probeMisses;
             s.probeOutstanding = false;
-            if (s.probeMisses >= kProbeMissLimit)
+            if (!s.up || s.probeMisses >= kProbeMissLimit)
                 failShard((int)i, "health probes missed");
         }
     }
@@ -256,6 +256,13 @@ Proxy::dispatchEval(Outstanding o)
 
     bool any_alive = std::any_of(shards.begin(), shards.end(),
                                  [](const Shard &s) { return s.up; });
+    if (!any_alive && std::any_of(shards.begin(), shards.end(),
+                                  [](const Shard &s) {
+                                      return s.conn.fd >= 0;
+                                  })) {
+        parked.push_back(std::move(o));
+        return;
+    }
     EvalResponse resp;
     if (any_alive) {
         // Aggregate capacity: every alive shard is full or shed.
@@ -266,6 +273,15 @@ Proxy::dispatchEval(Outstanding o)
         resp.result = "no alive shards";
     }
     deliver(o, std::move(resp));
+}
+
+void
+Proxy::dispatchParked()
+{
+    std::vector<Outstanding> waiting = std::move(parked);
+    parked.clear();
+    for (Outstanding &o : waiting)
+        dispatchEval(std::move(o));
 }
 
 void
@@ -313,14 +329,9 @@ Proxy::connectShard(int shard_index)
     s.conn.in.clear();
     s.conn.out.clear();
     server::encodeHello(s.conn.out); // first bytes on the wire
-    s.up = true;
-    if (s.gauge.downEvents > 0)
-        ++s.gauge.reconnects;
-    s.backoffMs = 0;
+    // The shard stays down until it answers this probe.
     s.probeMisses = 0;
-    s.probeOutstanding = false;
-    s.nextProbe = Clock::now() + milliseconds(kProbeIntervalMs);
-    writeBack(shard_index);
+    sendProbe(shard_index);
 }
 
 void
@@ -395,6 +406,14 @@ Proxy::handleBackResponse(int shard_index, const EvalResponse &resp)
       case Outstanding::Kind::Probe:
         s.probeOutstanding = false;
         s.probeMisses = 0;
+        if (!s.up) {
+            // The first answer on this connection: the shard is up.
+            s.up = true;
+            if (s.gauge.downEvents > 0)
+                ++s.gauge.reconnects;
+            s.backoffMs = 0;
+            dispatchParked();
+        }
         return;
       case Outstanding::Kind::Stats:
         if (!o.agg->done) {
@@ -437,19 +456,26 @@ void
 Proxy::failShard(int shard_index, const char *reason)
 {
     Shard &s = shards[(size_t)shard_index];
-    if (!s.up)
+    if (s.conn.fd < 0)
         return;
     ::close(s.conn.fd);
     s.conn = server::Conn{};
-    s.up = false;
-    ++s.gauge.downEvents;
-    stats_.noteShardFailure();
     s.probeOutstanding = false;
     s.probeMisses = 0;
     scheduleReconnect(s);
 
+    // A connection that never answered carries only its first probe:
+    // the shard was never up, so nothing went down. Parked EVALs wait
+    // for it no longer.
     auto inflight = std::move(s.inflight);
     s.inflight.clear();
+    if (!s.up) {
+        dispatchParked();
+        return;
+    }
+    s.up = false;
+    ++s.gauge.downEvents;
+    stats_.noteShardFailure();
     if (!inflight.empty() || s.gauge.downEvents == 1)
         warn("interproxy: shard %s down (%s), %zu in flight",
              s.ep.name.c_str(), reason, inflight.size());

@@ -16,13 +16,19 @@
  *              ids and demultiplexed back to the right client
  *              connection and client-chosen id, preserving full
  *              pipelining with out-of-order replies end to end.
- *   failover   a shard that refuses connections, closes mid-request,
- *              times out, or misses kProbeMissLimit health probes in
- *              a row is marked down: its in-flight requests are
- *              retried on the next ring candidate (bounded retries)
- *              or answered ERROR, new requests route around it
- *              (explicit DEGRADED accounting in STATS), and
- *              reconnects back off exponentially until it returns.
+ *   failover   a shard is up only once it has answered a probe on
+ *              its current connection: each connect sends the hello
+ *              and a first probe, and a connection whose first probe
+ *              goes unanswered for kStatsTimeoutMs is closed. An EVAL
+ *              that finds no shard up while one still awaits that
+ *              answer (a proxy just started) waits for it. A shard
+ *              that refuses connections, closes mid-request, times
+ *              out, or misses kProbeMissLimit health probes in a row
+ *              is marked down: its in-flight requests are retried on
+ *              the next ring candidate (bounded retries) or answered
+ *              ERROR, new requests route around it (explicit DEGRADED
+ *              accounting in STATS), and reconnects back off
+ *              exponentially until it answers again.
  *   shedding   a shard's SHED answer makes the proxy retry the next
  *              candidate; the client sees SHED only when every
  *              alive shard has refused — backpressure at aggregate
@@ -146,7 +152,9 @@ class Proxy
     struct Shard
     {
         ShardEndpoint ep;
-        bool up = false; ///< connected; else down, awaiting nextAttempt
+        /** Answered a probe on this connection. Else down: connected
+         *  and awaiting the first answer, or awaiting nextAttempt. */
+        bool up = false;
         server::Conn conn;
         std::unordered_map<uint32_t, Outstanding> inflight;
         uint32_t backoffMs = 0;
@@ -161,22 +169,27 @@ class Proxy
 
     // --- routing ----------------------------------------------------------
     /** Forward @p o to the best candidate, or synthesize SHED/ERROR
-     *  back to its client when the ring is exhausted. */
+     *  back to its client when the ring is exhausted; park it while
+     *  no shard is up but one is awaiting its first probe answer. */
     void dispatchEval(Outstanding o);
+    /** Dispatch every parked EVAL again. */
+    void dispatchParked();
     void forwardTo(int shard_index, Outstanding o);
     void deliver(Outstanding &o, server::EvalResponse resp);
 
     // --- back side --------------------------------------------------------
-    /** Connect and mark the shard up, or schedule the next attempt. */
+    /** Connect and send the hello and a first probe, whose answer
+     *  marks the shard up; or schedule the next attempt. */
     void connectShard(int shard_index);
-    /** Back off the shard's next connect attempt. */
+    /** Back off the shard's next connect attempt; the backoff resets
+     *  only when the shard answers. */
     static void scheduleReconnect(Shard &s);
     void readBack(int shard_index);
     void writeBack(int shard_index);
     void handleBackResponse(int shard_index,
                             const server::EvalResponse &resp);
-    /** Mark the shard down, fail over its in-flight work, schedule a
-     *  reconnect. */
+    /** Close the shard's connection, mark it down, fail over its
+     *  in-flight work and schedule a reconnect. */
     void failShard(int shard_index, const char *reason);
     /** Give up on @p o (not a probe) at shard @p s: retry an EVAL
      *  elsewhere or answer ERROR "shard <name><why>"; a STATS
@@ -203,6 +216,11 @@ class Proxy
     std::vector<Shard> shards;
     uint32_t nextBackendId = 1;
     std::vector<std::shared_ptr<StatsAgg>> aggs;
+    /** EVALs that found no shard up while a connected shard had not
+     *  yet answered its first probe (a proxy just started): dispatched
+     *  again once a shard comes up or the last such connection is
+     *  closed, so at most kStatsTimeoutMs later. */
+    std::vector<Outstanding> parked;
 };
 
 } // namespace interp::cluster

@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "server/client.hh"
+#include "server/stats.hh"
 #include "support/logging.hh"
 
 namespace interp::cluster {
@@ -110,6 +112,20 @@ LocalCluster::start()
     proxy_->start();
     proxyThread_ = std::thread([p = proxy_.get()] { p->run(); });
     waitConnectable(proxyPath_);
+    // Connectable is not routable: a shard takes traffic once it has
+    // answered the proxy's first probe, so the first request never
+    // reroutes around a shard still coming up.
+    server::Client client = server::Client::connectUnix(proxyPath_);
+    for (int attempt = 0;; ++attempt) {
+        uint64_t up = 0;
+        server::statsJsonUint(client.stats(), "proxy.shards_up", up);
+        if (up == cfg.shardCount)
+            break;
+        if (attempt == 5000)
+            fatal("cluster: proxy reports %llu of %u shards up",
+                  (unsigned long long)up, cfg.shardCount);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     started_ = true;
 }
 

@@ -53,7 +53,7 @@ class LocalCluster
     LocalCluster &operator=(const LocalCluster &) = delete;
 
     /** Spawn every shard, then the proxy; returns once the proxy
-     *  listener accepts and every shard socket is connectable.
+     *  listener accepts and the proxy reports every shard up.
      *  fatal() on setup failure. */
     void start();
 

@@ -96,8 +96,20 @@ Execution::flush()
 }
 
 // --- emission core -----------------------------------------------------------
+//
+// Every helper in this section but tallyCold is forced inline, so each
+// primitive below is one out-of-line function that calls out only to
+// open a new attribution run, to read the clock at a safepoint and to
+// flush a full batch. Without a batch sink a primitive only counts
+// (count()): it neither maps a data address nor steps the PC, which
+// only batch sinks read, and calls and returns keep just the routine
+// stack's pairing. When the attribution matches the open run and no
+// safepoint is due, that is one add; otherwise count() tail-calls
+// tallyCold.
 
-uint32_t
+#define EMISSION_CORE [[gnu::always_inline]] inline
+
+EMISSION_CORE uint32_t
 Execution::attribution() const
 {
     // Category in the low byte, the BundleBatch flag bits in the next,
@@ -122,12 +134,11 @@ Execution::commitRun()
 }
 
 template <bool Safepoint>
-void
-Execution::emit(uint32_t at, uint32_t n, InstClass cls, uint32_t mem_addr,
-                bool taken, uint32_t target)
+EMISSION_CORE uint32_t
+Execution::tally(uint32_t n)
 {
     uint32_t key = attribution();
-    if (key != runKey) {
+    if (key != runKey) [[unlikely]] {
         commitRun();
         runKey = key;
         runStart = totalInsts;
@@ -135,13 +146,39 @@ Execution::emit(uint32_t at, uint32_t n, InstClass cls, uint32_t mem_addr,
     totalInsts += n;
     if (Safepoint && totalInsts >= nextSafepoint) [[unlikely]]
         safepoint();
-    if (sinks.empty())
+    return key;
+}
+
+template <bool Safepoint>
+[[gnu::noinline]] void
+Execution::tallyCold(uint32_t n)
+{
+    tally<Safepoint>(n);
+}
+
+template <bool Safepoint>
+EMISSION_CORE void
+Execution::count(uint32_t n)
+{
+    if (attribution() == runKey &&
+        (!Safepoint || totalInsts + n < nextSafepoint)) [[likely]] {
+        totalInsts += n;
         return;
+    }
+    tallyCold<Safepoint>(n);
+}
+
+template <bool Safepoint>
+EMISSION_CORE void
+Execution::emit(uint32_t at, uint32_t n, InstClass cls, uint32_t mem_addr,
+                bool taken, uint32_t target)
+{
+    uint32_t key = tally<Safepoint>(n);
     batch.pushPacked(at, n, BundleBatch::packClsCat(cls, cat),
                      (uint8_t)(key >> 8) |
                          (taken ? BundleBatch::kTakenBit : 0),
                      command, mem_addr, target);
-    if (batch.full()) {
+    if (batch.full()) [[unlikely]] {
         // A return runs in RoutineScope's destructor. While an
         // exception unwinds, a sink's throw from there would
         // terminate, so the failing run drops its batch instead.
@@ -152,7 +189,7 @@ Execution::emit(uint32_t at, uint32_t n, InstClass cls, uint32_t mem_addr,
     }
 }
 
-void
+[[gnu::noinline]] void
 Execution::safepoint()
 {
     if (Clock::now() < deadline) {
@@ -163,7 +200,7 @@ Execution::safepoint()
     throw DeadlineExpired{};
 }
 
-uint32_t
+EMISSION_CORE uint32_t
 Execution::step()
 {
     uint32_t at = curPc;
@@ -173,30 +210,41 @@ Execution::step()
     return at;
 }
 
-void
-Execution::emitStraight(uint32_t count, InstClass cls)
+EMISSION_CORE void
+Execution::emitStraight(uint32_t n, InstClass cls)
 {
+    if (sinks.empty()) {
+        // Nothing for a zero count, as the loop below.
+        if (n > 0)
+            count<true>(n);
+        return;
+    }
     // Split runs at the routine's end so PCs stay inside its body, and
     // carve each wrap's taken loop-back branch out of the count.
-    while (count > 0) {
+    while (n > 0) {
         uint32_t at = curPc;
-        uint32_t run = std::min(count, (curEnd - at) / 4);
+        uint32_t run = std::min(n, (curEnd - at) / 4);
         curPc += run * 4;
         if (curPc >= curEnd)
             curPc = curBase;
         emit(at, run, cls, 0, false, 0);
-        count -= run;
-        if (count > 0) {
+        n -= run;
+        if (n > 0) {
             uint32_t branch_pc = step();
             emit(branch_pc, 1, InstClass::CondBranch, 0, true, branch_pc);
-            --count;
+            --n;
         }
     }
 }
 
-void
+EMISSION_CORE void
 Execution::enter(RoutineId routine, InstClass cls, uint32_t dispatch_bit)
 {
+    if (sinks.empty()) {
+        count<true>(1);
+        frames.push_back({0, 0, 0, dispatch_bit});
+        return;
+    }
     const Routine &r = registry.routine(routine);
     uint32_t callee_base = r.base;
     uint32_t callee_end = r.base + r.sizeInsts * 4;
@@ -207,7 +255,7 @@ Execution::enter(RoutineId routine, InstClass cls, uint32_t dispatch_bit)
     curEnd = callee_end;
 }
 
-void
+EMISSION_CORE void
 Execution::leave(InstClass cls, uint32_t dispatch_bit)
 {
     const char *how = dispatch_bit ? "endDispatch" : "returnRoutine";
@@ -218,12 +266,16 @@ Execution::leave(InstClass cls, uint32_t dispatch_bit)
         panic("%s from %s frame; use %s", how,
               dispatch_bit ? "call" : "dispatch",
               dispatch_bit ? "returnRoutine" : "endDispatch");
-    uint32_t at = curPc;
     frames.pop_back();
+    // Not a safepoint: RoutineScope's destructor lands here.
+    if (sinks.empty()) {
+        count<false>(1);
+        return;
+    }
+    uint32_t at = curPc;
     curPc = f.pc;
     curBase = f.base;
     curEnd = f.end;
-    // Not a safepoint: RoutineScope's destructor lands here.
     emit<false>(at, 1, cls, 0, true, f.returnPc & ~kViaDispatch);
 }
 
@@ -256,6 +308,10 @@ Execution::nop(uint32_t n)
 void
 Execution::load(const void *ptr)
 {
+    if (sinks.empty()) {
+        count<true>(1);
+        return;
+    }
     uint32_t addr = addrMapper.map(ptr);
     emit(step(), 1, InstClass::Load, addr, false, 0);
 }
@@ -263,6 +319,10 @@ Execution::load(const void *ptr)
 void
 Execution::store(const void *ptr)
 {
+    if (sinks.empty()) {
+        count<true>(1);
+        return;
+    }
     uint32_t addr = addrMapper.map(ptr);
     emit(step(), 1, InstClass::Store, addr, false, 0);
 }
@@ -270,18 +330,30 @@ Execution::store(const void *ptr)
 void
 Execution::loadAt(uint32_t synth_addr)
 {
+    if (sinks.empty()) {
+        count<true>(1);
+        return;
+    }
     emit(step(), 1, InstClass::Load, synth_addr, false, 0);
 }
 
 void
 Execution::storeAt(uint32_t synth_addr)
 {
+    if (sinks.empty()) {
+        count<true>(1);
+        return;
+    }
     emit(step(), 1, InstClass::Store, synth_addr, false, 0);
 }
 
 void
 Execution::branch(bool taken)
 {
+    if (sinks.empty()) {
+        count<true>(1);
+        return;
+    }
     // Taken branches jump a short distance forward within the routine;
     // the exact target only matters to the predictor's history table.
     uint32_t at = step();
@@ -313,10 +385,14 @@ Execution::endDispatch()
 }
 
 void
-Execution::emitAt(uint32_t pc, InstClass cls, uint32_t count,
+Execution::emitAt(uint32_t pc, InstClass cls, uint32_t n,
                   uint32_t mem_addr, bool taken, uint32_t target)
 {
-    emit(pc, count, cls, mem_addr, taken, target);
+    if (sinks.empty()) {
+        count<true>(n);
+        return;
+    }
+    emit(pc, n, cls, mem_addr, taken, target);
 }
 
 void

@@ -33,12 +33,17 @@
  * Execution sums each run of instructions sharing one attribution and
  * hands the sum to the Profile when the attribution changes and at
  * every flush(). Bundles are then built only while a batch sink is
- * attached; a counting-only run builds none.
+ * attached; a counting-only run builds none, and its primitives
+ * neither map a data address nor step the PC.
  *
- * The emission primitives stay out of line, in execution.cc. The
+ * Each emission is one call: every primitive is a single out-of-line
+ * function in execution.cc with the emission core forced inline into
+ * it, and it calls out only when the attribution changes, a safepoint
+ * is due or a full batch flushes. The primitives stay out of line,
+ * and their counting fast path must not move into this header: the
  * interpreters pass addresses of their own stack locals to load() and
- * store(), and inlining the primitives would change those stack
- * frames and with them the simulated data addresses.
+ * store(), and inlining any of it would change those stack frames and
+ * with them the simulated data addresses.
  */
 
 #ifndef INTERP_TRACE_EXECUTION_HH
@@ -89,6 +94,10 @@ struct DeadlineExpired
  * same insertions in the same order as without the table, so its
  * heap allocations (which the deterministic allocator hands back to
  * the interpreters) are unchanged. The table itself allocates nothing.
+ *
+ * Only runs with a batch sink map addresses: a counting-only run
+ * consults neither the mapper nor the PC window, so its map stays
+ * empty.
  */
 class AddressMapper
 {
@@ -302,9 +311,18 @@ class Execution
 
     /** Current attribution as one word: category, flags, command. */
     uint32_t attribution() const;
-    /** Count @p n instructions, pass the deadline safepoint (unless
-     *  @p Safepoint is false) and, with a batch sink attached, push
-     *  their bundle. */
+    /** Count @p n instructions into the open attribution run (opening
+     *  a new one when the attribution changed) and pass the deadline
+     *  safepoint unless @p Safepoint is false. Returns the
+     *  attribution. */
+    template <bool Safepoint> uint32_t tally(uint32_t n);
+    /** tally() out of line: count()'s exit when the attribution
+     *  changed or a safepoint is due. */
+    template <bool Safepoint> void tallyCold(uint32_t n);
+    /** The counting-only path: add @p n to the open run when its
+     *  attribution matches and no safepoint is due, else tallyCold(). */
+    template <bool Safepoint> void count(uint32_t n);
+    /** tally(), then push the bundle: the path with a batch sink. */
     template <bool Safepoint = true>
     void emit(uint32_t at, uint32_t n, InstClass cls, uint32_t mem_addr,
               bool taken, uint32_t target);
@@ -319,8 +337,8 @@ class Execution
     void commitRun();
     /** The current PC, then advance it one instruction, wrapping. */
     uint32_t step();
-    /** Emit a @p count-instruction run of @p cls at the current PC. */
-    void emitStraight(uint32_t count, InstClass cls);
+    /** Emit an @p n-instruction run of @p cls at the current PC. */
+    void emitStraight(uint32_t n, InstClass cls);
     /** fatal() unless nothing has been emitted yet. */
     void requireFreshStream(const char *what) const;
     /** Emit the transfer into @p routine and make its window current,

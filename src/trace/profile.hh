@@ -34,7 +34,7 @@ struct CommandStats
 };
 
 /** Accumulates software-level counters for one run. */
-class Profile : public Sink
+class Profile final : public Sink
 {
   public:
     void onBatch(const BundleBatch &batch) override;

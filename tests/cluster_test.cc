@@ -972,13 +972,61 @@ TEST(ClusterEndToEnd, LateReplyAfterTimeoutIsCountedOnceAndDropped)
 
 // --- end-to-end: a mute shard and the health probes ------------------------
 
-TEST(ClusterEndToEnd, MuteShardIsMarkedDownByMissedProbes)
+/** A shard that takes connections but never answers: a listening unix
+ *  socket at @p path that nothing accepts or reads. */
+class MuteListener
 {
-    // A shard that takes connections but never answers: a listening
-    // unix socket that nothing accepts or reads. Its socket never
-    // closes, so only the health probes can find it out: the first
-    // goes out kProbeIntervalMs after the connect, and each miss
-    // takes kStatsTimeoutMs, so it is down after about 2.25 s.
+  public:
+    explicit MuteListener(const std::string &path)
+        : fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0)), path_(path)
+    {
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        if (path.size() >= sizeof(addr.sun_path))
+            return;
+        std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+        listening = ::bind(fd, (const sockaddr *)&addr, sizeof(addr)) == 0 &&
+                    ::listen(fd, 16) == 0;
+    }
+    ~MuteListener()
+    {
+        ::close(fd);
+        ::unlink(path_.c_str());
+    }
+
+    MuteListener(const MuteListener &) = delete;
+    MuteListener &operator=(const MuteListener &) = delete;
+
+    int fd;
+    bool listening = false;
+
+  private:
+    std::string path_;
+};
+
+/** A request whose home on a @p shards -shard ring is shard @p home. */
+EvalRequest
+requestHomedOn(int home, unsigned shards)
+{
+    HashRing ring(shards, kVnodes);
+    for (Lang mode : {Lang::Tcl, Lang::Mipsi, Lang::Java,
+                      Lang::MipsiThreaded, Lang::Perl}) {
+        EvalRequest req = microRequest(mode, 300);
+        if (ring.shardFor(routingKey((uint8_t)mode, req.program)) == home)
+            return req;
+    }
+    ADD_FAILURE() << "no candidate key homes on shard " << home;
+    return {};
+}
+
+TEST(ClusterEndToEnd, MuteShardIsNeverReportedUp)
+{
+    // A shard that takes connections but never answers. Each connect
+    // sends the hello and a first probe; the shard would be up only
+    // once that probe is answered, so it stays down: every kStatsTimeoutMs
+    // the proxy closes the connection and reconnects on its backoff.
+    // Watch it for 3 s; it must never be reported up, and its key
+    // must reroute on the first request.
     ClusterConfig cc;
     cc.shardCount = 1; // the live shard; this test brings its own proxy
     cc.workersPerShard = 1;
@@ -986,22 +1034,8 @@ TEST(ClusterEndToEnd, MuteShardIsMarkedDownByMissedProbes)
     cluster.start();
 
     std::string mute = cluster.tempDir() + "/mute.sock";
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    ASSERT_LT(mute.size(), sizeof(addr.sun_path));
-    std::memcpy(addr.sun_path, mute.c_str(), mute.size() + 1);
-    struct Listener
-    {
-        int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        Listener() = default;
-        Listener(const Listener &) = delete;
-        Listener &operator=(const Listener &) = delete;
-        ~Listener() { ::close(fd); }
-    } listener;
-    ASSERT_EQ(::bind(listener.fd, (const sockaddr *)&addr, sizeof(addr)),
-              0)
-        << std::strerror(errno);
-    ASSERT_EQ(::listen(listener.fd, 16), 0) << std::strerror(errno);
+    MuteListener listener(mute);
+    ASSERT_TRUE(listener.listening) << std::strerror(errno);
 
     ProxyConfig pc;
     pc.unixPath = cluster.tempDir() + "/probed-proxy.sock";
@@ -1010,51 +1044,145 @@ TEST(ClusterEndToEnd, MuteShardIsMarkedDownByMissedProbes)
     pc.shards[0].path = mute;
     pc.shards[1].name = "s1";
     pc.shards[1].path = cluster.shardPath(0);
-
-    // A key whose home is the mute shard.
-    HashRing ring(2, kVnodes);
-    EvalRequest req;
-    bool found = false;
-    for (Lang mode : {Lang::Tcl, Lang::Mipsi, Lang::Java,
-                      Lang::MipsiThreaded, Lang::Perl}) {
-        req = microRequest(mode, 300);
-        if (ring.shardFor(routingKey((uint8_t)mode, req.program)) == 0) {
-            found = true;
-            break;
-        }
-    }
-    ASSERT_TRUE(found) << "no candidate key homes on the mute shard";
+    EvalRequest req = requestHomedOn(0, 2);
 
     auto t0 = std::chrono::steady_clock::now();
     RunningProxy proxy(pc);
-    ASSERT_TRUE(waitStatAtLeast(pc.unixPath, "shards.s0.down_events", 1,
-                                30'000))
-        << "the mute shard was never marked down";
-    auto elapsed = std::chrono::steady_clock::now() - t0;
-    EXPECT_GE(elapsed, std::chrono::milliseconds(
-                           kProbeIntervalMs +
-                           kProbeMissLimit * kStatsTimeoutMs));
+    ASSERT_TRUE(waitShardState(pc.unixPath, "s1", "up", 5000));
+    int polls = 0;
+    while (std::chrono::steady_clock::now() - t0 <
+           std::chrono::milliseconds(3000)) {
+        std::string json = proxyStats(pc.unixPath);
+        ASSERT_NE(json.find("\"s0\":{\"state\":\"down\""),
+                  std::string::npos)
+            << "the mute shard was reported up: " << json;
+        ++polls;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    EXPECT_GT(polls, 10);
     std::string json = proxyStats(pc.unixPath);
     uint64_t v = 0;
+    // The first probe of two connections went unanswered by now
+    // (1 s each, 50 ms of backoff between them).
     ASSERT_TRUE(statsJsonUint(json, "shards.s0.probe_failures", v));
-    EXPECT_GE(v, kProbeMissLimit);
-    ASSERT_TRUE(statsJsonUint(json, "shards.s1.down_events", v));
-    EXPECT_EQ(v, 0u);
+    EXPECT_GE(v, 2u);
+    ASSERT_TRUE(statsJsonUint(json, "shards.s0.down_events", v));
+    EXPECT_EQ(v, 0u) << "never up, so never down";
+    ASSERT_TRUE(statsJsonUint(json, "proxy.shards_up", v));
+    EXPECT_EQ(v, 1u);
 
-    // The proxy reconnects after its backoff, and the listener takes
-    // that connection too. Unlink the socket so the next down sticks,
-    // then send the mute shard's key: it reroutes to the live shard.
-    ::unlink(mute.c_str());
-    ASSERT_TRUE(waitShardState(pc.unixPath, "s0", "down", 30'000));
+    // The mute shard's key reroutes to the live shard at once.
     Client conn = Client::connectUnix(pc.unixPath);
     req.id = 7;
+    auto sent = std::chrono::steady_clock::now();
     EvalResponse resp = conn.eval(req);
     EXPECT_EQ(resp.status, Status::Ok) << resp.result;
+    EXPECT_LT(std::chrono::steady_clock::now() - sent,
+              std::chrono::milliseconds(kStatsTimeoutMs))
+        << "the request waited on the mute shard";
     json = proxyStats(pc.unixPath);
     ASSERT_TRUE(statsJsonUint(json, "proxy.rerouted", v));
-    EXPECT_GE(v, 1u);
+    EXPECT_EQ(v, 1u);
+    ASSERT_TRUE(statsJsonUint(json, "proxy.retries", v));
+    EXPECT_EQ(v, 0u) << "rerouted on the first dispatch, not retried";
     ASSERT_TRUE(statsJsonUint(json, "shards.s1.ok", v));
     EXPECT_EQ(v, 1u);
+    ASSERT_TRUE(statsJsonUint(json, "shards.s0.forwarded", v));
+    EXPECT_EQ(v, 0u);
+}
+
+TEST(ClusterEndToEnd, ShardThatStartsAnsweringComesUp)
+{
+    // A shard dies, and its socket path comes back mute: the proxy
+    // connects, its first probe goes unanswered, and the shard stays
+    // down. Then a real shard takes the path over: the proxy's next
+    // reconnect is answered and the shard comes up, and its key goes
+    // home again.
+    ClusterConfig cc;
+    cc.shardCount = 2;
+    cc.workersPerShard = 1;
+    LocalCluster cluster(cc);
+    cluster.start();
+    EvalRequest req = requestHomedOn(0, 2);
+
+    cluster.killShard(0);
+    ASSERT_TRUE(waitShardState(cluster.proxyPath(), "s0", "down", 3000));
+    {
+        MuteListener listener(cluster.shardPath(0));
+        ASSERT_TRUE(listener.listening) << std::strerror(errno);
+        ASSERT_TRUE(waitStatAtLeast(cluster.proxyPath(),
+                                    "shards.s0.probe_failures", 1,
+                                    10'000))
+            << "the proxy never probed the mute listener";
+        std::string json = proxyStats(cluster.proxyPath());
+        EXPECT_NE(json.find("\"s0\":{\"state\":\"down\""),
+                  std::string::npos)
+            << json;
+    } // closes and unlinks the mute socket
+
+    cluster.restartShard(0);
+    ASSERT_TRUE(waitShardState(cluster.proxyPath(), "s0", "up", 10'000));
+    std::string json = proxyStats(cluster.proxyPath());
+    uint64_t v = 0;
+    ASSERT_TRUE(statsJsonUint(json, "shards.s0.down_events", v));
+    EXPECT_EQ(v, 1u) << "the kill; the mute connections were never up";
+    ASSERT_TRUE(statsJsonUint(json, "shards.s0.reconnects", v));
+    EXPECT_EQ(v, 1u);
+    ASSERT_TRUE(statsJsonUint(json, "proxy.shards_up", v));
+    EXPECT_EQ(v, 2u);
+
+    Client conn = Client::connectUnix(cluster.proxyPath());
+    req.id = 9;
+    EvalResponse resp = conn.eval(req);
+    EXPECT_EQ(resp.status, Status::Ok) << resp.result;
+    json = proxyStats(cluster.proxyPath());
+    ASSERT_TRUE(statsJsonUint(json, "shards.s0.ok", v));
+    EXPECT_EQ(v, 1u);
+    ASSERT_TRUE(statsJsonUint(json, "proxy.rerouted", v));
+    EXPECT_EQ(v, 0u);
+}
+
+TEST(ClusterEndToEnd, RequestWaitsForAShardStillComingUp)
+{
+    // A request that reaches the proxy while no shard is up, but one is
+    // connected and has not answered its first probe yet, waits for
+    // that answer instead of failing: here s0 is mute and s1's shard
+    // only starts after the request is sent. It is answered by s1 once
+    // s1 is up, not with "no alive shards".
+    ClusterConfig cc;
+    cc.shardCount = 1;
+    cc.workersPerShard = 1;
+    LocalCluster cluster(cc);
+    cluster.start();
+    cluster.killShard(0);
+
+    MuteListener listener(cluster.tempDir() + "/mute.sock");
+    ASSERT_TRUE(listener.listening) << std::strerror(errno);
+    ProxyConfig pc;
+    pc.unixPath = cluster.tempDir() + "/parking-proxy.sock";
+    pc.shards.resize(2);
+    pc.shards[0].name = "s0";
+    pc.shards[0].path = cluster.tempDir() + "/mute.sock";
+    pc.shards[1].name = "s1";
+    pc.shards[1].path = cluster.shardPath(0);
+    RunningProxy proxy(pc);
+
+    std::thread late([&cluster] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        cluster.restartShard(0);
+    });
+    Client conn = Client::connectUnix(pc.unixPath);
+    EvalRequest req = microRequest(Lang::Mipsi, 300);
+    req.id = 3;
+    EvalResponse resp = conn.eval(req);
+    late.join();
+    EXPECT_EQ(resp.status, Status::Ok) << resp.result;
+    std::string json = proxyStats(pc.unixPath);
+    uint64_t v = 0;
+    ASSERT_TRUE(statsJsonUint(json, "shards.s1.ok", v));
+    EXPECT_EQ(v, 1u);
+    ASSERT_TRUE(statsJsonUint(json, "proxy.failed", v));
+    EXPECT_EQ(v, 0u);
 }
 
 // --- end-to-end: tier-up across the cluster --------------------------------

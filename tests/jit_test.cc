@@ -178,16 +178,11 @@ TEST(JitUnit, PoisonedArtifactNeverExecutes)
  * suite-level strict-reduction claims.
  */
 void
-expectJitGolden(const BenchSpec &base_spec, uint64_t *base_fdmm = nullptr,
-                uint64_t *jit_fdmm = nullptr)
+expectJitGolden(const Measurement &base, const Measurement &jit,
+                uint64_t *base_fdmm = nullptr, uint64_t *jit_fdmm = nullptr)
 {
-    BenchSpec jit_spec = base_spec;
-    jit_spec.lang = rungOf(base_spec.lang, 3);
-    ASSERT_TRUE(isJit(jit_spec.lang)) << "spec has no jit tier";
-
-    Measurement base = runCounting(base_spec);
-    Measurement jit = runCounting(jit_spec);
-
+    EXPECT_FALSE(base.failed) << base.error;
+    EXPECT_FALSE(jit.failed) << jit.error;
     EXPECT_EQ(base.stdoutText, jit.stdoutText);
     EXPECT_TRUE(base.finished);
     EXPECT_TRUE(jit.finished);
@@ -231,6 +226,23 @@ expectJitGolden(const BenchSpec &base_spec, uint64_t *base_fdmm = nullptr,
                      jit.profile.memModelInsts();
 }
 
+/** @p base_spec at its jit rung. */
+BenchSpec
+jitSpec(const BenchSpec &base_spec)
+{
+    BenchSpec jit_spec = base_spec;
+    jit_spec.lang = rungOf(base_spec.lang, 3);
+    return jit_spec;
+}
+
+void
+expectJitGolden(const BenchSpec &base_spec)
+{
+    BenchSpec jit_spec = jitSpec(base_spec);
+    ASSERT_TRUE(isJit(jit_spec.lang)) << "spec has no jit tier";
+    expectJitGolden(runCounting(base_spec), runCounting(jit_spec));
+}
+
 TEST(JitGolden, MipsiMicro)
 {
     expectJitGolden(microBench(Lang::Mipsi, "a=b+c", 60));
@@ -249,15 +261,31 @@ TEST(JitGolden, TclMicro)
 // the baseline, or tier 3 would be dead weight.
 TEST(JitGolden, MacroSuiteSweep)
 {
-    uint64_t base_fdmm[2] = {0, 0};
-    uint64_t jit_fdmm[2] = {0, 0};
+    // Every baseline and jit row, counting only, on one job per
+    // hardware thread: runSuite is bit-identical to serial runs
+    // (ParallelJobsAreBitIdentical).
+    std::vector<BenchSpec> specs;
     for (const BenchSpec &spec : macroSuite()) {
         if (!isJit(rungOf(spec.lang, 3)))
             continue;
+        specs.push_back(spec);
+        specs.push_back(jitSpec(spec));
+    }
+    SuiteOptions opt;
+    opt.jobs = 0;
+    opt.withMachine = false;
+    std::vector<Measurement> rows = runSuite(specs, opt);
+    ASSERT_EQ(rows.size(), specs.size());
+    ASSERT_GT(rows.size(), 0u);
+    uint64_t base_fdmm[2] = {0, 0};
+    uint64_t jit_fdmm[2] = {0, 0};
+    for (size_t i = 0; i < rows.size(); i += 2) {
+        const BenchSpec &spec = specs[i];
         SCOPED_TRACE(std::string(langName(spec.lang)) + "/" +
                      spec.name);
         int lane = spec.lang == Lang::Mipsi ? 0 : 1;
-        expectJitGolden(spec, &base_fdmm[lane], &jit_fdmm[lane]);
+        expectJitGolden(rows[i], rows[i + 1], &base_fdmm[lane],
+                        &jit_fdmm[lane]);
     }
     EXPECT_LT(jit_fdmm[0], base_fdmm[0]) << "mipsi suite fd+mm";
     EXPECT_LT(jit_fdmm[1], base_fdmm[1]) << "tcl suite fd+mm";

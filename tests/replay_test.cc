@@ -316,6 +316,17 @@ class StreamHash : public trace::Sink
     }
 };
 
+/** FNV-1a 64 over the bytes of @p counters. */
+uint64_t
+counterHash(const std::vector<uint64_t> &counters)
+{
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (uint64_t v : counters)
+        for (int i = 0; i < 8; ++i)
+            hash = (hash ^ (uint8_t)(v >> (8 * i))) * 0x100000001b3ull;
+    return hash;
+}
+
 /** FNV-1a over every counter of @p machine. */
 uint64_t
 machineHash(const sim::Machine &machine)
@@ -332,11 +343,23 @@ machineHash(const sim::Machine &machine)
     }
     counters.push_back(machine.predictor().lookups());
     counters.push_back(machine.predictor().mispredicts());
-    uint64_t hash = 0xcbf29ce484222325ull;
-    for (uint64_t v : counters)
-        for (int i = 0; i < 8; ++i)
-            hash = (hash ^ (uint8_t)(v >> (8 * i))) * 0x100000001b3ull;
-    return hash;
+    return counterHash(counters);
+}
+
+/** FNV-1a over every total of @p profile and every CommandStats. */
+uint64_t
+profileHash(const trace::Profile &profile)
+{
+    std::vector<uint64_t> counters = {
+        profile.commands(),         profile.instructions(),
+        profile.fetchDecodeInsts(), profile.executeInsts(),
+        profile.precompileInsts(),  profile.nativeLibInsts(),
+        profile.memModelInsts(),    profile.systemInsts(),
+        profile.memModelAccesses(), profile.perCommand().size()};
+    for (const trace::CommandStats &c : profile.perCommand())
+        counters.insert(counters.end(), {c.retired, c.fetchDecode, c.execute,
+                                         c.nativeLib, c.memModel});
+    return counterHash(counters);
 }
 
 TEST(Replay, EmissionStreamIsPinned)
@@ -352,37 +375,63 @@ TEST(Replay, EmissionStreamIsPinned)
     // goes three times: plain; under a deadline that never fires, whose
     // safepoint clock reads must emit and allocate nothing; and with a
     // Table 3 machine as a further sink, which must leave the stream as
-    // it is and whose every counter is pinned too.
+    // it is and whose every counter is pinned too. The profile each of
+    // them counts at the source is pinned as well, and so is the one a
+    // counting-only run with no sink at all counts (serve-count's
+    // path), with and without the deadline.
     struct Pin
     {
         const char *program;
         Lang mode;
         uint64_t hash;
         uint64_t machine;
+        uint64_t profile;
     };
     const Pin pins[] = {
-        {"spin", Lang::Mipsi, 0xeed50b200d1fea5aull, 0xcdf14f5f892f6bdcull},
-        {"spin", Lang::Java, 0x807567b4fd264ff5ull, 0x1224ab9b78dd0d60ull},
-        {"spin", Lang::Perl, 0xa1616a8731f9360dull, 0x55cefe819f54a521ull},
-        {"spin", Lang::Tcl, 0xb4b81248005fbde2ull, 0x431c52071d7147eeull},
-        {"spin", Lang::MipsiThreaded, 0x2a6664e9cc64ca3aull, 0x4dc4faec220b0d2aull},
-        {"spin", Lang::JavaQuick, 0x56cab731f8fea30dull, 0x1e84219ee34017a5ull},
-        {"spin", Lang::TclBytecode, 0xa659b087bb9a502aull, 0x61a84a7f55a58508ull},
-        {"spin", Lang::JavaTier2, 0x922106e5cad774dfull, 0x3d374bc253ba2ba2ull},
-        {"spin", Lang::TclTier2, 0xdd2c0b886ccffeb5ull, 0x0f91b5fbb9db6e9eull},
-        {"spin", Lang::PerlIC, 0xb7f678e4d51c47fbull, 0x55cefe819f54a521ull},
-        {"spin", Lang::MipsiJit, 0x4660ff6024a9f495ull, 0x531c29ccf5380413ull},
-        {"spin", Lang::TclJit, 0xfe65aa84237ec944ull, 0x4f71db0b221fd1e0ull},
-        {"kanren", Lang::Mipsi, 0xf6c5ea4bf285b123ull, 0x07f5c1a47650aa55ull},
-        {"kanren", Lang::Java, 0xd505a532dcba3227ull, 0xfe80443e425812eeull},
-        {"kanren", Lang::Tcl, 0x904aa152d0f84e6cull, 0xb8bcb3c9ffe5fad1ull},
-        {"kanren", Lang::MipsiThreaded, 0xfbc6f3495f5778b7ull, 0x7c81a983ac35d543ull},
-        {"kanren", Lang::JavaQuick, 0xfac4275860859954ull, 0x37ca781a6ec576e5ull},
-        {"kanren", Lang::TclBytecode, 0x6b9ed0c352ba9bb2ull, 0xc2fd9815d55ecda0ull},
-        {"kanren", Lang::JavaTier2, 0x320bc341d8d990d2ull, 0x20a23d24ce72c286ull},
-        {"kanren", Lang::TclTier2, 0xff7f57fc32333ee3ull, 0xaf47fc632653787full},
-        {"kanren", Lang::MipsiJit, 0x4cc548a682dc51b6ull, 0xc2e98a08cdcd9a19ull},
-        {"kanren", Lang::TclJit, 0x7577baffc1996573ull, 0x11c3e6c427b053a1ull},
+        {"spin", Lang::Mipsi, 0xeed50b200d1fea5aull, 0xcdf14f5f892f6bdcull,
+         0x4be4805874c44559ull},
+        {"spin", Lang::Java, 0x807567b4fd264ff5ull, 0x1224ab9b78dd0d60ull,
+         0x7b64031fc224dc32ull},
+        {"spin", Lang::Perl, 0xa1616a8731f9360dull, 0x55cefe819f54a521ull,
+         0},
+        {"spin", Lang::Tcl, 0xb4b81248005fbde2ull, 0x431c52071d7147eeull,
+         0xad2dda085eab503eull},
+        {"spin", Lang::MipsiThreaded, 0x2a6664e9cc64ca3aull, 0x4dc4faec220b0d2aull,
+         0xac2c7c3d716e899aull},
+        {"spin", Lang::JavaQuick, 0x56cab731f8fea30dull, 0x1e84219ee34017a5ull,
+         0x4268a7a2eafb2539ull},
+        {"spin", Lang::TclBytecode, 0xa659b087bb9a502aull, 0x61a84a7f55a58508ull,
+         0x48f79ceb9d977fc5ull},
+        {"spin", Lang::JavaTier2, 0x922106e5cad774dfull, 0x3d374bc253ba2ba2ull,
+         0xefc3aa80f74bdaf9ull},
+        {"spin", Lang::TclTier2, 0xdd2c0b886ccffeb5ull, 0x0f91b5fbb9db6e9eull,
+         0x5bef533a65e7b597ull},
+        {"spin", Lang::PerlIC, 0xb7f678e4d51c47fbull, 0x55cefe819f54a521ull,
+         0},
+        {"spin", Lang::MipsiJit, 0x4660ff6024a9f495ull, 0x531c29ccf5380413ull,
+         0x27c689c338444348ull},
+        {"spin", Lang::TclJit, 0xfe65aa84237ec944ull, 0x4f71db0b221fd1e0ull,
+         0x3e56539a543cd2cdull},
+        {"kanren", Lang::Mipsi, 0xf6c5ea4bf285b123ull, 0x07f5c1a47650aa55ull,
+         0x2ab04e5e0e20737aull},
+        {"kanren", Lang::Java, 0xd505a532dcba3227ull, 0xfe80443e425812eeull,
+         0xa0934cfc5fb6a36aull},
+        {"kanren", Lang::Tcl, 0x904aa152d0f84e6cull, 0xb8bcb3c9ffe5fad1ull,
+         0x180c3153659546e3ull},
+        {"kanren", Lang::MipsiThreaded, 0xfbc6f3495f5778b7ull, 0x7c81a983ac35d543ull,
+         0xa0c711fa4c378a98ull},
+        {"kanren", Lang::JavaQuick, 0xfac4275860859954ull, 0x37ca781a6ec576e5ull,
+         0x5b20f4443a329b78ull},
+        {"kanren", Lang::TclBytecode, 0x6b9ed0c352ba9bb2ull, 0xc2fd9815d55ecda0ull,
+         0xd3a45352aeb09762ull},
+        {"kanren", Lang::JavaTier2, 0x320bc341d8d990d2ull, 0x20a23d24ce72c286ull,
+         0x84a4166693e18b7full},
+        {"kanren", Lang::TclTier2, 0xff7f57fc32333ee3ull, 0xaf47fc632653787full,
+         0x1aa5c99216ebbd42ull},
+        {"kanren", Lang::MipsiJit, 0x4cc548a682dc51b6ull, 0xc2e98a08cdcd9a19ull,
+         0x5714c0b81f8d3558ull},
+        {"kanren", Lang::TclJit, 0x7577baffc1996573ull, 0x11c3e6c427b053a1ull,
+         0x5bbf1eb9776a39f9ull},
     };
     size_t runs = 0;
     for (const char *program : {"spin", "kanren"}) {
@@ -398,40 +447,63 @@ TEST(Replay, EmissionStreamIsPinned)
                 if (p.program == std::string(program) &&
                     p.mode == mode.lang)
                     pin = &p;
-            auto hashRun = [&](std::vector<trace::Sink *> sinks) {
+            // The stream hash, and the counted profile's hash (0 for a
+            // run that faults); with no sinks, only the profile's.
+            struct Hashes
+            {
+                uint64_t stream;
+                uint64_t profile;
+            };
+            auto hashRun = [&](std::vector<trace::Sink *> sinks,
+                               bool stream_sink = true) {
                 StreamHash stream;
-                sinks.insert(sinks.begin(), &stream);
+                if (stream_sink)
+                    sinks.insert(sinks.begin(), &stream);
+                Hashes out{0, 0};
                 try {
                     ScopedFatalThrow contain;
-                    run(spec, sinks, nullptr, false);
+                    out.profile =
+                        profileHash(run(spec, sinks, nullptr, false).profile);
                 } catch (const FatalError &) {
                     // spin under Perl and Perl-ic: the budget stops
                     // perlish inside `($c * 33 + ($i & 7)) % 65521`,
                     // whose operands then read as 0 ("modulo by
                     // zero"). The stream delivered up to the fault is
-                    // pinned all the same.
+                    // pinned all the same, and so is the fault.
                     stream.mix('F');
                 }
-                return stream.hash;
+                out.stream = stream.hash;
+                return out;
             };
-            uint64_t plain = hashRun({});
+            Hashes plain = hashRun({});
+            Hashes counting = hashRun({}, false);
             spec.deadline =
                 std::chrono::steady_clock::now() + std::chrono::hours(24);
-            uint64_t with_deadline = hashRun({});
+            Hashes with_deadline = hashRun({});
+            Hashes counting_deadline = hashRun({}, false);
             sim::Machine machine;
-            uint64_t with_machine = hashRun({&machine});
+            Hashes with_machine = hashRun({&machine});
             uint64_t counters = machineHash(machine);
 
-            char got[128];
+            char got[160];
             std::snprintf(got, sizeof got,
-                          "{\"%s\", Lang::%s, 0x%016llxull, 0x%016llxull},",
-                          program, mode.ident, (unsigned long long)plain,
-                          (unsigned long long)counters);
+                          "{\"%s\", Lang::%s, 0x%016llxull, 0x%016llxull, "
+                          "0x%016llxull},",
+                          program, mode.ident,
+                          (unsigned long long)plain.stream,
+                          (unsigned long long)counters,
+                          (unsigned long long)counting.profile);
             ASSERT_NE(pin, nullptr) << "no pin for " << got;
-            EXPECT_EQ(plain, pin->hash) << "now " << got;
-            EXPECT_EQ(with_deadline, pin->hash) << "with a deadline";
-            EXPECT_EQ(with_machine, pin->hash) << "with a machine";
+            EXPECT_EQ(plain.stream, pin->hash) << "now " << got;
+            EXPECT_EQ(with_deadline.stream, pin->hash) << "with a deadline";
+            EXPECT_EQ(with_machine.stream, pin->hash) << "with a machine";
             EXPECT_EQ(counters, pin->machine) << "now " << got;
+            EXPECT_EQ(counting.profile, pin->profile)
+                << "counting only, now " << got;
+            EXPECT_EQ(counting_deadline.profile, pin->profile)
+                << "counting only, with a deadline";
+            for (const Hashes &h : {plain, with_deadline, with_machine})
+                EXPECT_EQ(h.profile, pin->profile) << "beside a batch sink";
             ++runs;
         }
     }

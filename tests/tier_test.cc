@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "jit/artifact.hh"
 #include "jvm/tier2.hh"
@@ -68,17 +69,12 @@ runCounting(const BenchSpec &spec)
  * sites, so total memModel must strictly drop.
  */
 void
-expectTier2Golden(const BenchSpec &base_spec, bool expect_mem_reduction,
-                  uint64_t *base_mem = nullptr,
+expectTier2Golden(const Measurement &base, const Measurement &t2,
+                  bool expect_mem_reduction, uint64_t *base_mem = nullptr,
                   uint64_t *tier_mem = nullptr)
 {
-    BenchSpec t2_spec = base_spec;
-    t2_spec.lang = rungOf(base_spec.lang, 2);
-    ASSERT_NE(t2_spec.lang, base_spec.lang) << "spec has no tier-2";
-
-    Measurement base = runCounting(base_spec);
-    Measurement t2 = runCounting(t2_spec);
-
+    EXPECT_FALSE(base.failed) << base.error;
+    EXPECT_FALSE(t2.failed) << t2.error;
     // Program-visible behaviour is identical.
     EXPECT_EQ(base.stdoutText, t2.stdoutText);
     EXPECT_TRUE(base.finished);
@@ -115,12 +111,30 @@ expectTier2Golden(const BenchSpec &base_spec, bool expect_mem_reduction,
     if (expect_mem_reduction) {
         EXPECT_LT(t2.profile.memModelInsts(),
                   base.profile.memModelInsts())
-            << langName(base_spec.lang) << "/" << base_spec.name;
+            << langName(base.lang) << "/" << base.name;
     }
     if (base_mem)
         *base_mem += base.profile.memModelInsts();
     if (tier_mem)
         *tier_mem += t2.profile.memModelInsts();
+}
+
+/** @p base_spec at its tier-2 rung. */
+BenchSpec
+tier2Spec(const BenchSpec &base_spec)
+{
+    BenchSpec t2_spec = base_spec;
+    t2_spec.lang = rungOf(base_spec.lang, 2);
+    return t2_spec;
+}
+
+void
+expectTier2Golden(const BenchSpec &base_spec, bool expect_mem_reduction)
+{
+    BenchSpec t2_spec = tier2Spec(base_spec);
+    ASSERT_NE(t2_spec.lang, base_spec.lang) << "spec has no tier-2";
+    expectTier2Golden(runCounting(base_spec), runCounting(t2_spec),
+                      expect_mem_reduction);
 }
 
 // --- golden equivalence: targeted micro workloads ----------------------
@@ -186,18 +200,33 @@ TEST(TierGolden, PerlIcHashWorkloads)
 // must strictly shrink, or tier-2 would be dead weight.
 TEST(TierGolden, MacroSuiteSweep)
 {
+    // Every baseline and tier-2 row, counting only, on one job per
+    // hardware thread: runSuite is bit-identical to serial runs.
+    std::vector<BenchSpec> specs;
+    for (const BenchSpec &spec : macroSuite()) {
+        if (modeAtTier(spec.lang, 2) == spec.lang)
+            continue; // no tier-2 rung
+        specs.push_back(spec);
+        specs.push_back(tier2Spec(spec));
+    }
+    SuiteOptions opt;
+    opt.jobs = 0;
+    opt.withMachine = false;
+    std::vector<Measurement> rows = runSuite(specs, opt);
+    ASSERT_EQ(rows.size(), specs.size());
+    ASSERT_GT(rows.size(), 0u);
     uint64_t base_mem[3] = {0, 0, 0};
     uint64_t tier_mem[3] = {0, 0, 0};
     auto lane = [](Lang lang) {
         return lang == Lang::Java ? 0 : lang == Lang::Tcl ? 1 : 2;
     };
-    for (const BenchSpec &spec : macroSuite()) {
-        if (modeAtTier(spec.lang, 2) == spec.lang)
-            continue; // no tier-2 rung
+    for (size_t i = 0; i < rows.size(); i += 2) {
+        const BenchSpec &spec = specs[i];
         SCOPED_TRACE(std::string(langName(spec.lang)) + "/" +
                      spec.name);
         int l = lane(spec.lang);
-        expectTier2Golden(spec, false, &base_mem[l], &tier_mem[l]);
+        expectTier2Golden(rows[i], rows[i + 1], false, &base_mem[l],
+                          &tier_mem[l]);
     }
     EXPECT_LT(tier_mem[0], base_mem[0]) << "jvm suite memModel";
     EXPECT_LT(tier_mem[1], base_mem[1]) << "tcl suite memModel";

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "support/logging.hh"
@@ -469,6 +471,93 @@ TEST(Profile, SourceCountingMatchesBatches)
     expectSameProfile(beside, batched);
 }
 
+TEST(Profile, CountingOnlyMatchesBatchesAcrossEveryPrimitive)
+{
+    // A counting-only run takes the fast path wherever the attribution
+    // of one primitive matches the run the previous one opened. Flip
+    // the attribution between every pair of consecutive primitives,
+    // keep it between others, wrap the routine's end and mix in zero
+    // counts; the count must still equal a batched Profile's.
+    auto script = [](Execution &exec) {
+        CommandSet set;
+        auto a = set.intern("a");
+        auto b = set.intern("b");
+        auto h = exec.code().registerRoutine("handler", 5);
+        int cell = 0;
+        const std::vector<std::function<void()>> primitives = {
+            [&] { exec.alu(7); }, // wraps the 5-instruction handler
+            [&] { exec.shortInt(2); },
+            [&] { exec.floatOp(1); },
+            [&] { exec.nop(0); },
+            [&] { exec.load(&cell); },
+            [&] { exec.store(&cell); },
+            [&] { exec.loadAt(0x40000010); },
+            [&] { exec.storeAt(0x40000020); },
+            [&] { exec.branch(true); },
+            [&] { exec.emitAt(0x400000, InstClass::IntAlu, 0); },
+            [&] { exec.alu(0); },
+            [&] { exec.emitAt(0x400004, InstClass::Load, 2, 0x40000000); },
+            [&] {
+                exec.callRoutine(h);
+                exec.alu(11);
+                exec.returnRoutine();
+            },
+            [&] {
+                exec.dispatch(h);
+                exec.nop(3);
+                exec.endDispatch();
+            },
+        };
+        // Each flip changes one part of the attribution: the category,
+        // a scope flag or the command.
+        const std::vector<std::function<void(int)>> flips = {
+            [&](int i) {
+                exec.setCategory(i % 3 == 0   ? Category::FetchDecode
+                                 : i % 3 == 1 ? Category::Execute
+                                              : Category::Precompile);
+            },
+            [&](int i) { exec.setMemModel(i & 1); },
+            [&](int i) { exec.setNative(i & 1); },
+            [&](int i) { exec.setSystem(i & 1); },
+            [&](int i) { exec.resumeCommand(i & 1 ? a : b); },
+            [&](int) {}, // no flip: the fast path
+        };
+        exec.beginCommand(a);
+        int i = 0;
+        for (size_t round = 0; round < 40; ++round) {
+            for (const auto &primitive : primitives) {
+                flips[(i + round) % flips.size()](i);
+                primitive();
+                ++i;
+            }
+            if (round % 7 == 0) {
+                MemModelScope mm(exec);
+                exec.noteMemModelAccess();
+                exec.beginCommand(round & 1 ? a : b);
+            }
+        }
+        exec.flush();
+    };
+
+    Profile alone, batched;
+    {
+        Execution exec;
+        exec.countInto(&alone);
+        script(exec);
+    }
+    {
+        Execution exec;
+        exec.addSink(&batched);
+        script(exec);
+    }
+    EXPECT_GT(batched.systemInsts(), 0u);
+    EXPECT_GT(batched.nativeLibInsts(), 0u);
+    EXPECT_GT(batched.memModelInsts(), 0u);
+    EXPECT_GT(batched.precompileInsts(), 0u);
+    EXPECT_GT(batched.memModelAccesses(), 0u);
+    expectSameProfile(alone, batched);
+}
+
 TEST(Execution, LateSinkAttachIsFatal)
 {
     // A sink attached mid-run would silently miss the prefix of the
@@ -694,6 +783,132 @@ TEST(Deadline, PastDeadlineThrowsOnceAtTheFirstEmission)
     });
     EXPECT_TRUE(sink.events.empty());
     EXPECT_EQ(sink.batches, 0);
+}
+
+/**
+ * One primitive that is a safepoint, a routine entered for the ones
+ * that return from it, and a name for the failure message.
+ */
+struct SafepointCase
+{
+    const char *name;
+    std::function<void(Execution &, RoutineId)> emit;
+};
+
+const std::vector<SafepointCase> &
+safepointCases()
+{
+    static int cell = 0;
+    static const std::vector<SafepointCase> cases = {
+        {"alu", [](Execution &e, RoutineId) { e.alu(5000); }},
+        {"load", [](Execution &e, RoutineId) { e.load(&cell); }},
+        {"branch", [](Execution &e, RoutineId) { e.branch(false); }},
+        {"callRoutine",
+         [](Execution &e, RoutineId r) {
+             e.callRoutine(r);
+             e.returnRoutine();
+         }},
+        {"dispatch",
+         [](Execution &e, RoutineId r) {
+             e.dispatch(r);
+             e.endDispatch();
+         }},
+        {"emitAt",
+         [](Execution &e, RoutineId) {
+             e.emitAt(0x400000, InstClass::IntAlu, 3);
+         }},
+    };
+    return cases;
+}
+
+TEST(Deadline, CountingOnlyRunStopsAtItsFirstSafepoint)
+{
+    // Under a deadline already past, a counting-only run whose only
+    // emissions are one of these primitives stops at the first one:
+    // both when it opens the run and when it only adds to an open one
+    // (the counting fast path).
+    auto past = Execution::Clock::now() - std::chrono::seconds(1);
+    for (const SafepointCase &c : safepointCases()) {
+        for (bool open_run : {false, true}) {
+            SCOPED_TRACE(std::string(c.name) +
+                         (open_run ? ", run open" : ", first emission"));
+            Execution exec;
+            Profile profile;
+            exec.countInto(&profile);
+            auto r = exec.code().registerRoutine("body", 16);
+            if (open_run)
+                exec.alu(1); // same attribution, no deadline yet
+            exec.setDeadline(past);
+            EXPECT_THROW(c.emit(exec, r), DeadlineExpired);
+        }
+    }
+}
+
+TEST(Deadline, ReturnsAreNeverSafepoints)
+{
+    // A return or endDispatch under a deadline already past counts its
+    // instruction and does not throw; the next emission does.
+    auto past = Execution::Clock::now() - std::chrono::seconds(1);
+    for (bool via_dispatch : {false, true}) {
+        SCOPED_TRACE(via_dispatch ? "endDispatch" : "returnRoutine");
+        Execution exec;
+        Profile profile;
+        exec.countInto(&profile);
+        auto r = exec.code().registerRoutine("body", 16);
+        if (via_dispatch)
+            exec.dispatch(r);
+        else
+            exec.callRoutine(r);
+        exec.setDeadline(past);
+        EXPECT_NO_THROW({
+            if (via_dispatch)
+                exec.endDispatch();
+            else
+                exec.returnRoutine();
+        });
+        EXPECT_THROW(exec.nop(1), DeadlineExpired);
+    }
+}
+
+TEST(Deadline, CountingFastPathReadsTheClockOnlyAtSafepoints)
+{
+    // The first emission reads the clock and schedules the next read
+    // 4096 instructions on. A deadline that passes in between stops the
+    // run at that safepoint: not before it, and not after the alu that
+    // crosses it, though that alu adds to an open run.
+    Execution exec;
+    Profile profile;
+    exec.countInto(&profile);
+    exec.setDeadline(Execution::Clock::now() + std::chrono::milliseconds(100));
+    exec.alu(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    EXPECT_NO_THROW(exec.alu(4095)); // 4096: one short of the safepoint
+    EXPECT_THROW(exec.alu(2), DeadlineExpired);
+}
+
+TEST(ExecutionDeathTest, CountingOnlyRunKeepsTheRoutineStackPairing)
+{
+    // Without a batch sink no PC is stepped, but every call and dispatch
+    // still pushes a frame, so a mismatched or unmatched leave panics
+    // as it does with a sink.
+    auto counting = [](auto body) {
+        Execution exec;
+        Profile profile;
+        exec.countInto(&profile);
+        body(exec, exec.code().registerRoutine("body", 16));
+    };
+    EXPECT_DEATH(counting([](Execution &e, RoutineId r) {
+                     e.callRoutine(r);
+                     e.endDispatch();
+                 }),
+                 "endDispatch from call frame");
+    EXPECT_DEATH(counting([](Execution &e, RoutineId r) {
+                     e.dispatch(r);
+                     e.returnRoutine();
+                 }),
+                 "returnRoutine from dispatch frame");
+    EXPECT_DEATH(counting([](Execution &e, RoutineId) { e.returnRoutine(); }),
+                 "returnRoutine with empty routine stack");
 }
 
 } // namespace
