@@ -29,9 +29,10 @@
  * steady-state gain and the one-time build cost (charged to
  * Precompile) are on the record. One suite runs every program once in
  * its baseline and once in each distinct rung of its ladder; the three
- * tables are read off that single pass. The driver exits 1 if any row
- * fails its tier's check (listed in EXPERIMENTS.md's
- * BENCH_remedies.json section).
+ * tables are read off that single pass. Each row is checked against
+ * its tier's contract (harness/contract.hh), whose broken clauses are
+ * printed under it, and a run over the whole ladder also checks the
+ * per-language totals. It exits 1 if anything breaks.
  *
  * `--json [file]` (default BENCH_remedies.json) writes every row into
  * the remedies document (see harness/remedies_json.hh).
@@ -49,6 +50,7 @@
 #include <utility>
 #include <vector>
 
+#include "harness/contract.hh"
 #include "harness/parallel.hh"
 #include "harness/remedies_json.hh"
 #include "harness/runner.hh"
@@ -107,6 +109,51 @@ struct Pass
     }
 };
 
+/** Prints @p broken, the contract clauses a row breaks, under it. */
+void
+printBreaks(const std::vector<std::string> &broken)
+{
+    for (const std::string &clause : broken)
+        std::printf("    breaks: %s\n", clause.c_str());
+}
+
+/**
+ * Walks the programs with a rung of exactly @p tier, in suite order,
+ * and checks each against the tier contract. A failed run prints its
+ * error; any other pair goes to @p print_row (program, baseline, rung,
+ * whether it holds), after a blank line between languages when
+ * @p by_lang, with the clauses it breaks under it. Returns the number
+ * of pairs that break their contract.
+ */
+template <class PrintRow>
+int
+eachPair(const Pass &pass, int tier, bool by_lang, PrintRow print_row)
+{
+    int bad = 0;
+    Lang last = Lang::C;
+    for (const BenchSpec &program : pass.programs) {
+        Lang mode = modeAtTier(program.lang, tier);
+        if (mode == program.lang)
+            continue;
+        const Measurement &base = pass.at(program.lang, program);
+        const Measurement &rung = pass.at(mode, program);
+        std::vector<std::string> broken = contractBreaks(base, rung);
+        bad += !broken.empty();
+        if (base.failed || rung.failed) {
+            std::printf("%-15s %-10s failed: %s\n", langName(mode),
+                        program.name.c_str(),
+                        (base.failed ? base.error : rung.error).c_str());
+            continue;
+        }
+        if (by_lang && last != Lang::C && mode != last)
+            std::printf("\n");
+        last = mode;
+        print_row(program, base, rung, broken.empty());
+        printBreaks(broken);
+    }
+    return bad;
+}
+
 /** Percent fewer native instructions per command than @p base. */
 double
 reductionPct(const Measurement &base, const Measurement &rem)
@@ -135,43 +182,14 @@ tier1Table(const Pass &pass, std::vector<std::string> &rows)
     std::printf("---------------------------------------------------------"
                 "--------------------------------------------------\n");
 
-    Lang last = Lang::C;
-    bool first_row = true;
-    int bad_pairs = 0;
-
-    for (const BenchSpec &program : pass.programs) {
-        Lang mode = modeAtTier(program.lang, 1);
-        if (mode == program.lang)
-            continue;
-        const Measurement &base = pass.at(program.lang, program);
-        const Measurement &rem = pass.at(mode, program);
-        if (base.failed || rem.failed) {
-            std::printf("%-15s %-10s failed: %s\n", langName(rem.lang),
-                        rem.name.c_str(),
-                        (base.failed ? base.error : rem.error).c_str());
-            ++bad_pairs;
-            continue;
-        }
-        if (!first_row && rem.lang != last)
-            std::printf("\n");
-        first_row = false;
-        last = rem.lang;
-
+    int bad_pairs = eachPair(pass, 1, true, [&](const BenchSpec &,
+                                                const Measurement &base,
+                                                const Measurement &rem,
+                                                bool ok) {
         double fd_base = base.profile.fetchDecodePerCommand();
         double fd_rem = rem.profile.fetchDecodePerCommand();
         double ex_base = base.profile.executePerCommand();
         double ex_rem = rem.profile.executePerCommand();
-        // Per command, retired and execute are identical (fetch/decode
-        // is what the remedy shrinks).
-        bool exec_ok =
-            base.profile.everyCommand(rem.profile,
-                                      [](const auto &a, const auto &b) {
-                                          return a.retired == b.retired &&
-                                                 a.execute == b.execute;
-                                      }) &&
-            base.commands == rem.commands;
-        if (!exec_ok)
-            ++bad_pairs;
         double reduction = reductionPct(base, rem);
 
         std::printf("%-15s %-10s %10s | %9.1f %8.1f %11.1f | %9.1f %8.1f"
@@ -184,7 +202,7 @@ tier1Table(const Pass &pass, std::vector<std::string> &rows)
                                  (double)rem.cycles)
                         .c_str(),
                     reduction,
-                    exec_ok ? "" : "  [EXECUTE MISMATCH]");
+                    ok ? "" : "  [CONTRACT VIOLATION]");
 
         char buf[1024];
         std::snprintf(
@@ -208,9 +226,9 @@ tier1Table(const Pass &pass, std::vector<std::string> &rows)
             (unsigned long long)rem.profile.userInstructions(),
             (unsigned long long)rem.cycles,
             (unsigned long long)rem.profile.precompileInsts(),
-            exec_ok ? "true" : "false", reduction);
+            ok ? "true" : "false", reduction);
         rows.push_back(buf);
-    }
+    });
 
     std::printf("\nReading the table: f/d per command drops (threading "
                 "~10x for MIPSI, quickening\n~2x for hot Java bytecodes, "
@@ -235,45 +253,12 @@ tier2Table(const Pass &pass, std::vector<std::string> &rows)
     std::printf("---------------------------------------------------------"
                 "-----------------------------------------\n");
 
-    Lang last = Lang::C;
-    bool first_row = true;
-    int bad_pairs = 0;
-
-    for (const BenchSpec &program : pass.programs) {
-        Lang mode = modeAtTier(program.lang, 2);
-        if (mode == program.lang)
-            continue;
-        const Measurement &base = pass.at(program.lang, program);
-        const Measurement &tier = pass.at(mode, program);
-        if (base.failed || tier.failed) {
-            std::printf("%-11s %-10s failed: %s\n", langName(tier.lang),
-                        tier.name.c_str(),
-                        (base.failed ? base.error : tier.error).c_str());
-            ++bad_pairs;
-            continue;
-        }
-        if (!first_row && tier.lang != last)
-            std::printf("\n");
-        first_row = false;
-        last = tier.lang;
-
+    int bad_pairs = eachPair(pass, 2, true, [&](const BenchSpec &,
+                                                const Measurement &base,
+                                                const Measurement &tier,
+                                                bool ok) {
         uint64_t mm_base = base.profile.memModelInsts();
         uint64_t mm_tier = tier.profile.memModelInsts();
-        // Per command, retired and execute - memModel are identical.
-        bool exec_ok =
-            base.profile.everyCommand(
-                tier.profile,
-                [](const auto &a, const auto &b) {
-                    return a.retired == b.retired &&
-                           a.execute - a.memModel ==
-                               b.execute - b.memModel;
-                }) &&
-            base.commands == tier.commands &&
-            base.stdoutText == tier.stdoutText &&
-            mm_tier <= mm_base;
-        if (!exec_ok)
-            ++bad_pairs;
-
         double fd_base = base.profile.fetchDecodePerCommand();
         double fd_tier = tier.profile.fetchDecodePerCommand();
         double mm_save =
@@ -290,7 +275,7 @@ tier2Table(const Pass &pass, std::vector<std::string> &rows)
                     tier.commands ? (double)mm_tier / tier.commands : 0,
                     mm_save,
                     tier.profile.precompileInsts() / 1000.0, reduction,
-                    exec_ok ? "" : "  [CONTRACT VIOLATION]");
+                    ok ? "" : "  [CONTRACT VIOLATION]");
 
         char buf[1024];
         std::snprintf(
@@ -316,9 +301,9 @@ tier2Table(const Pass &pass, std::vector<std::string> &rows)
             (unsigned long long)tier.profile.userInstructions(),
             (unsigned long long)tier.cycles,
             (unsigned long long)tier.profile.precompileInsts(),
-            exec_ok ? "true" : "false", mm_save, reduction);
+            ok ? "true" : "false", mm_save, reduction);
         rows.push_back(buf);
-    }
+    });
 
     std::printf("\nReading the table: fetch/decode shrinks where fused "
                 "pairs fire; the memory-model\nslice of execute (mm) "
@@ -347,51 +332,22 @@ tier3Table(const Pass &pass, std::vector<std::string> &rows)
     std::printf("---------------------------------------------------------"
                 "--------------------------------------------\n");
 
-    int bad = 0;
     int triples = 0;
     int improved_beyond_prev = 0;
-
-    for (const BenchSpec &program : pass.programs) {
-        Lang mode = modeAtTier(program.lang, 3);
-        if (mode == program.lang)
-            continue;
+    int bad = eachPair(pass, 3, false, [&](const BenchSpec &program,
+                                           const Measurement &base,
+                                           const Measurement &jit,
+                                           bool ok) {
         ++triples;
-        const Measurement &base = pass.at(program.lang, program);
         const Measurement &prev = pass.at(rungOf(program.lang, 2), program);
-        const Measurement &jit = pass.at(mode, program);
         const JitRegionSink &region =
-            *pass.regions[pass.slot.at({mode, program.name})];
-        if (base.failed || prev.failed || jit.failed) {
-            std::printf("%-10s %-9s failed: %s\n", langName(jit.lang),
-                        jit.name.c_str(),
-                        (base.failed   ? base.error
-                         : prev.failed ? prev.error
-                                       : jit.error)
-                            .c_str());
-            ++bad;
-            continue;
-        }
-
+            *pass.regions[pass.slot.at({jit.lang, program.name})];
         uint64_t fd_base = base.profile.fetchDecodeInsts();
         uint64_t fd_prev = prev.profile.fetchDecodeInsts();
         uint64_t fd_jit = jit.profile.fetchDecodeInsts();
         uint64_t mm_base = base.profile.memModelInsts();
         uint64_t mm_prev = prev.profile.memModelInsts();
         uint64_t mm_jit = jit.profile.memModelInsts();
-
-        // Per command, retired and native-lib are identical;
-        // fetch/decode and memModel may only shrink.
-        bool ok = jit.commands == base.commands &&
-                  jit.stdoutText == base.stdoutText &&
-                  base.profile.everyCommand(
-                      jit.profile,
-                      [](const auto &a, const auto &b) {
-                          return a.retired == b.retired &&
-                                 a.nativeLib == b.nativeLib;
-                      }) &&
-                  fd_jit <= fd_base && mm_jit <= mm_base;
-        if (!ok)
-            ++bad;
         bool beyond = fd_jit + mm_jit < fd_prev + mm_prev;
         if (ok && beyond)
             ++improved_beyond_prev;
@@ -445,7 +401,7 @@ tier3Table(const Pass &pass, std::vector<std::string> &rows)
             jit.imissPer100,
             ok ? "true" : "false", beyond ? "true" : "false");
         rows.push_back(buf);
-    }
+    });
 
     std::printf("\nReading the table: fd and mm columns are per-command "
                 "averages; the jit column\nmust sit at or below the "
@@ -497,7 +453,19 @@ main(int argc, char **argv)
     int bad = tier1Table(pass, rows);
     bad += tier2Table(pass, rows);
     bad += tier3Table(pass, rows);
+    // The per-language totals are a claim about the whole ladder: a
+    // --programs subset may hold no cacheable site of a language.
+    std::vector<std::string> totals;
+    if (args.programs.empty())
+        totals = ladderTotalsBreaks(pass.results);
+    std::printf("\nTier contract: %d row(s) break their tier's clauses; "
+                "per-language totals %s.\n",
+                bad,
+                !args.programs.empty() ? "not checked on a subset"
+                : totals.empty()       ? "hold"
+                                       : "broken");
+    printBreaks(totals);
     if (!writeRemediesJson(args.jsonPath, rows))
         return 1;
-    return bad == 0 ? 0 : 1;
+    return bad == 0 && totals.empty() ? 0 : 1;
 }

@@ -102,9 +102,13 @@ Interp::run(uint64_t max_commands)
         panic("Interp::run before load()");
     trace::FlushOnExit flush_guard(exec);
     commandBudget = max_commands;
-    (void)eval(*script_.main);
+    try {
+        (void)eval(*script_.main);
+        result.exited = true;
+    } catch (const trace::BudgetExhausted &) {
+        // Stopped before the command past the budget.
+    }
     result.commands = commandsRun;
-    result.exited = commandsRun < commandBudget;
     result.exitCode = exitCode;
     return result;
 }
@@ -452,10 +456,8 @@ Interp::eval(const OpNode &node)
 {
     if (ctrl != Ctrl::Normal)
         return Scalar();
-    if (commandsRun >= commandBudget) {
-        ctrl = Ctrl::Exit;
-        return Scalar();
-    }
+    if (commandsRun >= commandBudget)
+        exec.stopRun();
 
     trace::CommandId my = opCommand[(size_t)node.op];
     fetchDecode(node, my);

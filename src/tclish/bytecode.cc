@@ -271,7 +271,7 @@ TclInterp::evalCompiled(const std::string &script)
         }
         prevHead = cc.fuse == 1;
         if (commandsRun >= commandBudget)
-            return {Status::Stop, ""};
+            exec.stopRun();
         // Identical substitution pass to the baseline loop in
         // evalScript: only the fetch of the words changed, not what
         // is done with them, so execute attribution matches command
@@ -390,11 +390,8 @@ TclInterp::jitCmdStep(void *ctx_ptr, uint32_t index)
         exec.emitAt(cs.jitBase + index * kJitGlueInsts * 4,
                     trace::InstClass::IntAlu);
     }
-    if (commandsRun >= commandBudget) {
-        ctx.out = {Status::Stop, ""};
-        ctx.returned = true;
-        return 1;
-    }
+    if (commandsRun >= commandBudget)
+        exec.stopRun();
     // Identical substitution pass to the tier-2 loop in evalCompiled:
     // only the fetch of the words changed, not what is done with
     // them, so execute attribution matches command for command.
@@ -463,8 +460,7 @@ TclInterp::icReadHit(const std::string &name, SymTab &table, bool found)
     if (!global)
         return false;
     // A slot that keeps missing is megamorphic — stop probing and
-    // let the site pay exactly the baseline cost from here on. The
-    // bounded early-miss tax is what any real monomorphic IC pays.
+    // let the site pay exactly the baseline cost from here on.
     if (slot.misses >= BytecodeState::kDeadAfterMisses)
         return false;
     if (slot.filled && slot.global && slot.name == name &&
@@ -492,10 +488,12 @@ TclInterp::icReadHit(const std::string &name, SymTab &table, bool found)
         slot.misses = 0;
         return true;
     }
-    // Miss: the guard itself is memory-model execute work; the refill
+    // Miss: the failing guard is memory-model execute work; the refill
     // is translation work (Precompile). The caller then performs the
-    // full baseline lookup — the contained fallback path.
-    {
+    // full baseline lookup — the contained fallback path. An unfilled
+    // slot has no guard to fail, so a site's first execution pays only
+    // the lookup and the refill.
+    if (slot.filled) {
         MemModelScope mm(exec);
         RoutineScope r(exec, rIcHit);
         exec.alu(6);

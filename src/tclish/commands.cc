@@ -198,7 +198,7 @@ TclInterp::evalCommand(const std::vector<std::string> &words, int line)
         Result last;
         while (true) {
             if (commandsRun >= commandBudget)
-                return {Status::Stop, ""};
+                exec.stopRun();
             int64_t cond = evalExpr(words[1], line);
             exec.branch(cond != 0);
             if (cond == 0)
@@ -220,7 +220,7 @@ TclInterp::evalCommand(const std::vector<std::string> &words, int line)
             return init;
         while (true) {
             if (commandsRun >= commandBudget)
-                return {Status::Stop, ""};
+                exec.stopRun();
             int64_t cond = evalExpr(words[2], line);
             exec.branch(cond != 0);
             if (cond == 0)
@@ -246,7 +246,7 @@ TclInterp::evalCommand(const std::vector<std::string> &words, int line)
         }
         for (const std::string &item : items) {
             if (commandsRun >= commandBudget)
-                return {Status::Stop, ""};
+                exec.stopRun();
             writeVar(words[1], item);
             Result res = evalScript(words[3]); // body
             if (res.status == Status::Break)
@@ -267,7 +267,6 @@ TclInterp::evalCommand(const std::vector<std::string> &words, int line)
     }
     if (cmd == "exit") {
         arity(0, 1);
-        exited = true;
         exitCode = words.size() > 1 ? (int)wantInt(words[1], "exit") : 0;
         return {Status::Stop, ""};
     }

@@ -864,13 +864,15 @@ TclInterp::run(const std::string &script, uint64_t max_commands)
     trace::FlushOnExit flush_guard(exec);
     commandBudget = max_commands;
     commandsRun = 0;
-    exited = false;
     exitCode = 0;
-    Result res = evalScript(script);
     RunResult out;
+    try {
+        evalScript(script);
+        out.exited = true;
+    } catch (const trace::BudgetExhausted &) {
+        // Stopped before the command past the budget.
+    }
     out.commands = commandsRun;
-    out.exited = exited || (res.status != Status::Stop &&
-                            commandsRun < commandBudget);
     out.exitCode = exitCode;
     return out;
 }
@@ -900,7 +902,7 @@ TclInterp::evalDirect(const std::string &script)
     std::vector<std::string> words;
     while (parseCommand(script, pos, words, line)) {
         if (commandsRun >= commandBudget)
-            return {Status::Stop, ""};
+            exec.stopRun();
         // Substitute non-braced words. parseCommand stripped braces
         // already, so re-deriving braced-ness is impossible here; we
         // instead mark braced words with a \x01 sentinel there.

@@ -39,7 +39,7 @@ struct BytecodeState;
 /** Outcome of evaluating a script or command. */
 enum class Status : uint8_t
 {
-    Ok, Return, Break, Continue, Stop, // Stop: budget exhausted / exit
+    Ok, Return, Break, Continue, Stop, // Stop: exit
 };
 
 /** A result: status plus the command's string value. */
@@ -226,7 +226,6 @@ class TclInterp
 
     uint64_t commandsRun = 0;
     uint64_t commandBudget = UINT64_MAX;
-    bool exited = false;
     int exitCode = 0;
     int procDepth = 0;
 

@@ -95,6 +95,14 @@ Execution::flush()
     batch.clear();
 }
 
+void
+Execution::stopRun()
+{
+    flush();
+    abortRun();
+    throw BudgetExhausted{};
+}
+
 // --- emission core -----------------------------------------------------------
 //
 // Every helper in this section but tallyCold is forced inline, so each

@@ -75,6 +75,15 @@ struct DeadlineExpired
 };
 
 /**
+ * Thrown by Execution::stopRun() when an interpreter's command budget
+ * runs out in the middle of a command; the interpreter's run()
+ * catches it and reports the run unfinished.
+ */
+struct BudgetExhausted
+{
+};
+
+/**
  * Maps host pointers into a compact synthetic 32-bit data space.
  *
  * Each distinct 16-byte host granule is assigned the next synthetic
@@ -211,6 +220,15 @@ class Execution
      * on exit, and harness::run() flushes again defensively.
      */
     void flush();
+
+    /**
+     * Stop the run here because its command budget ran out: deliver
+     * the pending batch and commit the counted run, then detach every
+     * sink and the counted profile as an aborting run does, and throw
+     * BudgetExhausted. The returns the unwind emits reach neither, so
+     * every sink and the profile end on the same instruction.
+     */
+    [[noreturn]] void stopRun();
 
     // --- routine control -------------------------------------------------
     /** Emit a call instruction and enter @p routine. */

@@ -66,23 +66,6 @@ class Profile final : public Sink
     // --- per-command ------------------------------------------------------
     const std::vector<CommandStats> &perCommand() const { return cmds; }
 
-    /** True when @p same(mine, theirs) holds for every command, a
-     *  command one profile never saw counting as all zeros — the
-     *  per-command golden contracts between a mode and its baseline. */
-    template <class Same>
-    bool
-    everyCommand(const Profile &other, Same same) const
-    {
-        size_t n = cmds.size() > other.cmds.size() ? cmds.size()
-                                                   : other.cmds.size();
-        for (size_t i = 0; i < n; ++i)
-            if (!same(i < cmds.size() ? cmds[i] : CommandStats{},
-                      i < other.cmds.size() ? other.cmds[i]
-                                            : CommandStats{}))
-                return false;
-        return true;
-    }
-
     /**
      * Commands sorted by descending execute-instruction count,
      * as (commandId, stats) pairs — the input to Figures 1 and 2.

@@ -2,16 +2,16 @@
  * @file
  * Tier-3 jit suite: ExecBuffer/JitArtifact units (W^X lifetime,
  * contained overflow, poison), golden equivalence of the jit modes
- * against their faithful baselines across the macro suite, the
- * poisoned-artifact previous-tier fallback, the TierManager jit rung,
- * and the synthetic-region i-cache attribution the §4 simulator sees.
+ * against their faithful baselines on micro workloads, the gain over
+ * the previous tier, the poisoned-artifact previous-tier fallback,
+ * the TierManager jit rung, and the synthetic-region i-cache
+ * attribution the §4 simulator sees.
  *
- * The tier-3 golden contract is the tier-2 contract extended one
- * rung: stdout, command streams, and per-command retired and
- * nativeLib attribution stay byte-identical to the *baseline*;
- * per-command (execute - memModel) is byte-identical too; fetch/
- * decode and the memory-model subset may only shrink. Stencil
- * emission is charged to Precompile.
+ * The tier-3 golden contract is the one in harness/contract.hh,
+ * against the *baseline*: per-command (execute - memModel) is
+ * byte-identical, fetch/decode and memModel totals may only shrink,
+ * and stencil emission is charged to Precompile. remedies_test's
+ * MacroLadderSweep checks it on every macro program.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/contract.hh"
 #include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "jit/artifact.hh"
@@ -29,21 +30,18 @@
 #include "tier/tier.hh"
 #include "trace/code_registry.hh"
 #include "trace/profile.hh"
+#include "workloads/registry.hh"
 
 namespace {
 
 using namespace interp;
 using namespace interp::harness;
 
+/** Macro-suite workload @p name, run under mode @p lang. */
 BenchSpec
 macroSpec(Lang lang, const std::string &name)
 {
-    for (BenchSpec &spec : macroSuite())
-        if (spec.lang == lang && spec.name == name)
-            return spec;
-    ADD_FAILURE() << "no macro benchmark " << langName(lang) << "/"
-                  << name;
-    return {};
+    return workloads::specFor(*workloads::find(name), lang);
 }
 
 /** Counting-only run: the golden checks compare attribution, not
@@ -169,78 +167,16 @@ TEST(JitUnit, PoisonedArtifactNeverExecutes)
 
 // --- golden equivalence -------------------------------------------------
 
-/**
- * The tier-3 golden property against the *baseline* (not merely the
- * previous tier): everything the program does is identical; retired
- * and nativeLib are byte-identical per command; execute may differ
- * only inside the memory-model subset, and only downward; fetch/
- * decode may only shrink. Totals accumulate into the out-params for
- * suite-level strict-reduction claims.
- */
-void
-expectJitGolden(const Measurement &base, const Measurement &jit,
-                uint64_t *base_fdmm = nullptr, uint64_t *jit_fdmm = nullptr)
-{
-    EXPECT_FALSE(base.failed) << base.error;
-    EXPECT_FALSE(jit.failed) << jit.error;
-    EXPECT_EQ(base.stdoutText, jit.stdoutText);
-    EXPECT_TRUE(base.finished);
-    EXPECT_TRUE(jit.finished);
-    EXPECT_EQ(base.commands, jit.commands);
-    EXPECT_EQ(base.commandNames, jit.commandNames);
-
-    const auto &bc = base.profile.perCommand();
-    const auto &jc = jit.profile.perCommand();
-    ASSERT_EQ(bc.size(), jc.size());
-    for (size_t i = 0; i < bc.size(); ++i) {
-        EXPECT_EQ(bc[i].retired, jc[i].retired) << "command " << i;
-        EXPECT_EQ(bc[i].nativeLib, jc[i].nativeLib) << "command " << i;
-        EXPECT_EQ(bc[i].execute - bc[i].memModel,
-                  jc[i].execute - jc[i].memModel)
-            << "command " << i;
-    }
-    // fetch/decode may move between command rows (tcl-jit charges
-    // region glue to the command whose body is running, where the
-    // baseline charged the dispatch to the reader) — the category
-    // contract is on the totals, which may only shrink.
-    EXPECT_LE(jit.profile.fetchDecodeInsts(),
-              base.profile.fetchDecodeInsts());
-    // memModel inherits tier-2's bounded IC early-miss tax: a program
-    // with no cacheable hits (spin's proc-less loop) pays a few dead
-    // guard probes with nothing to amortize them, so mm alone may sit
-    // a handful of instructions above baseline. The rung's claim is
-    // on fetch/decode + memory-model together, which may only shrink.
-    EXPECT_LE(jit.profile.fetchDecodeInsts() +
-                  jit.profile.memModelInsts(),
-              base.profile.fetchDecodeInsts() +
-                  base.profile.memModelInsts());
-    // Stencil emission is one-shot translation work, charged apart.
-    EXPECT_GT(jit.profile.precompileInsts(),
-              base.profile.precompileInsts());
-
-    if (base_fdmm)
-        *base_fdmm += base.profile.fetchDecodeInsts() +
-                      base.profile.memModelInsts();
-    if (jit_fdmm)
-        *jit_fdmm += jit.profile.fetchDecodeInsts() +
-                     jit.profile.memModelInsts();
-}
-
-/** @p base_spec at its jit rung. */
-BenchSpec
-jitSpec(const BenchSpec &base_spec)
-{
-    BenchSpec jit_spec = base_spec;
-    jit_spec.lang = rungOf(base_spec.lang, 3);
-    return jit_spec;
-}
-
+/** @p base_spec and its jit rung hold the tier-3 contract. */
 void
 expectJitGolden(const BenchSpec &base_spec)
 {
-    BenchSpec jit_spec = jitSpec(base_spec);
+    BenchSpec jit_spec = base_spec;
+    jit_spec.lang = rungOf(base_spec.lang, 3);
     ASSERT_TRUE(isJit(jit_spec.lang)) << "spec has no jit tier";
-    expectJitGolden(runCounting(base_spec), runCounting(jit_spec));
+    for (const std::string &clause :
+         contractBreaks(runCounting(base_spec), runCounting(jit_spec)))
+        ADD_FAILURE() << clause;
 }
 
 TEST(JitGolden, MipsiMicro)
@@ -255,54 +191,14 @@ TEST(JitGolden, TclMicro)
     expectJitGolden(microBench(Lang::Tcl, "string-concat", 30));
 }
 
-// One sweep over every macro program with a template backend. Each
-// program individually satisfies the golden contract; per language
-// the fetch/decode + memory-model total must strictly shrink versus
-// the baseline, or tier 3 would be dead weight.
-TEST(JitGolden, MacroSuiteSweep)
-{
-    // Every baseline and jit row, counting only, on one job per
-    // hardware thread: runSuite is bit-identical to serial runs
-    // (ParallelJobsAreBitIdentical).
-    std::vector<BenchSpec> specs;
-    for (const BenchSpec &spec : macroSuite()) {
-        if (!isJit(rungOf(spec.lang, 3)))
-            continue;
-        specs.push_back(spec);
-        specs.push_back(jitSpec(spec));
-    }
-    SuiteOptions opt;
-    opt.jobs = 0;
-    opt.withMachine = false;
-    std::vector<Measurement> rows = runSuite(specs, opt);
-    ASSERT_EQ(rows.size(), specs.size());
-    ASSERT_GT(rows.size(), 0u);
-    uint64_t base_fdmm[2] = {0, 0};
-    uint64_t jit_fdmm[2] = {0, 0};
-    for (size_t i = 0; i < rows.size(); i += 2) {
-        const BenchSpec &spec = specs[i];
-        SCOPED_TRACE(std::string(langName(spec.lang)) + "/" +
-                     spec.name);
-        int lane = spec.lang == Lang::Mipsi ? 0 : 1;
-        expectJitGolden(rows[i], rows[i + 1], &base_fdmm[lane],
-                        &jit_fdmm[lane]);
-    }
-    EXPECT_LT(jit_fdmm[0], base_fdmm[0]) << "mipsi suite fd+mm";
-    EXPECT_LT(jit_fdmm[1], base_fdmm[1]) << "tcl suite fd+mm";
-}
-
 // The jit tier must improve on the tier it is promoted from, not just
 // on the baseline — otherwise the ladder's top rung buys nothing.
 TEST(JitGolden, ImprovesOnThePreviousTier)
 {
     for (const char *name : {"des", "tcllex"}) {
         Lang base = name == std::string("des") ? Lang::Mipsi : Lang::Tcl;
-        BenchSpec prev_spec = macroSpec(base, name);
-        prev_spec.lang = rungOf(base, 2);
-        BenchSpec jit_spec = macroSpec(base, name);
-        jit_spec.lang = rungOf(base, 3);
-        Measurement prev = runCounting(prev_spec);
-        Measurement jit = runCounting(jit_spec);
+        Measurement prev = runCounting(macroSpec(rungOf(base, 2), name));
+        Measurement jit = runCounting(macroSpec(rungOf(base, 3), name));
         EXPECT_LT(jit.profile.fetchDecodeInsts() +
                       jit.profile.memModelInsts(),
                   prev.profile.fetchDecodeInsts() +
@@ -320,9 +216,7 @@ TEST(JitGolden, ParallelJobsAreBitIdentical)
     std::vector<BenchSpec> specs;
     for (auto lang : {Lang::Mipsi, Lang::Tcl}) {
         specs.push_back(macroSpec(lang, "des"));
-        BenchSpec jit = macroSpec(lang, "des");
-        jit.lang = rungOf(lang, 3);
-        specs.push_back(std::move(jit));
+        specs.push_back(macroSpec(rungOf(lang, 3), "des"));
     }
     SuiteOptions serial;
     serial.jobs = 1;

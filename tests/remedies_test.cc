@@ -1,13 +1,14 @@
 /**
  * @file
- * Golden equivalence tests for the §5 remedy execution modes
- * (threaded MIPSI, quickened JVM, bytecode tclish). Each remedy must
- * be observationally identical to its baseline — same stdout, same
- * virtual commands, byte-identical per-command retired and execute
- * counts — while spending strictly fewer fetch/decode instructions.
- * Also covers the code-mutation guards (a remedy that would rewrite
- * code after its first execution must fatal, containably) and the
- * record/replay composition of the remedy modes.
+ * The tier contract (harness/contract.hh) on the whole ladder: one
+ * counting-only sweep runs every macro program in its baseline and in
+ * each distinct rung of its ladder (§5 remedies, tier 2, jit) and
+ * checks every rung against its baseline and each language's tier-2
+ * and tier-3 totals; micro goldens check each §5 remedy. Also
+ * covers the code-mutation guards (a remedy that would rewrite code
+ * after its first execution must fatal, containably), the
+ * record/replay composition of the remedy modes and the
+ * BENCH_remedies.json framing.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "harness/contract.hh"
+#include "harness/parallel.hh"
 #include "harness/record_replay.hh"
 #include "harness/remedies_json.hh"
 #include "harness/runner.hh"
@@ -36,64 +39,45 @@ namespace {
 using namespace interp;
 using namespace interp::harness;
 
-BenchSpec
-macroSpec(Lang lang, const std::string &name)
-{
-    for (BenchSpec &spec : macroSuite())
-        if (spec.lang == lang && spec.name == name)
-            return spec;
-    ADD_FAILURE() << "no macro benchmark " << langName(lang) << "/"
-                  << name;
-    return {};
-}
-
-/**
- * The golden property: run the spec in baseline and remedy mode and
- * check that everything the program and the execute stage produce is
- * identical, with the whole improvement confined to fetch/decode
- * (plus a one-shot Precompile charge).
- */
+/** @p base_spec and its §5 remedy hold the tier-1 contract. */
 void
 expectGoldenPair(const BenchSpec &base_spec)
 {
     BenchSpec rem_spec = base_spec;
     rem_spec.lang = modeAtTier(base_spec.lang, 1);
     ASSERT_NE(rem_spec.lang, base_spec.lang) << "spec has no remedy";
+    for (const std::string &clause :
+         contractBreaks(run(base_spec), run(rem_spec)))
+        ADD_FAILURE() << clause;
+}
 
-    Measurement base = run(base_spec);
-    Measurement rem = run(rem_spec);
+// --- the tier contract on the whole ladder -----------------------------
 
-    // Program-visible behaviour is identical.
-    EXPECT_EQ(base.stdoutText, rem.stdoutText);
-    EXPECT_TRUE(base.finished);
-    EXPECT_TRUE(rem.finished);
-    EXPECT_EQ(base.commands, rem.commands);
-    EXPECT_EQ(base.commandNames, rem.commandNames);
-
-    // Execute attribution is byte-identical per virtual command.
-    const auto &bc = base.profile.perCommand();
-    const auto &rc = rem.profile.perCommand();
-    ASSERT_EQ(bc.size(), rc.size());
-    uint64_t base_fd = 0;
-    uint64_t rem_fd = 0;
-    for (size_t i = 0; i < bc.size(); ++i) {
-        EXPECT_EQ(bc[i].retired, rc[i].retired) << "command " << i;
-        EXPECT_EQ(bc[i].execute, rc[i].execute) << "command " << i;
-        EXPECT_EQ(bc[i].nativeLib, rc[i].nativeLib) << "command " << i;
-        EXPECT_LE(rc[i].fetchDecode, bc[i].fetchDecode)
-            << "command " << i;
-        base_fd += bc[i].fetchDecode;
-        rem_fd += rc[i].fetchDecode;
+TEST(Remedies, MacroLadderSweep)
+{
+    // bench_remedies' rows, counting only, on one job per hardware
+    // thread (runSuite is bit-identical to serial runs).
+    std::vector<BenchSpec> specs = ladderSuite(macroSuite());
+    SuiteOptions opt;
+    opt.jobs = 0;
+    opt.withMachine = false;
+    std::vector<Measurement> rows = runSuite(specs, opt);
+    ASSERT_EQ(rows.size(), specs.size());
+    const Measurement *base = nullptr;
+    size_t rungs = 0;
+    for (const Measurement &row : rows) {
+        if (!isRemedy(row.lang)) {
+            base = &row;
+            continue;
+        }
+        ++rungs;
+        for (const std::string &clause : contractBreaks(*base, row))
+            ADD_FAILURE() << langName(row.lang) << "/" << row.name << ": "
+                          << clause;
     }
-    EXPECT_EQ(base.profile.executeInsts(), rem.profile.executeInsts());
-
-    // The delta is entirely in fetch/decode: strictly fewer per-trip
-    // f/d instructions, paid for by a one-shot Precompile charge.
-    EXPECT_LT(rem_fd, base_fd);
-    EXPECT_LT(rem.profile.fetchDecodeInsts(),
-              base.profile.fetchDecodeInsts());
-    EXPECT_GT(rem.profile.precompileInsts(),
-              base.profile.precompileInsts());
+    EXPECT_GT(rungs, 0u);
+    for (const std::string &clause : ladderTotalsBreaks(rows))
+        ADD_FAILURE() << clause;
 }
 
 // --- golden equivalence: micro workloads -------------------------------
@@ -114,23 +98,6 @@ TEST(Remedies, TclBytecodeGoldenMicro)
 {
     expectGoldenPair(microBench(Lang::Tcl, "a=b+c", 60));
     expectGoldenPair(microBench(Lang::Tcl, "if", 30));
-}
-
-// --- golden equivalence: one macro workload per remedy -----------------
-
-TEST(Remedies, MipsiThreadedGoldenMacro)
-{
-    expectGoldenPair(macroSpec(Lang::Mipsi, "des"));
-}
-
-TEST(Remedies, JavaQuickGoldenMacro)
-{
-    expectGoldenPair(macroSpec(Lang::Java, "des"));
-}
-
-TEST(Remedies, TclBytecodeGoldenMacro)
-{
-    expectGoldenPair(macroSpec(Lang::Tcl, "des"));
 }
 
 // --- record/replay composition -----------------------------------------

@@ -824,6 +824,42 @@ TEST(ServerEndToEnd, DeadlineInsideDeepRecursionIsContained)
     }
 }
 
+TEST(ServerEndToEnd, BudgetStopIsAnsweredOkWithTheBudgetsCommands)
+{
+    // A command budget that runs out inside an expression stops
+    // perlish and tclish where they stand: the request is answered OK
+    // with the budget's commands retired, not failed by an operator
+    // that went on with an empty value.
+    ServerConfig cfg;
+    cfg.workers = 1;
+    TestServer ts(cfg);
+
+    Client conn = Client::connectUnix(ts.path());
+    const struct
+    {
+        Lang mode;
+        const char *program;
+        uint64_t budget;
+    } cases[] = {
+        {Lang::Perl, "spin", 20'000},  {Lang::Tcl, "rxmatch", 20'000},
+        {Lang::Tcl, "tcllex", 20'000}, {Lang::Perl, "des", 2'000},
+        {Lang::Perl, "matmul", 2'000}, {Lang::Tcl, "des", 2'000},
+    };
+    uint32_t id = 0;
+    for (const auto &c : cases) {
+        SCOPED_TRACE(std::string(harness::langName(c.mode)) + "/" +
+                     c.program);
+        EvalRequest req;
+        req.id = ++id;
+        req.mode = c.mode;
+        req.program = c.program;
+        req.maxCommands = c.budget;
+        EvalResponse resp = conn.eval(req);
+        EXPECT_EQ(resp.status, Status::Ok) << resp.result;
+        EXPECT_EQ(resp.commands, c.budget);
+    }
+}
+
 TEST(ServerEndToEnd, MixedClassLoadSplitsOutcomesByClass)
 {
     // A heterogeneous interactive:batch mix through one overloaded

@@ -1,19 +1,18 @@
 /**
  * @file
- * Tier-up suite: golden equivalence for the tier-2 execution modes
+ * Tier-up suite: golden equivalence of the tier-2 execution modes
  * (jvm superinstructions + field inline caches, tclish command fusion
- * + symbol caches, perlish hash-element caches), TierManager
- * promotion-ladder unit tests, and the shared-module safety
- * guarantees the tiering layer rests on — artifacts are immutable,
- * in-place quickening of a shared module is a contained fatal, and
- * one artifact can serve many threads at once.
+ * + symbol caches, perlish hash-element caches) on targeted micro and
+ * macro workloads, TierManager promotion-ladder unit tests, and the
+ * shared-module safety guarantees the tiering layer rests on —
+ * artifacts are immutable, in-place quickening of a shared module is
+ * a contained fatal, and one artifact can serve many threads at once.
  *
- * The tier-2 golden contract extends the §5 remedy contract: stdout,
- * command streams, retired and nativeLib attribution stay
- * byte-identical, fetch/decode may only shrink, and the *execute*
- * delta is confined to the §3.3 memory-model subset (CommandStats::
- * memModel) — an inline cache makes an access cheaper, it never
- * changes what the access does.
+ * The tier-2 golden contract is the one in harness/contract.hh: the
+ * *execute* delta is confined to the §3.3 memory-model subset
+ * (CommandStats::memModel) — an inline cache makes an access cheaper,
+ * it never changes what the access does. remedies_test's
+ * MacroLadderSweep checks it on every macro program.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +22,7 @@
 #include <thread>
 #include <vector>
 
-#include "harness/parallel.hh"
+#include "harness/contract.hh"
 #include "harness/runner.hh"
 #include "jit/artifact.hh"
 #include "jvm/tier2.hh"
@@ -34,21 +33,18 @@
 #include "trace/execution.hh"
 #include "trace/profile.hh"
 #include "vfs/vfs.hh"
+#include "workloads/registry.hh"
 
 namespace {
 
 using namespace interp;
 using namespace interp::harness;
 
+/** Macro-suite workload @p name, run under mode @p lang. */
 BenchSpec
 macroSpec(Lang lang, const std::string &name)
 {
-    for (BenchSpec &spec : macroSuite())
-        if (spec.lang == lang && spec.name == name)
-            return spec;
-    ADD_FAILURE() << "no macro benchmark " << langName(lang) << "/"
-                  << name;
-    return {};
+    return workloads::specFor(*workloads::find(name), lang);
 }
 
 /** Counting-only run: the golden checks compare attribution, not
@@ -60,81 +56,24 @@ runCounting(const BenchSpec &spec)
 }
 
 /**
- * The tier-2 golden property. Everything the program does is
- * identical; retired and nativeLib are byte-identical per command;
- * execute may differ *only* inside the memory-model subset (and only
- * downward — caches make accesses cheaper, never dearer); fetch/
- * decode may only shrink (superinstructions). When
+ * @p base_spec and its tier-2 rung hold the tier-2 contract. When
  * @p expect_mem_reduction the workload is known to contain cacheable
- * sites, so total memModel must strictly drop.
+ * sites, so its memModel total must strictly drop as well.
  */
-void
-expectTier2Golden(const Measurement &base, const Measurement &t2,
-                  bool expect_mem_reduction, uint64_t *base_mem = nullptr,
-                  uint64_t *tier_mem = nullptr)
-{
-    EXPECT_FALSE(base.failed) << base.error;
-    EXPECT_FALSE(t2.failed) << t2.error;
-    // Program-visible behaviour is identical.
-    EXPECT_EQ(base.stdoutText, t2.stdoutText);
-    EXPECT_TRUE(base.finished);
-    EXPECT_TRUE(t2.finished);
-    EXPECT_EQ(base.commands, t2.commands);
-    EXPECT_EQ(base.commandNames, t2.commandNames);
-
-    const auto &bc = base.profile.perCommand();
-    const auto &tc = t2.profile.perCommand();
-    ASSERT_EQ(bc.size(), tc.size());
-    uint64_t base_fd = 0;
-    uint64_t t2_fd = 0;
-    for (size_t i = 0; i < bc.size(); ++i) {
-        EXPECT_EQ(bc[i].retired, tc[i].retired) << "command " << i;
-        EXPECT_EQ(bc[i].nativeLib, tc[i].nativeLib) << "command " << i;
-        // Execute minus its memory-model subset is byte-identical:
-        // the caches only ever touch the §3.3 access sequences.
-        EXPECT_EQ(bc[i].execute - bc[i].memModel,
-                  tc[i].execute - tc[i].memModel)
-            << "command " << i;
-        // No per-command bound on memModel itself: a miss-heavy
-        // command pays its guard probes without compensating hits
-        // (the suite-level totals below are the reduction claim).
-        EXPECT_LE(tc[i].fetchDecode, bc[i].fetchDecode)
-            << "command " << i;
-        base_fd += bc[i].fetchDecode;
-        t2_fd += tc[i].fetchDecode;
-    }
-    EXPECT_EQ(base.profile.executeInsts() -
-                  base.profile.memModelInsts(),
-              t2.profile.executeInsts() - t2.profile.memModelInsts());
-    EXPECT_LE(t2_fd, base_fd);
-
-    if (expect_mem_reduction) {
-        EXPECT_LT(t2.profile.memModelInsts(),
-                  base.profile.memModelInsts())
-            << langName(base.lang) << "/" << base.name;
-    }
-    if (base_mem)
-        *base_mem += base.profile.memModelInsts();
-    if (tier_mem)
-        *tier_mem += t2.profile.memModelInsts();
-}
-
-/** @p base_spec at its tier-2 rung. */
-BenchSpec
-tier2Spec(const BenchSpec &base_spec)
-{
-    BenchSpec t2_spec = base_spec;
-    t2_spec.lang = rungOf(base_spec.lang, 2);
-    return t2_spec;
-}
-
 void
 expectTier2Golden(const BenchSpec &base_spec, bool expect_mem_reduction)
 {
-    BenchSpec t2_spec = tier2Spec(base_spec);
+    BenchSpec t2_spec = base_spec;
+    t2_spec.lang = rungOf(base_spec.lang, 2);
     ASSERT_NE(t2_spec.lang, base_spec.lang) << "spec has no tier-2";
-    expectTier2Golden(runCounting(base_spec), runCounting(t2_spec),
-                      expect_mem_reduction);
+    Measurement base = runCounting(base_spec);
+    Measurement t2 = runCounting(t2_spec);
+    for (const std::string &clause : contractBreaks(base, t2))
+        ADD_FAILURE() << clause;
+    if (expect_mem_reduction) {
+        EXPECT_LT(t2.profile.memModelInsts(), base.profile.memModelInsts())
+            << langName(base.lang) << "/" << base.name;
+    }
 }
 
 // --- golden equivalence: targeted micro workloads ----------------------
@@ -189,48 +128,6 @@ TEST(TierGolden, PerlIcHashWorkloads)
     // must strictly cut their §3.3 access cost.
     expectTier2Golden(macroSpec(Lang::Perl, "plexus"), true);
     expectTier2Golden(macroSpec(Lang::Perl, "weblint"), true);
-}
-
-// --- golden equivalence: every guest program ---------------------------
-
-// One sweep over the whole Table 2 macro suite for every language
-// with a tier-2 mode. Each program individually satisfies the golden
-// contract (with memModel allowed to be merely equal — not every
-// program exercises cacheable sites); per language, the suite total
-// must strictly shrink, or tier-2 would be dead weight.
-TEST(TierGolden, MacroSuiteSweep)
-{
-    // Every baseline and tier-2 row, counting only, on one job per
-    // hardware thread: runSuite is bit-identical to serial runs.
-    std::vector<BenchSpec> specs;
-    for (const BenchSpec &spec : macroSuite()) {
-        if (modeAtTier(spec.lang, 2) == spec.lang)
-            continue; // no tier-2 rung
-        specs.push_back(spec);
-        specs.push_back(tier2Spec(spec));
-    }
-    SuiteOptions opt;
-    opt.jobs = 0;
-    opt.withMachine = false;
-    std::vector<Measurement> rows = runSuite(specs, opt);
-    ASSERT_EQ(rows.size(), specs.size());
-    ASSERT_GT(rows.size(), 0u);
-    uint64_t base_mem[3] = {0, 0, 0};
-    uint64_t tier_mem[3] = {0, 0, 0};
-    auto lane = [](Lang lang) {
-        return lang == Lang::Java ? 0 : lang == Lang::Tcl ? 1 : 2;
-    };
-    for (size_t i = 0; i < rows.size(); i += 2) {
-        const BenchSpec &spec = specs[i];
-        SCOPED_TRACE(std::string(langName(spec.lang)) + "/" +
-                     spec.name);
-        int l = lane(spec.lang);
-        expectTier2Golden(rows[i], rows[i + 1], false, &base_mem[l],
-                          &tier_mem[l]);
-    }
-    EXPECT_LT(tier_mem[0], base_mem[0]) << "jvm suite memModel";
-    EXPECT_LT(tier_mem[1], base_mem[1]) << "tcl suite memModel";
-    EXPECT_LT(tier_mem[2], base_mem[2]) << "perl suite memModel";
 }
 
 // The one-shot artifact build is charged to Precompile, exactly like
