@@ -23,8 +23,10 @@ HashTable::lookup(const std::string &key, int &chain_steps)
     lastBucketAddr = &buckets[index];
     for (Node *node = buckets[index].get(); node; node = node->next.get()) {
         ++chain_steps;
-        if (node->key == key)
+        if (node->key == key) {
+            lastKeyAddr = node->key.data();
             return node->value;
+        }
     }
     // Insert at bucket head.
     auto node = std::make_unique<Node>();
@@ -41,10 +43,13 @@ HashTable::lookup(const std::string &key, int &chain_steps)
         index = hashKey(key) & (uint32_t)(buckets.size() - 1);
         lastBucketAddr = &buckets[index];
         for (Node *n = buckets[index].get(); n; n = n->next.get())
-            if (n->key == key)
+            if (n->key == key) {
+                lastKeyAddr = n->key.data();
                 return n->value;
+            }
         panic("hash_table: key relocated out of existence during grow");
     }
+    lastKeyAddr = buckets[index]->key.data();
     return buckets[index]->value;
 }
 
@@ -56,9 +61,12 @@ HashTable::find(const std::string &key, int &chain_steps)
     lastBucketAddr = &buckets[index];
     for (Node *node = buckets[index].get(); node; node = node->next.get()) {
         ++chain_steps;
-        if (node->key == key)
+        if (node->key == key) {
+            lastKeyAddr = node->key.data();
             return &node->value;
+        }
     }
+    lastKeyAddr = nullptr;
     return nullptr;
 }
 

@@ -61,6 +61,13 @@ class HashTable
 
     /** Host addresses touched by the last lookup, for d-cache realism. */
     const void *lastBucketAddr = nullptr;
+    /**
+     * Characters of the key the last lookup() or find() resolved to:
+     * the entry's own copy, a heap object; null after a miss. Hash
+     * charges read the key here, never at the caller's Scalar, which
+     * may live in a stack frame.
+     */
+    const char *lastKeyAddr = nullptr;
 
     /**
      * Bumped whenever cached entry positions stop being trustworthy:

@@ -116,14 +116,24 @@ Interp::run(uint64_t max_commands)
 // --- cost helpers ----------------------------------------------------------
 
 void
+Interp::retire(trace::CommandId id)
+{
+    // The one budget check: every path that retires a command comes
+    // here, nested ones included, so a run stops on its budget exactly.
+    if (commandsRun >= commandBudget)
+        exec.stopRun();
+    exec.beginCommand(id);
+    ++commandsRun;
+}
+
+void
 Interp::fetchDecode(const OpNode &node, trace::CommandId id)
 {
     // Perl 4's eval(): a large switch over a heap-allocated op tree,
     // with argument-stack setup, context ("wantarray") determination
     // and magic/taint checks on every node — ~130-200 native
     // instructions per command (Table 2).
-    exec.beginCommand(id);
-    ++commandsRun;
+    retire(id);
     CategoryScope fd(exec, Category::FetchDecode);
     RoutineScope r(exec, rEval);
     exec.alu(26);                 // loop top: op fetch, tracing hook
@@ -165,17 +175,24 @@ Interp::chargeStringTouch(size_t chars)
 }
 
 void
-Interp::chargeHashAccess(const std::string &key, int chain_steps,
-                         const void *bucket_addr)
+Interp::chargeHashAccess(const HashTable &table, size_t key_len,
+                         int chain_steps)
 {
-    // §3.3: a hash translation costs ~210 native instructions.
+    // §3.3: a hash translation costs ~210 native instructions. The
+    // key is read at the entry's key, the heap object the lookup is
+    // about (the bucket head after a miss).
+    const void *bucket_addr = table.lastBucketAddr;
+    const char *key = table.lastKeyAddr;
+    auto keyAt = [&](size_t i) -> const void * {
+        return key ? key + i : bucket_addr;
+    };
     MemModelScope mm(exec);
     RoutineScope r(exec, rHash);
     exec.noteMemModelAccess();
     exec.alu(48);                             // setup, masking, checks
-    for (size_t i = 0; i < key.size(); ++i) { // hash function
+    for (size_t i = 0; i < key_len; ++i) {    // hash function
         if ((i & 3) == 0)
-            exec.load(key.data() + i);
+            exec.load(keyAt(i));
         exec.alu(2);
         exec.shortInt(1);
     }
@@ -183,9 +200,9 @@ Interp::chargeHashAccess(const std::string &key, int chain_steps,
     for (int s = 0; s < std::max(chain_steps, 1); ++s) {
         exec.load(bucket_addr);               // chain node
         exec.branch(s + 1 < chain_steps);     // key compare outcome
-        for (size_t i = 0; i < key.size(); i += 4)
-            exec.load(key.data() + i);        // memcmp
-        exec.alu((uint32_t)key.size() / 2 + 4);
+        for (size_t i = 0; i < key_len; i += 4)
+            exec.load(keyAt(i));              // memcmp
+        exec.alu((uint32_t)key_len / 2 + 4);
     }
     exec.alu(30);                             // entry bookkeeping
 }
@@ -209,7 +226,7 @@ Interp::icHashHit(const OpNode &node, const std::string &key,
         exec.alu(8);                     // site index, guard setup
         exec.load(&entry);               // cache entry
         exec.branch(false);              // generation guard holds
-        exec.load(key.data());           // cached-key identity check
+        exec.load(table.lastKeyAddr);    // cached-key identity check
         exec.branch(false);
         exec.load(table.lastBucketAddr); // direct entry load
         exec.alu(12);                    // value handoff
@@ -328,8 +345,7 @@ Interp::lvalueSlot(const OpNode &node)
       }
       case Opc::ArrayElem: {
         int32_t index = (int32_t)eval(*node.kids[0]).num();
-        exec.beginCommand(opCommand[(size_t)node.op]); // aelem retires
-        ++commandsRun;
+        retire(opCommand[(size_t)node.op]); // aelem retires
         MemModelScope mm(exec);
         RoutineScope r(exec, rArray);
         exec.alu(8);
@@ -346,15 +362,13 @@ Interp::lvalueSlot(const OpNode &node)
       }
       case Opc::HashElem: {
         Scalar key = eval(*node.kids[0]);
-        exec.beginCommand(opCommand[(size_t)node.op]); // helem retires
-        ++commandsRun;
+        retire(opCommand[(size_t)node.op]); // helem retires
         const std::string &key_str = key.str();
         chargeCoercion(key);
         int steps = 0;
         Scalar &slot = hashes[node.slot].lookup(key_str, steps);
         if (!icHashHit(node, key_str, hashes[node.slot]))
-            chargeHashAccess(key_str, steps,
-                             hashes[node.slot].lastBucketAddr);
+            chargeHashAccess(hashes[node.slot], key_str.size(), steps);
         return &slot;
       }
       case Opc::CaptureVar:
@@ -376,8 +390,7 @@ Interp::evalList(const OpNode &node, List &out)
             evalList(*kid, out);
         break;
       case Opc::ArrayVar: {
-        exec.beginCommand(opCommand[(size_t)node.op]);
-        ++commandsRun;
+        retire(opCommand[(size_t)node.op]);
         MemModelScope mm(exec);
         RoutineScope r(exec, rArray);
         exec.alu(10);
@@ -391,8 +404,7 @@ Interp::evalList(const OpNode &node, List &out)
       case Opc::Range: {
         double lo = eval(*node.kids[0]).num();
         double hi = eval(*node.kids[1]).num();
-        exec.beginCommand(opCommand[(size_t)node.op]);
-        ++commandsRun;
+        retire(opCommand[(size_t)node.op]);
         RoutineScope r(exec, rArray);
         for (double v = lo; v <= hi; v += 1) {
             exec.alu(4);
@@ -402,8 +414,7 @@ Interp::evalList(const OpNode &node, List &out)
       }
       case Opc::SplitOp: {
         Scalar text = eval(*node.kids[0]);
-        exec.beginCommand(opCommand[(size_t)Opc::SplitOp]);
-        ++commandsRun;
+        retire(opCommand[(size_t)Opc::SplitOp]);
         uint64_t steps = 0;
         auto pieces = node.rx->split(text.str(), steps);
         chargeRegexSteps(steps);
@@ -416,8 +427,7 @@ Interp::evalList(const OpNode &node, List &out)
         break;
       }
       case Opc::Keys: {
-        exec.beginCommand(opCommand[(size_t)node.op]);
-        ++commandsRun;
+        retire(opCommand[(size_t)node.op]);
         RoutineScope r(exec, rHash);
         if (node.kids.empty() || node.kids[0]->op != Opc::HashElem) {
             // keys(%h): the parser delivers %h only via HashVar —
@@ -431,8 +441,7 @@ Interp::evalList(const OpNode &node, List &out)
         break;
       }
       case Opc::Values: {
-        exec.beginCommand(opCommand[(size_t)node.op]);
-        ++commandsRun;
+        retire(opCommand[(size_t)node.op]);
         RoutineScope r(exec, rHash);
         int slot = node.kids.empty() ? node.slot : node.kids[0]->slot;
         auto key_list = hashes[slot].keys();
@@ -456,8 +465,6 @@ Interp::eval(const OpNode &node)
 {
     if (ctrl != Ctrl::Normal)
         return Scalar();
-    if (commandsRun >= commandBudget)
-        exec.stopRun();
 
     trace::CommandId my = opCommand[(size_t)node.op];
     fetchDecode(node, my);
@@ -508,8 +515,7 @@ Interp::eval(const OpNode &node)
         int steps = 0;
         Scalar *found = hashes[node.slot].find(key_str, steps);
         if (!found || !icHashHit(node, key_str, hashes[node.slot]))
-            chargeHashAccess(key_str, steps,
-                             hashes[node.slot].lastBucketAddr);
+            chargeHashAccess(hashes[node.slot], key_str.size(), steps);
         return found ? *found : Scalar();
       }
       case Opc::ArrayVar: { // scalar context: element count
@@ -960,8 +966,8 @@ Interp::eval(const OpNode &node)
             int steps = 0;
             Scalar *found =
                 hashes[target.slot].find(key.str(), steps);
-            chargeHashAccess(key.str(), steps,
-                             hashes[target.slot].lastBucketAddr);
+            chargeHashAccess(hashes[target.slot], key.str().size(),
+                             steps);
             return Scalar::fromNum(found != nullptr);
         }
         Scalar v = eval(target);

@@ -93,11 +93,18 @@ class Interp
     void evalList(const OpNode &node, List &out);
     Scalar *lvalueSlot(const OpNode &node);
 
+    /**
+     * Retire one command named @p id, stopping the run instead
+     * (Execution::stopRun()) when the budget is already spent.
+     */
+    void retire(trace::CommandId id);
+
     // Cost-emission helpers.
     void fetchDecode(const OpNode &node, trace::CommandId id);
     void chargeStringTouch(size_t chars);
-    void chargeHashAccess(const std::string &key, int chain_steps,
-                          const void *bucket_addr);
+    /** Charge a key lookup just made in @p table. */
+    void chargeHashAccess(const HashTable &table, size_t key_len,
+                          int chain_steps);
     /**
      * Inline-cache probe for a HashElem site. True: hit, fast-path
      * charge emitted, caller skips chargeHashAccess. False: miss (or

@@ -1,17 +1,8 @@
 /**
  * @file
- * The tclish-bytecode execution mode (Tcl 8.0-style, §5 remedy).
- *
- * Every definition of the mode lives in this translation unit, and
- * BytecodeState is complete only here. That is deliberate: if the
- * compiled-script cache's container code were instantiated inside
- * interp.cc, the added code mass shifts GCC's per-unit inlining
- * decisions for the *baseline* eval path, which moves stack
- * temporaries across 16-byte address granules and perturbs the
- * baseline interpreter's simulated data addresses (and with them its
- * cycle counts). Keeping interp.cc's code mass unchanged keeps the
- * baseline bit-for-bit identical to what it was before this mode
- * existed.
+ * The tclish-bytecode execution mode (Tcl 8.0-style, §5 remedy), with
+ * its tier-2 and jit extensions. Every definition of the mode lives in
+ * this translation unit, and BytecodeState is complete only here.
  */
 
 #include <algorithm>
@@ -270,8 +261,6 @@ TclInterp::evalCompiled(const std::string &script)
             chargeBytecodeFetch(cc.words.size());
         }
         prevHead = cc.fuse == 1;
-        if (commandsRun >= commandBudget)
-            exec.stopRun();
         // Identical substitution pass to the baseline loop in
         // evalScript: only the fetch of the words changed, not what
         // is done with them, so execute attribution matches command
@@ -390,8 +379,6 @@ TclInterp::jitCmdStep(void *ctx_ptr, uint32_t index)
         exec.emitAt(cs.jitBase + index * kJitGlueInsts * 4,
                     trace::InstClass::IntAlu);
     }
-    if (commandsRun >= commandBudget)
-        exec.stopRun();
     // Identical substitution pass to the tier-2 loop in evalCompiled:
     // only the fetch of the words changed, not what is done with
     // them, so execute attribution matches command for command.

@@ -96,6 +96,11 @@ TclInterp::evalCommand(const std::vector<std::string> &words, int line)
     const std::string &cmd = words[0];
 
     chargeCommandLookup(cmd);
+    // The one budget check: every command retires here, the ones a
+    // word's bracket substitution runs included, so a run stops on its
+    // budget exactly.
+    if (commandsRun >= commandBudget)
+        exec.stopRun();
     exec.beginCommand(commands_.intern(cmd));
     ++commandsRun;
 
@@ -153,7 +158,7 @@ TclInterp::evalCommand(const std::vector<std::string> &words, int line)
         int steps = 0;
         SymTab &table = scopeFor(words[1]);
         std::string &slot = table.lookup(words[1], steps);
-        chargeLookup(words[1], steps, table.lastBucketAddr);
+        chargeLookup(table, words[1].size(), steps);
         for (size_t i = 2; i < words.size(); ++i)
             slot += words[i];
         chargeStringWork(slot.size());
@@ -197,8 +202,6 @@ TclInterp::evalCommand(const std::vector<std::string> &words, int line)
         arity(2, 2);
         Result last;
         while (true) {
-            if (commandsRun >= commandBudget)
-                exec.stopRun();
             int64_t cond = evalExpr(words[1], line);
             exec.branch(cond != 0);
             if (cond == 0)
@@ -219,8 +222,6 @@ TclInterp::evalCommand(const std::vector<std::string> &words, int line)
         if (init.status != Status::Ok)
             return init;
         while (true) {
-            if (commandsRun >= commandBudget)
-                exec.stopRun();
             int64_t cond = evalExpr(words[2], line);
             exec.branch(cond != 0);
             if (cond == 0)
@@ -245,8 +246,6 @@ TclInterp::evalCommand(const std::vector<std::string> &words, int line)
             exec.alu(20 + (uint32_t)words[2].size() * 2);
         }
         for (const std::string &item : items) {
-            if (commandsRun >= commandBudget)
-                exec.stopRun();
             writeVar(words[1], item);
             Result res = evalScript(words[3]); // body
             if (res.status == Status::Break)
@@ -433,7 +432,7 @@ TclInterp::evalCommand(const std::vector<std::string> &words, int line)
         int steps = 0;
         SymTab &table = scopeFor(words[1]);
         std::string &slot = table.lookup(words[1], steps);
-        chargeLookup(words[1], steps, table.lastBucketAddr);
+        chargeLookup(table, words[1].size(), steps);
         for (size_t i = 2; i < words.size(); ++i) {
             if (!slot.empty())
                 slot += " ";

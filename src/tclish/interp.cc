@@ -108,18 +108,25 @@ TclInterp::chargeParse(size_t chars, size_t words)
 }
 
 void
-TclInterp::chargeLookup(const std::string &name, int chain_steps,
-                        const void *bucket)
+TclInterp::chargeLookup(const SymTab &table, size_t name_len,
+                        int chain_steps)
 {
     // §3.3: every variable reference is a symbol-table translation of
     // ~200-500 instructions, growing with the table's chain lengths.
+    // The name is read at the entry's key, the heap object the lookup
+    // is about (the bucket head after a miss).
+    const void *bucket = table.lastBucketAddr;
+    const char *key = table.lastKeyAddr;
+    auto keyAt = [&](size_t i) -> const void * {
+        return key ? key + i : bucket;
+    };
     MemModelScope mm(exec);
     RoutineScope r(exec, rSymtab);
     exec.noteMemModelAccess();
     exec.alu(110);                // frame/scope resolution
-    for (size_t i = 0; i < name.size(); ++i) {
+    for (size_t i = 0; i < name_len; ++i) {
         if ((i & 3) == 0)
-            exec.load(name.data() + i);
+            exec.load(keyAt(i));
         exec.alu(4);
         exec.shortInt(1);
     }
@@ -127,9 +134,9 @@ TclInterp::chargeLookup(const std::string &name, int chain_steps,
     for (int s = 0; s < std::max(chain_steps, 1); ++s) {
         exec.load(bucket);
         exec.branch(s + 1 < chain_steps);
-        for (size_t i = 0; i < name.size(); i += 4)
-            exec.load(name.data() + i);
-        exec.alu((uint32_t)name.size() + 6);
+        for (size_t i = 0; i < name_len; i += 4)
+            exec.load(keyAt(i));
+        exec.alu((uint32_t)name_len + 6);
     }
     exec.alu(60);                 // value extraction, trace hooks
 }
@@ -209,7 +216,7 @@ TclInterp::readVar(const std::string &name)
     int steps = 0;
     std::string *value = table.find(name, steps);
     if (!tier2Mode || !icReadHit(name, table, value != nullptr))
-        chargeLookup(name, steps, table.lastBucketAddr);
+        chargeLookup(table, name.size(), steps);
     if (!value)
         fatal("tclish: can't read \"%s\": no such variable",
               name.c_str());
@@ -223,7 +230,7 @@ TclInterp::writeVar(const std::string &name, const std::string &value)
     SymTab &table = scopeFor(name);
     int steps = 0;
     std::string &slot = table.lookup(name, steps);
-    chargeLookup(name, steps, table.lastBucketAddr);
+    chargeLookup(table, name.size(), steps);
     chargeStringWork(value.size());
     exec.store(&slot);
     slot = value;
@@ -885,14 +892,7 @@ TclInterp::evalScript(const std::string &script)
     return evalDirect(script);
 }
 
-/*
- * The baseline eval loop, bit-for-bit. evalScript above is noinline
- * (see the header) so every call site compiles to the same call it
- * was before the bytecode mode existed, and the dispatch becomes a
- * sibcall into this function — whose frame, holding the word buffers
- * whose SSO storage addresses reach the trace through chargeLookup,
- * is laid out exactly as the old evalScript's was.
- */
+/** The baseline eval loop: re-parse and substitute every command. */
 Result
 TclInterp::evalDirect(const std::string &script)
 {
@@ -901,8 +901,6 @@ TclInterp::evalDirect(const std::string &script)
     int line = 1;
     std::vector<std::string> words;
     while (parseCommand(script, pos, words, line)) {
-        if (commandsRun >= commandBudget)
-            exec.stopRun();
         // Substitute non-braced words. parseCommand stripped braces
         // already, so re-deriving braced-ness is impossible here; we
         // instead mark braced words with a \x01 sentinel there.

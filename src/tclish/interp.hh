@@ -147,14 +147,7 @@ class TclInterp
     trace::RoutineId commandRegion(const std::string &name);
 
     // --- evaluation -------------------------------------------------------
-    /**
-     * Mode dispatch only; noinline so the baseline call sites and the
-     * baseline loop's own frame (evalDirect) compile exactly as they
-     * did before the bytecode mode existed — stack temporaries feed
-     * the simulated data addresses, so their layout is part of the
-     * baseline's observable behaviour.
-     */
-    __attribute__((noinline))
+    /** Evaluate @p script in the interpreter's mode. */
     Result evalScript(const std::string &script);
     Result evalDirect(const std::string &script);
     Result evalCompiled(const std::string &script); ///< bytecode.cc
@@ -209,8 +202,9 @@ class TclInterp
     // --- cost emission -----------------------------------------------------
     void chargeParse(size_t chars, size_t words);
     void chargeBytecodeFetch(size_t words); ///< bytecode.cc
-    void chargeLookup(const std::string &name, int chain_steps,
-                      const void *bucket);
+    /** Charge a variable lookup just made in @p table. */
+    void chargeLookup(const SymTab &table, size_t name_len,
+                      int chain_steps);
     void chargeCommandLookup(const std::string &name);
     void chargeStringWork(size_t chars);
     void kernelWrite(int fd, const std::string &text);
@@ -247,13 +241,8 @@ class TclInterp
     // Bytecode-mode state, declared last: baseline members keep the
     // exact offsets (and 16-byte-granule alignment, which the
     // simulated data addresses depend on) they had before this mode
-    // existed. The compiled-script cache lives behind a pointer to an
-    // incomplete type on purpose — instantiating its containers here
-    // would pull their template code into interp.cc, and that much
-    // extra code mass shifts GCC's per-unit inlining decisions, which
-    // moves stack temporaries across 16-byte granules and perturbs
-    // the baseline's simulated data addresses. bytecode.cc is the
-    // only TU that sees the complete type.
+    // existed. The compiled-script cache is complete only in
+    // bytecode.cc, which holds all of the mode's code.
     bool bytecodeMode = false;
     bool compiling = false; ///< routes chargeParse to Precompile
     /** Owned; a raw pointer (not unique_ptr) so interp.cc never

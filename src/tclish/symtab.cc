@@ -22,14 +22,17 @@ SymTab::lookup(const std::string &name, int &chain_steps)
     for (Node *node = buckets[index].get(); node;
          node = node->next.get()) {
         ++chain_steps;
-        if (node->name == name)
+        if (node->name == name) {
+            lastKeyAddr = node->name.data();
             return node->value;
+        }
     }
     auto node = std::make_unique<Node>();
     node->name = name;
     node->next = std::move(buckets[index]);
     buckets[index] = std::move(node);
     ++count;
+    lastKeyAddr = buckets[index]->name.data();
     return buckets[index]->value;
 }
 
@@ -42,9 +45,12 @@ SymTab::find(const std::string &name, int &chain_steps)
     for (Node *node = buckets[index].get(); node;
          node = node->next.get()) {
         ++chain_steps;
-        if (node->name == name)
+        if (node->name == name) {
+            lastKeyAddr = node->name.data();
             return &node->value;
+        }
     }
+    lastKeyAddr = nullptr;
     return nullptr;
 }
 

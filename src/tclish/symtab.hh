@@ -48,6 +48,13 @@ class SymTab
 
     /** Host address of the last-touched bucket (d-cache realism). */
     const void *lastBucketAddr = nullptr;
+    /**
+     * Characters of the key the last lookup() or find() resolved to:
+     * the entry's own copy of the name, a heap object; null after a
+     * miss. Lookup charges read the name here, never at the caller's
+     * string, which may live in a stack frame.
+     */
+    const char *lastKeyAddr = nullptr;
 
   private:
     struct Node

@@ -47,6 +47,7 @@ Execution::addSink(Sink *sink)
 {
     requireFreshStream("trace sink");
     sinks.push_back(sink);
+    relimit();
 }
 
 void
@@ -61,6 +62,7 @@ Execution::setDeadline(Clock::time_point at)
 {
     deadline = at;
     nextSafepoint = at == Clock::time_point::max() ? kNoSafepoint : 0;
+    relimit();
 }
 
 void
@@ -68,6 +70,7 @@ Execution::abortRun()
 {
     nextSafepoint = kNoSafepoint;
     sinks.clear(); // keeps its capacity: no allocation, no free
+    relimit();
     counted = nullptr;
     batch.clear();
 }
@@ -105,28 +108,17 @@ Execution::stopRun()
 
 // --- emission core -----------------------------------------------------------
 //
-// Every helper in this section but tallyCold is forced inline, so each
-// primitive below is one out-of-line function that calls out only to
-// open a new attribution run, to read the clock at a safepoint and to
-// flush a full batch. Without a batch sink a primitive only counts
-// (count()): it neither maps a data address nor steps the PC, which
-// only batch sinks read, and calls and returns keep just the routine
-// stack's pairing. When the attribution matches the open run and no
-// safepoint is due, that is one add; otherwise count() tail-calls
-// tallyCold.
+// The counting fast path is inline in execution.hh; it calls one of the
+// out-of-line halves below when the attribution changed, a safepoint is
+// due or a batch sink is attached. Every helper in this section but
+// commitRun and safepoint is forced inline into them, so each half
+// calls out only to commit the previous attribution run, to read the
+// clock at a safepoint and to flush a full batch. Without a batch sink
+// a half only counts (tally()): it neither maps a data address nor
+// steps the PC, which only batch sinks read, and calls and returns keep
+// just the routine stack's pairing.
 
 #define EMISSION_CORE [[gnu::always_inline]] inline
-
-EMISSION_CORE uint32_t
-Execution::attribution() const
-{
-    // Category in the low byte, the BundleBatch flag bits in the next,
-    // the command in the top half: never equal to kNoRun.
-    return (uint32_t)cat |
-           (uint32_t)BundleBatch::packFlags(memModel, native, system,
-                                            false) << 8 |
-           (uint32_t)command << 16;
-}
 
 void
 Execution::commitRun()
@@ -145,35 +137,27 @@ template <bool Safepoint>
 EMISSION_CORE uint32_t
 Execution::tally(uint32_t n)
 {
-    uint32_t key = attribution();
-    if (key != runKey) [[unlikely]] {
+    if (attr != runKey) [[unlikely]] {
         commitRun();
-        runKey = key;
+        runKey = attr;
         runStart = totalInsts;
     }
     totalInsts += n;
     if (Safepoint && totalInsts >= nextSafepoint) [[unlikely]]
         safepoint();
-    return key;
-}
-
-template <bool Safepoint>
-[[gnu::noinline]] void
-Execution::tallyCold(uint32_t n)
-{
-    tally<Safepoint>(n);
+    return attr;
 }
 
 template <bool Safepoint>
 EMISSION_CORE void
 Execution::count(uint32_t n)
 {
-    if (attribution() == runKey &&
+    if (attr == runKey &&
         (!Safepoint || totalInsts + n < nextSafepoint)) [[likely]] {
         totalInsts += n;
         return;
     }
-    tallyCold<Safepoint>(n);
+    tally<Safepoint>(n);
 }
 
 template <bool Safepoint>
@@ -182,10 +166,11 @@ Execution::emit(uint32_t at, uint32_t n, InstClass cls, uint32_t mem_addr,
                 bool taken, uint32_t target)
 {
     uint32_t key = tally<Safepoint>(n);
-    batch.pushPacked(at, n, BundleBatch::packClsCat(cls, cat),
+    batch.pushPacked(at, n,
+                     BundleBatch::packClsCat(cls, (Category)(key & 0xff)),
                      (uint8_t)(key >> 8) |
                          (taken ? BundleBatch::kTakenBit : 0),
-                     command, mem_addr, target);
+                     (CommandId)(key >> 16), mem_addr, target);
     if (batch.full()) [[unlikely]] {
         // A return runs in RoutineScope's destructor. While an
         // exception unwinds, a sink's throw from there would
@@ -202,6 +187,7 @@ Execution::safepoint()
 {
     if (Clock::now() < deadline) {
         nextSafepoint = totalInsts + kSafepointInsts;
+        relimit();
         return;
     }
     abortRun();
@@ -216,33 +202,6 @@ Execution::step()
     if (curPc >= curEnd)
         curPc = curBase;
     return at;
-}
-
-EMISSION_CORE void
-Execution::emitStraight(uint32_t n, InstClass cls)
-{
-    if (sinks.empty()) {
-        // Nothing for a zero count, as the loop below.
-        if (n > 0)
-            count<true>(n);
-        return;
-    }
-    // Split runs at the routine's end so PCs stay inside its body, and
-    // carve each wrap's taken loop-back branch out of the count.
-    while (n > 0) {
-        uint32_t at = curPc;
-        uint32_t run = std::min(n, (curEnd - at) / 4);
-        curPc += run * 4;
-        if (curPc >= curEnd)
-            curPc = curBase;
-        emit(at, run, cls, 0, false, 0);
-        n -= run;
-        if (n > 0) {
-            uint32_t branch_pc = step();
-            emit(branch_pc, 1, InstClass::CondBranch, 0, true, branch_pc);
-            --n;
-        }
-    }
 }
 
 EMISSION_CORE void
@@ -287,37 +246,40 @@ Execution::leave(InstClass cls, uint32_t dispatch_bit)
     emit<false>(at, 1, cls, 0, true, f.returnPc & ~kViaDispatch);
 }
 
-// --- primitives --------------------------------------------------------------
+// --- out-of-line halves ------------------------------------------------------
 
 void
-Execution::alu(uint32_t n)
-{
-    emitStraight(n, InstClass::IntAlu);
-}
-
-void
-Execution::shortInt(uint32_t n)
-{
-    emitStraight(n, InstClass::ShortInt);
-}
-
-void
-Execution::floatOp(uint32_t n)
-{
-    emitStraight(n, InstClass::FloatOp);
-}
-
-void
-Execution::nop(uint32_t n)
-{
-    emitStraight(n, InstClass::Nop);
-}
-
-void
-Execution::load(const void *ptr)
+Execution::straightCold(uint32_t n, InstClass cls)
 {
     if (sinks.empty()) {
-        count<true>(1);
+        // Nothing for a zero count, as the loop below.
+        if (n > 0)
+            tally<true>(n);
+        return;
+    }
+    // Split runs at the routine's end so PCs stay inside its body, and
+    // carve each wrap's taken loop-back branch out of the count.
+    while (n > 0) {
+        uint32_t at = curPc;
+        uint32_t run = std::min(n, (curEnd - at) / 4);
+        curPc += run * 4;
+        if (curPc >= curEnd)
+            curPc = curBase;
+        emit(at, run, cls, 0, false, 0);
+        n -= run;
+        if (n > 0) {
+            uint32_t branch_pc = step();
+            emit(branch_pc, 1, InstClass::CondBranch, 0, true, branch_pc);
+            --n;
+        }
+    }
+}
+
+void
+Execution::loadCold(const void *ptr)
+{
+    if (sinks.empty()) {
+        tally<true>(1);
         return;
     }
     uint32_t addr = addrMapper.map(ptr);
@@ -325,10 +287,10 @@ Execution::load(const void *ptr)
 }
 
 void
-Execution::store(const void *ptr)
+Execution::storeCold(const void *ptr)
 {
     if (sinks.empty()) {
-        count<true>(1);
+        tally<true>(1);
         return;
     }
     uint32_t addr = addrMapper.map(ptr);
@@ -336,36 +298,47 @@ Execution::store(const void *ptr)
 }
 
 void
-Execution::loadAt(uint32_t synth_addr)
+Execution::loadAtCold(uint32_t synth_addr)
 {
     if (sinks.empty()) {
-        count<true>(1);
+        tally<true>(1);
         return;
     }
     emit(step(), 1, InstClass::Load, synth_addr, false, 0);
 }
 
 void
-Execution::storeAt(uint32_t synth_addr)
+Execution::storeAtCold(uint32_t synth_addr)
 {
     if (sinks.empty()) {
-        count<true>(1);
+        tally<true>(1);
         return;
     }
     emit(step(), 1, InstClass::Store, synth_addr, false, 0);
 }
 
 void
-Execution::branch(bool taken)
+Execution::branchCold(bool taken)
 {
     if (sinks.empty()) {
-        count<true>(1);
+        tally<true>(1);
         return;
     }
     // Taken branches jump a short distance forward within the routine;
     // the exact target only matters to the predictor's history table.
     uint32_t at = step();
     emit(at, 1, InstClass::CondBranch, 0, taken, at + 16);
+}
+
+void
+Execution::emitAtCold(uint32_t pc, InstClass cls, uint32_t n,
+                      uint32_t mem_addr, bool taken, uint32_t target)
+{
+    if (sinks.empty()) {
+        tally<true>(n);
+        return;
+    }
+    emit(pc, n, cls, mem_addr, taken, target);
 }
 
 void
@@ -393,17 +366,6 @@ Execution::endDispatch()
 }
 
 void
-Execution::emitAt(uint32_t pc, InstClass cls, uint32_t n,
-                  uint32_t mem_addr, bool taken, uint32_t target)
-{
-    if (sinks.empty()) {
-        count<true>(n);
-        return;
-    }
-    emit(pc, n, cls, mem_addr, taken, target);
-}
-
-void
 Execution::noteMemModelAccess()
 {
     // Keep the access event in stream order behind buffered bundles.
@@ -419,7 +381,7 @@ Execution::beginCommand(CommandId id)
     // Keep the retirement event in stream order behind buffered
     // bundles (a recorded trace must replay in emission order).
     flush();
-    command = id;
+    resumeCommand(id);
     ++totalCommands;
     if (counted)
         counted->onCommand(id);

@@ -36,14 +36,13 @@
  * attached; a counting-only run builds none, and its primitives
  * neither map a data address nor step the PC.
  *
- * Each emission is one call: every primitive is a single out-of-line
- * function in execution.cc with the emission core forced inline into
- * it, and it calls out only when the attribution changes, a safepoint
- * is due or a full batch flushes. The primitives stay out of line,
- * and their counting fast path must not move into this header: the
- * interpreters pass addresses of their own stack locals to load() and
- * store(), and inlining any of it would change those stack frames and
- * with them the simulated data addresses.
+ * The counting fast path is inline in the caller: every primitive but
+ * the routine calls and returns is one test of the instruction count
+ * against countLimit and of the cached attribution word against the
+ * open run, then one add. Everything else (a new attribution run, a
+ * due safepoint, any run with a batch sink) is one call to the
+ * primitive's out-of-line half in execution.cc, with the emission core
+ * forced inline into it.
  */
 
 #ifndef INTERP_TRACE_EXECUTION_HH
@@ -238,23 +237,72 @@ class Execution
 
     // --- emission primitives ---------------------------------------------
     /** @p n straight-line integer ALU instructions. */
-    void alu(uint32_t n);
+    void
+    alu(uint32_t n)
+    {
+        if (!fastCount(n))
+            straightCold(n, InstClass::IntAlu);
+    }
     /** @p n shift/byte-class instructions (Table 3 "short int"). */
-    void shortInt(uint32_t n);
+    void
+    shortInt(uint32_t n)
+    {
+        if (!fastCount(n))
+            straightCold(n, InstClass::ShortInt);
+    }
     /** @p n floating-point / integer-multiply instructions. */
-    void floatOp(uint32_t n);
+    void
+    floatOp(uint32_t n)
+    {
+        if (!fastCount(n))
+            straightCold(n, InstClass::FloatOp);
+    }
     /** @p n no-ops (delay-slot filler). */
-    void nop(uint32_t n);
-    /** A load of the host object at @p ptr. */
-    void load(const void *ptr);
-    /** A store to the host object at @p ptr. */
-    void store(const void *ptr);
+    void
+    nop(uint32_t n)
+    {
+        if (!fastCount(n))
+            straightCold(n, InstClass::Nop);
+    }
+    /**
+     * A load of the host object at @p ptr. The pointer must not point
+     * into a stack frame: its 16-byte granule becomes a simulated data
+     * address, so a frame's layout would become a modeled number.
+     */
+    void
+    load(const void *ptr)
+    {
+        if (!fastCount(1))
+            loadCold(ptr);
+    }
+    /** A store to the host object at @p ptr (same rule as load()). */
+    void
+    store(const void *ptr)
+    {
+        if (!fastCount(1))
+            storeCold(ptr);
+    }
     /** A load at an already-synthetic address (guest memory). */
-    void loadAt(uint32_t synth_addr);
+    void
+    loadAt(uint32_t synth_addr)
+    {
+        if (!fastCount(1))
+            loadAtCold(synth_addr);
+    }
     /** A store at an already-synthetic address (guest memory). */
-    void storeAt(uint32_t synth_addr);
+    void
+    storeAt(uint32_t synth_addr)
+    {
+        if (!fastCount(1))
+            storeAtCold(synth_addr);
+    }
     /** A conditional branch with the given outcome. */
-    void branch(bool taken);
+    void
+    branch(bool taken)
+    {
+        if (!fastCount(1))
+            branchCold(taken);
+    }
     /**
      * A computed jump to the entry of @p routine — the dispatch idiom.
      * Control transfers to the routine like callRoutine(), but through
@@ -270,9 +318,13 @@ class Execution
      * real and no interpreter code runs. Attribution state (category,
      * command, flags) still applies.
      */
-    void emitAt(uint32_t pc, InstClass cls, uint32_t count = 1,
-                uint32_t mem_addr = 0, bool taken = false,
-                uint32_t target = 0);
+    void
+    emitAt(uint32_t pc, InstClass cls, uint32_t count = 1,
+           uint32_t mem_addr = 0, bool taken = false, uint32_t target = 0)
+    {
+        if (!fastCount(count))
+            emitAtCold(pc, cls, count, mem_addr, taken, target);
+    }
 
     // --- attribution -------------------------------------------------------
     /**
@@ -285,17 +337,21 @@ class Execution
      * new command — used by tree-walking interpreters when control
      * returns to a parent op after its children executed.
      */
-    void resumeCommand(CommandId id) { command = id; }
-    CommandId currentCommand() const { return command; }
+    void
+    resumeCommand(CommandId id)
+    {
+        attr = (attr & 0xffffu) | (uint32_t)id << 16;
+    }
+    CommandId currentCommand() const { return (CommandId)(attr >> 16); }
     /** Current attribution category. */
-    Category category() const { return cat; }
-    void setCategory(Category c) { cat = c; }
-    void setMemModel(bool on) { memModel = on; }
-    bool inMemModel() const { return memModel; }
-    void setNative(bool on) { native = on; }
-    bool inNative() const { return native; }
-    void setSystem(bool on) { system = on; }
-    bool inSystem() const { return system; }
+    Category category() const { return (Category)(attr & 0xffu); }
+    void setCategory(Category c) { attr = (attr & ~0xffu) | (uint32_t)c; }
+    void setMemModel(bool on) { setFlag(kMemModelFlag, on); }
+    bool inMemModel() const { return attr & kMemModelFlag; }
+    void setNative(bool on) { setFlag(kNativeFlag, on); }
+    bool inNative() const { return attr & kNativeFlag; }
+    void setSystem(bool on) { setFlag(kSystemFlag, on); }
+    bool inSystem() const { return attr & kSystemFlag; }
     /** Count one logical memory-model access (§3.3 accounting). */
     void noteMemModelAccess();
 
@@ -326,19 +382,59 @@ class Execution
     static constexpr uint64_t kSafepointInsts = 4096;
     /** nextSafepoint without an armed deadline. */
     static constexpr uint64_t kNoSafepoint = ~0ull;
+    /** The scope flags' bits in the attribution word. */
+    static constexpr uint32_t kMemModelFlag = BundleBatch::kMemModelBit
+                                              << 8;
+    static constexpr uint32_t kNativeFlag = BundleBatch::kNativeBit << 8;
+    static constexpr uint32_t kSystemFlag = BundleBatch::kSystemBit << 8;
 
-    /** Current attribution as one word: category, flags, command. */
-    uint32_t attribution() const;
+    void
+    setFlag(uint32_t flag, bool on)
+    {
+        attr = on ? attr | flag : attr & ~flag;
+    }
+    /**
+     * The counting fast path: add @p n to the open run when the count
+     * stays below countLimit and the attribution still matches the
+     * run. False otherwise, with nothing counted: the caller makes its
+     * out-of-line call. The limit is tested first, so a run with a
+     * batch sink (countLimit 0) leaves after one compare.
+     */
+    bool
+    fastCount(uint32_t n)
+    {
+        if (totalInsts + n < countLimit && attr == runKey) [[likely]] {
+            totalInsts += n;
+            return true;
+        }
+        return false;
+    }
+    /** Recompute countLimit after a sink or the safepoint changed. */
+    void
+    relimit()
+    {
+        countLimit = sinks.empty() ? nextSafepoint : 0;
+    }
+
+    // The out-of-line halves of the inline primitives.
+    /** Emit an @p n-instruction run of @p cls at the current PC. */
+    void straightCold(uint32_t n, InstClass cls);
+    void loadCold(const void *ptr);
+    void storeCold(const void *ptr);
+    void loadAtCold(uint32_t synth_addr);
+    void storeAtCold(uint32_t synth_addr);
+    void branchCold(bool taken);
+    void emitAtCold(uint32_t pc, InstClass cls, uint32_t n,
+                    uint32_t mem_addr, bool taken, uint32_t target);
+
     /** Count @p n instructions into the open attribution run (opening
      *  a new one when the attribution changed) and pass the deadline
      *  safepoint unless @p Safepoint is false. Returns the
      *  attribution. */
     template <bool Safepoint> uint32_t tally(uint32_t n);
-    /** tally() out of line: count()'s exit when the attribution
-     *  changed or a safepoint is due. */
-    template <bool Safepoint> void tallyCold(uint32_t n);
-    /** The counting-only path: add @p n to the open run when its
-     *  attribution matches and no safepoint is due, else tallyCold(). */
+    /** The counting-only path of a call or a return: add @p n to the
+     *  open run when its attribution matches and no safepoint is due,
+     *  else tally(). */
     template <bool Safepoint> void count(uint32_t n);
     /** tally(), then push the bundle: the path with a batch sink. */
     template <bool Safepoint = true>
@@ -355,8 +451,6 @@ class Execution
     void commitRun();
     /** The current PC, then advance it one instruction, wrapping. */
     uint32_t step();
-    /** Emit an @p n-instruction run of @p cls at the current PC. */
-    void emitStraight(uint32_t n, InstClass cls);
     /** fatal() unless nothing has been emitted yet. */
     void requireFreshStream(const char *what) const;
     /** Emit the transfer into @p routine and make its window current,
@@ -377,18 +471,24 @@ class Execution
     uint32_t curBase = 0;
     uint32_t curEnd = 0;
 
+    /**
+     * The current attribution as one word: the category in the low
+     * byte, the BundleBatch flag bits of the memory-model, native and
+     * system scopes in the next, the command in the top half. Never
+     * equal to kNoRun.
+     */
+    uint32_t attr = (uint32_t)Category::Execute | (uint32_t)kNoCommand << 16;
     // The open attribution run: its key and totalInsts at its start.
     uint32_t runKey = kNoRun;
     uint64_t runStart = 0;
 
-    Category cat = Category::Execute;
-    CommandId command = kNoCommand;
-    bool memModel = false;
-    bool native = false;
-    bool system = false;
-
     uint64_t totalInsts = 0;
     uint64_t totalCommands = 0;
+    /**
+     * The fast path counts while totalInsts stays below this:
+     * nextSafepoint without a batch sink, 0 (never) with one.
+     */
+    uint64_t countLimit = kNoSafepoint;
 
     Clock::time_point deadline = Clock::time_point::max();
     /** totalInsts at or past which the next emission reads the clock. */

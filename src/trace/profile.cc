@@ -41,38 +41,6 @@ Profile::onBatch(const BundleBatch &batch)
 }
 
 void
-Profile::accountRun(Category cat, uint8_t flags, CommandId command,
-                    uint64_t count)
-{
-    totalInsts += count;
-    if (flags & BundleBatch::kSystemBit) {
-        // OS work is timed but kept out of the software-level counts,
-        // as the paper's ATOM instrumentation excluded the kernel.
-        sysInsts += count;
-        return;
-    }
-    catInsts[(int)cat] += count;
-    if (flags & BundleBatch::kNativeBit)
-        nativeInsts += count;
-    if (flags & BundleBatch::kMemModelBit)
-        memInsts += count;
-    if (command != kNoCommand) {
-        if (command >= cmds.size())
-            cmds.resize(command + 1);
-        CommandStats &cs = cmds[command];
-        if (cat == Category::FetchDecode) {
-            cs.fetchDecode += count;
-        } else if (cat == Category::Execute) {
-            cs.execute += count;
-            if (flags & BundleBatch::kNativeBit)
-                cs.nativeLib += count;
-            if (flags & BundleBatch::kMemModelBit)
-                cs.memModel += count;
-        }
-    }
-}
-
-void
 Profile::onCommand(CommandId command)
 {
     ++totalCommands;

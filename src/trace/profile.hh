@@ -86,8 +86,38 @@ class Profile final : public Sink
      * every counter update is an associative uint64 add, so both
      * totals match exactly however the runs are cut.
      */
-    void accountRun(Category cat, uint8_t flags, CommandId command,
-                    uint64_t count);
+    void
+    accountRun(Category cat, uint8_t flags, CommandId command,
+               uint64_t count)
+    {
+        totalInsts += count;
+        if (flags & BundleBatch::kSystemBit) {
+            // OS work is timed but kept out of the software-level
+            // counts, as the paper's ATOM instrumentation excluded the
+            // kernel.
+            sysInsts += count;
+            return;
+        }
+        catInsts[(int)cat] += count;
+        if (flags & BundleBatch::kNativeBit)
+            nativeInsts += count;
+        if (flags & BundleBatch::kMemModelBit)
+            memInsts += count;
+        if (command != kNoCommand) {
+            if (command >= cmds.size())
+                cmds.resize(command + 1);
+            CommandStats &cs = cmds[command];
+            if (cat == Category::FetchDecode) {
+                cs.fetchDecode += count;
+            } else if (cat == Category::Execute) {
+                cs.execute += count;
+                if (flags & BundleBatch::kNativeBit)
+                    cs.nativeLib += count;
+                if (flags & BundleBatch::kMemModelBit)
+                    cs.memModel += count;
+            }
+        }
+    }
 
   private:
     uint64_t totalCommands = 0;

@@ -263,6 +263,47 @@ TEST(Runner, BudgetStopUnderDeepRecursionEndsTheStreamOnce)
     expectSameProfile(first.profile, second.profile);
 }
 
+TEST(Runner, BudgetsAreExactWhenCommandsNest)
+{
+    // A command can retire other commands before it retires itself: a
+    // Tcl bracket substitution in one of its words, a Perl list that
+    // flattens arrays. The budget is checked where each command
+    // retires, so every budget stops the run on exactly that many
+    // commands, in the run's count and in the profile's.
+    struct Case
+    {
+        Lang lang;
+        const char *source;
+        uint64_t from, to; ///< budgets [from, to)
+    };
+    const char *tcl =
+        "set i 0; while {1} {set x [expr {[incr i] + [incr i]}]}";
+    const char *perl = "@a = (1,2,3); while (1) { @b = (@a, @a); $n = @b; }";
+    const Case cases[] = {
+        {Lang::Tcl, tcl, 1000, 1012},
+        {Lang::TclBytecode, tcl, 1000, 1012},
+        {Lang::TclTier2, tcl, 1000, 1012},
+        {Lang::TclJit, tcl, 1000, 1012},
+        {Lang::Perl, perl, 1000, 1400},
+        {Lang::PerlIC, perl, 1000, 1400},
+    };
+    for (const Case &c : cases) {
+        BenchSpec spec;
+        spec.lang = c.lang;
+        spec.name = "nested";
+        spec.source = c.source;
+        for (uint64_t budget = c.from; budget < c.to; ++budget) {
+            SCOPED_TRACE(std::string(langName(c.lang)) + " budget " +
+                         std::to_string(budget));
+            spec.maxCommands = budget;
+            Measurement m = run(spec, {}, nullptr, false);
+            EXPECT_FALSE(m.finished);
+            EXPECT_EQ(m.commands, budget);
+            EXPECT_EQ(m.profile.commands(), budget);
+        }
+    }
+}
+
 // --- micro suite -------------------------------------------------------
 
 TEST(Micro, AllOpsRunInAllLanguages)

@@ -394,43 +394,43 @@ TEST(Replay, EmissionStreamIsPinned)
          0x7b64031fc224dc32ull},
         {"spin", Lang::Perl, 0x4b33fb0eb2431e96ull, 0xd675771ae44c099aull,
          0x48488053f0236217ull},
-        {"spin", Lang::Tcl, 0xb4b81248005fbde2ull, 0x431c52071d7147eeull,
+        {"spin", Lang::Tcl, 0x9a954f9dc5f0f8c3ull, 0x0a22e4bcfa6c8b5aull,
          0xad2dda085eab503eull},
         {"spin", Lang::MipsiThreaded, 0x2a6664e9cc64ca3aull, 0x4dc4faec220b0d2aull,
          0xac2c7c3d716e899aull},
         {"spin", Lang::JavaQuick, 0x56cab731f8fea30dull, 0x1e84219ee34017a5ull,
          0x4268a7a2eafb2539ull},
-        {"spin", Lang::TclBytecode, 0xa659b087bb9a502aull, 0x61a84a7f55a58508ull,
+        {"spin", Lang::TclBytecode, 0x4071cc94f4bc4a9aull, 0x11d3c1c403566474ull,
          0x48f79ceb9d977fc5ull},
         {"spin", Lang::JavaTier2, 0x922106e5cad774dfull, 0x3d374bc253ba2ba2ull,
          0xefc3aa80f74bdaf9ull},
-        {"spin", Lang::TclTier2, 0x2b57b2597854ef96ull, 0xc61f8c79428c6a41ull,
+        {"spin", Lang::TclTier2, 0xa30585c53c2407c6ull, 0xfb2574dc5e7e165aull,
          0xf21d6ccacdf06113ull},
         {"spin", Lang::PerlIC, 0x071bad524fd483f8ull, 0xd675771ae44c099aull,
          0x48488053f0236217ull},
         {"spin", Lang::MipsiJit, 0x4660ff6024a9f495ull, 0x531c29ccf5380413ull,
          0x27c689c338444348ull},
-        {"spin", Lang::TclJit, 0x8a8e600575fd2dcfull, 0xf6218034d3344ee8ull,
+        {"spin", Lang::TclJit, 0x8061571020205b9full, 0xe83d841a36d39e36ull,
          0xb6c3edf6a93b2b89ull},
         {"kanren", Lang::Mipsi, 0xf6c5ea4bf285b123ull, 0x07f5c1a47650aa55ull,
          0x2ab04e5e0e20737aull},
         {"kanren", Lang::Java, 0xd505a532dcba3227ull, 0xfe80443e425812eeull,
          0xa0934cfc5fb6a36aull},
-        {"kanren", Lang::Tcl, 0x904aa152d0f84e6cull, 0xb8bcb3c9ffe5fad1ull,
+        {"kanren", Lang::Tcl, 0xa8e823c1a9f5513aull, 0x007508c83bfef6c4ull,
          0x180c3153659546e3ull},
         {"kanren", Lang::MipsiThreaded, 0xfbc6f3495f5778b7ull, 0x7c81a983ac35d543ull,
          0xa0c711fa4c378a98ull},
         {"kanren", Lang::JavaQuick, 0xfac4275860859954ull, 0x37ca781a6ec576e5ull,
          0x5b20f4443a329b78ull},
-        {"kanren", Lang::TclBytecode, 0x6b9ed0c352ba9bb2ull, 0xc2fd9815d55ecda0ull,
+        {"kanren", Lang::TclBytecode, 0xb528ed1d2729310dull, 0xd1ca5ae262a2b1c3ull,
          0xd3a45352aeb09762ull},
         {"kanren", Lang::JavaTier2, 0x320bc341d8d990d2ull, 0x20a23d24ce72c286ull,
          0x84a4166693e18b7full},
-        {"kanren", Lang::TclTier2, 0x90722d00dbbb96b5ull, 0xaa24eda7c688f374ull,
+        {"kanren", Lang::TclTier2, 0x242d2a398b91f26cull, 0x0dcf7dc91a3aa39dull,
          0xe71bb2a3624a6bd8ull},
         {"kanren", Lang::MipsiJit, 0x4cc548a682dc51b6ull, 0xc2e98a08cdcd9a19ull,
          0x5714c0b81f8d3558ull},
-        {"kanren", Lang::TclJit, 0xa72f57e650cb5f82ull, 0xf375c2aaf6f8c111ull,
+        {"kanren", Lang::TclJit, 0x049c867d593550bfull, 0xe293bd92ce550777ull,
          0xb1e05e476a75990dull},
     };
     size_t runs = 0;

@@ -558,6 +558,113 @@ TEST(Profile, CountingOnlyMatchesBatchesAcrossEveryPrimitive)
     expectSameProfile(alone, batched);
 }
 
+TEST(Profile, EverySetterAndScopeReachesTheInlinePath)
+{
+    // The counting fast path, inline in the caller, tests one cached
+    // attribution word against the open run. Every setter,
+    // beginCommand, resumeCommand and the four RAII scopes, nested and
+    // then unwound by an exception, must keep that word current. Each
+    // step emits a distinct count twice, so the second emission takes
+    // the fast path; the totals identify which attribution got each
+    // count, counted at the source alone, beside a batch sink and in
+    // that batch sink.
+    struct Unwind
+    {
+    };
+    auto script = [](Execution &exec) {
+        CommandSet set;
+        auto a = set.intern("a");
+        auto b = set.intern("b");
+        auto twice = [&](uint32_t n) {
+            exec.alu(n);
+            exec.alu(n);
+        };
+        exec.beginCommand(a);
+        twice(1); // a, execute
+        exec.setCategory(Category::FetchDecode);
+        twice(2); // a, fetch/decode
+        exec.setCategory(Category::Precompile);
+        twice(4); // precompile
+        exec.setCategory(Category::Execute);
+        exec.setMemModel(true);
+        twice(8); // a, execute, memory model
+        exec.setMemModel(false);
+        exec.setNative(true);
+        twice(16); // a, execute, native
+        exec.setNative(false);
+        exec.setSystem(true);
+        twice(32); // system
+        exec.setSystem(false);
+        exec.beginCommand(b);
+        twice(64); // b, execute
+        exec.resumeCommand(a);
+        twice(128); // a, execute
+        try {
+            CategoryScope fd(exec, Category::FetchDecode);
+            twice(256); // a, fetch/decode
+            MemModelScope mm(exec);
+            twice(512); // a, fetch/decode, memory model
+            NativeScope nat(exec);
+            twice(1024); // a, fetch/decode, memory model, native
+            SystemScope sys(exec);
+            twice(2048); // system
+            throw Unwind{};
+        } catch (const Unwind &) {
+        }
+        EXPECT_EQ(exec.category(), Category::Execute);
+        EXPECT_FALSE(exec.inMemModel());
+        EXPECT_FALSE(exec.inNative());
+        EXPECT_FALSE(exec.inSystem());
+        EXPECT_EQ(exec.currentCommand(), a);
+        twice(4096); // a, execute
+        exec.flush();
+    };
+    auto expectAttributed = [](const Profile &p) {
+        EXPECT_EQ(p.commands(), 2u);
+        EXPECT_EQ(p.instructions(), 2u * 8191);
+        EXPECT_EQ(p.systemInsts(), 2u * (32 + 2048));
+        EXPECT_EQ(p.fetchDecodeInsts(), 2u * (2 + 256 + 512 + 1024));
+        EXPECT_EQ(p.executeInsts(), 2u * (1 + 8 + 16 + 64 + 128 + 4096));
+        EXPECT_EQ(p.precompileInsts(), 2u * 4);
+        EXPECT_EQ(p.nativeLibInsts(), 2u * (16 + 1024));
+        EXPECT_EQ(p.memModelInsts(), 2u * (8 + 512 + 1024));
+        ASSERT_EQ(p.perCommand().size(), 2u);
+        const CommandStats &a = p.perCommand()[0];
+        const CommandStats &b = p.perCommand()[1];
+        EXPECT_EQ(a.fetchDecode, 2u * (2 + 256 + 512 + 1024));
+        EXPECT_EQ(a.execute, 2u * (1 + 8 + 16 + 128 + 4096));
+        EXPECT_EQ(a.nativeLib, 2u * 16);
+        EXPECT_EQ(a.memModel, 2u * 8);
+        EXPECT_EQ(b.execute, 2u * 64);
+        EXPECT_EQ(b.fetchDecode + b.nativeLib + b.memModel, 0u);
+    };
+
+    Profile alone, beside, batched;
+    {
+        Execution exec;
+        exec.countInto(&alone);
+        script(exec);
+    }
+    {
+        Execution exec;
+        exec.countInto(&beside);
+        exec.addSink(&batched);
+        script(exec);
+    }
+    {
+        SCOPED_TRACE("counting only");
+        expectAttributed(alone);
+    }
+    {
+        SCOPED_TRACE("beside a batch sink");
+        expectAttributed(beside);
+    }
+    {
+        SCOPED_TRACE("batch sink");
+        expectAttributed(batched);
+    }
+}
+
 TEST(Execution, LateSinkAttachIsFatal)
 {
     // A sink attached mid-run would silently miss the prefix of the
