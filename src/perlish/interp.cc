@@ -382,15 +382,22 @@ Interp::lvalueSlot(const OpNode &node)
 // --- list-context evaluation ------------------------------------------------
 
 void
-Interp::evalList(const OpNode &node, List &out)
+Interp::evalList(const OpNode &node, List &out, bool retired)
 {
+    // A list op retires here, unless eval() retired it already.
+    auto retireOp = [&](trace::CommandId id) {
+        if (retired)
+            exec.resumeCommand(id);
+        else
+            retire(id);
+    };
     switch (node.op) {
       case Opc::CommaList:
         for (const auto &kid : node.kids)
             evalList(*kid, out);
         break;
       case Opc::ArrayVar: {
-        retire(opCommand[(size_t)node.op]);
+        retireOp(opCommand[(size_t)node.op]);
         MemModelScope mm(exec);
         RoutineScope r(exec, rArray);
         exec.alu(10);
@@ -404,7 +411,7 @@ Interp::evalList(const OpNode &node, List &out)
       case Opc::Range: {
         double lo = eval(*node.kids[0]).num();
         double hi = eval(*node.kids[1]).num();
-        retire(opCommand[(size_t)node.op]);
+        retireOp(opCommand[(size_t)node.op]);
         RoutineScope r(exec, rArray);
         for (double v = lo; v <= hi; v += 1) {
             exec.alu(4);
@@ -414,7 +421,7 @@ Interp::evalList(const OpNode &node, List &out)
       }
       case Opc::SplitOp: {
         Scalar text = eval(*node.kids[0]);
-        retire(opCommand[(size_t)Opc::SplitOp]);
+        retireOp(opCommand[(size_t)Opc::SplitOp]);
         uint64_t steps = 0;
         auto pieces = node.rx->split(text.str(), steps);
         chargeRegexSteps(steps);
@@ -427,12 +434,8 @@ Interp::evalList(const OpNode &node, List &out)
         break;
       }
       case Opc::Keys: {
-        retire(opCommand[(size_t)node.op]);
+        retireOp(opCommand[(size_t)node.op]);
         RoutineScope r(exec, rHash);
-        if (node.kids.empty() || node.kids[0]->op != Opc::HashElem) {
-            // keys(%h): the parser delivers %h only via HashVar —
-            // which we reach through the node's slot below.
-        }
         int slot = node.kids.empty() ? node.slot : node.kids[0]->slot;
         auto key_list = hashes[slot].keys();
         exec.alu(12 + (uint32_t)key_list.size() * 6);
@@ -441,7 +444,7 @@ Interp::evalList(const OpNode &node, List &out)
         break;
       }
       case Opc::Values: {
-        retire(opCommand[(size_t)node.op]);
+        retireOp(opCommand[(size_t)node.op]);
         RoutineScope r(exec, rHash);
         int slot = node.kids.empty() ? node.slot : node.kids[0]->slot;
         auto key_list = hashes[slot].keys();
@@ -879,9 +882,7 @@ Interp::eval(const OpNode &node)
       case Opc::SplitOp: {
         // Scalar context: the number of fields.
         List items;
-        // Re-enter through evalList (it resumes the command itself).
-        --commandsRun; // evalList's default path would double-count
-        evalList(node, items);
+        evalList(node, items, /*retired=*/true);
         return Scalar::fromNum((double)items.size());
       }
 
@@ -951,8 +952,7 @@ Interp::eval(const OpNode &node)
       case Opc::Keys: case Opc::Values: {
         // Scalar context: count.
         List items;
-        --commandsRun; // evalList retires the command itself
-        evalList(node, items);
+        evalList(node, items, /*retired=*/true);
         return Scalar::fromNum((double)items.size());
       }
       case Opc::Defined: {
@@ -1179,8 +1179,7 @@ Interp::eval(const OpNode &node)
       }
       case Opc::Range: {
         List items;
-        --commandsRun; // evalList path would re-count
-        evalList(node, items);
+        evalList(node, items, /*retired=*/true);
         return Scalar::fromNum((double)items.size());
       }
 

@@ -90,7 +90,12 @@ class Interp
 
     // Evaluation.
     Scalar eval(const OpNode &node);
-    void evalList(const OpNode &node, List &out);
+    /**
+     * Evaluate @p node in list context, appending to @p out.
+     * @p retired: eval() already retired @p node (a list op in scalar
+     * context), so the op only resumes its command.
+     */
+    void evalList(const OpNode &node, List &out, bool retired = false);
     Scalar *lvalueSlot(const OpNode &node);
 
     /**

@@ -119,6 +119,36 @@ TEST(Runner, BudgetStopsRunaway)
     EXPECT_LT(m.commands, 2100u);
 }
 
+TEST(Runner, ListOpsInScalarContextRetireOnce)
+{
+    // A Perl list op in scalar context (split, keys, a range) goes
+    // through its list-context evaluation, which must not retire the
+    // op a second time: the run's count and the profile's agree.
+    struct Case
+    {
+        const char *source;
+        uint64_t commands;
+    };
+    const Case cases[] = {
+        {"$n = split(/,/, \"a,b,c\");", 4},
+        {"$h{\"a\"} = 1; $n = keys(%h);", 7},
+        {"$n = (1..3);", 5},
+    };
+    for (Lang lang : {Lang::Perl, Lang::PerlIC}) {
+        for (const Case &c : cases) {
+            SCOPED_TRACE(std::string(langName(lang)) + ": " + c.source);
+            BenchSpec spec;
+            spec.lang = lang;
+            spec.name = "scalar-list";
+            spec.source = c.source;
+            Measurement m = run(spec, {}, nullptr, false);
+            EXPECT_TRUE(m.finished);
+            EXPECT_EQ(m.commands, c.commands);
+            EXPECT_EQ(m.profile.commands(), c.commands);
+        }
+    }
+}
+
 TEST(Runner, SinkExceptionReachesTheCaller)
 {
     // A sink may abort a run from a delivery. The unwind leaves
