@@ -44,11 +44,7 @@ main(int argc, char **argv)
     vfs::FileSystem fs;
     tclish::TclInterp tcl(exec, fs);
 
-    auto result = tcl.run(script, 200'000'000);
-    if (!result.exited) {
-        std::fprintf(stderr, "script did not finish\n");
-        return 1;
-    }
+    tcl.run(script);
     std::printf("%s", fs.stdoutCapture().c_str());
 
     gfx::Framebuffer *fb = tcl.framebuffer();
@@ -71,10 +67,10 @@ main(int argc, char **argv)
 
     std::printf("\n%llu Tcl commands, %llu native instructions "
                 "(%.0f per command), %.1f%% in the Tk library\n",
-                (unsigned long long)result.commands,
+                (unsigned long long)exec.commands(),
                 (unsigned long long)profile.userInstructions(),
                 (double)profile.userInstructions() /
-                    (double)result.commands,
+                    (double)exec.commands(),
                 100.0 * profile.nativeLibInsts() /
                     (double)profile.executeInsts());
     return 0;

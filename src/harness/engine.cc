@@ -23,26 +23,29 @@ specImage(const BenchSpec &spec)
                       : minic::compileMips(spec.source, spec.name);
 }
 
+/**
+ * Call @p body with @p exec's command budget armed at @p budget. The
+ * one place a trace::BudgetExhausted is caught: the budget stopping
+ * the run ends the call.
+ */
+template <class Body>
+void
+runBudgeted(trace::Execution &exec, uint64_t budget, Body &&body)
+{
+    exec.setCommandBudget(budget);
+    try {
+        body();
+    } catch (const trace::BudgetExhausted &) {
+    }
+}
+
 /** Lang::C — the hand-scheduled native baseline. */
 class DirectEngine final : public Engine
 {
   public:
     DirectEngine(trace::Execution &exec, vfs::FileSystem &fs)
-        : exec(exec), fs(fs)
+        : Engine(exec, fs)
     {
-    }
-
-    EngineResult execute(const BenchSpec &spec) override
-    {
-        EngineResult res;
-        auto image = specImage(spec);
-        res.programBytes = image.sizeBytes();
-        cpu = std::make_unique<mipsi::DirectCpu>(exec, fs);
-        cpu->load(image);
-        auto r = cpu->run(spec.maxCommands);
-        res.finished = r.exited;
-        res.commands = r.instructions;
-        return res;
     }
 
     trace::CommandSet &commandSet() override
@@ -51,8 +54,15 @@ class DirectEngine final : public Engine
     }
 
   private:
-    trace::Execution &exec;
-    vfs::FileSystem &fs;
+    void run(const BenchSpec &spec, EngineResult &res) override
+    {
+        auto image = specImage(spec);
+        res.programBytes = image.sizeBytes();
+        cpu = std::make_unique<mipsi::DirectCpu>(exec, fs);
+        cpu->load(image);
+        res.finished = cpu->run().exited;
+    }
+
     std::unique_ptr<mipsi::DirectCpu> cpu;
 };
 
@@ -62,32 +72,8 @@ class MipsiEngine final : public Engine
   public:
     MipsiEngine(trace::Execution &exec, vfs::FileSystem &fs,
                 bool threaded)
-        : exec(exec), fs(fs), threaded(threaded)
+        : Engine(exec, fs), threaded(threaded)
     {
-    }
-
-    EngineResult execute(const BenchSpec &spec) override
-    {
-        EngineResult res;
-        auto image = specImage(spec);
-        res.programBytes = image.sizeBytes();
-        // run() is non-virtual by design (mipsi.hh): dispatch on the
-        // concrete type, keep the base pointer only for commandSet().
-        mipsi::Mipsi::RunResult r;
-        if (threaded) {
-            threadedVm = std::make_unique<mipsi::ThreadedMipsi>(exec, fs);
-            threadedVm->load(image);
-            r = threadedVm->run(spec.maxCommands);
-            vm = threadedVm.get();
-        } else {
-            switchVm = std::make_unique<mipsi::Mipsi>(exec, fs);
-            switchVm->load(image);
-            r = switchVm->run(spec.maxCommands);
-            vm = switchVm.get();
-        }
-        res.finished = r.exited;
-        res.commands = r.commands;
-        return res;
     }
 
     trace::CommandSet &commandSet() override
@@ -96,8 +82,25 @@ class MipsiEngine final : public Engine
     }
 
   private:
-    trace::Execution &exec;
-    vfs::FileSystem &fs;
+    void run(const BenchSpec &spec, EngineResult &res) override
+    {
+        auto image = specImage(spec);
+        res.programBytes = image.sizeBytes();
+        // run() is non-virtual by design (mipsi.hh): dispatch on the
+        // concrete type, keep the base pointer only for commandSet().
+        if (threaded) {
+            threadedVm = std::make_unique<mipsi::ThreadedMipsi>(exec, fs);
+            threadedVm->load(image);
+            vm = threadedVm.get();
+            res.finished = threadedVm->run().exited;
+        } else {
+            switchVm = std::make_unique<mipsi::Mipsi>(exec, fs);
+            switchVm->load(image);
+            vm = switchVm.get();
+            res.finished = switchVm->run().exited;
+        }
+    }
+
     bool threaded;
     // The cores have no vtable (mipsi.hh explains why), so each
     // concrete type must be owned — and destroyed — as itself; the
@@ -119,36 +122,8 @@ class MipsiJitEngine final : public Engine
 {
   public:
     MipsiJitEngine(trace::Execution &exec, vfs::FileSystem &fs)
-        : exec(exec), fs(fs)
+        : Engine(exec, fs)
     {
-    }
-
-    EngineResult execute(const BenchSpec &spec) override
-    {
-        EngineResult res;
-        auto image = specImage(spec);
-        res.programBytes = image.sizeBytes();
-        auto published = spec.tier.get<jit::JitArtifact>();
-        if (published && published->poisoned()) {
-            prevVm = std::make_unique<mipsi::ThreadedMipsi>(exec, fs);
-            prevVm->load(image);
-            auto r = prevVm->run(spec.maxCommands);
-            res.finished = r.exited;
-            res.commands = r.commands;
-            vm = prevVm.get();
-            return res;
-        }
-        jitVm = std::make_unique<mipsi::JitMipsi>(exec, fs);
-        jitVm->load(image);
-        if (published)
-            jitVm->useArtifact(std::move(published));
-        if (spec.tier.publish)
-            jitVm->setPublishHook(spec.tier.publish);
-        auto r = jitVm->run(spec.maxCommands);
-        res.finished = r.exited;
-        res.commands = r.commands;
-        vm = jitVm.get();
-        return res;
     }
 
     trace::CommandSet &commandSet() override
@@ -157,8 +132,28 @@ class MipsiJitEngine final : public Engine
     }
 
   private:
-    trace::Execution &exec;
-    vfs::FileSystem &fs;
+    void run(const BenchSpec &spec, EngineResult &res) override
+    {
+        auto image = specImage(spec);
+        res.programBytes = image.sizeBytes();
+        auto published = spec.tier.get<jit::JitArtifact>();
+        if (published && published->poisoned()) {
+            prevVm = std::make_unique<mipsi::ThreadedMipsi>(exec, fs);
+            prevVm->load(image);
+            vm = prevVm.get();
+            res.finished = prevVm->run().exited;
+            return;
+        }
+        jitVm = std::make_unique<mipsi::JitMipsi>(exec, fs);
+        jitVm->load(image);
+        if (published)
+            jitVm->useArtifact(std::move(published));
+        if (spec.tier.publish)
+            jitVm->setPublishHook(spec.tier.publish);
+        vm = jitVm.get();
+        res.finished = jitVm->run().exited;
+    }
+
     // No vtable on the cores: own each concrete type as itself, keep
     // only a non-owning base view for commandSet().
     std::unique_ptr<mipsi::ThreadedMipsi> prevVm;
@@ -171,17 +166,8 @@ class JvmEngine final : public Engine
 {
   public:
     JvmEngine(trace::Execution &exec, vfs::FileSystem &fs, int tier)
-        : exec(exec), fs(fs), tier(tier)
+        : Engine(exec, fs), tier(tier)
     {
-    }
-
-    EngineResult execute(const BenchSpec &spec) override
-    {
-        switch (tier) {
-          case 0: return executeBaseline(spec);
-          case 1: return executeQuick(spec);
-          default: return executeTier2(spec);
-        }
     }
 
     trace::CommandSet &commandSet() override
@@ -190,9 +176,18 @@ class JvmEngine final : public Engine
     }
 
   private:
-    EngineResult executeBaseline(const BenchSpec &spec)
+    void run(const BenchSpec &spec, EngineResult &res) override
     {
-        EngineResult res;
+        switch (tier) {
+          case 0: prepareBaseline(spec, res); break;
+          case 1: prepareQuick(spec, res); break;
+          default: prepareTier2(spec, res); break;
+        }
+        res.finished = vm->run().exited;
+    }
+
+    void prepareBaseline(const BenchSpec &spec, EngineResult &res)
+    {
         vm = std::make_unique<jvm::Vm>(exec, fs);
         if (spec.tier.collect)
             vm->setPairSink(spec.tier.collect.get());
@@ -204,15 +199,10 @@ class JvmEngine final : public Engine
             res.programBytes = module.sizeBytes();
             vm->load(module);
         }
-        auto r = vm->run(spec.maxCommands);
-        res.finished = r.exited;
-        res.commands = r.commands;
-        return res;
     }
 
-    EngineResult executeQuick(const BenchSpec &spec)
+    void prepareQuick(const BenchSpec &spec, EngineResult &res)
     {
-        EngineResult res;
         vm = std::make_unique<jvm::Vm>(exec, fs, /*quick=*/true);
         if (spec.module) {
             // A catalog-shared module must never be quickened in
@@ -224,15 +214,10 @@ class JvmEngine final : public Engine
             res.programBytes = module.sizeBytes();
             vm->load(module);
         }
-        auto r = vm->run(spec.maxCommands);
-        res.finished = r.exited;
-        res.commands = r.commands;
-        return res;
     }
 
-    EngineResult executeTier2(const BenchSpec &spec)
+    void prepareTier2(const BenchSpec &spec, EngineResult &res)
     {
-        EngineResult res;
         std::shared_ptr<const jvm::Module> module = spec.module;
         if (!module)
             module = std::make_shared<const jvm::Module>(
@@ -241,10 +226,6 @@ class JvmEngine final : public Engine
         auto artifact = artifactFor(spec, module);
         vm = std::make_unique<jvm::Vm>(exec, fs, /*quick=*/true);
         vm->useArtifact(std::move(artifact));
-        auto r = vm->run(spec.maxCommands);
-        res.finished = r.exited;
-        res.commands = r.commands;
-        return res;
     }
 
     /**
@@ -269,8 +250,9 @@ class JvmEngine final : public Engine
             pairs = spec.tier.pairs.get();
         } else {
             // Standalone mode: discover hot pairs with an unmeasured
-            // profiling pre-run (interpd feeds the profile from
-            // earlier baseline runs instead).
+            // profiling pre-run under the same budget, on its own
+            // Execution (interpd feeds the profile from earlier
+            // baseline runs instead).
             trace::Execution pexec;
             vfs::FileSystem pfs;
             if (spec.needsInputs)
@@ -278,7 +260,7 @@ class JvmEngine final : public Engine
             jvm::Vm pvm(pexec, pfs);
             pvm.setPairSink(&local);
             pvm.loadShared(module);
-            pvm.run(spec.maxCommands);
+            runBudgeted(pexec, spec.maxCommands, [&] { pvm.run(); });
         }
         auto artifact = jvm::buildTierArtifact(&exec, *module, *pairs, opts);
         if (spec.tier.publish)
@@ -286,8 +268,6 @@ class JvmEngine final : public Engine
         return artifact;
     }
 
-    trace::Execution &exec;
-    vfs::FileSystem &fs;
     int tier;
     std::unique_ptr<jvm::Vm> vm;
 };
@@ -297,21 +277,8 @@ class PerlEngine final : public Engine
 {
   public:
     PerlEngine(trace::Execution &exec, vfs::FileSystem &fs, bool ic)
-        : exec(exec), fs(fs), ic(ic)
+        : Engine(exec, fs), ic(ic)
     {
-    }
-
-    EngineResult execute(const BenchSpec &spec) override
-    {
-        EngineResult res;
-        res.programBytes = spec.source.size();
-        vm = std::make_unique<perlish::Interp>(exec, fs,
-                                               /*symbolIc=*/ic);
-        vm->load(spec.source, spec.name);
-        auto r = vm->run(spec.maxCommands);
-        res.finished = r.exited;
-        res.commands = r.commands;
-        return res;
     }
 
     trace::CommandSet &commandSet() override
@@ -320,8 +287,15 @@ class PerlEngine final : public Engine
     }
 
   private:
-    trace::Execution &exec;
-    vfs::FileSystem &fs;
+    void run(const BenchSpec &spec, EngineResult &res) override
+    {
+        res.programBytes = spec.source.size();
+        vm = std::make_unique<perlish::Interp>(exec, fs,
+                                               /*symbolIc=*/ic);
+        vm->load(spec.source, spec.name);
+        res.finished = vm->run().exited;
+    }
+
     bool ic;
     std::unique_ptr<perlish::Interp> vm;
 };
@@ -332,20 +306,8 @@ class TclEngine final : public Engine
   public:
     TclEngine(trace::Execution &exec, vfs::FileSystem &fs,
               bool bytecode, bool tier2, bool jit)
-        : exec(exec), fs(fs), bytecode(bytecode), tier2(tier2), jit(jit)
+        : Engine(exec, fs), bytecode(bytecode), tier2(tier2), jit(jit)
     {
-    }
-
-    EngineResult execute(const BenchSpec &spec) override
-    {
-        EngineResult res;
-        res.programBytes = spec.source.size();
-        vm = std::make_unique<tclish::TclInterp>(exec, fs, bytecode,
-                                                 tier2, jit);
-        auto r = vm->run(spec.source, spec.maxCommands);
-        res.finished = r.exited;
-        res.commands = r.commands;
-        return res;
     }
 
     trace::CommandSet &commandSet() override
@@ -354,13 +316,28 @@ class TclEngine final : public Engine
     }
 
   private:
-    trace::Execution &exec;
-    vfs::FileSystem &fs;
+    void run(const BenchSpec &spec, EngineResult &res) override
+    {
+        res.programBytes = spec.source.size();
+        vm = std::make_unique<tclish::TclInterp>(exec, fs, bytecode,
+                                                 tier2, jit);
+        res.finished = vm->run(spec.source).exited;
+    }
+
     bool bytecode, tier2, jit;
     std::unique_ptr<tclish::TclInterp> vm;
 };
 
 } // namespace
+
+EngineResult
+Engine::execute(const BenchSpec &spec)
+{
+    EngineResult res;
+    runBudgeted(exec, spec.maxCommands, [&] { run(spec, res); });
+    res.commands = exec.commands();
+    return res;
+}
 
 std::unique_ptr<Engine>
 makeEngine(Lang lang, trace::Execution &exec, vfs::FileSystem &fs)

@@ -45,13 +45,33 @@ class Engine
   public:
     virtual ~Engine() = default;
 
-    /** Prepare (compile/load) and execute @p spec to completion or
-     *  budget; emission goes to the Execution the engine was made
-     *  with. */
-    virtual EngineResult execute(const BenchSpec &spec) = 0;
+    /**
+     * Prepare (compile/load) and execute @p spec to completion or to
+     * its command budget (BenchSpec::maxCommands, armed on the
+     * Execution the engine was made with, which also counts the
+     * result's commands); emission goes to that Execution.
+     */
+    EngineResult execute(const BenchSpec &spec);
 
     /** The executed program's command set (valid after execute()). */
     virtual trace::CommandSet &commandSet() = 0;
+
+  protected:
+    Engine(trace::Execution &exec, vfs::FileSystem &fs)
+        : exec(exec), fs(fs)
+    {
+    }
+
+    /**
+     * The mode's part of execute(): prepare @p spec and run it, set
+     * @p res.programBytes, and set @p res.finished once the program
+     * has run to completion. The budget may stop the run first, with
+     * trace::BudgetExhausted.
+     */
+    virtual void run(const BenchSpec &spec, EngineResult &res) = 0;
+
+    trace::Execution &exec;
+    vfs::FileSystem &fs;
 };
 
 /** Factory: the engine implementing @p lang's execution mode. */

@@ -211,14 +211,14 @@ Vm::staticValue(const std::string &name) const
 }
 
 Vm::RunResult
-Vm::run(uint64_t max_commands)
+Vm::run()
 {
     RunResult result;
     if (!module)
         panic("Vm::run before load()");
     trace::FlushOnExit flush_guard(exec);
 
-    while (!frames.empty() && result.commands < max_commands) {
+    while (!frames.empty()) {
         Frame &frame = frames.back();
         const FuncDesc &fn = module->funcs[frame.funcId];
         if (frame.pc >= fn.code.size())
@@ -284,7 +284,6 @@ Vm::run(uint64_t max_commands)
             quicken(moduleStorage.funcs[frame.funcId].code[frame.pc]);
         }
         exec.beginCommand(bcCommand[(size_t)insn.op]);
-        ++result.commands;
         ++frame.pc;
 
         // ---- execute -----------------------------------------------------

@@ -77,11 +77,14 @@ class Vm
     {
         bool exited = false;
         int exitCode = 0;
-        uint64_t commands = 0; ///< bytecodes interpreted
     };
 
-    /** Interpret until main returns / exit() / command budget. */
-    RunResult run(uint64_t max_commands = UINT64_MAX);
+    /**
+     * Interpret until main returns or exit(). Each bytecode retires
+     * one command on the Execution, whose command budget may stop the
+     * run first (trace::BudgetExhausted).
+     */
+    RunResult run();
 
     trace::CommandSet &commandSet() { return commands; }
     Heap &heap() { return heap_; }

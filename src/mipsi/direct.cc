@@ -35,14 +35,14 @@ DirectCpu::directPc(uint32_t guest_pc) const
 }
 
 DirectCpu::RunResult
-DirectCpu::run(uint64_t max_insts)
+DirectCpu::run()
 {
     RunResult result;
     if (!syscalls)
         panic("DirectCpu::run before load()");
     trace::FlushOnExit flush_guard(exec);
 
-    while (result.instructions < max_insts) {
+    for (;;) {
         uint32_t pc = state.pc;
         uint32_t index = (pc - textBase) / 4;
         if (index >= decoded.size())
@@ -50,7 +50,6 @@ DirectCpu::run(uint64_t max_insts)
         const mips::Inst &inst = decoded[index];
 
         exec.beginCommand(opCommand[(size_t)inst.op]);
-        ++result.instructions;
 
         StepInfo info = stepCpu(state, mem, inst);
         if (info.badInst)

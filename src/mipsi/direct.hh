@@ -41,10 +41,11 @@ class DirectCpu
     {
         bool exited = false;
         int exitCode = 0;
-        uint64_t instructions = 0;
     };
 
-    RunResult run(uint64_t max_insts = UINT64_MAX);
+    /** Execute until the guest exits; each instruction retires one
+     *  command on the Execution, whose budget may stop it first. */
+    RunResult run();
 
     /** Command set naming each native opcode (Table 2 C row). */
     trace::CommandSet &commandSet() { return commands; }

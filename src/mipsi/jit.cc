@@ -90,8 +90,6 @@ JitMipsi::stepThunk(void *ctx, uint32_t index) noexcept
 uint8_t
 JitMipsi::jitStep(uint32_t index)
 {
-    if (curResult->commands >= budget)
-        return 1;
     const Entry &e = entries[index];
     uint32_t pc = textBase + index * 4;
     if (e.cls == kInvalidClass)
@@ -124,7 +122,7 @@ JitMipsi::jitStep(uint32_t index)
 }
 
 Mipsi::RunResult
-JitMipsi::run(uint64_t max_commands)
+JitMipsi::run()
 {
     RunResult result;
     if (!syscalls)
@@ -140,9 +138,8 @@ JitMipsi::run(uint64_t max_commands)
     }
 
     curResult = &result;
-    budget = max_commands;
     runDone = false;
-    while (!runDone && result.commands < max_commands) {
+    while (!runDone) {
         uint32_t pc = state.pc;
         uint32_t off = pc - textBase;
         if (pc < textBase || (off >> 2) >= entries.size() || (off & 3))

@@ -60,7 +60,7 @@ class JitMipsi : public ThreadedMipsi
     void setPublishHook(
         std::function<void(std::shared_ptr<const jit::JitArtifact>)> hook);
 
-    RunResult run(uint64_t max_commands = UINT64_MAX);
+    RunResult run();
 
     /**
      * Compile the stencil program for the loaded text, charged to
@@ -93,7 +93,6 @@ class JitMipsi : public ThreadedMipsi
 
     // Live only inside run().
     RunResult *curResult = nullptr;
-    uint64_t budget = 0;
     bool runDone = false;
     std::exception_ptr pending;
 };

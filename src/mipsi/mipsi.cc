@@ -134,7 +134,6 @@ Mipsi::executeInst(const mips::Inst &inst, uint32_t word, uint32_t pc,
 {
     // The retired virtual command is the guest mnemonic.
     exec.beginCommand(opCommand[(size_t)inst.op]);
-    ++result.commands;
 
     exec.dispatch(handler);
 
@@ -208,14 +207,14 @@ Mipsi::executeInst(const mips::Inst &inst, uint32_t word, uint32_t pc,
 }
 
 Mipsi::RunResult
-Mipsi::run(uint64_t max_commands)
+Mipsi::run()
 {
     RunResult result;
     if (!syscalls)
         panic("Mipsi::run before load()");
     trace::FlushOnExit flush_guard(exec);
 
-    while (result.commands < max_commands) {
+    for (;;) {
         uint32_t pc = state.pc;
 
         // ---- fetch & decode --------------------------------------------

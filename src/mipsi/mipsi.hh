@@ -50,12 +50,12 @@ class Mipsi
     {
         bool exited = false;
         int exitCode = 0;
-        uint64_t commands = 0; ///< guest instructions interpreted
     };
 
     /**
-     * Interpret until the guest exits or @p max_commands commands have
-     * been retired.
+     * Interpret until the guest exits. Each guest instruction retires
+     * one command on the Execution, whose command budget may stop the
+     * run first (trace::BudgetExhausted).
      *
      * load()/run() are deliberately non-virtual: both cores are always
      * used as concrete types (the harness picks one per Lang), and a
@@ -63,7 +63,7 @@ class Mipsi
      * alignment and perturb the baseline's simulated cache behaviour.
      * ThreadedMipsi shadows these two methods instead of overriding.
      */
-    RunResult run(uint64_t max_commands = UINT64_MAX);
+    RunResult run();
 
     /** The interpreter's virtual-command set (one entry per mnemonic). */
     trace::CommandSet &commandSet() { return commands; }

@@ -82,7 +82,7 @@ ThreadedMipsi::step(const Entry &e, uint32_t pc, HClass cls,
 }
 
 Mipsi::RunResult
-ThreadedMipsi::run(uint64_t max_commands)
+ThreadedMipsi::run()
 {
     RunResult result;
     if (!syscalls)
@@ -103,8 +103,6 @@ ThreadedMipsi::run(uint64_t max_commands)
 
 #define INTERP_NEXT()                                                     \
     do {                                                                  \
-        if (result.commands >= max_commands)                              \
-            return result;                                                \
         pc = state.pc;                                                    \
         e = fetchEntry(pc);                                               \
         if (e->cls == kInvalidClass)                                      \
@@ -133,7 +131,7 @@ ThreadedMipsi::run(uint64_t max_commands)
 #else
     // Portable fallback: same fetch/charge structure, switch dispatch
     // on the predecoded class. Emitted events are identical.
-    while (result.commands < max_commands) {
+    for (;;) {
         uint32_t pc = state.pc;
         const Entry *e = fetchEntry(pc);
         if (e->cls == kInvalidClass)
@@ -142,7 +140,6 @@ ThreadedMipsi::run(uint64_t max_commands)
         if (step(*e, pc, (HClass)e->cls, result))
             return result;
     }
-    return result;
 #endif
 }
 

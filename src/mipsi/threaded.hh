@@ -45,7 +45,7 @@ class ThreadedMipsi : public Mipsi
      */
     void load(const mips::Image &image);
 
-    RunResult run(uint64_t max_commands = UINT64_MAX);
+    RunResult run();
 
   protected:
     // The predecode machinery is shared with the tier-3 jit core

@@ -82,7 +82,6 @@ Interp::load(std::string_view source, const std::string &filename)
     handles.clear();
     ctrl = Ctrl::Normal;
     exitCode = 0;
-    commandsRun = 0;
 }
 
 const Scalar *
@@ -95,36 +94,19 @@ Interp::scalarByName(const std::string &name) const
 }
 
 Interp::RunResult
-Interp::run(uint64_t max_commands)
+Interp::run()
 {
-    RunResult result;
     if (!script_.main)
         panic("Interp::run before load()");
     trace::FlushOnExit flush_guard(exec);
-    commandBudget = max_commands;
-    try {
-        (void)eval(*script_.main);
-        result.exited = true;
-    } catch (const trace::BudgetExhausted &) {
-        // Stopped before the command past the budget.
-    }
-    result.commands = commandsRun;
+    (void)eval(*script_.main);
+    RunResult result;
+    result.exited = true;
     result.exitCode = exitCode;
     return result;
 }
 
 // --- cost helpers ----------------------------------------------------------
-
-void
-Interp::retire(trace::CommandId id)
-{
-    // The one budget check: every path that retires a command comes
-    // here, nested ones included, so a run stops on its budget exactly.
-    if (commandsRun >= commandBudget)
-        exec.stopRun();
-    exec.beginCommand(id);
-    ++commandsRun;
-}
 
 void
 Interp::fetchDecode(const OpNode &node, trace::CommandId id)
@@ -133,7 +115,7 @@ Interp::fetchDecode(const OpNode &node, trace::CommandId id)
     // with argument-stack setup, context ("wantarray") determination
     // and magic/taint checks on every node — ~130-200 native
     // instructions per command (Table 2).
-    retire(id);
+    exec.beginCommand(id);
     CategoryScope fd(exec, Category::FetchDecode);
     RoutineScope r(exec, rEval);
     exec.alu(26);                 // loop top: op fetch, tracing hook
@@ -345,7 +327,7 @@ Interp::lvalueSlot(const OpNode &node)
       }
       case Opc::ArrayElem: {
         int32_t index = (int32_t)eval(*node.kids[0]).num();
-        retire(opCommand[(size_t)node.op]); // aelem retires
+        exec.beginCommand(opCommand[(size_t)node.op]); // aelem retires
         MemModelScope mm(exec);
         RoutineScope r(exec, rArray);
         exec.alu(8);
@@ -362,7 +344,7 @@ Interp::lvalueSlot(const OpNode &node)
       }
       case Opc::HashElem: {
         Scalar key = eval(*node.kids[0]);
-        retire(opCommand[(size_t)node.op]); // helem retires
+        exec.beginCommand(opCommand[(size_t)node.op]); // helem retires
         const std::string &key_str = key.str();
         chargeCoercion(key);
         int steps = 0;
@@ -389,7 +371,7 @@ Interp::evalList(const OpNode &node, List &out, bool retired)
         if (retired)
             exec.resumeCommand(id);
         else
-            retire(id);
+            exec.beginCommand(id);
     };
     switch (node.op) {
       case Opc::CommaList:

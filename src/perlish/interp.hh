@@ -60,10 +60,14 @@ class Interp
     {
         bool exited = false; ///< ran to completion / exit() / die()
         int exitCode = 0;
-        uint64_t commands = 0; ///< op nodes executed
     };
 
-    RunResult run(uint64_t max_commands = UINT64_MAX);
+    /**
+     * Run the loaded script. Each op node retires one command on the
+     * Execution, whose command budget may stop the run first
+     * (trace::BudgetExhausted).
+     */
+    RunResult run();
 
     trace::CommandSet &commandSet() { return commands_; }
     const Script &script() const { return script_; }
@@ -97,12 +101,6 @@ class Interp
      */
     void evalList(const OpNode &node, List &out, bool retired = false);
     Scalar *lvalueSlot(const OpNode &node);
-
-    /**
-     * Retire one command named @p id, stopping the run instead
-     * (Execution::stopRun()) when the budget is already spent.
-     */
-    void retire(trace::CommandId id);
 
     // Cost-emission helpers.
     void fetchDecode(const OpNode &node, trace::CommandId id);
@@ -142,8 +140,6 @@ class Interp
     Ctrl ctrl = Ctrl::Normal;
     Scalar returnValue;
     int exitCode = 0;
-    uint64_t commandBudget = UINT64_MAX;
-    uint64_t commandsRun = 0;
     int callDepth = 0;
 
     // Interpreter code regions. Each op has its own handler region

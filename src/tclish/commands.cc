@@ -96,13 +96,7 @@ TclInterp::evalCommand(const std::vector<std::string> &words, int line)
     const std::string &cmd = words[0];
 
     chargeCommandLookup(cmd);
-    // The one budget check: every command retires here, the ones a
-    // word's bracket substitution runs included, so a run stops on its
-    // budget exactly.
-    if (commandsRun >= commandBudget)
-        exec.stopRun();
     exec.beginCommand(commands_.intern(cmd));
-    ++commandsRun;
 
     auto arity = [&](size_t min_args, size_t max_args) {
         size_t n = words.size() - 1;

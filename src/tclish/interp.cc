@@ -866,20 +866,13 @@ TclInterp::evalExpr(const std::string &text, int line)
 // --- evaluation -------------------------------------------------------------
 
 TclInterp::RunResult
-TclInterp::run(const std::string &script, uint64_t max_commands)
+TclInterp::run(const std::string &script)
 {
     trace::FlushOnExit flush_guard(exec);
-    commandBudget = max_commands;
-    commandsRun = 0;
     exitCode = 0;
+    evalScript(script);
     RunResult out;
-    try {
-        evalScript(script);
-        out.exited = true;
-    } catch (const trace::BudgetExhausted &) {
-        // Stopped before the command past the budget.
-    }
-    out.commands = commandsRun;
+    out.exited = true;
     out.exitCode = exitCode;
     return out;
 }

@@ -103,12 +103,14 @@ class TclInterp
     {
         bool exited = false;
         int exitCode = 0;
-        uint64_t commands = 0;
     };
 
-    /** Interpret a whole script (the program text, kept as a string). */
-    RunResult run(const std::string &script,
-                  uint64_t max_commands = UINT64_MAX);
+    /**
+     * Interpret a whole script (the program text, kept as a string).
+     * Each command retires on the Execution, whose command budget may
+     * stop the run first (trace::BudgetExhausted).
+     */
+    RunResult run(const std::string &script);
 
     trace::CommandSet &commandSet() { return commands_; }
 
@@ -218,8 +220,6 @@ class TclInterp
     std::map<std::string, Channel> channels;
     std::unique_ptr<gfx::Framebuffer> fb;
 
-    uint64_t commandsRun = 0;
-    uint64_t commandBudget = UINT64_MAX;
     int exitCode = 0;
     int procDepth = 0;
 

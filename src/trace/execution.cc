@@ -378,6 +378,11 @@ Execution::noteMemModelAccess()
 void
 Execution::beginCommand(CommandId id)
 {
+    // The one budget test: every command of every mode retires here,
+    // so a budget of B stops every run where command B + 1 would
+    // retire.
+    if (totalCommands >= commandBudget)
+        stopRun();
     // Keep the retirement event in stream order behind buffered
     // bundles (a recorded trace must replay in emission order).
     flush();

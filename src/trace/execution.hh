@@ -18,13 +18,18 @@
  * interpreters do this on every exit from their run() loops (see
  * FlushOnExit), so harness users never see a stale sink.
  *
- * A run may carry a deadline (setDeadline()). The Execution checks it
- * itself at its safepoints, on the emission path, and aborts the run
- * by throwing DeadlineExpired. Once a run is aborting — the deadline
- * fired, or a sink threw from a delivery — the Execution disarms the
- * deadline and detaches every sink, so the unwind, whose routine
- * scopes still emit their returns, can neither re-enter a sink nor
- * throw from a destructor. A return that fills the batch while any
+ * The Execution counts the run's virtual commands (commands()) and
+ * stops the run itself, in two ways. A deadline (setDeadline()) is
+ * checked at its safepoints, on the emission path, and aborts the run
+ * by throwing DeadlineExpired. A command budget (setCommandBudget())
+ * is checked where each command retires, in beginCommand(), and stops
+ * the run before the command past the budget by throwing
+ * BudgetExhausted; no interpreter counts or bounds its own commands.
+ * Once a run is aborting — the deadline fired, the budget ran out, or
+ * a sink threw from a delivery — the Execution disarms the deadline
+ * and detaches every sink, so the unwind, whose routine scopes still
+ * emit their returns, can neither re-enter a sink nor throw from a
+ * destructor. A return that fills the batch while any
  * other exception unwinds aborts the run the same way instead of
  * flushing; outside an unwind its flush may throw, and the throw
  * leaves RoutineScope's destructor for the caller.
@@ -74,9 +79,9 @@ struct DeadlineExpired
 };
 
 /**
- * Thrown by Execution::stopRun() when an interpreter's command budget
- * runs out in the middle of a command; the interpreter's run()
- * catches it and reports the run unfinished.
+ * Thrown by Execution::beginCommand() in place of the retirement past
+ * the run's command budget; the harness's engine layer catches it and
+ * reports the run unfinished.
  */
 struct BudgetExhausted
 {
@@ -213,21 +218,22 @@ class Execution
     void setDeadline(Clock::time_point deadline);
 
     /**
+     * Stop the run where its (@p budget + 1)-th command would retire:
+     * that beginCommand() throws BudgetExhausted instead (see
+     * stopRun()). UINT64_MAX, the default, never stops.
+     */
+    void setCommandBudget(uint64_t budget) { commandBudget = budget; }
+
+    /** Virtual commands retired so far (beginCommand() calls). */
+    uint64_t commands() const { return totalCommands; }
+
+    /**
      * Deliver the buffered bundle batch to every sink. Idempotent and
      * cheap when nothing is pending. Must run after the last emission
      * before sink counters are read; every interpreter run() flushes
      * on exit, and harness::run() flushes again defensively.
      */
     void flush();
-
-    /**
-     * Stop the run here because its command budget ran out: deliver
-     * the pending batch and commit the counted run, then detach every
-     * sink and the counted profile as an aborting run does, and throw
-     * BudgetExhausted. The returns the unwind emits reach neither, so
-     * every sink and the profile end on the same instruction.
-     */
-    [[noreturn]] void stopRun();
 
     // --- routine control -------------------------------------------------
     /** Emit a call instruction and enter @p routine. */
@@ -329,7 +335,8 @@ class Execution
     // --- attribution -------------------------------------------------------
     /**
      * Retire one virtual command named by @p id and make it the
-     * attribution target for subsequent instructions.
+     * attribution target for subsequent instructions; or, once the
+     * command budget is spent, stop the run (stopRun()).
      */
     void beginCommand(CommandId id);
     /**
@@ -442,6 +449,14 @@ class Execution
               bool taken, uint32_t target);
     /** Read the clock: arm the next check, or abort the run. */
     void safepoint();
+    /**
+     * Stop the run here because its command budget ran out: deliver
+     * the pending batch and commit the counted run, then detach every
+     * sink and the counted profile as an aborting run does, and throw
+     * BudgetExhausted. The returns the unwind emits reach neither, so
+     * every sink and the profile end on the same instruction.
+     */
+    [[noreturn]] void stopRun();
     /** The run is aborting: disarm the deadline, drop the pending
      *  batch, detach every sink and the counted profile. */
     void abortRun();
@@ -484,6 +499,7 @@ class Execution
 
     uint64_t totalInsts = 0;
     uint64_t totalCommands = 0;
+    uint64_t commandBudget = UINT64_MAX;
     /**
      * The fast path counts while totalInsts stays below this:
      * nextSafepoint without a batch sink, 0 (never) with one.

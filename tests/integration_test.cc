@@ -65,9 +65,9 @@ runDirectDes(const std::string &src)
     vfs::FileSystem fs;
     mipsi::DirectCpu cpu(exec, fs);
     cpu.load(minic::compileMips(src));
-    auto r = cpu.run(500'000'000);
-    EXPECT_TRUE(r.exited);
-    out.commands = r.instructions;
+    exec.setCommandBudget(500'000'000);
+    EXPECT_TRUE(cpu.run().exited);
+    out.commands = exec.commands();
     out.stdoutText = fs.stdoutCapture();
     return out;
 }
@@ -81,9 +81,9 @@ runMipsiDes(const std::string &src)
     vfs::FileSystem fs;
     mipsi::Mipsi vm(exec, fs);
     vm.load(minic::compileMips(src));
-    auto r = vm.run(500'000'000);
-    EXPECT_TRUE(r.exited);
-    out.commands = r.commands;
+    exec.setCommandBudget(500'000'000);
+    EXPECT_TRUE(vm.run().exited);
+    out.commands = exec.commands();
     out.stdoutText = fs.stdoutCapture();
     return out;
 }
@@ -97,9 +97,9 @@ runJvmDes(const std::string &src)
     vfs::FileSystem fs;
     jvm::Vm vm(exec, fs);
     vm.load(minic::compileBytecode(src));
-    auto r = vm.run(500'000'000);
-    EXPECT_TRUE(r.exited);
-    out.commands = r.commands;
+    exec.setCommandBudget(500'000'000);
+    EXPECT_TRUE(vm.run().exited);
+    out.commands = exec.commands();
     out.stdoutText = fs.stdoutCapture();
     return out;
 }
@@ -113,9 +113,9 @@ runPerlDes(const std::string &src)
     vfs::FileSystem fs;
     perlish::Interp vm(exec, fs);
     vm.load(src);
-    auto r = vm.run(500'000'000);
-    EXPECT_TRUE(r.exited);
-    out.commands = r.commands;
+    exec.setCommandBudget(500'000'000);
+    EXPECT_TRUE(vm.run().exited);
+    out.commands = exec.commands();
     out.stdoutText = fs.stdoutCapture();
     return out;
 }
@@ -128,9 +128,9 @@ runTclDes(const std::string &src)
     exec.addSink(&out.profile);
     vfs::FileSystem fs;
     tclish::TclInterp vm(exec, fs);
-    auto r = vm.run(src, 500'000'000);
-    EXPECT_TRUE(r.exited);
-    out.commands = r.commands;
+    exec.setCommandBudget(500'000'000);
+    EXPECT_TRUE(vm.run(src).exited);
+    out.commands = exec.commands();
     out.stdoutText = fs.stdoutCapture();
     return out;
 }

@@ -39,7 +39,8 @@ runJvm(const std::string &src, int *exit_code = nullptr,
     vm = new jvm::Vm(*exec, the_fs);
     auto module = minic::compileBytecode(src);
     vm->load(module);
-    auto result = vm->run(200'000'000);
+    exec->setCommandBudget(200'000'000);
+    auto result = vm->run();
     EXPECT_TRUE(result.exited) << "program did not finish";
     if (exit_code)
         *exit_code = result.exitCode;
@@ -56,7 +57,8 @@ runDirectRef(const std::string &src)
     vfs::FileSystem fs;
     mipsi::DirectCpu cpu(exec, fs);
     cpu.load(minic::compileMips(src));
-    auto r = cpu.run(200'000'000);
+    exec.setCommandBudget(200'000'000);
+    auto r = cpu.run();
     EXPECT_TRUE(r.exited);
     return fs.stdoutCapture();
 }

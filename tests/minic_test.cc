@@ -29,7 +29,8 @@ runDirect(const std::string &src, int *exit_code = nullptr,
     vfs::FileSystem &fs = fs_in ? *fs_in : local_fs;
     mipsi::DirectCpu cpu(exec, fs);
     cpu.load(minic::compileMips(src));
-    auto result = cpu.run(200'000'000);
+    exec.setCommandBudget(200'000'000);
+    auto result = cpu.run();
     EXPECT_TRUE(result.exited) << "program did not exit";
     if (exit_code)
         *exit_code = result.exitCode;
@@ -46,7 +47,8 @@ runMipsi(const std::string &src, int *exit_code = nullptr,
     vfs::FileSystem &fs = fs_in ? *fs_in : local_fs;
     mipsi::Mipsi vm(exec, fs);
     vm.load(minic::compileMips(src));
-    auto result = vm.run(200'000'000);
+    exec.setCommandBudget(200'000'000);
+    auto result = vm.run();
     EXPECT_TRUE(result.exited) << "program did not exit";
     if (exit_code)
         *exit_code = result.exitCode;

@@ -29,7 +29,8 @@ runAsm(AsmBuilder &b, std::string *out = nullptr)
     vfs::FileSystem fs;
     mipsi::Mipsi vm(exec, fs);
     vm.load(img);
-    auto result = vm.run(1'000'000);
+    exec.setCommandBudget(1'000'000);
+    auto result = vm.run();
     EXPECT_TRUE(result.exited);
     if (out)
         *out = fs.stdoutCapture();
@@ -249,7 +250,7 @@ TEST(Mipsi, CommandsEqualGuestInstructions)
 
     EXPECT_TRUE(r1.exited);
     EXPECT_TRUE(r2.exited);
-    EXPECT_EQ(r1.commands, r2.instructions);
+    EXPECT_EQ(e1.commands(), e2.commands());
     EXPECT_EQ(f1.stdoutCapture(), f2.stdoutCapture());
 }
 
@@ -265,7 +266,8 @@ TEST(Mipsi, FetchDecodeCostNearlyFixed)
         vfs::FileSystem fs;
         mipsi::Mipsi vm(exec, fs);
         vm.load(minic::compileMips(src));
-        auto r = vm.run(10'000'000);
+        exec.setCommandBudget(10'000'000);
+        auto r = vm.run();
         EXPECT_TRUE(r.exited);
         return profile.fetchDecodePerCommand();
     };
@@ -308,7 +310,8 @@ TEST(Mipsi, MemoryModelShareInPaperRange)
             print_int(s);
             return 0;
         })"));
-    auto r = vm.run(30'000'000);
+    exec.setCommandBudget(30'000'000);
+    auto r = vm.run();
     EXPECT_TRUE(r.exited);
     double frac = profile.memModelFraction();
     EXPECT_GT(frac, 0.08);
@@ -332,7 +335,8 @@ TEST(Direct, OneNativeInstructionPerGuestInstruction)
     // Each guest instruction emits >= 1 native instruction; sub-word
     // memory ops add an extract, and syscalls add system work, so the
     // user-level ratio stays close to 1.
-    double ratio = (double)profile.userInstructions() / (double)r.instructions;
+    double ratio =
+        (double)profile.userInstructions() / (double)exec.commands();
     EXPECT_GE(ratio, 1.0);
     EXPECT_LT(ratio, 1.2);
 }
@@ -362,7 +366,7 @@ TEST(Direct, SllNopsVisibleInCommandMix)
     for (size_t i = 0; i < per.size() && i < set.size(); ++i)
         if (set.name((trace::CommandId)i) == "sll")
             sll = per[i].retired;
-    EXPECT_GT(sll, r.instructions / 20) << "delay-slot nops are sll";
+    EXPECT_GT(sll, exec.commands() / 20) << "delay-slot nops are sll";
 }
 
 TEST(Mipsi, GuestExitCode)

@@ -302,7 +302,8 @@ runPerl(const std::string &src, vfs::FileSystem *fs_in = nullptr,
     vfs::FileSystem &fs = fs_in ? *fs_in : local;
     Interp interp(exec, fs);
     interp.load(src);
-    auto result = interp.run(100'000'000);
+    exec.setCommandBudget(100'000'000);
+    auto result = interp.run();
     EXPECT_TRUE(result.exited) << "script did not finish";
     if (exit_code)
         *exit_code = result.exitCode;
@@ -615,7 +616,8 @@ TEST(Perlish, RegexDominatesTextProcessing)
         close(F);
         print "$hits";
     )");
-    auto result = interp.run(50'000'000);
+    exec.setCommandBudget(50'000'000);
+    auto result = interp.run();
     ASSERT_TRUE(result.exited);
     auto sorted = profile.byExecuteInsts();
     ASSERT_GE(sorted.size(), 2u);

@@ -66,6 +66,9 @@ TEST(Remedies, MacroLadderSweep)
     const Measurement *base = nullptr;
     size_t rungs = 0;
     for (const Measurement &row : rows) {
+        // One count per run: the Execution's, which feeds the profile.
+        EXPECT_EQ(row.commands, row.profile.commands())
+            << langName(row.lang) << "/" << row.name;
         if (!isRemedy(row.lang)) {
             base = &row;
             continue;
@@ -248,7 +251,8 @@ TEST(Remedies, TclInvalidatingExecutedScriptIsFatal)
     vfs::FileSystem fs;
     tclish::TclInterp interp(exec, fs, /*bytecode=*/true);
     const std::string script = "set x 7\nputs $x\n";
-    auto result = interp.run(script, 1'000'000);
+    exec.setCommandBudget(1'000'000);
+    auto result = interp.run(script);
     EXPECT_TRUE(result.exited);
     EXPECT_EQ(fs.stdoutCapture(), "7\n");
     interp.debugInvalidate("never compiled"); // unknown script: no-op
@@ -288,7 +292,8 @@ TEST(Remedies, MipsiThreadedStoreToTextIsFatal)
         vfs::FileSystem fs;
         mipsi::Mipsi vm(exec, fs);
         vm.load(img);
-        auto result = vm.run(1'000'000);
+        exec.setCommandBudget(1'000'000);
+        auto result = vm.run();
         EXPECT_TRUE(result.exited);
     }
     {
@@ -298,8 +303,9 @@ TEST(Remedies, MipsiThreadedStoreToTextIsFatal)
         vfs::FileSystem fs;
         mipsi::ThreadedMipsi vm(exec, fs);
         vm.load(img);
+        exec.setCommandBudget(1'000'000);
         ScopedFatalThrow contain;
-        EXPECT_THROW(vm.run(1'000'000), FatalError);
+        EXPECT_THROW(vm.run(), FatalError);
     }
 }
 
@@ -321,8 +327,9 @@ TEST(Remedies, MipsiThreadedPcOutsideTextIsFatal)
     vfs::FileSystem fs;
     mipsi::ThreadedMipsi vm(exec, fs);
     vm.load(b.link());
+    exec.setCommandBudget(1'000'000);
     ScopedFatalThrow contain;
-    EXPECT_THROW(vm.run(1'000'000), FatalError)
+    EXPECT_THROW(vm.run(), FatalError)
         << "jumping outside the predecoded text must fatal";
 }
 

@@ -275,14 +275,19 @@ TEST(Replay, RecordedMetaDescribesTheRun)
  * FNV-1a 64 over the event stream exactly as a batch sink receives it:
  * every column of every delivered batch (so the batch boundaries count
  * too) and each command retirement and memory-model access in its
- * place between them.
+ * place between them. With a cut of C, only the stream before its
+ * (C + 1)-th command event.
  */
 class StreamHash : public trace::Sink
 {
   public:
+    explicit StreamHash(uint64_t cut = UINT64_MAX) : commandsLeft(cut) {}
+
     void
     onBatch(const trace::BundleBatch &batch) override
     {
+        if (cut)
+            return;
         uint32_t n = batch.size();
         mix('B');
         mix(&n, sizeof n);
@@ -297,16 +302,27 @@ class StreamHash : public trace::Sink
     void
     onCommand(trace::CommandId command) override
     {
+        cut = cut || commandsLeft-- == 0;
+        if (cut)
+            return;
         mix('c');
         mix(&command, sizeof command);
     }
-    void onMemModelAccess() override { mix('m'); }
+    void
+    onMemModelAccess() override
+    {
+        if (!cut)
+            mix('m');
+    }
 
     void mix(char tag) { mix(&tag, 1); }
 
     uint64_t hash = 0xcbf29ce484222325ull;
 
   private:
+    uint64_t commandsLeft;
+    bool cut = false;
+
     void
     mix(const void *data, size_t n)
     {
@@ -388,48 +404,48 @@ TEST(Replay, EmissionStreamIsPinned)
         uint64_t profile;
     };
     const Pin pins[] = {
-        {"spin", Lang::Mipsi, 0xeed50b200d1fea5aull, 0xcdf14f5f892f6bdcull,
-         0x4be4805874c44559ull},
-        {"spin", Lang::Java, 0x807567b4fd264ff5ull, 0x1224ab9b78dd0d60ull,
-         0x7b64031fc224dc32ull},
+        {"spin", Lang::Mipsi, 0xcefa30f3c35d824bull, 0xcc9e9107eeaf867bull,
+         0x71c7343e7f6e68b5ull},
+        {"spin", Lang::Java, 0x0ae68956571ed04full, 0xc65250d44fbaed40ull,
+         0x6efd0f6d435ba662ull},
         {"spin", Lang::Perl, 0x4b33fb0eb2431e96ull, 0xd675771ae44c099aull,
          0x48488053f0236217ull},
         {"spin", Lang::Tcl, 0x9a954f9dc5f0f8c3ull, 0x0a22e4bcfa6c8b5aull,
          0xad2dda085eab503eull},
-        {"spin", Lang::MipsiThreaded, 0x2a6664e9cc64ca3aull, 0x4dc4faec220b0d2aull,
-         0xac2c7c3d716e899aull},
-        {"spin", Lang::JavaQuick, 0x56cab731f8fea30dull, 0x1e84219ee34017a5ull,
-         0x4268a7a2eafb2539ull},
+        {"spin", Lang::MipsiThreaded, 0xfebf89c8b6a2cb30ull, 0x2223b118a30421b4ull,
+         0x81e0b5de6b6dcfaeull},
+        {"spin", Lang::JavaQuick, 0xf5a2c97155d3b2d7ull, 0x3053c64db620b6fbull,
+         0x4e5b2511ec477569ull},
         {"spin", Lang::TclBytecode, 0x4071cc94f4bc4a9aull, 0x11d3c1c403566474ull,
          0x48f79ceb9d977fc5ull},
-        {"spin", Lang::JavaTier2, 0x922106e5cad774dfull, 0x3d374bc253ba2ba2ull,
-         0xefc3aa80f74bdaf9ull},
+        {"spin", Lang::JavaTier2, 0xa69bf747c86c8a2aull, 0x08a80e663f57dac6ull,
+         0x67ed124ffb874e79ull},
         {"spin", Lang::TclTier2, 0xa30585c53c2407c6ull, 0xfb2574dc5e7e165aull,
          0xf21d6ccacdf06113ull},
         {"spin", Lang::PerlIC, 0x071bad524fd483f8ull, 0xd675771ae44c099aull,
          0x48488053f0236217ull},
-        {"spin", Lang::MipsiJit, 0x4660ff6024a9f495ull, 0x531c29ccf5380413ull,
-         0x27c689c338444348ull},
+        {"spin", Lang::MipsiJit, 0x4c40ff0aede21b1eull, 0xe29ff7c418e08270ull,
+         0x490e6f2ba9ca4253ull},
         {"spin", Lang::TclJit, 0x8061571020205b9full, 0xe83d841a36d39e36ull,
          0xb6c3edf6a93b2b89ull},
-        {"kanren", Lang::Mipsi, 0xf6c5ea4bf285b123ull, 0x07f5c1a47650aa55ull,
-         0x2ab04e5e0e20737aull},
-        {"kanren", Lang::Java, 0xd505a532dcba3227ull, 0xfe80443e425812eeull,
-         0xa0934cfc5fb6a36aull},
+        {"kanren", Lang::Mipsi, 0x2d5fd3bff2abe9c0ull, 0x9d9a2f577c89052eull,
+         0xbba73b3379748c61ull},
+        {"kanren", Lang::Java, 0x208e71853ea22bcaull, 0x7657c89b64d9fbe3ull,
+         0x762cda7dc85e9c5aull},
         {"kanren", Lang::Tcl, 0xa8e823c1a9f5513aull, 0x007508c83bfef6c4ull,
          0x180c3153659546e3ull},
-        {"kanren", Lang::MipsiThreaded, 0xfbc6f3495f5778b7ull, 0x7c81a983ac35d543ull,
-         0xa0c711fa4c378a98ull},
-        {"kanren", Lang::JavaQuick, 0xfac4275860859954ull, 0x37ca781a6ec576e5ull,
-         0x5b20f4443a329b78ull},
+        {"kanren", Lang::MipsiThreaded, 0xe578f4ea4c03a7f0ull, 0x4377e070571eba7aull,
+         0xb761186f1bf8d4acull},
+        {"kanren", Lang::JavaQuick, 0x4c2bf45769de1978ull, 0x286c9db8436e2303ull,
+         0xc034a3c11d6b1140ull},
         {"kanren", Lang::TclBytecode, 0xb528ed1d2729310dull, 0xd1ca5ae262a2b1c3ull,
          0xd3a45352aeb09762ull},
-        {"kanren", Lang::JavaTier2, 0x320bc341d8d990d2ull, 0x20a23d24ce72c286ull,
-         0x84a4166693e18b7full},
+        {"kanren", Lang::JavaTier2, 0xc21f09055a7c2891ull, 0xbaebd164bed31bb4ull,
+         0x441c4f972ef03257ull},
         {"kanren", Lang::TclTier2, 0x242d2a398b91f26cull, 0x0dcf7dc91a3aa39dull,
          0xe71bb2a3624a6bd8ull},
-        {"kanren", Lang::MipsiJit, 0x4cc548a682dc51b6ull, 0xc2e98a08cdcd9a19ull,
-         0x5714c0b81f8d3558ull},
+        {"kanren", Lang::MipsiJit, 0x8519b452d40446c4ull, 0xce40cf1008515c02ull,
+         0x25aee8647ef82655ull},
         {"kanren", Lang::TclJit, 0x049c867d593550bfull, 0xe293bd92ce550777ull,
          0xb1e05e476a75990dull},
     };
@@ -496,6 +512,44 @@ TEST(Replay, EmissionStreamIsPinned)
         }
     }
     EXPECT_EQ(runs, std::size(pins));
+}
+
+TEST(Replay, BudgetStopsWhereTheNextCommandWouldRetire)
+{
+    if (!support::deterministicAllocatorActive())
+        GTEST_SKIP() << "the data addresses in the stream need the "
+                        "deterministic allocator (off under sanitizers)";
+    // One stop rule for every mode: a budget of B ends the run where
+    // its (B + 1)-th command would retire. So on every pinned (program,
+    // mode) pair, the stream of a run at budget B is the stream of a
+    // run at budget B + 1 up to its (B + 1)-th command event. (The
+    // eight Tcl pairs finish first.)
+    constexpr uint64_t kBudget = 20'000;
+    size_t runs = 0, stopped_runs = 0;
+    for (const char *program : {"spin", "kanren"}) {
+        const workloads::Workload *w = workloads::find(program);
+        ASSERT_NE(w, nullptr) << program;
+        for (const ModeInfo &mode : kModes) {
+            if (!w->supports(mode.lang))
+                continue;
+            SCOPED_TRACE(std::string(program) + " under " + mode.ident);
+            BenchSpec spec = workloads::specFor(*w, mode.lang);
+            spec.maxCommands = kBudget;
+            StreamHash stopped;
+            Measurement m = run(spec, {&stopped}, nullptr, false);
+            if (!m.finished) {
+                EXPECT_EQ(m.commands, kBudget);
+                ++stopped_runs;
+            }
+            spec.maxCommands = kBudget + 1;
+            StreamHash cut(kBudget);
+            run(spec, {&cut}, nullptr, false);
+            EXPECT_EQ(stopped.hash, cut.hash);
+            ++runs;
+        }
+    }
+    EXPECT_EQ(runs, 22u);
+    EXPECT_EQ(stopped_runs, 14u);
 }
 
 } // namespace

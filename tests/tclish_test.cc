@@ -98,7 +98,8 @@ runTcl(const std::string &script, vfs::FileSystem *fs_in = nullptr,
     if (profile)
         exec->addSink(profile);
     interp = new TclInterp(*exec, the_fs);
-    auto result = interp->run(script, 50'000'000);
+    exec->setCommandBudget(50'000'000);
+    auto result = interp->run(script);
     EXPECT_TRUE(result.exited) << "script did not finish";
     if (interp_out)
         *interp_out = interp;

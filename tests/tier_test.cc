@@ -646,6 +646,7 @@ TEST(TierArtifact, PoisonedCachesFallBackContained)
         {
             trace::Profile profile;
             jvm::Vm::RunResult r;
+            uint64_t commands = 0;
         };
         auto out = std::make_unique<Out>();
         trace::Execution exec;
@@ -657,6 +658,7 @@ TEST(TierArtifact, PoisonedCachesFallBackContained)
             vm.debugPoisonIc();
         out->r = vm.run();
         exec.flush();
+        out->commands = exec.commands();
         return out;
     };
     auto hit = measure(false);
@@ -665,7 +667,7 @@ TEST(TierArtifact, PoisonedCachesFallBackContained)
     EXPECT_TRUE(hit->r.exited);
     EXPECT_TRUE(miss->r.exited);
     EXPECT_EQ(hit->r.exitCode, miss->r.exitCode);
-    EXPECT_EQ(hit->r.commands, miss->r.commands);
+    EXPECT_EQ(hit->commands, miss->commands);
     EXPECT_EQ(hit->profile.executeInsts() -
                   hit->profile.memModelInsts(),
               miss->profile.executeInsts() -
@@ -709,7 +711,7 @@ TEST(TierArtifact, OneArtifactServesManyThreads)
             vm.useArtifact(artifact);
             jvm::Vm::RunResult r = vm.run();
             exec.flush();
-            outs[t].commands = r.commands;
+            outs[t].commands = exec.commands();
             outs[t].exitCode = r.exitCode;
             outs[t].execute = profile.executeInsts();
             outs[t].memModel = profile.memModelInsts();
