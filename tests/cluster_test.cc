@@ -827,10 +827,16 @@ TEST(ClusterEndToEnd, MixedClassLoadSplitsOutcomesByClass)
         return req;
     };
 
+    // One open-loop client whose first request is interactive: the
+    // first request the shard sees always finds its queue empty, so an
+    // interactive request is dequeued (and answered DEADLINE) whatever
+    // the thread schedule. With several clients a batch request could
+    // arrive first, and the batch requests could hold the one worker
+    // and the one queue slot until every interactive request was shed.
     LoadgenOptions opt;
     opt.endpoints = {cluster.proxyPath()};
-    opt.clients = 4;
-    opt.requestsPerClient = 8;
+    opt.clients = 1;
+    opt.requestsPerClient = 32;
     opt.openRatePerSec = 2000; // far beyond the one-shard capacity
     opt.mix.push_back(named("spin", 0)); // expired: DEADLINE at dequeue
     opt.mix.push_back(named("matmul", kNoDeadline));
