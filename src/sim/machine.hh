@@ -45,7 +45,7 @@
  * the last fetched i-line costs one compare, and the use-delay
  * charges are summed over the batch and charged once, in closed form.
  * With MachineConfig::shadowCheck (default-on under
- * -DINTERP_SIM_CHECK, which the sanitizer preset sets) a shadow
+ * INTERP_SIM_CHECK, which every INTERP_SANITIZE build defines) a shadow
  * machine re-simulates every batch bundle-at-a-time through the
  * straightforward reference switch and fatal()s on the first counter
  * divergence between the two paths.
@@ -120,9 +120,9 @@ struct MachineConfig
     /**
      * Re-simulate every delivered bundle through a bundle-at-a-time
      * shadow machine and fatal() on any counter divergence from the
-     * batched hot loop. Defaults on when built with
-     * -DINTERP_SIM_CHECK (the ASan+UBSan preset does this), off
-     * otherwise; tests flip it per-instance in any build.
+     * batched hot loop. Defaults on when built with INTERP_SIM_CHECK
+     * (every INTERP_SANITIZE build, the ASan+UBSan preset's, defines
+     * it), off otherwise; tests flip it per-instance in any build.
      */
 #ifdef INTERP_SIM_CHECK
     bool shadowCheck = true;
