@@ -646,7 +646,6 @@ TEST(TierArtifact, PoisonedCachesFallBackContained)
         {
             trace::Profile profile;
             jvm::Vm::RunResult r;
-            uint64_t commands = 0;
         };
         auto out = std::make_unique<Out>();
         trace::Execution exec;
@@ -658,7 +657,6 @@ TEST(TierArtifact, PoisonedCachesFallBackContained)
             vm.debugPoisonIc();
         out->r = vm.run();
         exec.flush();
-        out->commands = exec.commands();
         return out;
     };
     auto hit = measure(false);
@@ -667,7 +665,7 @@ TEST(TierArtifact, PoisonedCachesFallBackContained)
     EXPECT_TRUE(hit->r.exited);
     EXPECT_TRUE(miss->r.exited);
     EXPECT_EQ(hit->r.exitCode, miss->r.exitCode);
-    EXPECT_EQ(hit->commands, miss->commands);
+    EXPECT_EQ(hit->profile.commands(), miss->profile.commands());
     EXPECT_EQ(hit->profile.executeInsts() -
                   hit->profile.memModelInsts(),
               miss->profile.executeInsts() -
