@@ -1,25 +1,28 @@
 /**
  * @file
- * Dispatch-technique ablation (host time, google-benchmark).
+ * Dispatch-technique ablation (host time).
  *
  * §5 of the paper points at software remedies for fetch/decode
  * overhead: "instruction fetch/decode overhead could be reduced by
  * using threaded interpretation ... or binary translation". This
- * bench measures, on the host, the classic dispatch techniques over
+ * bench measures, on the host, three classic dispatch techniques over
  * the same tiny register bytecode:
  *
  *   - switch:   one switch in a loop (MIPSI/JVM style)
  *   - table:    function-pointer table call per op (Tcl command style)
  *   - threaded: computed-goto direct threading (the §5 suggestion)
- *   - decoded:  predecoded operands + switch (Perl op-tree style)
  *
- * The absolute numbers are host-dependent; the *ratios* show why
- * threading matters for low-level VMs where fetch/decode dominates.
+ * Each loop runs the program kRunsPerTiming times per timing; the
+ * best of kTimings timings is reported per program run. The absolute
+ * numbers are host-dependent; the *ratios* show what threading buys a
+ * low-level VM where fetch/decode dominates. Exits 1 unless all three
+ * loops compute the same result.
  */
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <vector>
 
 namespace {
@@ -37,7 +40,7 @@ struct Insn
     int32_t imm;
 };
 
-/** A small loop kernel: ~8 ops per iteration, `imm` iterations. */
+/** A small loop kernel: six ops per iteration, `imm` iterations. */
 std::vector<Insn>
 makeProgram(int iterations)
 {
@@ -46,7 +49,7 @@ makeProgram(int iterations)
     prog.push_back({OP_LOADI, 1, 0, 0});          // r1 = acc
     size_t loop_top = prog.size();
     prog.push_back({OP_ADD, 1, 0, 0});   // acc += r0
-    prog.push_back({OP_XOR, 1, 0, 0});   // acc ^= r0
+    prog.push_back({OP_XOR, 1, 2, 0});   // acc ^= r2 (last shift)
     prog.push_back({OP_SHL, 2, 1, 3});   // r2 = acc << 3
     prog.push_back({OP_ADD, 1, 2, 0});   // acc += r2
     prog.push_back({OP_SUB, 0, 3, 1});   // r0 -= 1  (r3 holds 1)
@@ -56,10 +59,10 @@ makeProgram(int iterations)
     return prog;
 }
 
-int64_t
+uint64_t
 runSwitch(const std::vector<Insn> &prog)
 {
-    int64_t r[4] = {0, 0, 0, 1};
+    uint64_t r[4] = {0, 0, 0, 1};
     size_t pc = 0;
     while (true) {
         const Insn &insn = prog[pc++];
@@ -83,7 +86,7 @@ using Handler = void (*)(TableVm &, const Insn &);
 
 struct TableVm
 {
-    int64_t r[4] = {0, 0, 0, 1};
+    uint64_t r[4] = {0, 0, 0, 1};
     size_t pc = 0;
     bool halted = false;
 };
@@ -103,7 +106,7 @@ void hJnz(TableVm &vm, const Insn &i)
 }
 void hHalt(TableVm &vm, const Insn &) { vm.halted = true; }
 
-int64_t
+uint64_t
 runTable(const std::vector<Insn> &prog)
 {
     static const Handler table[NUM_OPS] = {hAdd, hSub, hXor, hShl,
@@ -116,14 +119,14 @@ runTable(const std::vector<Insn> &prog)
     return vm.r[1];
 }
 
-int64_t
+uint64_t
 runThreaded(const std::vector<Insn> &prog)
 {
     // Direct threading with computed goto: each handler dispatches the
     // next instruction itself — no central loop branch.
     static void *labels[NUM_OPS] = {&&l_add, &&l_sub, &&l_xor, &&l_shl,
                                     &&l_loadi, &&l_jnz, &&l_halt};
-    int64_t r[4] = {0, 0, 0, 1};
+    uint64_t r[4] = {0, 0, 0, 1};
     size_t pc = 0;
     const Insn *insn;
 
@@ -159,38 +162,81 @@ runThreaded(const std::vector<Insn> &prog)
 }
 
 constexpr int kIterations = 4096;
+constexpr int kOpsPerIteration = 6;
+constexpr int kRunsPerTiming = 10;
+constexpr int kTimings = 200;
 
-void
-BM_DispatchSwitch(benchmark::State &state)
+/**
+ * Make @p value observable and every memory read afresh, so the
+ * compiler can neither drop a run nor merge it with the last one.
+ */
+inline void
+keep(uint64_t value)
 {
-    auto prog = makeProgram(kIterations);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(runSwitch(prog));
-    state.SetItemsProcessed(state.iterations() * kIterations * 6);
+    asm volatile("" : : "r"(value) : "memory");
 }
 
-void
-BM_DispatchTable(benchmark::State &state)
+struct Timing
 {
-    auto prog = makeProgram(kIterations);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(runTable(prog));
-    state.SetItemsProcessed(state.iterations() * kIterations * 6);
-}
+    double usPerRun;
+    uint64_t result;
+};
 
-void
-BM_DispatchThreaded(benchmark::State &state)
+Timing
+timeLoop(uint64_t (*loop)(const std::vector<Insn> &),
+         const std::vector<Insn> &prog)
 {
-    auto prog = makeProgram(kIterations);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(runThreaded(prog));
-    state.SetItemsProcessed(state.iterations() * kIterations * 6);
+    using Clock = std::chrono::steady_clock;
+    Timing t{1e300, 0};
+    for (int i = 0; i < kTimings; ++i) {
+        auto start = Clock::now();
+        for (int run = 0; run < kRunsPerTiming; ++run) {
+            t.result = loop(prog);
+            keep(t.result);
+        }
+        std::chrono::duration<double, std::micro> took =
+            Clock::now() - start;
+        t.usPerRun = std::min(t.usPerRun, took.count() / kRunsPerTiming);
+    }
+    return t;
 }
-
-BENCHMARK(BM_DispatchSwitch);
-BENCHMARK(BM_DispatchTable);
-BENCHMARK(BM_DispatchThreaded);
 
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main()
+{
+    const std::vector<Insn> prog = makeProgram(kIterations);
+    const struct
+    {
+        const char *name;
+        uint64_t (*loop)(const std::vector<Insn> &);
+    } loops[] = {
+        {"switch", runSwitch},
+        {"table", runTable},
+        {"threaded", runThreaded},
+    };
+
+    std::printf("%-10s %10s %8s %10s\n", "dispatch", "us/run", "ns/op",
+                "vs switch");
+    double switch_us = 0;
+    uint64_t expected = 0;
+    bool agree = true;
+    for (const auto &l : loops) {
+        Timing t = timeLoop(l.loop, prog);
+        if (l.loop == runSwitch) {
+            switch_us = t.usPerRun;
+            expected = t.result;
+        }
+        agree = agree && t.result == expected;
+        std::printf("%-10s %10.1f %8.3f %9.2fx   result %llu\n", l.name,
+                    t.usPerRun,
+                    1e3 * t.usPerRun / (kIterations * kOpsPerIteration),
+                    switch_us / t.usPerRun, (unsigned long long)t.result);
+    }
+    if (!agree) {
+        std::fprintf(stderr, "bench_dispatch: the loops disagree\n");
+        return 1;
+    }
+    return 0;
+}

@@ -45,6 +45,7 @@ main(int argc, char **argv)
     tclish::TclInterp tcl(exec, fs);
 
     tcl.run(script);
+    exec.flush();
     std::printf("%s", fs.stdoutCapture().c_str());
 
     gfx::Framebuffer *fb = tcl.framebuffer();

@@ -26,17 +26,19 @@ specImage(const BenchSpec &spec)
 /**
  * Call @p body with @p exec's command budget armed at @p budget. The
  * one place a trace::BudgetExhausted is caught: the budget stopping
- * the run ends the call.
+ * the run ends the call. @return false when the budget stopped it.
  */
 template <class Body>
-void
+bool
 runBudgeted(trace::Execution &exec, uint64_t budget, Body &&body)
 {
     exec.setCommandBudget(budget);
     try {
         body();
     } catch (const trace::BudgetExhausted &) {
+        return false;
     }
+    return true;
 }
 
 /** Lang::C — the hand-scheduled native baseline. */
@@ -48,11 +50,6 @@ class DirectEngine final : public Engine
     {
     }
 
-    trace::CommandSet &commandSet() override
-    {
-        return cpu->commandSet();
-    }
-
   private:
     void run(const BenchSpec &spec, EngineResult &res) override
     {
@@ -60,7 +57,8 @@ class DirectEngine final : public Engine
         res.programBytes = image.sizeBytes();
         cpu = std::make_unique<mipsi::DirectCpu>(exec, fs);
         cpu->load(image);
-        res.finished = cpu->run().exited;
+        vmCommands = &cpu->commandSet();
+        cpu->run();
     }
 
     std::unique_ptr<mipsi::DirectCpu> cpu;
@@ -76,38 +74,31 @@ class MipsiEngine final : public Engine
     {
     }
 
-    trace::CommandSet &commandSet() override
-    {
-        return vm->commandSet();
-    }
-
   private:
     void run(const BenchSpec &spec, EngineResult &res) override
     {
         auto image = specImage(spec);
         res.programBytes = image.sizeBytes();
         // run() is non-virtual by design (mipsi.hh): dispatch on the
-        // concrete type, keep the base pointer only for commandSet().
+        // concrete type.
         if (threaded) {
             threadedVm = std::make_unique<mipsi::ThreadedMipsi>(exec, fs);
             threadedVm->load(image);
-            vm = threadedVm.get();
-            res.finished = threadedVm->run().exited;
+            vmCommands = &threadedVm->commandSet();
+            threadedVm->run();
         } else {
             switchVm = std::make_unique<mipsi::Mipsi>(exec, fs);
             switchVm->load(image);
-            vm = switchVm.get();
-            res.finished = switchVm->run().exited;
+            vmCommands = &switchVm->commandSet();
+            switchVm->run();
         }
     }
 
     bool threaded;
     // The cores have no vtable (mipsi.hh explains why), so each
-    // concrete type must be owned — and destroyed — as itself; the
-    // base pointer is a non-owning view for commandSet().
+    // concrete type must be owned — and destroyed — as itself.
     std::unique_ptr<mipsi::Mipsi> switchVm;
     std::unique_ptr<mipsi::ThreadedMipsi> threadedVm;
-    mipsi::Mipsi *vm = nullptr;
 };
 
 /**
@@ -126,11 +117,6 @@ class MipsiJitEngine final : public Engine
     {
     }
 
-    trace::CommandSet &commandSet() override
-    {
-        return vm->commandSet();
-    }
-
   private:
     void run(const BenchSpec &spec, EngineResult &res) override
     {
@@ -140,8 +126,8 @@ class MipsiJitEngine final : public Engine
         if (published && published->poisoned()) {
             prevVm = std::make_unique<mipsi::ThreadedMipsi>(exec, fs);
             prevVm->load(image);
-            vm = prevVm.get();
-            res.finished = prevVm->run().exited;
+            vmCommands = &prevVm->commandSet();
+            prevVm->run();
             return;
         }
         jitVm = std::make_unique<mipsi::JitMipsi>(exec, fs);
@@ -150,15 +136,13 @@ class MipsiJitEngine final : public Engine
             jitVm->useArtifact(std::move(published));
         if (spec.tier.publish)
             jitVm->setPublishHook(spec.tier.publish);
-        vm = jitVm.get();
-        res.finished = jitVm->run().exited;
+        vmCommands = &jitVm->commandSet();
+        jitVm->run();
     }
 
-    // No vtable on the cores: own each concrete type as itself, keep
-    // only a non-owning base view for commandSet().
+    // No vtable on the cores: own each concrete type as itself.
     std::unique_ptr<mipsi::ThreadedMipsi> prevVm;
     std::unique_ptr<mipsi::JitMipsi> jitVm;
-    mipsi::Mipsi *vm = nullptr;
 };
 
 /** Lang::Java / JavaQuick / JavaTier2 — the jvm's three tiers. */
@@ -170,11 +154,6 @@ class JvmEngine final : public Engine
     {
     }
 
-    trace::CommandSet &commandSet() override
-    {
-        return vm->commandSet();
-    }
-
   private:
     void run(const BenchSpec &spec, EngineResult &res) override
     {
@@ -183,7 +162,8 @@ class JvmEngine final : public Engine
           case 1: prepareQuick(spec, res); break;
           default: prepareTier2(spec, res); break;
         }
-        res.finished = vm->run().exited;
+        vmCommands = &vm->commandSet();
+        vm->run();
     }
 
     void prepareBaseline(const BenchSpec &spec, EngineResult &res)
@@ -250,10 +230,11 @@ class JvmEngine final : public Engine
             pairs = spec.tier.pairs.get();
         } else {
             // Standalone mode: discover hot pairs with an unmeasured
-            // profiling pre-run under the same budget, on its own
-            // Execution (interpd feeds the profile from earlier
+            // profiling pre-run under the same budget and deadline, on
+            // its own Execution (interpd feeds the profile from earlier
             // baseline runs instead).
             trace::Execution pexec;
+            pexec.setDeadline(spec.deadline);
             vfs::FileSystem pfs;
             if (spec.needsInputs)
                 installAllInputs(pfs);
@@ -281,11 +262,6 @@ class PerlEngine final : public Engine
     {
     }
 
-    trace::CommandSet &commandSet() override
-    {
-        return vm->commandSet();
-    }
-
   private:
     void run(const BenchSpec &spec, EngineResult &res) override
     {
@@ -293,7 +269,8 @@ class PerlEngine final : public Engine
         vm = std::make_unique<perlish::Interp>(exec, fs,
                                                /*symbolIc=*/ic);
         vm->load(spec.source, spec.name);
-        res.finished = vm->run().exited;
+        vmCommands = &vm->commandSet();
+        vm->run();
     }
 
     bool ic;
@@ -310,18 +287,14 @@ class TclEngine final : public Engine
     {
     }
 
-    trace::CommandSet &commandSet() override
-    {
-        return vm->commandSet();
-    }
-
   private:
     void run(const BenchSpec &spec, EngineResult &res) override
     {
         res.programBytes = spec.source.size();
         vm = std::make_unique<tclish::TclInterp>(exec, fs, bytecode,
                                                  tier2, jit);
-        res.finished = vm->run(spec.source).exited;
+        vmCommands = &vm->commandSet();
+        vm->run(spec.source);
     }
 
     bool bytecode, tier2, jit;
@@ -334,7 +307,10 @@ EngineResult
 Engine::execute(const BenchSpec &spec)
 {
     EngineResult res;
-    runBudgeted(exec, spec.maxCommands, [&] { run(spec, res); });
+    res.finished =
+        runBudgeted(exec, spec.maxCommands, [&] { run(spec, res); });
+    // The tail batch; a no-op after a budget stop, which delivered it.
+    exec.flush();
     res.commands = exec.commands();
     return res;
 }

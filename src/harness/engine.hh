@@ -9,6 +9,10 @@
  * each keeping its own per-Lang switch, so adding an execution tier
  * is a factory case, not a scavenger hunt.
  *
+ * Engine::execute() is where every run ends. A mode's run() only
+ * prepares the program, records its VM's command set and runs it,
+ * and the VM's own run() returns the guest's exit code.
+ *
  * Engines construct their VM lazily inside execute(): routine
  * registration happens in VM constructors, and deferring it keeps
  * the registration order (and hence every simulated code address)
@@ -49,12 +53,15 @@ class Engine
      * Prepare (compile/load) and execute @p spec to completion or to
      * its command budget (BenchSpec::maxCommands, armed on the
      * Execution the engine was made with, which also counts the
-     * result's commands); emission goes to that Execution.
+     * result's commands); emission goes to that Execution. The one
+     * place a run ends: the result is finished unless the budget
+     * stopped it, and the tail batch reaches the sinks before this
+     * returns.
      */
     EngineResult execute(const BenchSpec &spec);
 
     /** The executed program's command set (valid after execute()). */
-    virtual trace::CommandSet &commandSet() = 0;
+    trace::CommandSet &commandSet() { return *vmCommands; }
 
   protected:
     Engine(trace::Execution &exec, vfs::FileSystem &fs)
@@ -63,15 +70,16 @@ class Engine
     }
 
     /**
-     * The mode's part of execute(): prepare @p spec and run it, set
-     * @p res.programBytes, and set @p res.finished once the program
-     * has run to completion. The budget may stop the run first, with
+     * The mode's part of execute(): prepare @p spec, set
+     * @p res.programBytes, point vmCommands at the VM's command set,
+     * and run the program. The budget may stop the run first, with
      * trace::BudgetExhausted.
      */
     virtual void run(const BenchSpec &spec, EngineResult &res) = 0;
 
     trace::Execution &exec;
     vfs::FileSystem &fs;
+    trace::CommandSet *vmCommands = nullptr;
 };
 
 /** Factory: the engine implementing @p lang's execution mode. */

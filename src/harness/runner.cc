@@ -53,9 +53,6 @@ run(const BenchSpec &spec, const std::vector<trace::Sink *> &extra_sinks,
     m.commands = r.commands;
     m.programBytes = r.programBytes;
     collect_names(engine->commandSet());
-    // The interpreters flush on every run() exit (FlushOnExit); this
-    // covers hypothetical future paths that emit outside run().
-    exec.flush();
 
     if (machine) {
         m.cycles = machine->cycles();

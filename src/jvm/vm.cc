@@ -210,13 +210,12 @@ Vm::staticValue(const std::string &name) const
     fatal("jvm: no static field '%s'", name.c_str());
 }
 
-Vm::RunResult
+int
 Vm::run()
 {
-    RunResult result;
     if (!module)
         panic("Vm::run before load()");
-    trace::FlushOnExit flush_guard(exec);
+    int exit_code = 0;
 
     while (!frames.empty()) {
         Frame &frame = frames.back();
@@ -516,8 +515,7 @@ Vm::run()
             for (int i = info.numArgs - 1; i >= 0; --i)
                 args[i] = pop();
             if ((minic::Builtin)insn.a == minic::Builtin::Exit) {
-                result.exited = true;
-                result.exitCode = args[0];
+                exit_code = args[0];
                 frames.clear();
                 break;
             }
@@ -541,8 +539,7 @@ Vm::run()
             sp = done.stackBase;
             exec.store(&localsTop);
             if (frames.empty()) {
-                result.exited = true;
-                result.exitCode = value;
+                exit_code = value;
             } else if (insn.op == Bc::IReturn) {
                 push(value);
             }
@@ -564,7 +561,7 @@ Vm::run()
             panic("jvm: bad opcode");
         }
     }
-    return result;
+    return exit_code;
 }
 
 } // namespace interp::jvm

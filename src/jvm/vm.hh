@@ -73,18 +73,13 @@ class Vm
      *  contained fallback (full resolution) path. */
     void debugPoisonIc() { icPoisoned = true; }
 
-    struct RunResult
-    {
-        bool exited = false;
-        int exitCode = 0;
-    };
-
     /**
-     * Interpret until main returns or exit(). Each bytecode retires
-     * one command on the Execution, whose command budget may stop the
-     * run first (trace::BudgetExhausted).
+     * Interpret until main returns or exit(); @return main's value or
+     * exit()'s argument. Each bytecode retires one command on the
+     * Execution, whose command budget may stop the run first
+     * (trace::BudgetExhausted).
      */
-    RunResult run();
+    int run();
 
     trace::CommandSet &commandSet() { return commands; }
     Heap &heap() { return heap_; }

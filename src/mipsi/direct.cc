@@ -34,13 +34,11 @@ DirectCpu::directPc(uint32_t guest_pc) const
            (guest_pc - textBase);
 }
 
-DirectCpu::RunResult
+int
 DirectCpu::run()
 {
-    RunResult result;
     if (!syscalls)
         panic("DirectCpu::run before load()");
-    trace::FlushOnExit flush_guard(exec);
 
     for (;;) {
         uint32_t pc = state.pc;
@@ -101,14 +99,10 @@ DirectCpu::run()
 
         if (info.isSyscall) {
             auto sys = syscalls->handle(state);
-            if (sys.exited) {
-                result.exited = true;
-                result.exitCode = sys.exitCode;
-                break;
-            }
+            if (sys.exited)
+                return sys.exitCode;
         }
     }
-    return result;
 }
 
 } // namespace interp::mipsi

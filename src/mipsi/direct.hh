@@ -37,15 +37,10 @@ class DirectCpu
 
     void load(const mips::Image &image);
 
-    struct RunResult
-    {
-        bool exited = false;
-        int exitCode = 0;
-    };
-
-    /** Execute until the guest exits; each instruction retires one
-     *  command on the Execution, whose budget may stop it first. */
-    RunResult run();
+    /** Execute until the guest exits; @return its exit code. Each
+     *  instruction retires one command on the Execution, whose budget
+     *  may stop it first. */
+    int run();
 
     /** Command set naming each native opcode (Table 2 C row). */
     trace::CommandSet &commandSet() { return commands; }

@@ -103,7 +103,7 @@ JitMipsi::jitStep(uint32_t index)
         exec.emitAt(stencilPc(index), trace::InstClass::IntAlu);
     }
 
-    if (ThreadedMipsi::step(e, pc, (HClass)e.cls, *curResult)) {
+    if (ThreadedMipsi::step(e, pc, (HClass)e.cls, *curExitCode)) {
         runDone = true;
         return 1;
     }
@@ -121,13 +121,11 @@ JitMipsi::jitStep(uint32_t index)
     return sequential ? 0 : 1;
 }
 
-Mipsi::RunResult
+int
 JitMipsi::run()
 {
-    RunResult result;
     if (!syscalls)
         panic("JitMipsi::run before load()");
-    trace::FlushOnExit flush_guard(exec);
 
     if (art && art->numSteps() != entries.size())
         art = nullptr; // compiled for different text: never executed
@@ -137,7 +135,8 @@ JitMipsi::run()
             publish(art);
     }
 
-    curResult = &result;
+    int exit_code = 0;
+    curExitCode = &exit_code;
     runDone = false;
     while (!runDone) {
         uint32_t pc = state.pc;
@@ -157,12 +156,12 @@ JitMipsi::run()
         if (pending) {
             auto p = std::move(pending);
             pending = nullptr;
-            curResult = nullptr;
+            curExitCode = nullptr;
             std::rethrow_exception(p);
         }
     }
-    curResult = nullptr;
-    return result;
+    curExitCode = nullptr;
+    return exit_code;
 }
 
 } // namespace interp::mipsi

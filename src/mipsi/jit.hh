@@ -60,7 +60,7 @@ class JitMipsi : public ThreadedMipsi
     void setPublishHook(
         std::function<void(std::shared_ptr<const jit::JitArtifact>)> hook);
 
-    RunResult run();
+    int run();
 
     /**
      * Compile the stencil program for the loaded text, charged to
@@ -92,7 +92,7 @@ class JitMipsi : public ThreadedMipsi
     uint32_t jitRegionBase = 0;
 
     // Live only inside run().
-    RunResult *curResult = nullptr;
+    int *curExitCode = nullptr;
     bool runDone = false;
     std::exception_ptr pending;
 };

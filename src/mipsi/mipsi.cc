@@ -129,7 +129,7 @@ Mipsi::handlerRoutine(HClass cls) const
 
 bool
 Mipsi::executeInst(const mips::Inst &inst, uint32_t word, uint32_t pc,
-                   trace::RoutineId handler, RunResult &result,
+                   trace::RoutineId handler, int &exit_code,
                    StepInfo &info)
 {
     // The retired virtual command is the guest mnemonic.
@@ -198,21 +198,18 @@ Mipsi::executeInst(const mips::Inst &inst, uint32_t word, uint32_t pc,
     if (info.isSyscall) {
         auto sys = syscalls->handle(state);
         if (sys.exited) {
-            result.exited = true;
-            result.exitCode = sys.exitCode;
+            exit_code = sys.exitCode;
             return true;
         }
     }
     return false;
 }
 
-Mipsi::RunResult
+int
 Mipsi::run()
 {
-    RunResult result;
     if (!syscalls)
         panic("Mipsi::run before load()");
-    trace::FlushOnExit flush_guard(exec);
 
     for (;;) {
         uint32_t pc = state.pc;
@@ -246,12 +243,12 @@ Mipsi::run()
 
         // ---- execute -----------------------------------------------------
         StepInfo info;
+        int exit_code = 0;
         if (executeInst(inst, word, pc,
-                        handlerRoutine(handlerClass(inst.op)), result,
+                        handlerRoutine(handlerClass(inst.op)), exit_code,
                         info))
-            break;
+            return exit_code;
     }
-    return result;
 }
 
 } // namespace interp::mipsi

@@ -45,17 +45,10 @@ class Mipsi
     /** Load a linked program and reset the CPU. */
     void load(const mips::Image &image);
 
-    /** Outcome of a run. */
-    struct RunResult
-    {
-        bool exited = false;
-        int exitCode = 0;
-    };
-
     /**
-     * Interpret until the guest exits. Each guest instruction retires
-     * one command on the Execution, whose command budget may stop the
-     * run first (trace::BudgetExhausted).
+     * Interpret until the guest exits; @return its exit code. Each
+     * guest instruction retires one command on the Execution, whose
+     * command budget may stop the run first (trace::BudgetExhausted).
      *
      * load()/run() are deliberately non-virtual: both cores are always
      * used as concrete types (the harness picks one per Lang), and a
@@ -63,7 +56,7 @@ class Mipsi
      * alignment and perturb the baseline's simulated cache behaviour.
      * ThreadedMipsi shadows these two methods instead of overriding.
      */
-    RunResult run();
+    int run();
 
     /** The interpreter's virtual-command set (one entry per mnemonic). */
     trace::CommandSet &commandSet() { return commands; }
@@ -91,10 +84,11 @@ class Mipsi
      * emit the per-instruction work. Identical for the switch and
      * threaded cores, so the two modes cannot diverge in execute
      * attribution. @p info receives what the instruction did.
-     * @return true when the run should stop (guest exited).
+     * @return true when the run should stop (guest exited), with the
+     * guest's exit code in @p exit_code.
      */
     bool executeInst(const mips::Inst &inst, uint32_t word, uint32_t pc,
-                     trace::RoutineId handler, RunResult &result,
+                     trace::RoutineId handler, int &exit_code,
                      StepInfo &info);
 
     /** Emit the in-core page-table walk for one translation. */

@@ -65,11 +65,11 @@ ThreadedMipsi::fetchEntry(uint32_t pc)
 
 bool
 ThreadedMipsi::step(const Entry &e, uint32_t pc, HClass cls,
-                    RunResult &result)
+                    int &exit_code)
 {
     StepInfo info;
     bool done = executeInst(e.inst, e.word, pc, handlerRoutine(cls),
-                            result, info);
+                            exit_code, info);
     // Predecoded entries cannot track self-modifying code, and a
     // rewrite after events have been emitted would desynchronise a
     // recorded trace from a fresh run; reject it, containably.
@@ -81,16 +81,12 @@ ThreadedMipsi::step(const Entry &e, uint32_t pc, HClass cls,
     return done;
 }
 
-Mipsi::RunResult
+int
 ThreadedMipsi::run()
 {
-    RunResult result;
     if (!syscalls)
         panic("ThreadedMipsi::run before load()");
-    // Covers every exit, including the computed-goto returns below.
-    trace::FlushOnExit flush_guard(exec);
 
-#if defined(__GNUC__) || defined(__clang__)
     // Real direct threading: each handler tail ends in a computed
     // goto through the label table, indexed by the predecoded class.
     static const void *const kLabels[] = {
@@ -100,6 +96,7 @@ ThreadedMipsi::run()
 
     const Entry *e = nullptr;
     uint32_t pc = 0;
+    int exit_code = 0;
 
 #define INTERP_NEXT()                                                     \
     do {                                                                  \
@@ -113,8 +110,8 @@ ThreadedMipsi::run()
 
 #define INTERP_HANDLER(label, hclass)                                     \
   label:                                                                  \
-    if (step(*e, pc, HClass::hclass, result))                             \
-        return result;                                                    \
+    if (step(*e, pc, HClass::hclass, exit_code))                          \
+        return exit_code;                                                 \
     INTERP_NEXT()
 
     INTERP_NEXT();
@@ -128,19 +125,6 @@ ThreadedMipsi::run()
 
 #undef INTERP_HANDLER
 #undef INTERP_NEXT
-#else
-    // Portable fallback: same fetch/charge structure, switch dispatch
-    // on the predecoded class. Emitted events are identical.
-    for (;;) {
-        uint32_t pc = state.pc;
-        const Entry *e = fetchEntry(pc);
-        if (e->cls == kInvalidClass)
-            fatal("mipsi: invalid instruction 0x%08x at pc 0x%08x",
-                  e->word, pc);
-        if (step(*e, pc, (HClass)e->cls, result))
-            return result;
-    }
-#endif
 }
 
 } // namespace interp::mipsi

@@ -45,7 +45,7 @@ class ThreadedMipsi : public Mipsi
      */
     void load(const mips::Image &image);
 
-    RunResult run();
+    int run();
 
   protected:
     // The predecode machinery is shared with the tier-3 jit core
@@ -69,8 +69,9 @@ class ThreadedMipsi : public Mipsi
     /** Per-trip fetch: charge the (small) f/d cost and index. */
     const Entry *fetchEntry(uint32_t pc);
 
-    /** Execute one entry via the shared stage; true when exited. */
-    bool step(const Entry &e, uint32_t pc, HClass cls, RunResult &result);
+    /** Execute one entry via the shared stage; true when exited, with
+     *  the guest's exit code in @p exit_code. */
+    bool step(const Entry &e, uint32_t pc, HClass cls, int &exit_code);
 
     trace::RoutineId rThread;    ///< threaded dispatch loop
     trace::RoutineId rPredecode; ///< one-shot predecoder

@@ -93,17 +93,13 @@ Interp::scalarByName(const std::string &name) const
     return nullptr;
 }
 
-Interp::RunResult
+int
 Interp::run()
 {
     if (!script_.main)
         panic("Interp::run before load()");
-    trace::FlushOnExit flush_guard(exec);
     (void)eval(*script_.main);
-    RunResult result;
-    result.exited = true;
-    result.exitCode = exitCode;
-    return result;
+    return exitCode;
 }
 
 // --- cost helpers ----------------------------------------------------------

@@ -56,18 +56,13 @@ class Interp
     void load(std::string_view source,
               const std::string &filename = "<script>");
 
-    struct RunResult
-    {
-        bool exited = false; ///< ran to completion / exit() / die()
-        int exitCode = 0;
-    };
-
     /**
-     * Run the loaded script. Each op node retires one command on the
+     * Run the loaded script to completion, exit() or die(); @return
+     * the exit code. Each op node retires one command on the
      * Execution, whose command budget may stop the run first
      * (trace::BudgetExhausted).
      */
-    RunResult run();
+    int run();
 
     trace::CommandSet &commandSet() { return commands_; }
     const Script &script() const { return script_; }

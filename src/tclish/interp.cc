@@ -865,16 +865,12 @@ TclInterp::evalExpr(const std::string &text, int line)
 
 // --- evaluation -------------------------------------------------------------
 
-TclInterp::RunResult
+int
 TclInterp::run(const std::string &script)
 {
-    trace::FlushOnExit flush_guard(exec);
     exitCode = 0;
     evalScript(script);
-    RunResult out;
-    out.exited = true;
-    out.exitCode = exitCode;
-    return out;
+    return exitCode;
 }
 
 Result

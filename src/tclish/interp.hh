@@ -99,18 +99,13 @@ class TclInterp
     /** Out of line (bytecode.cc): BytecodeState is incomplete here. */
     ~TclInterp();
 
-    struct RunResult
-    {
-        bool exited = false;
-        int exitCode = 0;
-    };
-
     /**
-     * Interpret a whole script (the program text, kept as a string).
-     * Each command retires on the Execution, whose command budget may
-     * stop the run first (trace::BudgetExhausted).
+     * Interpret a whole script (the program text, kept as a string);
+     * @return its exit code. Each command retires on the Execution,
+     * whose command budget may stop the run first
+     * (trace::BudgetExhausted).
      */
-    RunResult run(const std::string &script);
+    int run(const std::string &script);
 
     trace::CommandSet &commandSet() { return commands_; }
 

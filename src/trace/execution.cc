@@ -1,6 +1,7 @@
 #include "trace/execution.hh"
 
 #include <algorithm>
+#include <exception>
 
 #include "support/logging.hh"
 #include "trace/profile.hh"

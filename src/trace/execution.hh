@@ -14,9 +14,10 @@
  * or when a non-bundle event (command retirement, memory-model
  * access) must keep its place in the stream — so every sink still
  * observes events in exact emission order. Whoever finishes emitting
- * must call flush() before reading any sink's counters; the
- * interpreters do this on every exit from their run() loops (see
- * FlushOnExit), so harness users never see a stale sink.
+ * must call flush() before reading any sink's counters; the harness
+ * engine does this once where every run ends (harness::Engine::
+ * execute()), so harness users never see a stale sink, and code that
+ * drives an interpreter directly calls it after run() returns.
  *
  * The Execution counts the run's virtual commands (commands()) and
  * stops the run itself, in two ways. A deadline (setDeadline()) is
@@ -56,7 +57,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <exception>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -230,8 +230,8 @@ class Execution
     /**
      * Deliver the buffered bundle batch to every sink. Idempotent and
      * cheap when nothing is pending. Must run after the last emission
-     * before sink counters are read; every interpreter run() flushes
-     * on exit, and harness::run() flushes again defensively.
+     * before sink counters are read; harness::Engine::execute() calls
+     * it once the interpreter's run() has returned.
      */
     void flush();
 
@@ -512,38 +512,6 @@ class Execution
 };
 
 // --- RAII helpers ----------------------------------------------------------
-
-/**
- * Flushes the pending bundle batch on scope exit, so a completed
- * interpreter run leaves no buffered events behind. Every VM's run()
- * declares one at the top; all return paths (including the computed-
- * goto exits of the threaded MIPSI core) then deliver the tail batch
- * before any caller reads a sink; a sink that throws from that flush
- * throws out of the destructor to the caller. Skipped while an
- * exception is unwinding: a fatal()ed run's Measurement is discarded
- * anyway, and delivering into sinks mid-unwind could turn a contained
- * FatalError into std::terminate.
- */
-class FlushOnExit
-{
-  public:
-    explicit FlushOnExit(Execution &exec)
-        : exec_(exec), entryDepth(std::uncaught_exceptions())
-    {
-    }
-    ~FlushOnExit() noexcept(false)
-    {
-        if (std::uncaught_exceptions() == entryDepth)
-            exec_.flush();
-    }
-
-    FlushOnExit(const FlushOnExit &) = delete;
-    FlushOnExit &operator=(const FlushOnExit &) = delete;
-
-  private:
-    Execution &exec_;
-    int entryDepth;
-};
 
 /**
  * Enters a routine on construction, returns on destruction. The

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "harness/runner.hh"
 #include "harness/workloads.hh"
 #include "support/logging.hh"
+#include "trace/execution.hh"
 
 namespace {
 
@@ -154,6 +157,9 @@ TEST(Runner, SinkExceptionReachesTheCaller)
     // routine scopes that emit their returns, hundreds of them under
     // a deep Tcl recursion; the aborting run must hand none of them
     // to the sink that threw, or it throws again from a destructor.
+    // The last batch of a finished run is delivered by the engine
+    // once the interpreter has returned; a throw there fails the run
+    // too.
     struct Abort
     {
     };
@@ -163,11 +169,14 @@ TEST(Runner, SinkExceptionReachesTheCaller)
         void
         onBatch(const trace::BundleBatch &) override
         {
+            ++tail;
             if (++batches >= first)
                 throw Abort{};
         }
+        void onCommand(trace::CommandId) override { tail = 0; }
         uint64_t first;
         uint64_t batches = 0;
+        uint64_t tail = 0; ///< batches since the last command
     };
     BenchSpec tier2;
     for (BenchSpec &s : macroSuite())
@@ -180,8 +189,17 @@ TEST(Runner, SinkExceptionReachesTheCaller)
     deep.source = "proc f {n} {if {$n > 0} {f [expr {$n-1}]} else "
                   "{set i 0; while {$i < 10000000} {incr i}}}; f 140";
     deep.maxCommands = 1'000'000;
-    const std::pair<BenchSpec, uint64_t> inputs[] = {{tier2, 1},
-                                                     {deep, 5000}};
+    BenchSpec tiny;
+    tiny.lang = Lang::C;
+    tiny.name = "tiny";
+    tiny.source = "int main() { print_int(7); return 0; }";
+    AbortingSink counter(UINT64_MAX);
+    EXPECT_TRUE(run(tiny, {&counter}, nullptr, false).finished);
+    // The exit syscall's work follows the last command, so the run's
+    // last batch is the tail the engine delivers.
+    ASSERT_EQ(counter.tail, 1u);
+    const std::pair<BenchSpec, uint64_t> inputs[] = {
+        {tier2, 1}, {deep, 5000}, {tiny, counter.batches}};
     for (const auto &[spec, first] : inputs) {
         SCOPED_TRACE(spec.name);
         AbortingSink sink(first);
@@ -189,6 +207,22 @@ TEST(Runner, SinkExceptionReachesTheCaller)
         EXPECT_THROW(run(spec, {&sink}, nullptr, false), Abort);
         EXPECT_EQ(sink.batches, first);
     }
+}
+
+TEST(Runner, DeadlineBoundsTheTierTwoProfilingRun)
+{
+    // Java-tier2 without a published artifact profiles the program in
+    // an unmeasured pre-run on its own Execution; the run's deadline
+    // stops that pre-run too, long before its command budget would.
+    BenchSpec spec;
+    spec.lang = Lang::JavaTier2;
+    spec.name = "forever";
+    spec.source = "int main() { int i = 0; while (1) { i += 1; } return 0; }";
+    auto start = std::chrono::steady_clock::now();
+    spec.deadline = start + std::chrono::milliseconds(50);
+    EXPECT_THROW(run(spec, {}, nullptr, false), trace::DeadlineExpired);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(5));
 }
 
 TEST(Runner, MachineConfigOverride)

