@@ -157,59 +157,32 @@ class JvmEngine final : public Engine
   private:
     void run(const BenchSpec &spec, EngineResult &res) override
     {
-        switch (tier) {
-          case 0: prepareBaseline(spec, res); break;
-          case 1: prepareQuick(spec, res); break;
-          default: prepareTier2(spec, res); break;
-        }
-        vmCommands = &vm->commandSet();
-        vm->run();
-    }
-
-    void prepareBaseline(const BenchSpec &spec, EngineResult &res)
-    {
-        vm = std::make_unique<jvm::Vm>(exec, fs);
-        if (spec.tier.collect)
-            vm->setPairSink(spec.tier.collect.get());
-        if (spec.module) {
-            res.programBytes = spec.module->sizeBytes();
-            vm->loadShared(spec.module);
-        } else {
-            auto module = minic::compileBytecode(spec.source, spec.name);
-            res.programBytes = module.sizeBytes();
-            vm->load(module);
-        }
-    }
-
-    void prepareQuick(const BenchSpec &spec, EngineResult &res)
-    {
-        vm = std::make_unique<jvm::Vm>(exec, fs, /*quick=*/true);
-        if (spec.module) {
-            // A catalog-shared module must never be quickened in
-            // place; execute through a pre-quickened artifact instead.
-            res.programBytes = spec.module->sizeBytes();
-            vm->useArtifact(artifactFor(spec, spec.module));
-        } else {
-            auto module = minic::compileBytecode(spec.source, spec.name);
-            res.programBytes = module.sizeBytes();
-            vm->load(module);
-        }
-    }
-
-    void prepareTier2(const BenchSpec &spec, EngineResult &res)
-    {
         std::shared_ptr<const jvm::Module> module = spec.module;
         if (!module)
             module = std::make_shared<const jvm::Module>(
                 minic::compileBytecode(spec.source, spec.name));
         res.programBytes = module->sizeBytes();
-        auto artifact = artifactFor(spec, module);
-        vm = std::make_unique<jvm::Vm>(exec, fs, /*quick=*/true);
-        vm->useArtifact(std::move(artifact));
+        std::shared_ptr<const jvm::TierArtifact> artifact;
+        if (tier == 2)
+            artifact = artifactFor(spec, module);
+        vm = std::make_unique<jvm::Vm>(exec, fs, /*quick=*/tier > 0);
+        if (artifact) {
+            vm->useArtifact(std::move(artifact));
+        } else if (tier == 1) {
+            // Quickening rewrites the code it runs: a private copy,
+            // never the (possibly catalog-shared) module itself.
+            vm->load(*module);
+        } else {
+            if (spec.tier.collect)
+                vm->setPairSink(spec.tier.collect.get());
+            vm->loadShared(std::move(module));
+        }
+        vmCommands = &vm->commandSet();
+        vm->run();
     }
 
     /**
-     * The artifact this tier runs @p module through: the published
+     * The tier-2 artifact to run @p module through: the published
      * one, else one built now (charged to Precompile) and handed to
      * the publish hook.
      */
@@ -219,14 +192,9 @@ class JvmEngine final : public Engine
     {
         if (auto published = spec.tier.get<jvm::TierArtifact>())
             return published;
-        jvm::TierOptions opts;
         jvm::PairProfile local;
         const jvm::PairProfile *pairs = &local;
-        if (tier == 1) {
-            // Quickening only.
-            opts.fuse = false;
-            opts.inlineCache = false;
-        } else if (spec.tier.pairs) {
+        if (spec.tier.pairs) {
             pairs = spec.tier.pairs.get();
         } else {
             // Standalone mode: discover hot pairs with an unmeasured
@@ -243,7 +211,7 @@ class JvmEngine final : public Engine
             pvm.loadShared(module);
             runBudgeted(pexec, spec.maxCommands, [&] { pvm.run(); });
         }
-        auto artifact = jvm::buildTierArtifact(&exec, *module, *pairs, opts);
+        auto artifact = jvm::buildTierArtifact(exec, *module, *pairs);
         if (spec.tier.publish)
             spec.tier.publish(artifact);
         return artifact;

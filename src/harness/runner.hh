@@ -101,7 +101,7 @@ inline constexpr ModeInfo kModes[] = {
      {Lang::TclBytecode, Lang::TclTier2, Lang::TclJit}},
     {Lang::MipsiThreaded, "MIPSI-threaded", "MipsiThreaded", Lang::Mipsi,
      1, {}},
-    {Lang::JavaQuick, "Java-quick", "JavaQuick", Lang::Java, 1, {}, true},
+    {Lang::JavaQuick, "Java-quick", "JavaQuick", Lang::Java, 1, {}},
     {Lang::TclBytecode, "Tcl-bytecode", "TclBytecode", Lang::Tcl, 1, {}},
     {Lang::JavaTier2, "Java-tier2", "JavaTier2", Lang::Java, 2, {}, true},
     {Lang::TclTier2, "Tcl-tier2", "TclTier2", Lang::Tcl, 2, {}},
@@ -160,9 +160,10 @@ modeAtTier(Lang base, int tier)
 
 /**
  * What a tiered rung executes through: a pre-quickened jvm module with
- * its fusion and inline-cache tables (Java-quick, Java-tier2), or a
- * stencil program (MIPSI-jit). Immutable once built, so every run
- * holding one may share it.
+ * its fusion and inline-cache tables (Java-tier2), or a stencil
+ * program (MIPSI-jit). Immutable once built, so every run holding one
+ * may share it. Java-quick needs none: it quickens a private copy of
+ * the module in place.
  */
 using Artifact = std::variant<std::shared_ptr<const jvm::TierArtifact>,
                               std::shared_ptr<const jit::JitArtifact>>;
@@ -182,10 +183,11 @@ present(const Artifact &a)
 struct TierSlot
 {
     /** Published artifact to execute with. When absent, a run in an
-     *  artifact mode builds one in-run, charged to Precompile. A
-     *  poisoned stencil program (debugPoison, or a build whose emit
-     *  buffer overflowed) is never executed: the run falls back to
-     *  the previous tier, mirroring debugPoisonIc. */
+     *  artifact mode (Java-tier2, MIPSI-jit) builds one in-run,
+     *  charged to Precompile. A poisoned stencil program
+     *  (debugPoison, or a build whose emit buffer overflowed) is
+     *  never executed: the run falls back to the previous tier,
+     *  mirroring debugPoisonIc. */
     Artifact artifact;
     /** Invoked with the artifact the run built (the tier manager's
      *  publish hook). */
@@ -233,7 +235,7 @@ struct BenchSpec
     /**
      * Pre-compiled jvm module shared from a warm catalog (Java modes
      * only; `source` is ignored when set). The runner never mutates
-     * it: quick/tier-2 execution over a shared module requires a
+     * it: Java-quick quickens a private copy, and Java-tier2 runs a
      * published artifact or builds one in-run.
      */
     std::shared_ptr<const jvm::Module> module;

@@ -63,12 +63,10 @@ class Heap
                    const std::vector<size_t> &root_lengths);
 
     size_t liveObjects() const { return liveCount; }
-    size_t allocationsSinceGc() const { return sinceGc; }
     uint64_t totalAllocations() const { return totalAllocs; }
     uint64_t collections() const { return gcRuns; }
 
     /** Allocation count that triggers a collection inside alloc(). */
-    void setGcThreshold(size_t threshold) { gcThreshold = threshold; }
     size_t gcThreshold = 8192;
 
     /** Roots provider installed by the VM (frames + statics). */

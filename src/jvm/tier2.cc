@@ -21,6 +21,11 @@ PairProfile::total() const
 
 namespace {
 
+/** Distinct opcode pairs promoted to superinstructions. */
+constexpr size_t kMaxFusedPairs = 4;
+/** Minimum dynamic pair count for a pair to qualify. */
+constexpr uint64_t kMinPairCount = 16;
+
 /** May @p op head a superinstruction? Control transfers may not:
  *  the fused handler must fall straight through into its tail. */
 bool
@@ -42,48 +47,52 @@ isBranch(Bc op)
     return op == Bc::IfZero || op == Bc::IfNonZero || op == Bc::Goto;
 }
 
+/**
+ * The pairs to fuse: hottest first, deterministic opcode-order
+ * tie-break so concurrent builders that saw the same profile produce
+ * the same artifact.
+ */
+std::vector<std::pair<Bc, Bc>>
+hottestPairs(const PairProfile &pairs)
+{
+    std::vector<std::pair<uint64_t, uint32_t>> ranked;
+    for (size_t a = 0; a < PairProfile::kOps; ++a) {
+        if (!fusableHead((Bc)a))
+            continue;
+        for (size_t b = 0; b < PairProfile::kOps; ++b) {
+            uint64_t n = pairs.at((Bc)a, (Bc)b);
+            if (n >= kMinPairCount)
+                ranked.emplace_back(n, (uint32_t)(a * PairProfile::kOps + b));
+        }
+    }
+    std::sort(ranked.begin(), ranked.end(),
+              [](const auto &x, const auto &y) {
+                  if (x.first != y.first)
+                      return x.first > y.first;
+                  return x.second < y.second;
+              });
+    std::vector<std::pair<Bc, Bc>> hottest;
+    for (size_t i = 0; i < ranked.size() && i < kMaxFusedPairs; ++i) {
+        uint32_t key = ranked[i].second;
+        hottest.emplace_back((Bc)(key / PairProfile::kOps),
+                             (Bc)(key % PairProfile::kOps));
+    }
+    return hottest;
+}
+
 } // namespace
 
 std::shared_ptr<const TierArtifact>
-buildTierArtifact(trace::Execution *exec, const Module &module,
-                  const PairProfile &pairs, const TierOptions &opt)
+buildTierArtifact(trace::Execution &exec, const Module &module,
+                  const PairProfile &pairs)
 {
     auto artifact = std::make_shared<TierArtifact>();
     artifact->module = module;
-    artifact->hasFusion = opt.fuse;
-    artifact->hasIc = opt.inlineCache;
 
-    trace::RoutineId routine = 0;
-    if (exec)
-        routine = exec->code().registerRoutine("jvm.tierup", 96);
+    trace::RoutineId routine =
+        exec.code().registerRoutine("jvm.tierup", 96);
 
-    // Select the pairs to fuse: hottest first, deterministic opcode-
-    // order tie-break so concurrent builders that saw the same profile
-    // produce the same artifact.
-    if (opt.fuse) {
-        std::vector<std::pair<uint64_t, uint32_t>> ranked;
-        for (size_t a = 0; a < PairProfile::kOps; ++a) {
-            if (!fusableHead((Bc)a))
-                continue;
-            for (size_t b = 0; b < PairProfile::kOps; ++b) {
-                uint64_t n = pairs.at((Bc)a, (Bc)b);
-                if (n >= opt.minPairCount)
-                    ranked.emplace_back(n, (uint32_t)(a * PairProfile::kOps + b));
-            }
-        }
-        std::sort(ranked.begin(), ranked.end(),
-                  [](const auto &x, const auto &y) {
-                      if (x.first != y.first)
-                          return x.first > y.first;
-                      return x.second < y.second;
-                  });
-        for (size_t i = 0; i < ranked.size() && i < opt.maxPairs; ++i) {
-            uint32_t key = ranked[i].second;
-            artifact->fusedPairs.emplace_back(
-                (Bc)(key / PairProfile::kOps),
-                (Bc)(key % PairProfile::kOps));
-        }
-    }
+    artifact->fusedPairs = hottestPairs(pairs);
 
     auto buildFunc = [&](FuncDesc &fn) {
         const size_t n = fn.code.size();
@@ -100,26 +109,20 @@ buildTierArtifact(trace::Execution *exec, const Module &module,
 
         for (size_t pc = 0; pc < n; ++pc) {
             Insn &insn = fn.code[pc];
-            if (exec)
-                exec->alu(1); // scan/decode the instruction once
+            exec.alu(1); // scan/decode the instruction once
             if (Vm::quickenable(insn.op)) {
                 // Same work, same charge, as the in-place quicken() —
                 // but against a private copy, published immutably.
                 insn.quick = true;
                 ++artifact->quickened;
-                if (exec) {
-                    exec->alu(6);
-                    exec->store(&insn);
-                }
+                exec.alu(6);
+                exec.store(&insn);
             }
-            if (opt.inlineCache &&
-                (insn.op == Bc::GetStatic || insn.op == Bc::PutStatic)) {
+            if (insn.op == Bc::GetStatic || insn.op == Bc::PutStatic) {
                 ic[pc] = 1;
                 ++artifact->icSites;
-                if (exec) {
-                    exec->alu(3); // resolve field, fill the cache entry
-                    exec->store(&ic[pc]);
-                }
+                exec.alu(3); // resolve field, fill the cache entry
+                exec.store(&ic[pc]);
             }
         }
 
@@ -139,25 +142,19 @@ buildTierArtifact(trace::Execution *exec, const Module &module,
                 fuse[pc] = TierArtifact::kFuseHead;
                 fuse[pc + 1] = TierArtifact::kFuseTail;
                 ++artifact->fuseSites;
-                if (exec) {
-                    exec->alu(4); // emit the pair into the fuse table
-                    exec->store(&fuse[pc]);
-                }
+                exec.alu(4); // emit the pair into the fuse table
+                exec.store(&fuse[pc]);
                 ++pc; // no overlapping pairs
             }
         }
     };
 
+    // The one-time build is charged like in-place quickening:
+    // Precompile, own routine.
     for (FuncDesc &fn : artifact->module.funcs) {
-        if (exec) {
-            // The one-time build is charged like the in-place
-            // quickening it replaces: Precompile, own routine.
-            CategoryScope pre(*exec, Category::Precompile);
-            RoutineScope r(*exec, routine);
-            buildFunc(fn);
-        } else {
-            buildFunc(fn);
-        }
+        CategoryScope pre(exec, Category::Precompile);
+        RoutineScope r(exec, routine);
+        buildFunc(fn);
     }
     return artifact;
 }

@@ -3,11 +3,11 @@
  * Tier-2 artifacts for the jvm interpreter: profile-discovered
  * superinstructions and monomorphic inline caches.
  *
- * The §5 quickening remedy (jvm-quick) rewrites instructions in place
- * at first execution — fine for a private module copy, a data race for
- * a warm-catalog module shared across interpd worker threads. Tier-2
- * turns the rewrite into an immutable *artifact*: a pre-quickened copy
- * of the module plus side tables marking
+ * The §5 quickening remedy (Java-quick) rewrites instructions in place
+ * at first execution, which is why it always runs a private copy of
+ * the module. Tier-2 instead builds an immutable *artifact* that many
+ * runs may share: a pre-quickened copy of the module plus side tables
+ * marking
  *
  *   - fused pairs: the hottest dynamically-adjacent opcode pairs
  *     (discovered by a PairProfile collected during baseline runs)
@@ -20,9 +20,9 @@
  *     from ~11 to ~6 native instructions per access), falling back to
  *     the full resolution sequence on a miss, never mutating code.
  *
- * Artifacts are built aside (cost charged to Precompile, like the
- * in-place quickening it replaces) and published atomically on the
- * catalog entry; readers only ever see a complete, immutable artifact.
+ * Artifacts are built aside (cost charged to Precompile, like
+ * in-place quickening) and published atomically on the catalog
+ * entry; readers only ever see a complete, immutable artifact.
  */
 
 #ifndef INTERP_JVM_TIER2_HH
@@ -68,16 +68,6 @@ struct PairProfile
     uint64_t total() const;
 };
 
-struct TierOptions
-{
-    bool fuse = true;        ///< build superinstruction tables
-    bool inlineCache = true; ///< build field inline-cache tables
-    /** Distinct opcode pairs promoted to superinstructions. */
-    unsigned maxPairs = 4;
-    /** Minimum dynamic pair count for a pair to qualify. */
-    uint64_t minPairCount = 16;
-};
-
 /** An immutable tier-2 execution artifact for one jvm module. */
 struct TierArtifact
 {
@@ -96,17 +86,13 @@ struct TierArtifact
     uint64_t quickened = 0; ///< instructions pre-quickened
     uint64_t fuseSites = 0; ///< static head/tail pair sites marked
     uint64_t icSites = 0;   ///< static inline-cache sites resolved
-    bool hasFusion = false; ///< built with opt.fuse
-    bool hasIc = false;     ///< built with opt.inlineCache
 };
 
 /**
- * Build a tier-2 artifact for @p module from @p pairs.
- *
- * When @p exec is non-null the one-time build cost is emitted under
- * Category::Precompile in a dedicated "jvm.tierup" routine (mirroring
- * how in-place quickening charges Precompile); pass nullptr for an
- * uncharged build (tier manager warming outside a measured run).
+ * Build a tier-2 artifact for @p module from @p pairs. The one-time
+ * build cost is emitted on @p exec under Category::Precompile in a
+ * dedicated "jvm.tierup" routine, as in-place quickening charges
+ * Precompile.
  *
  * Fusion constraints keep the fused handler a straight line:
  *   - the head must not be a control transfer (branch/call/return),
@@ -115,8 +101,8 @@ struct TierArtifact
  *   - sites are claimed greedily left-to-right without overlap.
  */
 std::shared_ptr<const TierArtifact>
-buildTierArtifact(trace::Execution *exec, const Module &module,
-                  const PairProfile &pairs, const TierOptions &opt = {});
+buildTierArtifact(trace::Execution &exec, const Module &module,
+                  const PairProfile &pairs);
 
 } // namespace interp::jvm
 

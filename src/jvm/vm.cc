@@ -274,12 +274,10 @@ Vm::run()
             // The in-place rewrite is only legal against this VM's
             // private module copy. A warm-catalog module is shared
             // across worker threads: rewriting it under concurrent
-            // readers is the race this fatal contains — quick
-            // execution over shared programs must come pre-quickened
-            // through an atomically published TierArtifact.
+            // readers is the race this fatal contains.
             if (sharedModule)
                 fatal("jvm-quick: in-place quickening of a shared "
-                      "catalog module (use a published tier artifact)");
+                      "module (quick mode runs a private copy: load())");
             quicken(moduleStorage.funcs[frame.funcId].code[frame.pc]);
         }
         exec.beginCommand(bcCommand[(size_t)insn.op]);

@@ -53,15 +53,15 @@ class Vm
      * warm-catalog path: one compiled module, many concurrent
      * readers). Execution never writes through it — in quick mode,
      * reaching the in-place quickening pass on a shared module is a
-     * contained fatal(); quick/tier-2 execution over shared programs
-     * must come pre-quickened via useArtifact().
+     * contained fatal(); quick mode runs a private copy (load()),
+     * tier-2 a pre-quickened artifact (useArtifact()).
      */
     void loadShared(std::shared_ptr<const Module> module);
 
     /**
-     * Adopt a published tier-2 artifact and load its pre-quickened
-     * module (shared, immutable). Enables the quick fetch path plus
-     * the artifact's superinstruction and inline-cache tables.
+     * Adopt a tier-2 artifact and load its pre-quickened module
+     * (shared, immutable). Enables the quick fetch path plus the
+     * artifact's superinstruction and inline-cache tables.
      */
     void useArtifact(std::shared_ptr<const TierArtifact> artifact);
 

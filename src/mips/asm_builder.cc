@@ -163,17 +163,6 @@ AsmBuilder::branch(Op op, Reg rs, Reg rt, Label label)
 }
 
 void
-AsmBuilder::branchZero(Op op, Reg rs, Label label)
-{
-    fixups.push_back({(uint32_t)text.size(), label, FixKind::Branch});
-    Inst i;
-    i.op = op;
-    i.rs = rs;
-    emit(i);
-    nop(); // delay slot
-}
-
-void
 AsmBuilder::j(Label label)
 {
     fixups.push_back({(uint32_t)text.size(), label, FixKind::Jump});
@@ -300,8 +289,7 @@ AsmBuilder::link()
     Image image;
     image.text = text;
     image.data = data;
-    image.entry = entryLabel >= 0 ? labelAddress((Label)entryLabel)
-                                  : kTextBase;
+    image.entry = kTextBase;
     for (const auto &[name, label] : namedLabels)
         image.symbols[name] = labelAddress(label);
     for (const auto &[name, addr] : dataSymbols)

@@ -35,9 +35,6 @@ class AsmBuilder
     /** Allocate, bind and name a label at the current position. */
     Label here(const std::string &name);
 
-    /** Current text position in instructions. */
-    uint32_t textPos() const { return (uint32_t)text.size(); }
-
     // --- raw instructions (no delay-slot handling) ------------------------
     void emitWord(uint32_t word) { text.push_back(word); }
     void emit(const Inst &inst) { text.push_back(encode(inst)); }
@@ -60,7 +57,6 @@ class AsmBuilder
 
     // --- branches and jumps (delay slot auto-filled with nop) --------------
     void branch(Op op, Reg rs, Reg rt, Label label);
-    void branchZero(Op op, Reg rs, Label label); ///< blez/bgtz/bltz/bgez
     void j(Label label);
     void jal(Label label);
 
@@ -84,9 +80,6 @@ class AsmBuilder
     /** Record @p name at data @p address in the symbol table. */
     void dataSymbol(const std::string &name, uint32_t address);
 
-    /** Set the entry point (defaults to the first instruction). */
-    void setEntry(Label label) { entryLabel = (int64_t)label; }
-
     /** Resolve all fixups and produce the image. */
     Image link();
 
@@ -108,7 +101,6 @@ class AsmBuilder
     std::vector<Fixup> fixups;
     std::vector<std::pair<std::string, Label>> namedLabels;
     std::vector<std::pair<std::string, uint32_t>> dataSymbols;
-    int64_t entryLabel = -1;
 };
 
 } // namespace interp::mips

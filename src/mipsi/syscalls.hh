@@ -40,8 +40,6 @@ class SyscallHandler
      */
     Result handle(CpuState &state);
 
-    uint32_t currentBreak() const { return brk; }
-
   private:
     /** Emit trap entry/exit overhead plus per-byte copy work. */
     void emitKernelWork(uint32_t copy_bytes);

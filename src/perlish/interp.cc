@@ -84,15 +84,6 @@ Interp::load(std::string_view source, const std::string &filename)
     exitCode = 0;
 }
 
-const Scalar *
-Interp::scalarByName(const std::string &name) const
-{
-    for (size_t i = 0; i < script_.scalarNames.size(); ++i)
-        if (script_.scalarNames[i] == name)
-            return &scalars[i];
-    return nullptr;
-}
-
 int
 Interp::run()
 {

@@ -67,9 +67,6 @@ class Interp
     trace::CommandSet &commandSet() { return commands_; }
     const Script &script() const { return script_; }
 
-    /** Value of a named scalar, for tests. */
-    const Scalar *scalarByName(const std::string &name) const;
-
   private:
     enum class Ctrl : uint8_t { Normal, Return, Last, Next, Exit };
 

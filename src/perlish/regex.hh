@@ -65,7 +65,6 @@ class Regex
     std::vector<std::string> split(const std::string &text,
                                    uint64_t &steps) const;
 
-    int numGroups() const { return groupCount; }
     const std::string &pattern() const { return source; }
 
   private:

@@ -105,10 +105,10 @@ ProgramCatalog::resolve(harness::Lang mode, const std::string &name,
         ++counters_.misses;
         ++counters_.loads;
         // Compile the jvm module once and share it. Sharing is safe
-        // only because requests never mutate it: jvm-quick and tier-2
-        // execute shared modules through immutable published
-        // artifacts, and jvm::Vm refuses in-place quickening of a
-        // shared module outright.
+        // only because requests never mutate it: jvm-quick quickens a
+        // private copy, tier-2 runs an immutable artifact, and
+        // jvm::Vm refuses in-place quickening of a shared module
+        // outright.
         cached.module = std::make_shared<const jvm::Module>(
             minic::compileBytecode(cached.source, cached.name));
     } else {

@@ -270,7 +270,6 @@ TclInterp::evalCompiled(const std::string &script)
         // icReadHit saves/restores around those via evalCompiled
         // re-entry, and command handlers run with no cursor at all).
         Result failure;
-        failure.status = Status::Ok;
         void *savedSlots = icSlots;
         uint32_t savedRef = icRef;
         if (tier2Mode) {
@@ -278,18 +277,10 @@ TclInterp::evalCompiled(const std::string &script)
             icRef = 0;
         }
         std::vector<std::string> substituted;
-        substituted.reserve(cc.words.size());
-        for (const std::string &word : cc.words) {
-            if (!word.empty() && word[0] == '\x01') {
-                substituted.push_back(word.substr(1));
-            } else {
-                substituted.push_back(substitute(word, failure));
-                if (failure.status != Status::Ok) {
-                    icSlots = savedSlots;
-                    icRef = savedRef;
-                    return failure;
-                }
-            }
+        if (!substituteWords(cc.words, substituted, failure)) {
+            icSlots = savedSlots;
+            icRef = savedRef;
+            return failure;
         }
         icSlots = nullptr; // handlers see no cursor
         last = evalCommand(substituted, cc.line);
@@ -383,26 +374,17 @@ TclInterp::jitCmdStep(void *ctx_ptr, uint32_t index)
     // only the fetch of the words changed, not what is done with
     // them, so execute attribution matches command for command.
     Result failure;
-    failure.status = Status::Ok;
     void *savedSlots = icSlots;
     uint32_t savedRef = icRef;
     icSlots = &cc.ic;
     icRef = 0;
     std::vector<std::string> substituted;
-    substituted.reserve(cc.words.size());
-    for (const std::string &word : cc.words) {
-        if (!word.empty() && word[0] == '\x01') {
-            substituted.push_back(word.substr(1));
-        } else {
-            substituted.push_back(substitute(word, failure));
-            if (failure.status != Status::Ok) {
-                icSlots = savedSlots;
-                icRef = savedRef;
-                ctx.out = failure;
-                ctx.returned = true;
-                return 1;
-            }
-        }
+    if (!substituteWords(cc.words, substituted, failure)) {
+        icSlots = savedSlots;
+        icRef = savedRef;
+        ctx.out = failure;
+        ctx.returned = true;
+        return 1;
     }
     icSlots = nullptr; // handlers see no cursor
     Result res = evalCommand(substituted, cc.line);

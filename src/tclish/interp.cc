@@ -236,14 +236,6 @@ TclInterp::writeVar(const std::string &name, const std::string &value)
     slot = value;
 }
 
-std::string
-TclInterp::varValue(const std::string &name)
-{
-    int steps = 0;
-    std::string *value = scopes[0].vars.find(name, steps);
-    return value ? *value : "";
-}
-
 // --- parsing ---------------------------------------------------------------
 
 bool
@@ -890,27 +882,34 @@ TclInterp::evalDirect(const std::string &script)
     int line = 1;
     std::vector<std::string> words;
     while (parseCommand(script, pos, words, line)) {
-        // Substitute non-braced words. parseCommand stripped braces
-        // already, so re-deriving braced-ness is impossible here; we
-        // instead mark braced words with a \x01 sentinel there.
         Result failure;
-        failure.status = Status::Ok;
         std::vector<std::string> substituted;
-        substituted.reserve(words.size());
-        for (std::string &word : words) {
-            if (!word.empty() && word[0] == '\x01') {
-                substituted.push_back(word.substr(1));
-            } else {
-                substituted.push_back(substitute(word, failure));
-                if (failure.status != Status::Ok)
-                    return failure;
-            }
-        }
+        if (!substituteWords(words, substituted, failure))
+            return failure;
         last = evalCommand(substituted, line);
         if (last.status != Status::Ok)
             return last;
     }
     return last;
+}
+
+bool
+TclInterp::substituteWords(const std::vector<std::string> &words,
+                           std::vector<std::string> &out, Result &failure)
+{
+    // parseCommand strips the braces, so it marks braced words with a
+    // \x01 sentinel: braced-ness cannot be re-derived here.
+    out.reserve(words.size());
+    for (const std::string &word : words) {
+        if (!word.empty() && word[0] == '\x01') {
+            out.push_back(word.substr(1));
+        } else {
+            out.push_back(substitute(word, failure));
+            if (failure.status != Status::Ok)
+                return false;
+        }
+    }
+    return true;
 }
 
 Result

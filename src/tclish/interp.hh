@@ -109,9 +109,6 @@ class TclInterp
 
     trace::CommandSet &commandSet() { return commands_; }
 
-    /** Value of a global variable, or "" (tests). */
-    std::string varValue(const std::string &name);
-
     /** Framebuffer created by the tk-like commands (null before). */
     gfx::Framebuffer *framebuffer() { return fb.get(); }
 
@@ -162,6 +159,14 @@ class TclInterp
                       std::vector<std::string> &words, int &line);
     /** Substitute $vars, [scripts] and backslashes in a word. */
     std::string substitute(const std::string &text, Result &failure);
+    /**
+     * Append each of @p words to @p out: a braced word (marked by
+     * parseCommand's \x01 sentinel) verbatim, any other substituted.
+     * @return false, with @p failure set, at the first failed
+     * substitution.
+     */
+    bool substituteWords(const std::vector<std::string> &words,
+                         std::vector<std::string> &out, Result &failure);
 
     // --- variables --------------------------------------------------------
     SymTab &scopeFor(const std::string &name);

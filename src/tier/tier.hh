@@ -24,12 +24,13 @@
  *
  * Promotion must be safe under interpd's concurrent batches: several
  * workers can run the same catalog program at once. The rungs that run
- * through an artifact (harness::ModeInfo::artifact: the jvm's
- * pre-quickened module + fusion/IC tables, the mipsi stencil program)
- * therefore have it built aside by exactly one request and published
- * whole under the manager's lock: readers either see the old tier or
- * a complete immutable artifact, never a half-built one, and shared
- * modules are never mutated in place (jvm::Vm fatal()s if asked to).
+ * through an artifact (harness::ModeInfo::artifact: Java-tier2's
+ * pre-quickened module + fusion/IC tables, MIPSI-jit's stencil
+ * program) therefore have it built aside by exactly one request and
+ * published whole under the manager's lock: readers either see the
+ * old tier or a complete immutable artifact, never a half-built one.
+ * Shared modules are never mutated in place: Java-quick quickens a
+ * private copy per run (jvm::Vm fatal()s on a shared one).
  * While one request builds, other requests for the same program
  * simply run the tier below; they pick the artifact up on their next
  * visit. A builder that ends without publishing (an error, a

@@ -63,7 +63,6 @@ class CodeRegistry
                               Segment segment = Segment::InterpCore);
 
     const Routine &routine(RoutineId id) const { return routines_[id]; }
-    size_t numRoutines() const { return routines_.size(); }
 
     /** Base PC of a segment region (segments are 64 MB apart). */
     static uint32_t segmentBase(Segment segment);

@@ -490,6 +490,44 @@ TEST(ProgramCatalog, MicroCacheStopsGrowingAtItsCap)
     EXPECT_EQ(c.loads, cap + 3);
 }
 
+TEST(ProgramCatalog, ResolvedSpecsMeasureLikeTheRegistry)
+{
+    // A served run measures what the study measures: the catalog's
+    // spec (a shared image or module) and the registry's spec (built
+    // from source) agree on every counted total, in every mode, over
+    // the programs the repository benchmark serves.
+    ProgramCatalog catalog;
+    int pairs = 0;
+    for (const char *name :
+         {"des", "spin", "matmul", "kanren", "hanoi", "tcllex"}) {
+        const workloads::Workload *wl = workloads::find(name);
+        ASSERT_TRUE(wl) << name;
+        for (const harness::ModeInfo &m : harness::kModes) {
+            if (!wl->supports(m.lang))
+                continue;
+            SCOPED_TRACE(std::string(m.name) + "/" + name);
+            harness::Measurement served =
+                harness::run(catalog.resolve(m.lang, name, 0), {},
+                             nullptr, /*with_machine=*/false);
+            harness::Measurement study =
+                harness::run(workloads::specFor(*wl, m.lang), {},
+                             nullptr, /*with_machine=*/false);
+            const trace::Profile &a = served.profile, &b = study.profile;
+            EXPECT_EQ(served.commands, study.commands);
+            EXPECT_EQ(a.commands(), b.commands());
+            EXPECT_EQ(a.fetchDecodeInsts(), b.fetchDecodeInsts());
+            EXPECT_EQ(a.executeInsts(), b.executeInsts());
+            EXPECT_EQ(a.precompileInsts(), b.precompileInsts());
+            EXPECT_EQ(a.nativeLibInsts(), b.nativeLibInsts());
+            EXPECT_EQ(a.memModelInsts(), b.memModelInsts());
+            EXPECT_EQ(a.systemInsts(), b.systemInsts());
+            EXPECT_EQ(served.stdoutText, study.stdoutText);
+            ++pairs;
+        }
+    }
+    EXPECT_EQ(pairs, 58);
+}
+
 // --- endpoint parsing (outside input) --------------------------------------
 
 TEST(Endpoint, OnlyUnixSocketPathsParse)
@@ -522,8 +560,9 @@ TEST(Endpoint, OnlyUnixSocketPathsParse)
 TEST(ServerEndToEnd, LoadgenMatchesBatchHarnessAcrossModes)
 {
     const uint32_t kIters = 300;
-    const std::vector<Lang> modes = {Lang::Mipsi, Lang::Java,
-                                     Lang::Tcl, Lang::MipsiThreaded};
+    std::vector<Lang> modes;
+    for (const harness::ModeInfo &m : harness::kModes)
+        modes.push_back(m.lang);
 
     // The serving path must reproduce the batch harness bit for bit.
     std::map<Lang, harness::Measurement> expected;
@@ -538,11 +577,13 @@ TEST(ServerEndToEnd, LoadgenMatchesBatchHarnessAcrossModes)
     LoadgenOptions opt;
     opt.endpoints = {ts.path()};
     opt.clients = 4;
-    opt.requestsPerClient = 6;
+    // Each client walks the whole mix, so every mode is sent.
+    opt.requestsPerClient = (unsigned)modes.size();
     for (Lang mode : modes)
         opt.mix.push_back(microRequest(mode, kIters));
     opt.onResponse = [&expected](const EvalRequest &req,
                                  const EvalResponse &resp) {
+        SCOPED_TRACE(harness::langName(req.mode));
         ASSERT_EQ(resp.status, Status::Ok) << resp.result;
         const harness::Measurement &m = expected.at(req.mode);
         EXPECT_EQ(resp.commands, m.commands);
@@ -552,8 +593,8 @@ TEST(ServerEndToEnd, LoadgenMatchesBatchHarnessAcrossModes)
     };
 
     LoadgenReport report = runLoadgen(opt);
-    EXPECT_EQ(report.all.sent, 24u);
-    EXPECT_EQ(report.all.ok, 24u);
+    EXPECT_EQ(report.all.sent, opt.clients * modes.size());
+    EXPECT_EQ(report.all.ok, report.all.sent);
 
     // STATS reconciles exactly with the client-observed totals.
     Client conn = Client::connectUnix(ts.path());
@@ -1164,14 +1205,20 @@ TEST(ServerEndToEnd, TierPromotionFiresAndPreservesIdentity)
 
 TEST(ServerEndToEnd, FailedBuilderHandsItsRungBack)
 {
-    // The request picked to build Java-quick's artifact hits its
+    // The request picked to build Java-tier2's artifact hits its
     // deadline before it publishes. The next request must take the
-    // rung over, not run at baseline like every request after it.
+    // rung over, not run a tier below like every request after it.
+    harness::BenchSpec quick_spec =
+        workloads::specFor(*workloads::find("des"), Lang::JavaQuick);
+    uint64_t quick_insts =
+        harness::run(quick_spec, {}, nullptr, /*with_machine=*/false)
+            .profile.instructions();
+
     ServerConfig cfg;
     cfg.workers = 1; // sequential requests -> deterministic ladder
     cfg.tier.enabled = true;
     cfg.tier.remedyAfter = 1;
-    cfg.tier.tier2After = 1000;
+    cfg.tier.tier2After = 1;
     cfg.tier.commandsPerPoint = 1'000'000'000;
     cfg.tier.decayEvery = 1'000'000;
     TestServer ts(cfg);
@@ -1191,9 +1238,12 @@ TEST(ServerEndToEnd, FailedBuilderHandsItsRungBack)
     for (int i = 0; i < 2; ++i) {
         resp = conn.eval(req);
         ASSERT_EQ(resp.status, Status::Ok) << resp.result;
+        // Java-tier2's inline caches spend fewer instructions than
+        // Java-quick, whether this request builds the artifact (the
+        // cut-off builder died before its publish) or runs the one
+        // it published just before it died.
+        EXPECT_LT(resp.instructions, quick_insts) << "request " << i;
     }
-    // Both ran at Java-quick, whether the cut-off builder died before
-    // its publish (the next request builds) or just after it.
     ASSERT_TRUE(statsJsonUint(conn.stats(), "modes.Java.tiered_runs", v));
     EXPECT_EQ(v, 3u);
 }

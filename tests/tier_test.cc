@@ -288,58 +288,52 @@ TEST(TierManager, JavaSingleBuilderPerArtifact)
                                "a=b+c");
     tier::TierManager tm(testConfig(1, 4));
 
-    // First crossing: this request is the designated remedy builder —
-    // it gets the publish hook and no artifact (it builds in-run).
-    tier::TierPlan builder = tm.plan(Lang::Java, "micro");
-    EXPECT_EQ(builder.lang, Lang::JavaQuick);
-    EXPECT_TRUE(builder.promotedRemedy);
-    EXPECT_FALSE(present(builder.tier.artifact));
-    ASSERT_TRUE(builder.tier.publish);
+    // The remedy crossing: Java-quick quickens a private copy of the
+    // module in every run, so there is no artifact to build or await,
+    // and the requests after it stay at Java-quick.
+    tier::TierPlan remedy = tm.plan(Lang::Java, "micro");
+    EXPECT_EQ(remedy.lang, Lang::JavaQuick);
+    EXPECT_TRUE(remedy.promotedRemedy);
+    EXPECT_FALSE(present(remedy.tier.artifact));
+    EXPECT_FALSE(remedy.tier.publish);
+    for (int i = 0; i < 2; ++i) {
+        tier::TierPlan quick = tm.plan(Lang::Java, "micro");
+        EXPECT_EQ(quick.lang, Lang::JavaQuick);
+        EXPECT_FALSE(present(quick.tier.artifact));
+        EXPECT_FALSE(quick.tier.publish);
+    }
 
-    // While the build is outstanding, concurrent requests fall back a
-    // tier instead of duplicating the build — and a baseline jvm run
-    // doubles as a pair profiler.
-    tier::TierPlan waiting = tm.plan(Lang::Java, "micro");
-    EXPECT_EQ(waiting.lang, Lang::Java);
-    EXPECT_EQ(waiting.level, 0);
-    EXPECT_TRUE(waiting.tier.collect);
-    EXPECT_FALSE(waiting.tier.publish);
-
-    // Publish lands: the next request picks the artifact up.
-    jvm::PairProfile none;
-    jvm::TierOptions quick_only;
-    quick_only.fuse = false;
-    quick_only.inlineCache = false;
-    builder.tier.publish(
-        jvm::buildTierArtifact(nullptr, module, none, quick_only));
-    tier::TierPlan served = tm.plan(Lang::Java, "micro");
-    EXPECT_EQ(served.lang, Lang::JavaQuick);
-    ASSERT_TRUE(served.tier.get<jvm::TierArtifact>());
-    EXPECT_GT(served.tier.get<jvm::TierArtifact>()->quickened, 0u);
-    EXPECT_EQ(tm.snapshot().artifactsPublished, 1u);
-
-    // Tier-2 crossing repeats the dance, with the entry's merged pair
-    // profile snapshotted for the builder.
+    // Tier-2 crossing: this request is the designated builder — it
+    // gets the publish hook, the entry's merged pair profile and no
+    // artifact (it builds in-run).
     jvm::PairProfile collected;
     collected.counts[7] = 123;
     tm.noteRun(Lang::Java, "micro", 0, &collected);
     tier::TierPlan t2b = tm.plan(Lang::Java, "micro");
     EXPECT_EQ(t2b.lang, Lang::JavaTier2);
     EXPECT_TRUE(t2b.promotedTier2);
+    EXPECT_FALSE(present(t2b.tier.artifact));
     ASSERT_TRUE(t2b.tier.pairs);
     EXPECT_EQ(t2b.tier.pairs->counts[7], 123u);
     ASSERT_TRUE(t2b.tier.publish);
 
+    // While the build is outstanding, concurrent requests fall back a
+    // tier instead of duplicating the build.
     tier::TierPlan t2wait = tm.plan(Lang::Java, "micro");
     EXPECT_EQ(t2wait.lang, Lang::JavaQuick);
-    EXPECT_TRUE(t2wait.tier.get<jvm::TierArtifact>());
+    EXPECT_FALSE(present(t2wait.tier.artifact));
+    EXPECT_FALSE(t2wait.tier.publish);
 
+    // Publish lands: the next request picks the artifact up.
+    trace::Execution exec;
     t2b.tier.publish(
-        jvm::buildTierArtifact(nullptr, module, *t2b.tier.pairs));
+        jvm::buildTierArtifact(exec, module, *t2b.tier.pairs));
     tier::TierPlan t2served = tm.plan(Lang::Java, "micro");
     EXPECT_EQ(t2served.lang, Lang::JavaTier2);
-    EXPECT_TRUE(t2served.tier.get<jvm::TierArtifact>());
-    EXPECT_EQ(tm.snapshot().artifactsPublished, 2u);
+    ASSERT_TRUE(t2served.tier.get<jvm::TierArtifact>());
+    EXPECT_GT(t2served.tier.get<jvm::TierArtifact>()->quickened, 0u);
+    EXPECT_FALSE(t2served.tier.publish);
+    EXPECT_EQ(tm.snapshot().artifactsPublished, 1u);
 }
 
 /** The first plan of @p mode under @p cfg builds @p rung. While that
@@ -369,8 +363,8 @@ TEST(TierManager, DroppedBuilderHandsItsRungBack)
     // A builder whose run fails (an error, a deadline) drops its hook
     // without publishing. The rung must not stay claimed, or every
     // later request would run a rung down.
-    expectDroppedBuilderHandsBack(testConfig(1, 1000), Lang::Java,
-                                  Lang::JavaQuick);
+    expectDroppedBuilderHandsBack(testConfig(1, 1), Lang::Java,
+                                  Lang::JavaTier2);
     tier::TierConfig jit = testConfig(1, 1);
     jit.jitAfter = 1;
     expectDroppedBuilderHandsBack(jit, Lang::Mipsi, Lang::MipsiJit);
@@ -441,8 +435,9 @@ planTrace()
 
     jvm::Module module = minic::compileBytecode(
         microBench(Lang::Java, "a=b+c", 10).source, "a=b+c");
+    trace::Execution exec;
     std::shared_ptr<const jvm::TierArtifact> jvm_art =
-        jvm::buildTierArtifact(nullptr, module, jvm::PairProfile{});
+        jvm::buildTierArtifact(exec, module, jvm::PairProfile{});
     std::shared_ptr<const jit::JitArtifact> jit_art =
         jit::JitArtifact::build(&neverEntered, 4);
     auto publish = [&](tier::TierPlan &p) {
@@ -504,15 +499,15 @@ planTrace()
  *  a change to the tier-up policy, not a refactor. */
 const char *const kPinnedPlanTrace = R"(S1 now C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
 S1 now MIPSI: MIPSI-threaded/1+r MIPSI-threaded/1 MIPSI-jit/3+2+j,B MIPSI-jit/3,A MIPSI-jit/3,A MIPSI-jit/3,A MIPSI-jit/3,A
-S1 now Java: Java-quick/1+r,B Java-tier2/2+2,B,P0 Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A
+S1 now Java: Java-quick/1+r Java-tier2/2+2,B,P0 Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A
 S1 now Perl: Perl-ic/1+r Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1
 S1 now Tcl: Tcl-bytecode/1+r Tcl-tier2/2+2 Tcl-jit/3+j Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3
 S1 now Java-quick: Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0
 S1 now MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0
-S1 now snapshot: entries=5 remedy=4 tier2=3 jit=2 published=3
+S1 now snapshot: entries=5 remedy=4 tier2=3 jit=2 published=2
 S1 hold C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
 S1 hold MIPSI: MIPSI-threaded/1+r MIPSI-threaded/1 MIPSI-jit/3+2+j,B MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1
-S1 hold Java: Java-quick/1+r,B Java-tier2/2+2,B,P0 Java/0,C Java/0,C Java/0,C Java/0,C Java/0,C
+S1 hold Java: Java-quick/1+r Java-tier2/2+2,B,P0 Java-quick/1 Java-quick/1 Java-quick/1 Java-quick/1 Java-quick/1
 S1 hold Perl: Perl-ic/1+r Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1
 S1 hold Tcl: Tcl-bytecode/1+r Tcl-tier2/2+2 Tcl-jit/3+j Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3
 S1 hold Java-quick: Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0
@@ -520,12 +515,12 @@ S1 hold MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 M
 S1 hold snapshot: entries=5 remedy=4 tier2=3 jit=2 published=0
 S1 later3 C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
 S1 later3 MIPSI: MIPSI-threaded/1+r MIPSI-threaded/1 MIPSI-jit/3+2+j,B MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-jit/3,A
-S1 later3 Java: Java-quick/1+r,B Java-tier2/2+2,B,P0 Java/0,C Java/0,C Java-quick/1,A Java-tier2/2,A Java-tier2/2,A
+S1 later3 Java: Java-quick/1+r Java-tier2/2+2,B,P0 Java-quick/1 Java-quick/1 Java-quick/1 Java-tier2/2,A Java-tier2/2,A
 S1 later3 Perl: Perl-ic/1+r Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1
 S1 later3 Tcl: Tcl-bytecode/1+r Tcl-tier2/2+2 Tcl-jit/3+j Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3
 S1 later3 Java-quick: Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0
 S1 later3 MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0
-S1 later3 snapshot: entries=5 remedy=4 tier2=3 jit=2 published=3
+S1 later3 snapshot: entries=5 remedy=4 tier2=3 jit=2 published=2
 S2 now C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
 S2 now MIPSI: MIPSI/0 MIPSI-threaded/1+r MIPSI-jit/3+2+j,B MIPSI-threaded/1 MIPSI-jit/3,A MIPSI-jit/3,A MIPSI-jit/3,A
 S2 now Java: Java/0,C Java-tier2/2+r+2,B,P10 Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A
@@ -536,7 +531,7 @@ S2 now MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MI
 S2 now snapshot: entries=5 remedy=4 tier2=3 jit=2 published=2
 S2 hold C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
 S2 hold MIPSI: MIPSI/0 MIPSI-threaded/1+r MIPSI-jit/3+2+j,B MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1
-S2 hold Java: Java/0,C Java-tier2/2+r+2,B,P10 Java-quick/1,B Java/0,C Java/0,C Java/0,C Java/0,C
+S2 hold Java: Java/0,C Java-tier2/2+r+2,B,P10 Java-quick/1 Java-quick/1 Java-quick/1 Java-quick/1 Java-quick/1
 S2 hold Perl: Perl/0 Perl-ic/1+r Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1
 S2 hold Tcl: Tcl/0 Tcl-tier2/2+r+2 Tcl-jit/3+j Tcl-tier2/2 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3
 S2 hold Java-quick: Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0
@@ -544,12 +539,12 @@ S2 hold MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 M
 S2 hold snapshot: entries=5 remedy=4 tier2=3 jit=2 published=0
 S2 later3 C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
 S2 later3 MIPSI: MIPSI/0 MIPSI-threaded/1+r MIPSI-jit/3+2+j,B MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-jit/3,A
-S2 later3 Java: Java/0,C Java-tier2/2+r+2,B,P10 Java-quick/1,B Java/0,C Java/0,C Java-tier2/2,A Java-tier2/2,A
+S2 later3 Java: Java/0,C Java-tier2/2+r+2,B,P10 Java-quick/1 Java-quick/1 Java-quick/1 Java-tier2/2,A Java-tier2/2,A
 S2 later3 Perl: Perl/0 Perl-ic/1+r Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1
 S2 later3 Tcl: Tcl/0 Tcl-tier2/2+r+2 Tcl-jit/3+j Tcl-tier2/2 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3
 S2 later3 Java-quick: Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0
 S2 later3 MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0
-S2 later3 snapshot: entries=5 remedy=4 tier2=3 jit=2 published=3
+S2 later3 snapshot: entries=5 remedy=4 tier2=3 jit=2 published=2
 S3 now C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
 S3 now MIPSI: MIPSI-jit/3+r+2+j,B MIPSI-jit/3,A MIPSI-jit/3,A MIPSI-jit/3,A MIPSI-jit/3,A MIPSI-jit/3,A MIPSI-jit/3,A
 S3 now Java: Java-tier2/2+r+2,B,P0 Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A
@@ -560,7 +555,7 @@ S3 now MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MI
 S3 now snapshot: entries=5 remedy=4 tier2=3 jit=2 published=2
 S3 hold C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
 S3 hold MIPSI: MIPSI-jit/3+r+2+j,B MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1
-S3 hold Java: Java-tier2/2+r+2,B,P0 Java-quick/1,B Java/0,C Java/0,C Java/0,C Java/0,C Java/0,C
+S3 hold Java: Java-tier2/2+r+2,B,P0 Java-quick/1 Java-quick/1 Java-quick/1 Java-quick/1 Java-quick/1 Java-quick/1
 S3 hold Perl: Perl-ic/1+r Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1
 S3 hold Tcl: Tcl-jit/3+r+2+j Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3
 S3 hold Java-quick: Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0
@@ -568,12 +563,12 @@ S3 hold MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 M
 S3 hold snapshot: entries=5 remedy=4 tier2=3 jit=2 published=0
 S3 later3 C: C/0 C/0 C/0 C/0 C/0 C/0 C/0
 S3 later3 MIPSI: MIPSI-jit/3+r+2+j,B MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-threaded/1 MIPSI-jit/3,A MIPSI-jit/3,A MIPSI-jit/3,A
-S3 later3 Java: Java-tier2/2+r+2,B,P0 Java-quick/1,B Java/0,C Java/0,C Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A
+S3 later3 Java: Java-tier2/2+r+2,B,P0 Java-quick/1 Java-quick/1 Java-quick/1 Java-tier2/2,A Java-tier2/2,A Java-tier2/2,A
 S3 later3 Perl: Perl-ic/1+r Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1 Perl-ic/1
 S3 later3 Tcl: Tcl-jit/3+r+2+j Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3 Tcl-jit/3
 S3 later3 Java-quick: Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0 Java-quick/0
 S3 later3 MIPSI-jit: MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0 MIPSI-jit/0
-S3 later3 snapshot: entries=5 remedy=4 tier2=3 jit=2 published=3
+S3 later3 snapshot: entries=5 remedy=4 tier2=3 jit=2 published=2
 )";
 
 TEST(TierManager, PlanTraceIsPinned)
@@ -601,8 +596,9 @@ TEST(TierArtifact, BuildIsDeterministic)
     jvm::Module module = minic::compileBytecode(
         microBench(Lang::Java, "a=b+c", 60).source, "a=b+c");
     jvm::PairProfile pairs = profilePairs(module);
-    auto a = jvm::buildTierArtifact(nullptr, module, pairs);
-    auto b = jvm::buildTierArtifact(nullptr, module, pairs);
+    trace::Execution exec;
+    auto a = jvm::buildTierArtifact(exec, module, pairs);
+    auto b = jvm::buildTierArtifact(exec, module, pairs);
     ASSERT_TRUE(a && b);
     EXPECT_EQ(a->fusedPairs, b->fusedPairs);
     EXPECT_EQ(a->quickened, b->quickened);
@@ -617,9 +613,10 @@ TEST(TierArtifact, BuildIsDeterministic)
 
 TEST(TierArtifact, SharedModuleInPlaceQuickenIsFatal)
 {
-    // The bug this PR fixes: jvm-quick over a *shared* catalog module
-    // must never rewrite it in place. Reaching the quickening pass on
-    // a shared module is a contained fatal, not a silent mutation.
+    // jvm-quick must never rewrite a *shared* catalog module in
+    // place: every run quickens a private copy. Reaching the
+    // quickening pass on a shared module is a contained fatal, not a
+    // silent mutation.
     jvm::Module module = minic::compileBytecode(
         microBench(Lang::Java, "a=b+c", 10).source, "a=b+c");
     trace::Execution exec;
@@ -637,9 +634,9 @@ TEST(TierArtifact, PoisonedCachesFallBackContained)
     // resolution sequence, charged to the same memory-model subset.
     jvm::Module module = minic::compileBytecode(
         microBench(Lang::Java, "a=b+c", 40).source, "a=b+c");
-    auto shared = std::make_shared<const jvm::Module>(module);
     jvm::PairProfile pairs = profilePairs(module);
-    auto artifact = jvm::buildTierArtifact(nullptr, module, pairs);
+    trace::Execution build;
+    auto artifact = jvm::buildTierArtifact(build, module, pairs);
 
     auto measure = [&](bool poison) {
         struct Out
@@ -684,7 +681,8 @@ TEST(TierArtifact, OneArtifactServesManyThreads)
     jvm::Module module = minic::compileBytecode(
         microBench(Lang::Java, "a=b+c", 40).source, "a=b+c");
     jvm::PairProfile pairs = profilePairs(module);
-    auto artifact = jvm::buildTierArtifact(nullptr, module, pairs);
+    trace::Execution build;
+    auto artifact = jvm::buildTierArtifact(build, module, pairs);
 
     constexpr int kThreads = 4;
     struct Out
