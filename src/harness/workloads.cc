@@ -1,6 +1,8 @@
 #include "harness/workloads.hh"
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "support/rng.hh"
 #include "support/strutil.hh"
@@ -347,23 +349,27 @@ rxmatchInput(size_t lines)
 void
 installAllInputs(vfs::FileSystem &fs)
 {
-    fs.writeFile("compress.in", compressInput(5000));
-    fs.writeFile("cc1.in", cc1Input(700));
-    fs.writeFile("javac.in", javacInput(120));
-    fs.writeFile("txt2html.in", txt2htmlInput(260));
-    fs.writeFile("weblint.in", weblintInput(240));
-    fs.writeFile("a2ps.in", a2psInput(220));
-    fs.writeFile("requests.in", plexusInput(90));
-    fs.writeFile("tcllex.in", tcllexInput(48));
-    fs.writeFile("tcltags.in", tcltagsInput(340));
-    fs.writeFile("read4k.in", readFileInput());
-    fs.writeFile("rxmatch.in", rxmatchInput(40));
-    // Composition-tower scripts: the inner interpreter reads its
-    // program from the vfs like any other input file.
-    fs.writeFile("spin.sel",
-                 workloads::loadProgramFile("scriptel/spin.sel"));
-    fs.writeFile("mat.sel",
-                 workloads::loadProgramFile("scriptel/mat.sel"));
+    // Every generator is deterministic, so the contents are built once
+    // per process and each run gets its own copies.
+    static const std::vector<std::pair<std::string, std::string>> inputs = {
+        {"compress.in", compressInput(5000)},
+        {"cc1.in", cc1Input(700)},
+        {"javac.in", javacInput(120)},
+        {"txt2html.in", txt2htmlInput(260)},
+        {"weblint.in", weblintInput(240)},
+        {"a2ps.in", a2psInput(220)},
+        {"requests.in", plexusInput(90)},
+        {"tcllex.in", tcllexInput(48)},
+        {"tcltags.in", tcltagsInput(340)},
+        {"read4k.in", readFileInput()},
+        {"rxmatch.in", rxmatchInput(40)},
+        // Composition-tower scripts: the inner interpreter reads its
+        // program from the vfs like any other input file.
+        {"spin.sel", workloads::loadProgramFile("scriptel/spin.sel")},
+        {"mat.sel", workloads::loadProgramFile("scriptel/mat.sel")},
+    };
+    for (const auto &[path, contents] : inputs)
+        fs.writeFile(path, contents);
 }
 
 } // namespace interp::harness

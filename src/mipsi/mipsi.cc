@@ -47,6 +47,12 @@ Mipsi::emitTranslate(uint32_t guest_addr)
     // checks, statistics, permission and range checks, and address
     // composition.
     RoutineScope r(exec, rTranslate);
+    if (exec.countingOnly()) {
+        // Nobody reads the classes or addresses, only the attribution,
+        // which the walk keeps throughout: its 28 instructions at once.
+        exec.alu(28);
+        return;
+    }
     exec.alu(2);                           // prologue: sp adjust
     exec.store(&state.regs[16]);           // callee saves
     exec.store(&state.regs[17]);

@@ -75,6 +75,26 @@ TclInterp::TclInterp(trace::Execution &exec_, vfs::FileSystem &fs_,
 }
 
 // --- cost emission -----------------------------------------------------------
+//
+// On a counting-only run (no batch sink) nobody reads an instruction's
+// class, PC or address, only its attribution. So a helper whose loop
+// keeps one attribution throughout adds the loop's closed-form total
+// in one emission instead; with a batch sink it runs the loop. The
+// ladder check (Runner.SourceCountedProfileMatchesBatchedProfile)
+// compares a counting-only run with a batched one on every row.
+
+namespace {
+
+/** alu() for a total that may not fit one emission's count. */
+void
+countStraight(trace::Execution &exec, uint64_t n)
+{
+    for (; n > UINT32_MAX; n -= UINT32_MAX)
+        exec.alu(UINT32_MAX);
+    exec.alu((uint32_t)n);
+}
+
+} // namespace
 
 void
 TclInterp::chargeParse(size_t chars, size_t words)
@@ -90,6 +110,11 @@ TclInterp::chargeParse(size_t chars, size_t words)
     CategoryScope fd(exec, compiling ? Category::Precompile
                                      : Category::FetchDecode);
     RoutineScope r(exec, rParse);
+    if (exec.countingOnly()) {
+        countStraight(exec, 60 + (chars + 1) / 2 + 30 * (uint64_t)chars +
+                                chars / 8 + 163 * (uint64_t)words);
+        return;
+    }
     exec.alu(60);
     for (size_t i = 0; i < chars; ++i) {
         if ((i & 1) == 0)
@@ -123,6 +148,13 @@ TclInterp::chargeLookup(const SymTab &table, size_t name_len,
     MemModelScope mm(exec);
     RoutineScope r(exec, rSymtab);
     exec.noteMemModelAccess();
+    if (exec.countingOnly()) {
+        uint64_t quads = (name_len + 3) / 4;
+        uint64_t steps = std::max(chain_steps, 1);
+        countStraight(exec, 171 + quads + 5 * (uint64_t)name_len +
+                                steps * (8 + quads + name_len));
+        return;
+    }
     exec.alu(110);                // frame/scope resolution
     for (size_t i = 0; i < name_len; ++i) {
         if ((i & 3) == 0)
@@ -157,6 +189,10 @@ void
 TclInterp::chargeStringWork(size_t chars)
 {
     RoutineScope r(exec, rString);
+    if (exec.countingOnly()) {
+        countStraight(exec, 12 + 4 * (((uint64_t)chars + 7) / 8));
+        return;
+    }
     exec.alu(12);
     for (size_t i = 0; i < chars; i += 8) {
         exec.loadAt(0x75000000u + (uint32_t)(i % 32768));

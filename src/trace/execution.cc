@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <exception>
+#include <new>
+#include <utility>
+
+#include <sys/mman.h>
 
 #include "support/logging.hh"
 #include "trace/profile.hh"
@@ -15,12 +19,41 @@ CommandSet::intern(const std::string &name)
     if (it != ids.end())
         return it->second;
     auto id = (CommandId)names.size();
+    // Untrusted source can name this many commands: fail the run, not
+    // the process.
     if (id == kNoCommand)
-        panic("command set overflow");
+        fatal("more than %u distinct command names", (unsigned)kNoCommand);
     names.push_back(name);
     ids.emplace(name, id);
     return id;
 }
+
+// --- the counter table -------------------------------------------------------
+
+namespace {
+
+/** One row per CommandId, kNoCommand's included. */
+constexpr size_t kTableRows = size_t(1) << 16;
+/** Rows of Execution::kRowSlots counters each. */
+constexpr size_t kTableBytes = kTableRows * 32 * sizeof(uint64_t);
+/** A table whose run selected more rows is unmapped, not kept as the
+ *  spare: the pages it touched stay backed. */
+constexpr size_t kSpareRowsKept = 4096;
+
+/** The calling thread's spare counter table, all zero, or null. */
+struct SpareTable
+{
+    uint64_t *table = nullptr;
+    ~SpareTable()
+    {
+        if (table)
+            munmap(table, kTableBytes);
+    }
+};
+
+thread_local SpareTable t_spare;
+
+} // namespace
 
 Execution::Execution()
 {
@@ -30,6 +63,27 @@ Execution::Execution()
         registry.registerRoutine("__top__", 256, Segment::InterpCore));
     curBase = curPc = top.base;
     curEnd = top.base + top.sizeInsts * 4;
+}
+
+Execution::~Execution()
+{
+    static_assert(kTableBytes == kTableRows * kRowSlots * sizeof(uint64_t));
+    if (rows == discard)
+        return;
+    if (t_spare.table || hiRow >= kSpareRowsKept) {
+        munmap(rows, kTableBytes);
+        return;
+    }
+    // Zero what the run counted since its last fold (an aborted run's
+    // counts, the returns of a stopped run's unwind), writing only
+    // nonzero counters so untouched pages stay unbacked.
+    if (totalInsts != foldedInsts) {
+        uint64_t *end = rows + ((size_t)hiRow + 1) * kRowSlots;
+        for (uint64_t *c = rows; c != end; ++c)
+            if (*c)
+                *c = 0;
+    }
+    t_spare.table = rows;
 }
 
 void
@@ -56,6 +110,19 @@ Execution::countInto(Profile *profile)
 {
     requireFreshStream("counted profile");
     counted = profile;
+    if (rows != discard)
+        return;
+    if (t_spare.table) {
+        rows = std::exchange(t_spare.table, nullptr);
+    } else {
+        void *table = mmap(nullptr, kTableBytes, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+        if (table == MAP_FAILED)
+            throw std::bad_alloc();
+        rows = (uint64_t *)table;
+    }
+    rowMask = kTableRows - 1;
+    resumeCommand(currentCommand()); // re-point row and slot
 }
 
 void
@@ -90,13 +157,41 @@ Execution::deliver(Event &&event)
 }
 
 void
-Execution::flush()
+Execution::sendBatch()
 {
-    commitRun();
     if (batch.empty())
         return;
     deliver([this](Sink &sink) { sink.onBatch(batch); });
     batch.clear();
+}
+
+void
+Execution::fold()
+{
+    if (!sinks.empty()) {
+        *runSlot += totalInsts - runStart;
+        runStart = totalInsts;
+    }
+    for (uint32_t r = 0; r <= hiRow; ++r) {
+        uint64_t *cells = rows + (size_t)r * kRowSlots;
+        for (uint32_t i = 0; i < kRowSlots; ++i) {
+            if (cells[i] == 0)
+                continue;
+            counted->accountRun((Category)(i & kCategoryMask),
+                                (uint8_t)(i >> kFlagShift),
+                                (CommandId)(r - 1), cells[i]);
+            cells[i] = 0;
+        }
+    }
+    foldedInsts = totalInsts;
+}
+
+void
+Execution::flush()
+{
+    if (counted)
+        fold();
+    sendBatch();
 }
 
 void
@@ -110,37 +205,25 @@ Execution::stopRun()
 // --- emission core -----------------------------------------------------------
 //
 // The counting fast path is inline in execution.hh; it calls one of the
-// out-of-line halves below when the attribution changed, a safepoint is
-// due or a batch sink is attached. Every helper in this section but
-// commitRun and safepoint is forced inline into them, so each half
-// calls out only to commit the previous attribution run, to read the
-// clock at a safepoint and to flush a full batch. Without a batch sink
-// a half only counts (tally()): it neither maps a data address nor
-// steps the PC, which only batch sinks read, and calls and returns keep
-// just the routine stack's pairing.
+// out-of-line halves below when a safepoint is due or a batch sink is
+// attached. Every helper in this section but safepoint and the
+// transfers' batch halves is forced inline into them, so each half
+// calls out only to read the clock at a safepoint and to deliver a full
+// batch. Without a batch sink a half
+// only counts (count()): it neither maps a data address nor steps the
+// PC, which only batch sinks read, and calls and returns keep just the
+// routine stack's pairing.
 
 #define EMISSION_CORE [[gnu::always_inline]] inline
-
-void
-Execution::commitRun()
-{
-    if (runKey == kNoRun)
-        return;
-    if (counted)
-        counted->accountRun((Category)(runKey & 0xff),
-                            (uint8_t)(runKey >> 8),
-                            (CommandId)(runKey >> 16),
-                            totalInsts - runStart);
-    runKey = kNoRun;
-}
 
 template <bool Safepoint>
 EMISSION_CORE uint32_t
 Execution::tally(uint32_t n)
 {
     if (attr != runKey) [[unlikely]] {
-        commitRun();
+        *runSlot += totalInsts - runStart;
         runKey = attr;
+        runSlot = slot;
         runStart = totalInsts;
     }
     totalInsts += n;
@@ -153,12 +236,10 @@ template <bool Safepoint>
 EMISSION_CORE void
 Execution::count(uint32_t n)
 {
-    if (attr == runKey &&
-        (!Safepoint || totalInsts + n < nextSafepoint)) [[likely]] {
-        totalInsts += n;
-        return;
-    }
-    tally<Safepoint>(n);
+    totalInsts += n;
+    *slot += n;
+    if (Safepoint && totalInsts >= nextSafepoint) [[unlikely]]
+        safepoint();
 }
 
 template <bool Safepoint>
@@ -167,11 +248,10 @@ Execution::emit(uint32_t at, uint32_t n, InstClass cls, uint32_t mem_addr,
                 bool taken, uint32_t target)
 {
     uint32_t key = tally<Safepoint>(n);
-    batch.pushPacked(at, n,
-                     BundleBatch::packClsCat(cls, (Category)(key & 0xff)),
-                     (uint8_t)(key >> 8) |
-                         (taken ? BundleBatch::kTakenBit : 0),
-                     (CommandId)(key >> 16), mem_addr, target);
+    batch.pushPacked(
+        at, n, BundleBatch::packClsCat(cls, (Category)(key & kCategoryMask)),
+        (uint8_t)(key >> kFlagShift) | (taken ? BundleBatch::kTakenBit : 0),
+        (CommandId)(key >> 16), mem_addr, target);
     if (batch.full()) [[unlikely]] {
         // A return runs in RoutineScope's destructor. While an
         // exception unwinds, a sink's throw from there would
@@ -179,7 +259,7 @@ Execution::emit(uint32_t at, uint32_t n, InstClass cls, uint32_t mem_addr,
         if (!Safepoint && std::uncaught_exceptions() != 0)
             abortRun();
         else
-            flush();
+            sendBatch();
     }
 }
 
@@ -213,6 +293,13 @@ Execution::enter(RoutineId routine, InstClass cls, uint32_t dispatch_bit)
         frames.push_back({0, 0, 0, dispatch_bit});
         return;
     }
+    enterBatched(routine, cls, dispatch_bit);
+}
+
+[[gnu::noinline]] void
+Execution::enterBatched(RoutineId routine, InstClass cls,
+                        uint32_t dispatch_bit)
+{
     const Routine &r = registry.routine(routine);
     uint32_t callee_base = r.base;
     uint32_t callee_end = r.base + r.sizeInsts * 4;
@@ -240,6 +327,12 @@ Execution::leave(InstClass cls, uint32_t dispatch_bit)
         count<false>(1);
         return;
     }
+    leaveBatched(f, cls);
+}
+
+[[gnu::noinline]] void
+Execution::leaveBatched(Frame f, InstClass cls)
+{
     uint32_t at = curPc;
     curPc = f.pc;
     curBase = f.base;
@@ -255,7 +348,7 @@ Execution::straightCold(uint32_t n, InstClass cls)
     if (sinks.empty()) {
         // Nothing for a zero count, as the loop below.
         if (n > 0)
-            tally<true>(n);
+            count<true>(n);
         return;
     }
     // Split runs at the routine's end so PCs stay inside its body, and
@@ -280,7 +373,7 @@ void
 Execution::loadCold(const void *ptr)
 {
     if (sinks.empty()) {
-        tally<true>(1);
+        count<true>(1);
         return;
     }
     uint32_t addr = addrMapper.map(ptr);
@@ -291,7 +384,7 @@ void
 Execution::storeCold(const void *ptr)
 {
     if (sinks.empty()) {
-        tally<true>(1);
+        count<true>(1);
         return;
     }
     uint32_t addr = addrMapper.map(ptr);
@@ -302,7 +395,7 @@ void
 Execution::loadAtCold(uint32_t synth_addr)
 {
     if (sinks.empty()) {
-        tally<true>(1);
+        count<true>(1);
         return;
     }
     emit(step(), 1, InstClass::Load, synth_addr, false, 0);
@@ -312,7 +405,7 @@ void
 Execution::storeAtCold(uint32_t synth_addr)
 {
     if (sinks.empty()) {
-        tally<true>(1);
+        count<true>(1);
         return;
     }
     emit(step(), 1, InstClass::Store, synth_addr, false, 0);
@@ -322,7 +415,7 @@ void
 Execution::branchCold(bool taken)
 {
     if (sinks.empty()) {
-        tally<true>(1);
+        count<true>(1);
         return;
     }
     // Taken branches jump a short distance forward within the routine;
@@ -336,7 +429,7 @@ Execution::emitAtCold(uint32_t pc, InstClass cls, uint32_t n,
                       uint32_t mem_addr, bool taken, uint32_t target)
 {
     if (sinks.empty()) {
-        tally<true>(n);
+        count<true>(n);
         return;
     }
     emit(pc, n, cls, mem_addr, taken, target);
@@ -369,8 +462,9 @@ Execution::endDispatch()
 void
 Execution::noteMemModelAccess()
 {
-    // Keep the access event in stream order behind buffered bundles.
-    flush();
+    // Keep the access event in stream order behind buffered bundles;
+    // a counting-only run has none.
+    sendBatch();
     if (counted)
         counted->onMemModelAccess();
     deliver([](Sink &sink) { sink.onMemModelAccess(); });
@@ -385,8 +479,9 @@ Execution::beginCommand(CommandId id)
     if (totalCommands >= commandBudget)
         stopRun();
     // Keep the retirement event in stream order behind buffered
-    // bundles (a recorded trace must replay in emission order).
-    flush();
+    // bundles (a recorded trace must replay in emission order); a
+    // counting-only run has none.
+    sendBatch();
     resumeCommand(id);
     ++totalCommands;
     if (counted)

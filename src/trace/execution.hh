@@ -36,19 +36,37 @@
  * leaves RoutineScope's destructor for the caller.
  *
  * A Profile can instead be counted at the source (countInto()): the
- * Execution sums each run of instructions sharing one attribution and
- * hands the sum to the Profile when the attribution changes and at
- * every flush(). Bundles are then built only while a batch sink is
- * attached; a counting-only run builds none, and its primitives
- * neither map a data address nor step the PC.
+ * Execution keeps one uint64 counter per attribution (command,
+ * category, memory-model/native/system scopes), and every attribution
+ * setter points `slot` at the current one. A counting-only run (no
+ * batch sink) adds each emission to the instruction count and to
+ * *slot; a run with a batch sink adds each run of instructions sharing
+ * one attribution to its counter when the attribution changes. flush()
+ * folds the counters into the Profile (Profile::accountRun()) and
+ * zeroes them, so during a run the Profile hears only of command
+ * retirements and memory-model accesses. Bundles are built only while
+ * a batch sink is attached; a counting-only run builds none, and its
+ * primitives neither map a data address nor step the PC.
+ *
+ * The counters form a table with a row of kRowSlots for every
+ * CommandId, kNoCommand included: 64 Ki rows, 16 MiB of address space
+ * reserved with mmap(MAP_NORESERVE), of which a run touches only the
+ * rows of the commands it attributes to. The table stays outside
+ * operator new on purpose: support/detalloc hands freed cells back to
+ * the interpreters LIFO, so a heap allocation during a run would move
+ * simulated data addresses. Each thread keeps one zeroed spare table
+ * for its next counted Execution; a second counted Execution alive on
+ * the same thread reserves its own. An Execution that counts into no
+ * Profile adds to one discarded row instead.
  *
  * The counting fast path is inline in the caller: every primitive but
- * the routine calls and returns is one test of the instruction count
- * against countLimit and of the cached attribution word against the
- * open run, then one add. Everything else (a new attribution run, a
- * due safepoint, any run with a batch sink) is one call to the
- * primitive's out-of-line half in execution.cc, with the emission core
- * forced inline into it.
+ * the routine calls and returns is one compare of the instruction
+ * count against countLimit, then two adds; an attribution change
+ * never calls out. Everything else (a due safepoint, any run with a
+ * batch sink) is one call to the primitive's out-of-line half in
+ * execution.cc, with the emission core forced inline into it.
+ * Charge helpers whose loop keeps one attribution throughout may add
+ * their closed-form total in one call when countingOnly() holds.
  */
 
 #ifndef INTERP_TRACE_EXECUTION_HH
@@ -186,6 +204,10 @@ class Execution
     using Clock = std::chrono::steady_clock;
 
     Execution();
+    ~Execution();
+
+    Execution(const Execution &) = delete;
+    Execution &operator=(const Execution &) = delete;
 
     CodeRegistry &code() { return registry; }
     AddressMapper &mapper() { return addrMapper; }
@@ -205,6 +227,11 @@ class Execution
      * run. Same attach rule as addSink().
      */
     void countInto(Profile *profile);
+    /**
+     * True while no batch sink is attached: emissions only count, so
+     * their classes, PCs and addresses reach nobody.
+     */
+    bool countingOnly() const { return sinks.empty(); }
 
     /**
      * Throw DeadlineExpired at the first safepoint past @p deadline
@@ -228,10 +255,11 @@ class Execution
     uint64_t commands() const { return totalCommands; }
 
     /**
-     * Deliver the buffered bundle batch to every sink. Idempotent and
-     * cheap when nothing is pending. Must run after the last emission
-     * before sink counters are read; harness::Engine::execute() calls
-     * it once the interpreter's run() has returned.
+     * Fold the counters into the counted profile and deliver the
+     * buffered bundle batch to every sink. Idempotent and cheap when
+     * nothing is pending. Must run after the last emission before the
+     * profile or sink counters are read; harness::Engine::execute()
+     * calls it once the interpreter's run() has returned.
      */
     void flush();
 
@@ -348,11 +376,21 @@ class Execution
     resumeCommand(CommandId id)
     {
         attr = (attr & 0xffffu) | (uint32_t)id << 16;
+        uint32_t r = ((uint32_t)id + 1) & rowMask;
+        if (r > hiRow)
+            hiRow = r;
+        row = rows + (size_t)r * kRowSlots;
+        reslot();
     }
     CommandId currentCommand() const { return (CommandId)(attr >> 16); }
     /** Current attribution category. */
-    Category category() const { return (Category)(attr & 0xffu); }
-    void setCategory(Category c) { attr = (attr & ~0xffu) | (uint32_t)c; }
+    Category category() const { return (Category)(attr & kCategoryMask); }
+    void
+    setCategory(Category c)
+    {
+        attr = (attr & ~kCategoryMask) | (uint32_t)c;
+        reslot();
+    }
     void setMemModel(bool on) { setFlag(kMemModelFlag, on); }
     bool inMemModel() const { return attr & kMemModelFlag; }
     void setNative(bool on) { setFlag(kNativeFlag, on); }
@@ -383,35 +421,51 @@ class Execution
     };
     static_assert(sizeof(Frame) == 16, "see Frame");
     static constexpr uint32_t kViaDispatch = 1;
-    /** runKey when no attribution run is open. */
+    /** runKey before the first run opens. */
     static constexpr uint32_t kNoRun = ~0u;
     /** Instructions between two deadline clock reads. */
     static constexpr uint64_t kSafepointInsts = 4096;
     /** nextSafepoint without an armed deadline. */
     static constexpr uint64_t kNoSafepoint = ~0ull;
-    /** The scope flags' bits in the attribution word. */
+    /** The category's bits in the attribution word. */
+    static constexpr uint32_t kCategoryMask = 0x3;
+    /** The scope flags' bits: BundleBatch's flag bits, shifted past
+     *  the category's. */
+    static constexpr uint32_t kFlagShift = 2;
     static constexpr uint32_t kMemModelFlag = BundleBatch::kMemModelBit
-                                              << 8;
-    static constexpr uint32_t kNativeFlag = BundleBatch::kNativeBit << 8;
-    static constexpr uint32_t kSystemFlag = BundleBatch::kSystemBit << 8;
+                                              << kFlagShift;
+    static constexpr uint32_t kNativeFlag = BundleBatch::kNativeBit
+                                            << kFlagShift;
+    static constexpr uint32_t kSystemFlag = BundleBatch::kSystemBit
+                                            << kFlagShift;
+    /**
+     * Counters per row of the counter table, one per category and
+     * scope flags: the attribution word's low bits index the row.
+     */
+    static constexpr uint32_t kRowSlots = 32;
+    static_assert((kSystemFlag << 1) == kRowSlots, "see kRowSlots");
 
     void
     setFlag(uint32_t flag, bool on)
     {
         attr = on ? attr | flag : attr & ~flag;
+        reslot();
     }
+    /** Point slot at the current attribution's counter in its row. */
+    void reslot() { slot = row + (attr & (kRowSlots - 1)); }
     /**
-     * The counting fast path: add @p n to the open run when the count
-     * stays below countLimit and the attribution still matches the
-     * run. False otherwise, with nothing counted: the caller makes its
-     * out-of-line call. The limit is tested first, so a run with a
-     * batch sink (countLimit 0) leaves after one compare.
+     * The counting fast path: add @p n to the count and to the
+     * current attribution's counter when the count stays below
+     * countLimit. False otherwise, with nothing counted: the caller
+     * makes its out-of-line call. A run with a batch sink
+     * (countLimit 0) leaves after the one compare.
      */
     bool
     fastCount(uint32_t n)
     {
-        if (totalInsts + n < countLimit && attr == runKey) [[likely]] {
+        if (totalInsts + n < countLimit) [[likely]] {
             totalInsts += n;
+            *slot += n;
             return true;
         }
         return false;
@@ -434,14 +488,14 @@ class Execution
     void emitAtCold(uint32_t pc, InstClass cls, uint32_t n,
                     uint32_t mem_addr, bool taken, uint32_t target);
 
-    /** Count @p n instructions into the open attribution run (opening
-     *  a new one when the attribution changed) and pass the deadline
-     *  safepoint unless @p Safepoint is false. Returns the
-     *  attribution. */
+    /** The batch path's count: add @p n to the open attribution run,
+     *  first closing the previous run into its counter when the
+     *  attribution changed, and pass the deadline safepoint unless
+     *  @p Safepoint is false. Returns the attribution. */
     template <bool Safepoint> uint32_t tally(uint32_t n);
-    /** The counting-only path of a call or a return: add @p n to the
-     *  open run when its attribution matches and no safepoint is due,
-     *  else tally(). */
+    /** The counting-only path's count: add @p n to the count and the
+     *  current counter, then pass the safepoint unless @p Safepoint is
+     *  false. */
     template <bool Safepoint> void count(uint32_t n);
     /** tally(), then push the bundle: the path with a batch sink. */
     template <bool Safepoint = true>
@@ -450,20 +504,24 @@ class Execution
     /** Read the clock: arm the next check, or abort the run. */
     void safepoint();
     /**
-     * Stop the run here because its command budget ran out: deliver
-     * the pending batch and commit the counted run, then detach every
-     * sink and the counted profile as an aborting run does, and throw
-     * BudgetExhausted. The returns the unwind emits reach neither, so
-     * every sink and the profile end on the same instruction.
+     * Stop the run here because its command budget ran out: flush(),
+     * then detach every sink and the counted profile as an aborting
+     * run does, and throw BudgetExhausted. The returns the unwind
+     * emits reach neither, so every sink and the profile end on the
+     * same instruction.
      */
     [[noreturn]] void stopRun();
     /** The run is aborting: disarm the deadline, drop the pending
-     *  batch, detach every sink and the counted profile. */
+     *  batch, detach every sink and the counted profile, whose
+     *  unfolded counts are dropped with the batch. */
     void abortRun();
     /** Hand one event to every sink; abortRun() if one throws. */
     template <class Event> void deliver(Event &&event);
-    /** Hand the open attribution run to the counted profile. */
-    void commitRun();
+    /** Deliver the pending batch, if any, to every sink. */
+    void sendBatch();
+    /** Close the batch path's open run into its counter, then move
+     *  every counter into the counted profile, zeroing it. */
+    void fold();
     /** The current PC, then advance it one instruction, wrapping. */
     uint32_t step();
     /** fatal() unless nothing has been emitted yet. */
@@ -473,6 +531,11 @@ class Execution
     void enter(RoutineId routine, InstClass cls, uint32_t dispatch_bit);
     /** Restore the caller's window and emit the transfer back to it. */
     void leave(InstClass cls, uint32_t dispatch_bit);
+    // The batch paths of enter() and leave(), kept out of the calls'
+    // own frames so the counting paths set up no more than they use.
+    void enterBatched(RoutineId routine, InstClass cls,
+                      uint32_t dispatch_bit);
+    void leaveBatched(Frame f, InstClass cls);
 
     CodeRegistry registry;
     AddressMapper addrMapper;
@@ -487,14 +550,33 @@ class Execution
     uint32_t curEnd = 0;
 
     /**
-     * The current attribution as one word: the category in the low
-     * byte, the BundleBatch flag bits of the memory-model, native and
-     * system scopes in the next, the command in the top half. Never
-     * equal to kNoRun.
+     * The current attribution as one word: the category in bits 0-1,
+     * the BundleBatch flag bits of the memory-model, native and system
+     * scopes in bits 2-4, the command in the top half. Never equal to
+     * kNoRun.
      */
     uint32_t attr = (uint32_t)Category::Execute | (uint32_t)kNoCommand << 16;
-    // The open attribution run: its key and totalInsts at its start.
+
+    // The counters (see the file comment). An Execution that counts
+    // into no profile has only the discarded row, rowMask 0, so every
+    // command selects it.
+    uint64_t discard[kRowSlots] = {};
+    uint64_t *rows = discard;
+    uint32_t rowMask = 0;
+    /** The highest row selected so far: fold() and the destructor
+     *  scan rows [0, hiRow]. */
+    uint32_t hiRow = 0;
+    /** The current command's row: row (command + 1) & rowMask. */
+    uint64_t *row = discard;
+    /** The current attribution's counter. */
+    uint64_t *slot = discard + (attr & (kRowSlots - 1));
+    /** totalInsts when fold() last ran. */
+    uint64_t foldedInsts = 0;
+
+    // The batch path's open attribution run: its key, its counter and
+    // totalInsts at its start.
     uint32_t runKey = kNoRun;
+    uint64_t *runSlot = discard;
     uint64_t runStart = 0;
 
     uint64_t totalInsts = 0;

@@ -40,21 +40,6 @@ Profile::onBatch(const BundleBatch &batch)
     }
 }
 
-void
-Profile::onCommand(CommandId command)
-{
-    ++totalCommands;
-    if (command >= cmds.size())
-        cmds.resize(command + 1);
-    ++cmds[command].retired;
-}
-
-void
-Profile::onMemModelAccess()
-{
-    ++memAccesses;
-}
-
 double
 Profile::fetchDecodePerCommand() const
 {

@@ -38,8 +38,15 @@ class Profile final : public Sink
 {
   public:
     void onBatch(const BundleBatch &batch) override;
-    void onCommand(CommandId command) override;
-    void onMemModelAccess() override;
+    void
+    onCommand(CommandId command) override
+    {
+        ++totalCommands;
+        if (command >= cmds.size()) [[unlikely]]
+            cmds.resize(command + 1);
+        ++cmds[command].retired;
+    }
+    void onMemModelAccess() override { ++memAccesses; }
 
     // --- totals ---------------------------------------------------------
     uint64_t commands() const { return totalCommands; }
@@ -81,10 +88,11 @@ class Profile final : public Sink
     /**
      * Accounting for @p count instructions sharing one attribution
      * (category, packed flags sans taken, command). onBatch()
-     * collapses each same-attribution run into a single call, and
-     * Execution::countInto() calls it once per run at the source;
-     * every counter update is an associative uint64 add, so both
-     * totals match exactly however the runs are cut.
+     * collapses each same-attribution run into a single call, and an
+     * Execution counting into this profile (countInto()) calls it once
+     * per attribution counter at each flush(); every counter update is
+     * an associative uint64 add, so both totals match exactly however
+     * the runs are cut.
      */
     void
     accountRun(Category cat, uint8_t flags, CommandId command,

@@ -42,13 +42,20 @@ TEST(Workloads, ReadFileIsExactly4K)
 
 TEST(Workloads, InstallPutsAllFiles)
 {
-    vfs::FileSystem fs;
+    // Built once per process, the inputs reach every file system whole.
+    vfs::FileSystem fs, again;
     installAllInputs(fs);
+    installAllInputs(again);
     for (const char *name :
          {"compress.in", "cc1.in", "javac.in", "txt2html.in",
           "weblint.in", "a2ps.in", "requests.in", "tcllex.in",
-          "tcltags.in", "read4k.in"})
-        EXPECT_TRUE(fs.exists(name)) << name;
+          "tcltags.in", "read4k.in", "rxmatch.in", "spin.sel",
+          "mat.sel"}) {
+        ASSERT_TRUE(fs.exists(name)) << name;
+        EXPECT_EQ(fs.readFile(name), again.readFile(name)) << name;
+    }
+    EXPECT_EQ(fs.readFile("read4k.in"), readFileInput());
+    EXPECT_EQ(fs.list(), again.list());
 }
 
 TEST(Workloads, PlexusInputIsHttpShaped)
@@ -225,6 +232,27 @@ TEST(Runner, DeadlineBoundsTheTierTwoProfilingRun)
               std::chrono::seconds(5));
 }
 
+TEST(Runner, TooManyCommandNamesFailTheRunNotTheProcess)
+{
+    // Untrusted Tcl can name more commands than a CommandId numbers:
+    // the 65,536th distinct name fails the run with a FatalError,
+    // which interpd answers as an ERROR, instead of aborting.
+    BenchSpec spec;
+    spec.lang = Lang::Tcl;
+    spec.name = "names";
+    spec.source = "for {set i 0} {$i < 70000} {incr i} "
+                  "{ proc p$i {} {} ; p$i }";
+    ScopedFatalThrow contain;
+    try {
+        run(spec, {}, nullptr, false);
+        ADD_FAILURE() << "the run finished";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("distinct command names"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Runner, MachineConfigOverride)
 {
     BenchSpec spec = microBench(Lang::Tcl, "a=b+c", 60);
@@ -268,18 +296,26 @@ TEST(Runner, SourceCountedProfileMatchesBatchedProfile)
     // extra sink is fed the same stream as batches. The two must agree
     // on every macro row under every rung of its ladder, with and
     // without the machine, each stopped by a budget of 20,000 commands
-    // or finished before it.
+    // or finished before it. A plain counting-only run, with no batch
+    // sink at all, must count the same too: only there do the charge
+    // helpers add their loops' closed-form totals.
     std::vector<BenchSpec> ladder = ladderSuite(macroSuite());
     size_t compared = 0;
     for (BenchSpec &spec : ladder) {
         spec.maxCommands = 20'000;
+        const std::string row =
+            std::string(langName(spec.lang)) + "/" + spec.name;
+        Measurement counted = run(spec, {}, nullptr, false);
         for (bool machine : {false, true}) {
-            SCOPED_TRACE(std::string(langName(spec.lang)) + "/" +
-                         spec.name +
-                         (machine ? " with machine" : " counting"));
+            SCOPED_TRACE(row + (machine ? " with machine" : " counting"));
             trace::Profile batched;
             Measurement m = run(spec, {&batched}, nullptr, machine);
             expectSameProfile(m.profile, batched);
+            {
+                SCOPED_TRACE("counting-only run");
+                EXPECT_EQ(counted.commands, m.commands);
+                expectSameProfile(counted.profile, batched);
+            }
             ++compared;
         }
     }

@@ -865,6 +865,31 @@ TEST(ServerEndToEnd, DeadlineInsideDeepRecursionIsContained)
     }
 }
 
+TEST(ServerEndToEnd, TooManyCommandNamesAnswerError)
+{
+    // An inline Tcl program that names more distinct commands than a
+    // CommandId numbers fails its own request, not the daemon: the
+    // request answers ERROR and the next one on the connection OK.
+    ServerConfig cfg;
+    cfg.workers = 1;
+    TestServer ts(cfg);
+
+    Client conn = Client::connectUnix(ts.path());
+    EvalRequest req;
+    req.id = 1;
+    req.mode = Lang::Tcl;
+    req.kind = ProgramKind::Inline;
+    req.program = "for {set i 0} {$i < 70000} {incr i} "
+                  "{ proc p$i {} {} ; p$i }";
+    EvalResponse resp = conn.eval(req);
+    EXPECT_EQ(resp.status, Status::Error) << resp.result;
+    EXPECT_NE(resp.result.find("distinct command names"), std::string::npos)
+        << resp.result;
+
+    resp = conn.eval(microRequest(Lang::Tcl, 300));
+    EXPECT_EQ(resp.status, Status::Ok) << resp.result;
+}
+
 TEST(ServerEndToEnd, BudgetStopIsAnsweredOkWithTheBudgetsCommands)
 {
     // A command budget that runs out inside an expression stops

@@ -471,6 +471,157 @@ TEST(Profile, SourceCountingMatchesBatches)
     expectSameProfile(beside, batched);
 }
 
+TEST(Profile, CounterTableEdgesMatchBatches)
+{
+    // A counted Execution keeps one counter per attribution in a table
+    // with a row for every CommandId, reused by the thread's next
+    // counted Execution once zeroed. Its edges: the last command id
+    // and kNoCommand, repeated flushes inside one open attribution, a
+    // row no retirement selected, a budget stop and a deadline abort
+    // that leave counts unfolded, and two counted Executions alive at
+    // once. Each run is counted alone and beside a batch sink, in that
+    // order, so a count the first leaves in the table shows in the
+    // second. (A table that used the last rows is unmapped, not kept,
+    // so the runs that leave counts unfolded use low command ids.)
+    constexpr CommandId kLast = kNoCommand - 1;
+    struct Case
+    {
+        const char *name;
+        std::function<void(Execution &)> script;
+    };
+    const Case cases[] = {
+        {"last id, kNoCommand, repeated flushes",
+         [](Execution &exec) {
+             exec.alu(3); // kNoCommand
+             exec.beginCommand(kLast);
+             exec.setCategory(Category::FetchDecode);
+             exec.alu(5);
+             exec.flush(); // inside the open attribution
+             exec.alu(7);
+             exec.flush(); // and again
+             exec.flush();
+             exec.alu(11);
+             exec.setCategory(Category::Execute);
+             {
+                 MemModelScope mm(exec);
+                 NativeScope nat(exec);
+                 exec.alu(13);
+             }
+             exec.resumeCommand(kNoCommand);
+             exec.alu(17);
+             exec.beginCommand(0);
+             exec.alu(19);
+             exec.flush();
+         }},
+        {"a row only resumeCommand selects",
+         [](Execution &exec) {
+             exec.beginCommand(0);
+             exec.alu(1);
+             exec.resumeCommand(9); // never retired, above every row
+             exec.alu(2);
+             exec.flush();
+         }},
+        {"budget stop",
+         [](Execution &exec) {
+             auto r = exec.code().registerRoutine("body", 8);
+             exec.setCommandBudget(3);
+             try {
+                 RoutineScope scope(exec, r); // returns after the stop
+                 for (uint32_t i = 0;; ++i) {
+                     exec.beginCommand(i % 2 ? 2 : 1);
+                     exec.alu(100 + i);
+                 }
+             } catch (const BudgetExhausted &) {
+             }
+             exec.alu(23); // after the stop: reaches neither
+             exec.flush();
+         }},
+        {"deadline abort",
+         [](Execution &exec) {
+             exec.setDeadline(Execution::Clock::now() +
+                              std::chrono::milliseconds(100));
+             exec.beginCommand(3);
+             exec.alu(40); // the first safepoint: the next is 4096 on
+             exec.resumeCommand(kNoCommand);
+             exec.alu(2);
+             exec.flush();
+             std::this_thread::sleep_for(std::chrono::milliseconds(150));
+             EXPECT_THROW(exec.alu(5000), DeadlineExpired);
+             exec.flush();
+         }},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        Profile alone, beside, batched;
+        {
+            Execution exec;
+            exec.countInto(&alone);
+            c.script(exec);
+        }
+        {
+            Execution exec;
+            exec.countInto(&beside);
+            exec.addSink(&batched);
+            c.script(exec);
+        }
+        EXPECT_GT(batched.instructions(), 0u);
+        expectSameProfile(alone, batched);
+        expectSameProfile(beside, batched);
+    }
+
+    // Two counted Executions alive at once on this thread, the second
+    // beside a batch sink, must not share a table, though the thread
+    // holds a spare one when the first takes it.
+    {
+        Profile warm;
+        Execution exec;
+        exec.countInto(&warm);
+        exec.alu(1);
+        exec.flush();
+    }
+    auto step = [](Execution &exec, int i, uint32_t scale) {
+        switch (i) {
+          case 0:
+            exec.beginCommand(kLast);
+            exec.alu(scale);
+            break;
+          case 1:
+            exec.setCategory(Category::FetchDecode);
+            exec.alu(2 * scale);
+            break;
+          case 2:
+            exec.resumeCommand(kNoCommand);
+            exec.alu(3 * scale);
+            break;
+          default:
+            exec.beginCommand(7);
+            exec.alu(5 * scale);
+            exec.flush();
+        }
+    };
+    Profile first, second, secondBatched, firstRef, secondRef;
+    {
+        Execution a, b;
+        a.countInto(&first);
+        b.countInto(&second);
+        b.addSink(&secondBatched);
+        for (int i = 0; i < 4; ++i) {
+            step(a, i, 1);
+            step(b, i, 10);
+        }
+    }
+    for (auto [ref, scale] : {std::pair{&firstRef, 1u}, {&secondRef, 10u}}) {
+        Execution exec;
+        exec.addSink(ref);
+        for (int i = 0; i < 4; ++i)
+            step(exec, i, scale);
+    }
+    EXPECT_EQ(firstRef.instructions(), 11u);
+    expectSameProfile(first, firstRef);
+    expectSameProfile(second, secondRef);
+    expectSameProfile(secondBatched, secondRef);
+}
+
 TEST(Profile, CountingOnlyMatchesBatchesAcrossEveryPrimitive)
 {
     // A counting-only run takes the fast path wherever the attribution
